@@ -64,7 +64,6 @@ lasso = ScenarioConfig(
     noise=NoiseSpec.gaussian(0.5),
     beta_star=BetaStarSpec(3, 1.0),
     constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
-    test_size=20000,
 )
 lasso_result = run_square_lasso(lasso)
 print(f"{'n':>6} {'mean nonexact slack':>20} {'satisfied':>10}")

@@ -12,10 +12,13 @@ Four scenarios are provided:
   budget on fresh draws.
 * ``SquareLasso``: sparse linear data, least squares with a squared-l1
   penalty at the theory-driven level, slack measured against the probe
-  beta = beta_star with a matching budget.
+  beta = beta_star with a matching budget. The achieved risk is the exact
+  population square risk m2 ||beta - beta_star||^2 + E noise^2, where m2 is
+  the design's per-coordinate second moment; no test set is drawn.
 * ``LqRerm``: the same with the L_q risk and an l1^q penalty; q = 2 delegates
   to ``SquareLasso`` outright, so both paths produce identical output for
-  identical configurations.
+  identical configurations. For q != 2 the achieved risk is a Monte Carlo
+  estimate on a fresh test set of ``test_size`` points.
 
 Every replication draws from a generator seeded by a 64-bit mix of
 (masterSeed, scenario tag, n, replication index), so results are independent
@@ -28,6 +31,8 @@ configurable value in summaries.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -187,9 +192,11 @@ class ScenarioConfig:
     ``gamma`` scales the FiniteGap risk gap gamma/sqrt(n); ``label_flip`` and
     ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality);
     ``test_size`` overrides the fresh-test-set size (default 20 * max(nGrid),
-    capped at 1e6); ``lambda_replications`` drives the localization estimate;
-    ``floor`` is the tiny positive stand-in reported for nonpositive mean
-    slacks. Named constants (c0, c1, Kd, K, Kprime, K1) default to 1.
+    capped at 1e6) and only affects LqRerm with q != 2, since the q = 2
+    achieved risk is exact; ``lambda_replications`` drives the localization
+    estimate; ``floor`` is the tiny positive stand-in reported for
+    nonpositive mean slacks. Named constants (c0, c1, Kd, K, Kprime, K1)
+    default to 1.
     """
 
     scenario: str
@@ -227,6 +234,8 @@ class ScenarioConfig:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
         if self.x <= 0:
             raise InvalidInputError("x must be positive")
+        if self.gamma < 0:
+            raise InvalidInputError("gamma must be >= 0")
         if self.replications < 1:
             raise InvalidInputError("replications must be >= 1")
         if not 0 <= self.master_seed <= _MASK64:
@@ -254,11 +263,28 @@ class ScenarioConfig:
 _NOISE_PARAM_KEYS = {"Gaussian": "sd", "Bounded": "range", "Exponential": "rate"}
 
 
+def _as_int(key, value):
+    """An integer-valued field; bools, non-numbers and non-integral reals are rejected."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"field {key!r} must be an integer, got {value!r}")
+
+
+def _as_real(key, value):
+    """A finite real field; bools, non-numbers, NaN and infinities are rejected."""
+    # the comparison is False for NaN and also rejects ints too large for a float
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InvalidInputError(f"field {key!r} must be a finite real, got {value!r}")
+
+
 def _noise_from_mapping(mapping):
     if not isinstance(mapping, dict) or "kind" not in mapping:
         raise InvalidInputError("noise must be an object with a 'kind' field")
     kind = mapping["kind"]
-    if kind not in _NOISE_PARAM_KEYS:
+    if not isinstance(kind, str) or kind not in _NOISE_PARAM_KEYS:
         raise InvalidInputError(f"noise.kind must be one of Gaussian/Bounded/Exponential, got {kind!r}")
     param_key = _NOISE_PARAM_KEYS[kind]
     unknown = set(mapping) - {"kind", param_key}
@@ -266,7 +292,7 @@ def _noise_from_mapping(mapping):
         raise InvalidInputError(f"unknown noise field {sorted(unknown)[0]!r}")
     if param_key not in mapping:
         raise InvalidInputError(f"noise.{param_key} is required for {kind} noise")
-    return NoiseSpec(kind, float(mapping[param_key]))
+    return NoiseSpec(kind, _as_real(f"noise.{param_key}", mapping[param_key]))
 
 
 def config_from_mapping(mapping):
@@ -304,39 +330,42 @@ def config_from_mapping(mapping):
             raise InvalidInputError(f"missing required field {required!r}")
     if not isinstance(mapping["nGrid"], (list, tuple)):
         raise InvalidInputError("nGrid must be a list of sample sizes")
-    kwargs = {"scenario": mapping["scenario"], "n_grid": tuple(mapping["nGrid"])}
+    kwargs = {
+        "scenario": mapping["scenario"],
+        "n_grid": tuple(_as_int("nGrid", n) for n in mapping["nGrid"]),
+    }
     scalar_fields = {
-        "d": ("d", int),
-        "q": ("q", float),
-        "epsilon": ("epsilon", float),
-        "x": ("x", float),
-        "replications": ("replications", int),
-        "masterSeed": ("master_seed", int),
-        "gamma": ("gamma", float),
-        "testSize": ("test_size", int),
-        "lambdaReplications": ("lambda_replications", int),
-        "floor": ("floor", float),
-        "labelFlip": ("label_flip", float),
-        "cells": ("cells", int),
+        "d": ("d", _as_int),
+        "q": ("q", _as_real),
+        "epsilon": ("epsilon", _as_real),
+        "x": ("x", _as_real),
+        "replications": ("replications", _as_int),
+        "masterSeed": ("master_seed", _as_int),
+        "gamma": ("gamma", _as_real),
+        "testSize": ("test_size", _as_int),
+        "lambdaReplications": ("lambda_replications", _as_int),
+        "floor": ("floor", _as_real),
+        "labelFlip": ("label_flip", _as_real),
+        "cells": ("cells", _as_int),
     }
     for key, (attr, cast) in scalar_fields.items():
         if key in mapping:
-            try:
-                kwargs[attr] = cast(mapping[key])
-            except (TypeError, ValueError) as exc:
-                raise InvalidInputError(f"field {key!r} has an invalid value: {mapping[key]!r}") from exc
+            kwargs[attr] = cast(key, mapping[key])
     if "noise" in mapping:
         kwargs["noise"] = _noise_from_mapping(mapping["noise"])
     if "betaStar" in mapping:
         spec = mapping["betaStar"]
         if not isinstance(spec, dict) or set(spec) - {"support", "magnitude"}:
             raise InvalidInputError("betaStar must be an object with 'support' and 'magnitude'")
-        kwargs["beta_star"] = BetaStarSpec(int(spec.get("support", 0)), float(spec.get("magnitude", 0.0)))
+        kwargs["beta_star"] = BetaStarSpec(
+            _as_int("betaStar.support", spec.get("support", 0)),
+            _as_real("betaStar.magnitude", spec.get("magnitude", 0.0)),
+        )
     if "constants" in mapping:
         consts = mapping["constants"]
         if not isinstance(consts, dict):
             raise InvalidInputError("constants must be a map of names to reals")
-        kwargs["constants"] = {str(k): float(v) for k, v in consts.items()}
+        kwargs["constants"] = {str(k): _as_real(f"constants.{k}", v) for k, v in consts.items()}
     return ScenarioConfig(**kwargs)
 
 
@@ -585,6 +614,11 @@ def _rerm_design(rng, size, d, noise):
     return rng.standard_normal((size, d))
 
 
+def _rerm_design_m2(noise):
+    """E x_j^2 under ``_rerm_design``: 1/3 for uniform[-1, 1], 1 for standard Gaussian."""
+    return 1.0 / 3.0 if noise.kind == NoiseSpec.BOUNDED else 1.0
+
+
 def _rerm_row(config, ctx, n, rep):
     tag = _rerm_tag(config.q)
     rng = np.random.default_rng(derive_seed(config.master_seed, tag, n, rep))
@@ -594,6 +628,14 @@ def _rerm_row(config, ctx, n, rep):
     solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
 
     beta_star = ctx["beta_star"]
+    if config.q == 2:
+        # design coordinates are independent and mean zero, and the noise is
+        # independent of them with mean zero, so the square risk is exact:
+        # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
+        delta = solution.beta - beta_star
+        achieved = _rerm_design_m2(config.noise) * float(delta @ delta) + ctx["oracle"]
+        return OracleReport.build(n, achieved, ctx["oracle"], config.epsilon, ctx["budget"])
+
     noise = config.noise
 
     def generator(gen_rng, size):

@@ -109,6 +109,59 @@ class TestExperiment:
         assert run_cli(["unknown-command"]) == 2
 
 
+SMALL_CONFIGS = {
+    "FiniteGap": {"scenario": "FiniteGap", "nGrid": [64, 128, 256], "epsilon": 0.0019,
+                  "replications": 12, "gamma": 0.5},
+    "Isomorphy": {"scenario": "Isomorphy", "nGrid": [64, 128], "d": 4, "epsilon": 0.25,
+                  "x": 2.0, "replications": 12, "lambdaReplications": 20},
+    "SquareLasso": {"scenario": "SquareLasso", "nGrid": [64, 128, 256], "d": 5, "epsilon": 0.01,
+                    "replications": 6, "noise": {"kind": "Gaussian", "sd": 0.5},
+                    "betaStar": {"support": 2, "magnitude": 1.0},
+                    "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
+    "LqRerm": {"scenario": "LqRerm", "nGrid": [64, 128, 256], "d": 3, "q": 4, "epsilon": 0.01,
+               "replications": 4, "testSize": 1000, "noise": {"kind": "Bounded", "range": 0.5},
+               "betaStar": {"support": 2, "magnitude": 0.5},
+               "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SMALL_CONFIGS))
+def test_every_scenario_byte_identical_across_workers(scenario, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIGS[scenario], masterSeed=777)))
+    payloads = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run_cli(["experiment", "--config", path, "--out", out, "--workers", workers]) == 0
+        payloads.append(((out / "rows.csv").read_bytes(), (out / "summary.csv").read_bytes()))
+    assert payloads[0] == payloads[1]
+    assert payloads[0][0].count(b"\n") > 1
+
+
+@pytest.mark.parametrize(
+    "override, field_name",
+    [
+        ('nGrid=["a"]', "nGrid"),
+        ("nGrid=[1.5, 2.5, 3.5]", "nGrid"),
+        ('betaStar.support="a"', "betaStar.support"),
+        ('constants.c0="abc"', "constants.c0"),
+        ('noise={"kind": "Gaussian", "sd": "abc"}', "noise.sd"),
+        ("x=NaN", "'x'"),
+        ("x=Infinity", "'x'"),
+        ("floor=NaN", "floor"),
+        ("d=2.7", "'d'"),
+        ("d=true", "'d'"),
+        ("testSize=2.5", "testSize"),
+        ("replications=3.9", "replications"),
+        ("gamma=-1", "gamma"),
+    ],
+)
+def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_config, tmp_path, capsys):
+    code = run_cli(["experiment", "--config", finite_gap_config, "--out", tmp_path / "o", "--set", override])
+    assert code == 2
+    assert field_name in capsys.readouterr().err
+
+
 class TestCompute:
     def test_penalty_unit_inputs_prints_1(self, capsys):
         e = repr(math.e)

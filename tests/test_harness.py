@@ -1,24 +1,30 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oraclebench import (
     BetaStarSpec,
     FiniteModel,
     InvalidInputError,
+    LossSpec,
     NoiseSpec,
     OracleReport,
     ScenarioConfig,
     config_from_mapping,
     derive_seed,
     rate_fit,
+    risk_estimate,
     run_finite_gap,
     run_isomorphy,
     run_lq_rerm,
     run_scenario,
     run_square_lasso,
 )
+from oraclebench import harness
 from oraclebench.harness import rows_csv_text, summary_csv_text
 
 
@@ -52,6 +58,56 @@ def lasso_config(**kwargs):
     )
     base.update(kwargs)
     return ScenarioConfig(**base)
+
+
+def _config_mappings():
+    """Valid run-file mappings with up to two fields replaced by arbitrary JSON values."""
+    scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    junk = st.recursive(
+        scalar,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=6,
+    )
+    kinds = st.sampled_from(["Gaussian", "Bounded", "Exponential"])
+    param_keys = {"Gaussian": "sd", "Bounded": "range", "Exponential": "rate"}
+    noise = kinds.flatmap(lambda kind: st.fixed_dictionaries({"kind": st.just(kind), param_keys[kind]: st.floats(0, 5)}))
+    valid = st.fixed_dictionaries(
+        {
+            "scenario": st.sampled_from(["FiniteGap", "Isomorphy", "SquareLasso", "LqRerm"]),
+            "nGrid": st.lists(st.integers(1, 10**4), min_size=1, max_size=4, unique=True).map(sorted),
+        },
+        optional={
+            "d": st.integers(1, 50),
+            "q": st.floats(2, 8),
+            "epsilon": st.floats(0.001, 0.49),
+            "x": st.floats(0.1, 5),
+            "replications": st.integers(1, 100),
+            "masterSeed": st.integers(0, 2**64 - 1),
+            "gamma": st.floats(0, 5),
+            "testSize": st.integers(2, 10**5),
+            "lambdaReplications": st.integers(1, 500),
+            "floor": st.floats(1e-15, 1e-3),
+            "labelFlip": st.floats(0, 0.5),
+            "cells": st.integers(2, 64),
+            "noise": noise,
+            "betaStar": st.fixed_dictionaries({"support": st.integers(0, 5), "magnitude": st.floats(-2, 2)}),
+            "constants": st.dictionaries(st.sampled_from(["c0", "c1", "Kd"]), st.floats(0, 2), max_size=3),
+        },
+    )
+    broken_noise = kinds.flatmap(
+        lambda kind: st.fixed_dictionaries({"kind": st.just(kind)}, optional={param_keys[kind]: junk})
+    )
+    broken_nested = st.one_of(
+        st.fixed_dictionaries({"noise": broken_noise | junk}),
+        st.fixed_dictionaries({"betaStar": st.fixed_dictionaries({}, optional={"support": junk, "magnitude": junk})}),
+        st.fixed_dictionaries({"constants": st.dictionaries(st.sampled_from(["c0", "c1", "Kd"]), junk, max_size=2)}),
+        st.fixed_dictionaries({"nGrid": st.lists(junk, max_size=3)}),
+    )
+    keys = ["scenario", "nGrid", "d", "q", "epsilon", "x", "replications", "masterSeed", "gamma",
+            "testSize", "lambdaReplications", "floor", "labelFlip", "cells", "noise", "betaStar",
+            "constants", "bogus"]
+    broken = st.dictionaries(st.sampled_from(keys), junk, max_size=2) | broken_nested
+    return st.builds(lambda base, bad: {**base, **bad}, valid, st.just({}) | broken)
 
 
 class TestRateFit:
@@ -213,6 +269,36 @@ class TestSquareLasso:
         with pytest.raises(InvalidInputError):
             run_square_lasso(lasso_config(q=3.0))
 
+    @pytest.mark.parametrize(
+        "noise, design_m2",
+        [(NoiseSpec.gaussian(0.5), 1.0), (NoiseSpec.bounded(0.5), 1.0 / 3.0)],
+        ids=["gaussian", "bounded"],
+    )
+    def test_exact_risk_matches_monte_carlo(self, monkeypatch, noise, design_m2):
+        cfg = lasso_config(noise=noise, n_grid=[64], replications=1)
+        beta_hat = np.linspace(-0.5, 1.5, cfg.d)
+        beta_star = cfg.beta_star.vector(cfg.d)
+        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+        achieved = run_square_lasso(cfg).rows[0].report.achieved_risk
+        exact = design_m2 * float(np.sum((beta_hat - beta_star) ** 2)) + noise.abs_moment(2)
+        assert achieved == pytest.approx(exact, rel=1e-12)
+
+        def generator(rng, size):
+            design = harness._rerm_design(rng, size, cfg.d, noise)
+            return design, design @ beta_star + noise.draw(rng, size)
+
+        estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(2), 200_000, 5)
+        assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
+
+    def test_q2_never_draws_a_test_set(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("risk_estimate called for q = 2")
+
+        monkeypatch.setattr(harness, "risk_estimate", forbidden)
+        res_sq = run_square_lasso(lasso_config(noise=NoiseSpec.bounded(0.5)))
+        res_lq = run_lq_rerm(lasso_config(scenario="LqRerm"))
+        assert len(res_sq.rows) == len(res_lq.rows) == 12
+
 
 class TestLqRerm:
     def test_q2_delegates_bit_for_bit(self):
@@ -324,6 +410,19 @@ class TestConfigParsing:
             NoiseSpec("Gaussian", -1.0)
         assert NoiseSpec.gaussian(2.0).abs_moment(2) == 4.0
         assert NoiseSpec.bounded(1.0).abs_moment(4) == pytest.approx(0.2)
+
+    def test_integral_reals_accepted_as_integers(self):
+        cfg = config_from_mapping({"scenario": "FiniteGap", "nGrid": [4.0, 8], "d": 3.0})
+        assert cfg.n_grid == (4, 8) and cfg.d == 3
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(mapping=_config_mappings())
+    def test_fuzzed_mapping_gives_config_or_invalid_input(self, mapping):
+        try:
+            config = config_from_mapping(mapping)
+        except InvalidInputError:
+            return
+        assert isinstance(config, ScenarioConfig)
 
     def test_beta_star_vector(self):
         spec = BetaStarSpec(2, 1.5)

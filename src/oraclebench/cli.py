@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -38,6 +39,19 @@ __all__ = ["main", "entry", "build_parser"]
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+
+def real(text):
+    """The argparse type of every real flag; NaN and infinities are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
+    return value
+
+
+def _reals(parser, *flags, **kwargs):
+    for flag in flags:
+        parser.add_argument(flag, type=real, **kwargs)
 
 
 def build_parser():
@@ -62,28 +76,23 @@ def build_parser():
 
     psi = comp_sub.add_parser("psi-norm", help="empirical psi_alpha norm of a sample file")
     psi.add_argument("--file", required=True)
-    psi.add_argument("--alpha", type=float, default=1.0)
-    psi.add_argument("--tol", type=float, default=1e-9)
+    _reals(psi, "--alpha", default=1.0)
+    _reals(psi, "--tol", default=1e-9)
 
     pen = comp_sub.add_parser("penalty", help="l1^q penalty level")
-    for flag, kind in (("--n", float), ("--d", float), ("--x", float), ("--q", float), ("--Kd", float)):
-        pen.add_argument(flag, type=kind, required=flag != "--q")
-    pen.set_defaults(q=2.0)
-    pen.add_argument("--c0", type=float, default=1.0)
+    _reals(pen, "--n", "--d", "--x", required=True)
+    _reals(pen, "--q", default=2.0)
+    _reals(pen, "--Kd", required=True)
+    _reals(pen, "--c0", default=1.0)
 
     rho_a = comp_sub.add_parser("rho-a", help="ERM residual budget")
-    rho_a.add_argument("--lambda-star", dest="lambda_star", type=float, required=True)
-    rho_a.add_argument("--bn", type=float, required=True)
-    rho_a.add_argument("--Bn", dest="big_bn", type=float, required=True)
-    rho_a.add_argument("--epsilon", type=float, required=True)
-    rho_a.add_argument("--x", type=float, required=True)
+    _reals(rho_a, "--lambda-star", "--bn", "--Bn", "--epsilon", "--x", required=True)
     rho_a.add_argument("--n", type=int, required=True)
-    rho_a.add_argument("--c0", type=float, default=1.0)
+    _reals(rho_a, "--c0", default=1.0)
 
     rho_b = comp_sub.add_parser("rho-b", help="radius-indexed RERM residual")
-    for flag in ("--n", "--d", "--q", "--Kd", "--epsilon", "--r", "--x"):
-        rho_b.add_argument(flag, type=float, required=True)
-    rho_b.add_argument("--c0", type=float, default=1.0)
+    _reals(rho_b, "--n", "--d", "--q", "--Kd", "--epsilon", "--r", "--x", required=True)
+    _reals(rho_b, "--c0", default=1.0)
 
     dud = comp_sub.add_parser("dudley", help="entropy-integral complexity of a point file")
     dud.add_argument("--file", required=True)
@@ -91,16 +100,13 @@ def build_parser():
 
     fixed = comp_sub.add_parser("fixed-point", help="localization fixed point from a table")
     fixed.add_argument("--table", required=True, help="two-column file of (level, expected sup)")
-    fixed.add_argument("--epsilon", type=float, required=True)
-    fixed.add_argument("--tol", type=float, default=1e-9)
-    fixed.add_argument("--bracket-hi", dest="bracket_hi", type=float, default=None)
+    _reals(fixed, "--epsilon", required=True)
+    _reals(fixed, "--tol", default=1e-9)
+    _reals(fixed, "--bracket-hi", default=None)
 
     mas = comp_sub.add_parser("massart-rate", help="finite-dimension reference rate")
-    mas.add_argument("--V", dest="v", type=float, required=True)
-    mas.add_argument("--n", type=float, required=True)
-    mas.add_argument("--x", type=float, required=True)
-    mas.add_argument("--epsilon", type=float, required=True)
-    mas.add_argument("--c0", type=float, default=1.0)
+    _reals(mas, "--V", "--n", "--x", "--epsilon", required=True)
+    _reals(mas, "--c0", default=1.0)
 
     return parser
 
@@ -185,7 +191,7 @@ def _compute_value(args):
         return l1_penalty_level(args.n, args.d, args.x, args.q, args.Kd, args.c0)
     if args.quantity == "rho-a":
         return erm_residual(
-            args.lambda_star, args.bn, args.big_bn, args.epsilon, args.x, args.n, args.c0
+            args.lambda_star, args.bn, args.Bn, args.epsilon, args.x, args.n, args.c0
         ).value
     if args.quantity == "rho-b":
         profile = l1_complexity_profile(args.n, args.d, args.q, args.Kd, args.epsilon)
@@ -207,7 +213,7 @@ def _compute_value(args):
 
         return fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
     if args.quantity == "massart-rate":
-        return vc_rate(args.v, args.n, args.x, args.epsilon, args.c0)
+        return vc_rate(args.V, args.n, args.x, args.epsilon, args.c0)
     raise InvalidInputError(f"unknown quantity {args.quantity!r}")
 
 

@@ -15,10 +15,17 @@ Four scenarios are provided:
   beta = beta_star with a matching budget. The achieved risk is the exact
   population square risk m2 ||beta - beta_star||^2 + E noise^2, where m2 is
   the design's per-coordinate second moment; no test set is drawn.
-* ``LqRerm``: the same with the L_q risk and an l1^q penalty; q = 2 delegates
-  to ``SquareLasso`` outright, so both paths produce identical output for
-  identical configurations. For q != 2 the achieved risk is a Monte Carlo
-  estimate on a fresh test set of ``test_size`` points.
+* ``LqRerm``: the same with the L_q risk and an l1^q penalty. For q != 2 the
+  achieved risk is a Monte Carlo estimate on a fresh test set of
+  ``test_size`` points.
+
+One registry, ``_REGISTRY``, holds per scenario its context builder, row
+function, seed tag, whether it fits rates, its target frequency and its
+per-n extras. Every ``run_*`` entry point takes one path, ``_run``, which
+holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso, so both
+give identical output for identical configurations. One field table,
+``_FIELDS``, is the config schema: ``ScenarioConfig`` casts and checks every
+field through it, whether built in Python or by ``config_from_mapping``.
 
 Every replication draws from a generator seeded by a 64-bit mix of
 (masterSeed, scenario tag, n, replication index), so results are independent
@@ -33,6 +40,7 @@ from __future__ import annotations
 import math
 import numbers
 import sys
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -67,8 +75,6 @@ __all__ = [
     "write_summary_csv",
 ]
 
-SCENARIOS = ("FiniteGap", "Isomorphy", "SquareLasso", "LqRerm")
-
 _MASK64 = (1 << 64) - 1
 
 
@@ -99,6 +105,249 @@ def derive_seed(master_seed, tag, n, replication):
     return int(z)
 
 
+# ---------------------------------------------------------------------------
+# per-scenario contexts and row computations
+# ---------------------------------------------------------------------------
+
+
+def _finite_gap_ctx(config, n):
+    delta = min(config.gamma / math.sqrt(n), 1.0 - 1e-12)
+    p_plus = 0.5 + delta / 2.0
+    true_risks = np.array([1.0 - p_plus, p_plus])
+    predictions = np.vstack([np.ones(n), -np.ones(n)])
+    model = FiniteModel(predictions=predictions, true_risks=true_risks)
+    budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
+    return {"model": model, "p_plus": p_plus, "delta": delta, "budget": budget}
+
+
+def _finite_gap_row(config, ctx, n, rep, rng):
+    labels = np.where(rng.random(n) < ctx["p_plus"], 1.0, -1.0)
+    model = ctx["model"]
+    j = erm_finite(model, labels, LossSpec.zero_one())
+    achieved = float(model.true_risks[j])
+    oracle = float(model.true_risks.min())
+    return OracleReport.build(n, achieved, oracle, config.epsilon, ctx["budget"])
+
+
+def _isomorphy_model(config):
+    """Finite sign dictionary over equiprobable cells with known risks.
+
+    Labels are +1 with probability 0.5 + label_flip on even cells and
+    0.5 - label_flip on odd cells; predictor sign patterns are drawn once
+    from a seed derived from the master seed, so population risks are exact.
+    """
+    k = config.cells
+    rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/model", 0, 0))
+    patterns = rng.choice([-1.0, 1.0], size=(config.d, k))
+    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
+    p_plus = 0.5 + config.label_flip * signs
+    err_prob = np.where(patterns > 0, 1.0 - p_plus, p_plus)
+    true_risks = err_prob.mean(axis=1)
+    model = FiniteModel(predictions=patterns, true_risks=true_risks)
+    return model, p_plus
+
+
+def _isomorphy_losses(rng, model, p_plus, n):
+    """One fresh draw of n labeled cells: the functions x n boolean matrix of sign losses."""
+    cells = rng.integers(0, p_plus.size, size=n)
+    labels = np.where(rng.random(n) < p_plus[cells], 1.0, -1.0)
+    return (model.predictions[:, cells] * labels) <= 0
+
+
+def _isomorphy_contexts(config, model=None, cell_probs=None):
+    if model is None:
+        model, cell_probs = _isomorphy_model(config)
+    elif cell_probs is None:
+        raise InvalidInputError("a custom model needs cell_probs")
+    if model.true_risks is None:
+        raise InvalidInputError("isomorphy requires a model with trueRisks")
+    p_plus = np.asarray(cell_probs, dtype=float)
+    return {n: _isomorphy_ctx(config, n, model, p_plus) for n in config.n_grid}
+
+
+def _isomorphy_ctx(config, n, model, p_plus):
+    true_risks = model.true_risks
+
+    def sampler(rng):
+        emp = _isomorphy_losses(rng, model, p_plus, n).mean(axis=1)
+        return true_risks, np.abs(true_risks - emp)
+
+    lam_seed = derive_seed(config.master_seed, "isomorphy/lambda", n, 0)
+
+    def phi(lam):
+        return expected_localized_sup(sampler, lam, config.lambda_replications, lam_seed).mean
+
+    lam_star = fixed_point_lambda(phi, config.epsilon, bracket_hi=1.0, tol=1e-4)
+    phi_at = expected_localized_sup(sampler, lam_star, config.lambda_replications, lam_seed)
+
+    calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
+    calib = np.vstack(
+        [_isomorphy_losses(calib_rng, model, p_plus, n).max(axis=0).astype(float) for _ in range(64)]
+    )
+    bn = envelope_psi1(calib)
+    pooled = [
+        _isomorphy_losses(calib_rng, model, p_plus, n)[j].astype(float) for j in range(model.size)
+    ]
+    diam = max(psi_alpha_norm(losses, alpha=1.0, tol=1e-6).value for losses in pooled)
+    big_bn = bernstein_from_psi1(diam, n).bn
+    spec = erm_residual(
+        lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0")
+    )
+    # crude noise band on the fixed point: the defining slope is epsilon/4
+    lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
+    return {
+        "model": model,
+        "p_plus": p_plus,
+        "rho": spec.value,
+        "lambda_star": lam_star,
+        "lambda_band": lam_band,
+        "bn": bn,
+        "big_bn": big_bn,
+    }
+
+
+def _isomorphy_row(config, ctx, n, rep, rng):
+    emp = _isomorphy_losses(rng, ctx["model"], ctx["p_plus"], n).mean(axis=1)
+    true_risks = ctx["model"].true_risks
+    margin = float(np.max(true_risks - (1.0 + 2.0 * config.epsilon) * emp))
+    # oracle risk 0 makes both slacks equal the worst margin, so the
+    # satisfied flag is exactly the isomorphy event at budget rho
+    return OracleReport.build(n, margin, 0.0, config.epsilon, ctx["rho"])
+
+
+def _rerm_ctx(config, n):
+    q = config.q
+    kd = config.constant("Kd")
+    lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
+    eta = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c1"))
+    eps2 = config.epsilon**2
+    beta_star = config.beta_star.vector(config.d)
+    budget = eta * (1.0 + config.beta_star.l1_norm() ** q) / (n * eps2)
+    return {
+        "penalty_coef": lam / (n * eps2),
+        "budget": budget,
+        "oracle": config.noise.abs_moment(q),
+        "beta_star": beta_star,
+    }
+
+
+def _rerm_design(rng, size, d, noise):
+    if noise.kind == NoiseSpec.BOUNDED:
+        return rng.uniform(-1.0, 1.0, size=(size, d))
+    return rng.standard_normal((size, d))
+
+
+def _rerm_design_m2(noise):
+    """E x_j^2 under ``_rerm_design``: 1/3 for uniform[-1, 1], 1 for standard Gaussian."""
+    return 1.0 / 3.0 if noise.kind == NoiseSpec.BOUNDED else 1.0
+
+
+def _rerm_row(config, ctx, n, rep, rng):
+    beta_star, noise = ctx["beta_star"], config.noise
+    design = _rerm_design(rng, n, config.d, noise)
+    sample = Sample(design=design, response=design @ beta_star + noise.draw(rng, n))
+    solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
+
+    if config.q == 2:
+        # design coordinates are independent and mean zero, and the noise is
+        # independent of them with mean zero, so the square risk is exact:
+        # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
+        delta = solution.beta - beta_star
+        achieved = _rerm_design_m2(noise) * float(delta @ delta) + ctx["oracle"]
+        return OracleReport.build(n, achieved, ctx["oracle"], config.epsilon, ctx["budget"])
+
+    def generator(gen_rng, size):
+        x_test = _rerm_design(gen_rng, size, config.d, noise)
+        return x_test, x_test @ beta_star + noise.draw(gen_rng, size)
+
+    estimate = risk_estimate(
+        lambda x_new: x_new @ solution.beta,
+        generator,
+        LossSpec.lq(config.q),
+        config.resolved_test_size(),
+        derive_seed(config.master_seed, "lq-rerm/test", n, rep),
+    )
+    return OracleReport.build(n, estimate.mean, ctx["oracle"], config.epsilon, ctx["budget"])
+
+
+# contexts(config, **inputs) -> {n: ctx}; row(config, ctx, n, rep, rng) -> OracleReport;
+# target(config) -> target frequency; extras: the ctx keys reported per n
+_Scenario = namedtuple("_Scenario", "contexts row tag fits target extras")
+
+
+def _per_n(ctx_fn):
+    return lambda config: {n: ctx_fn(config, n) for n in config.n_grid}
+
+
+_REGISTRY = {
+    "FiniteGap": _Scenario(_per_n(_finite_gap_ctx), _finite_gap_row, "finite-gap", True, None, ("delta",)),
+    "Isomorphy": _Scenario(_isomorphy_contexts, _isomorphy_row, "isomorphy", False,
+                           lambda config: 1.0 - 4.0 * math.exp(-config.x),
+                           ("rho", "lambda_star", "lambda_band", "bn", "big_bn")),
+    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _rerm_row, "square-lasso", True, None, ("penalty_coef", "budget")),
+    "LqRerm": _Scenario(_per_n(_rerm_ctx), _rerm_row, "lq-rerm", True, None, ("penalty_coef", "budget")),
+}
+
+SCENARIOS = tuple(_REGISTRY)
+
+
+# ---------------------------------------------------------------------------
+# configuration schema
+# ---------------------------------------------------------------------------
+
+_CONSTANT_NAMES = ("c0", "c1", "Kd")
+
+
+def _as_int(key, value):
+    """An integer-valued field; bools, non-numbers and non-integral reals are rejected."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise InvalidInputError(f"field {key!r} must be an integer, got {value!r}")
+
+
+def _as_real(key, value):
+    """A finite real field; bools, non-numbers, NaN and infinities are rejected."""
+    # the comparison is False for NaN and also rejects ints too large for a float
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise InvalidInputError(f"field {key!r} must be a finite real, got {value!r}")
+
+
+def _as_grid(key, value):
+    if not isinstance(value, (list, tuple)):
+        raise InvalidInputError(f"field {key!r} must be a list of sample sizes, got {value!r}")
+    return tuple(_as_int(key, n) for n in value)
+
+
+def _as_constants(key, value):
+    if not isinstance(value, dict):
+        raise InvalidInputError(f"field {key!r} must be a map of names to reals, got {value!r}")
+    for name in value:
+        if name not in _CONSTANT_NAMES:
+            raise InvalidInputError(f"field '{key}.{name}' is not a known constant; use {'/'.join(_CONSTANT_NAMES)}")
+    return {name: _as_real(f"{key}.{name}", v) for name, v in value.items()}
+
+
+def _as_instance(cls):
+    def cast(key, value):
+        if isinstance(value, cls):
+            return value
+        raise InvalidInputError(f"field {key!r} must be a {cls.__name__}, got {value!r}")
+
+    return cast
+
+
+def _check(obj, fields):
+    """Cast and check the (key, attr, cast, predicate, requirement) fields of a frozen dataclass."""
+    for key, attr, cast, holds, requirement in fields:
+        value = cast(key, getattr(obj, attr))
+        if holds is not None and not holds(value):
+            raise InvalidInputError(f"field {key!r} must {requirement}, got {value!r}")
+        object.__setattr__(obj, attr, value)
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
     """Additive noise family: Gaussian(sd), Bounded(range), or Exponential(rate).
@@ -117,22 +366,28 @@ class NoiseSpec:
     EXPONENTIAL = "Exponential"
 
     def __post_init__(self):
-        if self.kind not in (self.GAUSSIAN, self.BOUNDED, self.EXPONENTIAL):
-            raise InvalidInputError(f"noise.kind must be one of Gaussian/Bounded/Exponential, got {self.kind!r}")
-        if not np.isfinite(self.param) or self.param < 0:
-            raise InvalidInputError("noise parameter must be a nonnegative real")
+        key = f"noise.{self.param_key(self.kind)}"
+        _check(self, ((key, "param", _as_real, lambda v: v >= 0, "be >= 0"),))
+
+    @classmethod
+    def param_key(cls, kind):
+        """The run-file name of the parameter of noise ``kind``; other kinds are rejected."""
+        keys = {cls.GAUSSIAN: "sd", cls.BOUNDED: "range", cls.EXPONENTIAL: "rate"}
+        if not isinstance(kind, str) or kind not in keys:
+            raise InvalidInputError(f"field 'noise.kind' must be one of {'/'.join(keys)}, got {kind!r}")
+        return keys[kind]
 
     @classmethod
     def gaussian(cls, sd):
-        return cls(cls.GAUSSIAN, float(sd))
+        return cls(cls.GAUSSIAN, sd)
 
     @classmethod
     def bounded(cls, half_range):
-        return cls(cls.BOUNDED, float(half_range))
+        return cls(cls.BOUNDED, half_range)
 
     @classmethod
     def exponential(cls, rate):
-        return cls(cls.EXPONENTIAL, float(rate))
+        return cls(cls.EXPONENTIAL, rate)
 
     @property
     def sub_gaussian(self):
@@ -167,10 +422,8 @@ class BetaStarSpec:
     magnitude: float
 
     def __post_init__(self):
-        if self.support < 0:
-            raise InvalidInputError("betaStar.support must be >= 0")
-        if not np.isfinite(self.magnitude):
-            raise InvalidInputError("betaStar.magnitude must be finite")
+        _check(self, (("betaStar.support", "support", _as_int, lambda v: v >= 0, "be >= 0"),
+                      ("betaStar.magnitude", "magnitude", _as_real, None, None)))
 
     def vector(self, d):
         if self.support > d:
@@ -195,8 +448,8 @@ class ScenarioConfig:
     capped at 1e6) and only affects LqRerm with q != 2, since the q = 2
     achieved risk is exact; ``lambda_replications`` drives the localization
     estimate; ``floor`` is the tiny positive stand-in reported for
-    nonpositive mean slacks. Named constants (c0, c1, Kd, K, Kprime, K1)
-    default to 1.
+    nonpositive mean slacks. The named constants are c0, c1 and Kd; each
+    defaults to 1.
     """
 
     scenario: str
@@ -218,81 +471,53 @@ class ScenarioConfig:
     cells: int = 16
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise InvalidInputError(f"scenario must be one of {SCENARIOS}, got {self.scenario!r}")
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) == 0:
-            raise InvalidInputError("nGrid must be a nonempty strictly increasing list")
-        if any(n < 1 for n in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidInputError("nGrid must be strictly increasing positive integers")
-        object.__setattr__(self, "n_grid", grid)
-        if self.d < 1:
-            raise InvalidInputError("d must be >= 1")
-        if self.q < 2:
-            raise InvalidInputError("q must be >= 2")
-        if not 0 < self.epsilon < 0.5:
-            raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        if self.x <= 0:
-            raise InvalidInputError("x must be positive")
-        if self.gamma < 0:
-            raise InvalidInputError("gamma must be >= 0")
-        if self.replications < 1:
-            raise InvalidInputError("replications must be >= 1")
-        if not 0 <= self.master_seed <= _MASK64:
-            raise InvalidInputError("masterSeed must fit in 64 bits")
-        if self.floor <= 0:
-            raise InvalidInputError("floor must be positive")
-        if not 0 <= self.label_flip <= 0.5:
-            raise InvalidInputError("labelFlip must lie in [0, 1/2]")
-        if self.cells < 2:
-            raise InvalidInputError("cells must be >= 2")
-        if self.lambda_replications < 1:
-            raise InvalidInputError("lambdaReplications must be >= 1")
-        if self.test_size is not None and self.test_size < 2:
-            raise InvalidInputError("testSize must be >= 2")
+        _check(self, _FIELDS)
+        if self.scenario == "SquareLasso" and self.q != 2:
+            raise InvalidInputError(f"field 'q' must be 2 for SquareLasso, got {self.q!r}")
+        if self.scenario in ("SquareLasso", "LqRerm"):
+            if self.q == 2 and not self.noise.sub_gaussian:
+                raise InvalidInputError(f"field 'noise' must be Gaussian or Bounded at q = 2, got {self.noise.kind}")
+            if self.q > 2 and self.noise.kind != NoiseSpec.BOUNDED:
+                raise InvalidInputError(f"field 'noise' must be Bounded at q > 2, got {self.noise.kind}")
 
     def constant(self, name, default=1.0):
         return float(self.constants.get(name, default))
 
     def resolved_test_size(self):
-        if self.test_size is not None:
-            return int(self.test_size)
-        return int(min(20 * max(self.n_grid), 10**6))
+        return self.test_size if self.test_size is not None else min(20 * max(self.n_grid), 10**6)
 
 
-_NOISE_PARAM_KEYS = {"Gaussian": "sd", "Bounded": "range", "Exponential": "rate"}
-
-
-def _as_int(key, value):
-    """An integer-valued field; bools, non-numbers and non-integral reals are rejected."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidInputError(f"field {key!r} must be an integer, got {value!r}")
-
-
-def _as_real(key, value):
-    """A finite real field; bools, non-numbers, NaN and infinities are rejected."""
-    # the comparison is False for NaN and also rejects ints too large for a float
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise InvalidInputError(f"field {key!r} must be a finite real, got {value!r}")
+# (run-file key, attribute, cast, predicate or None, requirement the predicate states)
+_FIELDS = (
+    ("scenario", "scenario", _as_instance(str), lambda v: v in SCENARIOS, f"be one of {'/'.join(SCENARIOS)}"),
+    ("nGrid", "n_grid", _as_grid, lambda g: len(g) > 0 and g[0] >= 1 and all(a < b for a, b in zip(g, g[1:])),
+     "be a nonempty strictly increasing list of positive integers"),
+    ("d", "d", _as_int, lambda v: v >= 1, "be >= 1"),
+    ("q", "q", _as_real, lambda v: v >= 2, "be >= 2"),
+    ("epsilon", "epsilon", _as_real, lambda v: 0 < v < 0.5, "lie in (0, 1/2)"),
+    ("x", "x", _as_real, lambda v: v > 0, "be positive"),
+    ("replications", "replications", _as_int, lambda v: v >= 1, "be >= 1"),
+    ("masterSeed", "master_seed", _as_int, lambda v: 0 <= v <= _MASK64, "fit in 64 unsigned bits"),
+    ("noise", "noise", _as_instance(NoiseSpec), None, None),
+    ("betaStar", "beta_star", _as_instance(BetaStarSpec), None, None),
+    ("constants", "constants", _as_constants, None, None),
+    ("gamma", "gamma", _as_real, lambda v: v >= 0, "be >= 0"),
+    ("testSize", "test_size", lambda key, v: v if v is None else _as_int(key, v), lambda v: v is None or v >= 2,
+     "be >= 2"),
+    ("lambdaReplications", "lambda_replications", _as_int, lambda v: v >= 1, "be >= 1"),
+    ("floor", "floor", _as_real, lambda v: v > 0, "be positive"),
+    ("labelFlip", "label_flip", _as_real, lambda v: 0 <= v <= 0.5, "lie in [0, 1/2]"),
+    ("cells", "cells", _as_int, lambda v: v >= 2, "be >= 2"),
+)
 
 
 def _noise_from_mapping(mapping):
     if not isinstance(mapping, dict) or "kind" not in mapping:
         raise InvalidInputError("noise must be an object with a 'kind' field")
-    kind = mapping["kind"]
-    if not isinstance(kind, str) or kind not in _NOISE_PARAM_KEYS:
-        raise InvalidInputError(f"noise.kind must be one of Gaussian/Bounded/Exponential, got {kind!r}")
-    param_key = _NOISE_PARAM_KEYS[kind]
-    unknown = set(mapping) - {"kind", param_key}
-    if unknown:
-        raise InvalidInputError(f"unknown noise field {sorted(unknown)[0]!r}")
-    if param_key not in mapping:
-        raise InvalidInputError(f"noise.{param_key} is required for {kind} noise")
-    return NoiseSpec(kind, _as_real(f"noise.{param_key}", mapping[param_key]))
+    param_key = NoiseSpec.param_key(mapping["kind"])
+    if set(mapping) != {"kind", param_key}:
+        raise InvalidInputError(f"field 'noise' must hold 'kind' and {param_key!r} for this kind, got {list(mapping)}")
+    return NoiseSpec(mapping["kind"], mapping[param_key])
 
 
 def config_from_mapping(mapping):
@@ -303,69 +528,21 @@ def config_from_mapping(mapping):
     """
     if not isinstance(mapping, dict):
         raise InvalidInputError("configuration root must be a key/value object")
-    known = {
-        "scenario",
-        "nGrid",
-        "d",
-        "q",
-        "epsilon",
-        "x",
-        "replications",
-        "masterSeed",
-        "noise",
-        "betaStar",
-        "constants",
-        "gamma",
-        "testSize",
-        "lambdaReplications",
-        "floor",
-        "labelFlip",
-        "cells",
-    }
-    unknown = set(mapping) - known
+    attrs = {key: attr for key, attr, *_ in _FIELDS}
+    unknown = set(mapping) - set(attrs)
     if unknown:
         raise InvalidInputError(f"unknown configuration field {sorted(unknown)[0]!r}")
     for required in ("scenario", "nGrid"):
         if required not in mapping:
             raise InvalidInputError(f"missing required field {required!r}")
-    if not isinstance(mapping["nGrid"], (list, tuple)):
-        raise InvalidInputError("nGrid must be a list of sample sizes")
-    kwargs = {
-        "scenario": mapping["scenario"],
-        "n_grid": tuple(_as_int("nGrid", n) for n in mapping["nGrid"]),
-    }
-    scalar_fields = {
-        "d": ("d", _as_int),
-        "q": ("q", _as_real),
-        "epsilon": ("epsilon", _as_real),
-        "x": ("x", _as_real),
-        "replications": ("replications", _as_int),
-        "masterSeed": ("master_seed", _as_int),
-        "gamma": ("gamma", _as_real),
-        "testSize": ("test_size", _as_int),
-        "lambdaReplications": ("lambda_replications", _as_int),
-        "floor": ("floor", _as_real),
-        "labelFlip": ("label_flip", _as_real),
-        "cells": ("cells", _as_int),
-    }
-    for key, (attr, cast) in scalar_fields.items():
-        if key in mapping:
-            kwargs[attr] = cast(key, mapping[key])
+    kwargs = {attrs[key]: value for key, value in mapping.items()}
     if "noise" in mapping:
         kwargs["noise"] = _noise_from_mapping(mapping["noise"])
     if "betaStar" in mapping:
         spec = mapping["betaStar"]
         if not isinstance(spec, dict) or set(spec) - {"support", "magnitude"}:
             raise InvalidInputError("betaStar must be an object with 'support' and 'magnitude'")
-        kwargs["beta_star"] = BetaStarSpec(
-            _as_int("betaStar.support", spec.get("support", 0)),
-            _as_real("betaStar.magnitude", spec.get("magnitude", 0.0)),
-        )
-    if "constants" in mapping:
-        consts = mapping["constants"]
-        if not isinstance(consts, dict):
-            raise InvalidInputError("constants must be a map of names to reals")
-        kwargs["constants"] = {str(k): _as_real(f"constants.{k}", v) for k, v in consts.items()}
+        kwargs["beta_star"] = BetaStarSpec(spec.get("support", 0), spec.get("magnitude", 0.0))
     return ScenarioConfig(**kwargs)
 
 
@@ -472,224 +649,32 @@ class ScenarioResult:
     extras: dict = field(default_factory=dict)
 
 
-# ---------------------------------------------------------------------------
-# per-scenario contexts and row computations
-# ---------------------------------------------------------------------------
-
-
-def _finite_gap_ctx(config, n):
-    delta = min(config.gamma / math.sqrt(n), 1.0 - 1e-12)
-    p_plus = 0.5 + delta / 2.0
-    true_risks = np.array([1.0 - p_plus, p_plus])
-    predictions = np.vstack([np.ones(n), -np.ones(n)])
-    model = FiniteModel(predictions=predictions, true_risks=true_risks)
-    budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
-    return {"model": model, "p_plus": p_plus, "budget": budget}
-
-
-def _finite_gap_row(config, ctx, n, rep):
-    rng = np.random.default_rng(derive_seed(config.master_seed, "finite-gap", n, rep))
-    labels = np.where(rng.random(n) < ctx["p_plus"], 1.0, -1.0)
-    model = ctx["model"]
-    j = erm_finite(model, labels, LossSpec.zero_one())
-    achieved = float(model.true_risks[j])
-    oracle = float(model.true_risks.min())
-    return OracleReport.build(n, achieved, oracle, config.epsilon, ctx["budget"])
-
-
-def _isomorphy_model(config):
-    """Finite sign dictionary over equiprobable cells with known risks.
-
-    Labels are +1 with probability 0.5 + label_flip on even cells and
-    0.5 - label_flip on odd cells; predictor sign patterns are drawn once
-    from a seed derived from the master seed, so population risks are exact.
-    """
-    k = config.cells
-    rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/model", 0, 0))
-    patterns = rng.choice([-1.0, 1.0], size=(config.d, k))
-    signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
-    p_plus = 0.5 + config.label_flip * signs
-    err_prob = np.where(patterns > 0, 1.0 - p_plus, p_plus)
-    true_risks = err_prob.mean(axis=1)
-    model = FiniteModel(predictions=patterns, true_risks=true_risks)
-    return model, p_plus
-
-
-def _isomorphy_draw(rng, model, p_plus, n):
-    """One fresh draw: per-function empirical risks on n labeled cells."""
-    k = p_plus.size
-    cells = rng.integers(0, k, size=n)
-    labels = np.where(rng.random(n) < p_plus[cells], 1.0, -1.0)
-    losses = (model.predictions[:, cells] * labels) <= 0
-    return losses.mean(axis=1)
-
-
-def _isomorphy_ctx(config, n, model, p_plus):
-    true_risks = model.true_risks
-
-    def sampler(rng):
-        emp = _isomorphy_draw(rng, model, p_plus, n)
-        return true_risks, np.abs(true_risks - emp)
-
-    lam_seed = derive_seed(config.master_seed, "isomorphy/lambda", n, 0)
-
-    def phi(lam):
-        return expected_localized_sup(sampler, lam, config.lambda_replications, lam_seed).mean
-
-    lam_star = fixed_point_lambda(phi, config.epsilon, bracket_hi=1.0, tol=1e-4)
-    phi_at = expected_localized_sup(sampler, lam_star, config.lambda_replications, lam_seed)
-
-    calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
-    calib = np.vstack([_isomorphy_env_draw(calib_rng, model, p_plus, n) for _ in range(64)])
-    bn = envelope_psi1(calib)
-    pooled = [
-        _isomorphy_loss_draw(calib_rng, model, p_plus, n, j) for j in range(model.size)
-    ]
-    diam = max(psi_alpha_norm(losses, alpha=1.0, tol=1e-6).value for losses in pooled)
-    big_bn = bernstein_from_psi1(diam, n).bn
-    spec = erm_residual(
-        lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0")
-    )
-    # crude noise band on the fixed point: the defining slope is epsilon/4
-    lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
-    return {
-        "model": model,
-        "p_plus": p_plus,
-        "rho": spec.value,
-        "lambda_star": lam_star,
-        "lambda_band": lam_band,
-        "bn": bn,
-        "big_bn": big_bn,
-    }
-
-
-def _isomorphy_env_draw(rng, model, p_plus, n):
-    k = p_plus.size
-    cells = rng.integers(0, k, size=n)
-    labels = np.where(rng.random(n) < p_plus[cells], 1.0, -1.0)
-    return ((model.predictions[:, cells] * labels) <= 0).max(axis=0).astype(float)
-
-
-def _isomorphy_loss_draw(rng, model, p_plus, n, j):
-    k = p_plus.size
-    cells = rng.integers(0, k, size=n)
-    labels = np.where(rng.random(n) < p_plus[cells], 1.0, -1.0)
-    return ((model.predictions[j, cells] * labels) <= 0).astype(float)
-
-
-def _isomorphy_row(config, ctx, n, rep):
-    rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy", n, rep))
-    emp = _isomorphy_draw(rng, ctx["model"], ctx["p_plus"], n)
-    true_risks = ctx["model"].true_risks
-    margin = float(np.max(true_risks - (1.0 + 2.0 * config.epsilon) * emp))
-    # oracle risk 0 makes both slacks equal the worst margin, so the
-    # satisfied flag is exactly the isomorphy event at budget rho
-    return OracleReport.build(n, margin, 0.0, config.epsilon, ctx["rho"])
-
-
-def _rerm_tag(q):
-    return "square-lasso" if q == 2 else "lq-rerm"
-
-
-def _rerm_ctx(config, n):
-    q = config.q
-    kd = config.constant("Kd")
-    lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
-    eta = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c1"))
-    eps2 = config.epsilon**2
-    beta_star = config.beta_star.vector(config.d)
-    budget = eta * (1.0 + config.beta_star.l1_norm() ** q) / (n * eps2)
-    return {
-        "penalty_coef": lam / (n * eps2),
-        "budget": budget,
-        "oracle": config.noise.abs_moment(q),
-        "beta_star": beta_star,
-        "test_size": config.resolved_test_size(),
-    }
-
-
-def _rerm_design(rng, size, d, noise):
-    if noise.kind == NoiseSpec.BOUNDED:
-        return rng.uniform(-1.0, 1.0, size=(size, d))
-    return rng.standard_normal((size, d))
-
-
-def _rerm_design_m2(noise):
-    """E x_j^2 under ``_rerm_design``: 1/3 for uniform[-1, 1], 1 for standard Gaussian."""
-    return 1.0 / 3.0 if noise.kind == NoiseSpec.BOUNDED else 1.0
-
-
-def _rerm_row(config, ctx, n, rep):
-    tag = _rerm_tag(config.q)
-    rng = np.random.default_rng(derive_seed(config.master_seed, tag, n, rep))
-    design = _rerm_design(rng, n, config.d, config.noise)
-    response = design @ ctx["beta_star"] + config.noise.draw(rng, n)
-    sample = Sample(design=design, response=response)
-    solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
-
-    beta_star = ctx["beta_star"]
-    if config.q == 2:
-        # design coordinates are independent and mean zero, and the noise is
-        # independent of them with mean zero, so the square risk is exact:
-        # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
-        delta = solution.beta - beta_star
-        achieved = _rerm_design_m2(config.noise) * float(delta @ delta) + ctx["oracle"]
-        return OracleReport.build(n, achieved, ctx["oracle"], config.epsilon, ctx["budget"])
-
-    noise = config.noise
-
-    def generator(gen_rng, size):
-        x_test = _rerm_design(gen_rng, size, config.d, noise)
-        return x_test, x_test @ beta_star + noise.draw(gen_rng, size)
-
-    estimate = risk_estimate(
-        lambda x_new: x_new @ solution.beta,
-        generator,
-        LossSpec.lq(config.q),
-        ctx["test_size"],
-        derive_seed(config.master_seed, tag + "/test", n, rep),
-    )
-    return OracleReport.build(n, estimate.mean, ctx["oracle"], config.epsilon, ctx["budget"])
-
-
-_ROW_FUNCS = {
-    "FiniteGap": _finite_gap_row,
-    "Isomorphy": _isomorphy_row,
-    "SquareLasso": _rerm_row,
-    "LqRerm": _rerm_row,
-}
-
-
 def _run_chunk(payload):
-    scenario, config, ctx, n, reps = payload
-    row_fn = _ROW_FUNCS[scenario]
-    return [row_fn(config, ctx, n, rep) for rep in reps]
+    config, ctx, n, reps = payload
+    spec = _REGISTRY[config.scenario]
+    return [
+        spec.row(config, ctx, n, rep, np.random.default_rng(derive_seed(config.master_seed, spec.tag, n, rep)))
+        for rep in reps
+    ]
 
 
-def _run_rows(scenario, config, contexts, workers):
+def _run_rows(config, contexts, workers):
     """Compute all rows, optionally across processes, in replication order."""
-    reps = list(range(config.replications))
-    payloads = []
-    for n in config.n_grid:
-        if workers > 1:
-            chunk = max(1, math.ceil(config.replications / (workers * 4)))
-            for start in range(0, config.replications, chunk):
-                payloads.append((scenario, config, contexts[n], n, reps[start : start + chunk]))
-        else:
-            payloads.append((scenario, config, contexts[n], n, reps))
+    reps = config.replications
+    size = max(1, math.ceil(reps / (workers * 4))) if workers > 1 else reps
+    payloads = [
+        (config, contexts[n], n, range(start, min(start + size, reps)))
+        for n in config.n_grid
+        for start in range(0, reps, size)
+    ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts all its processes at the first submit, so it gets no more than there are chunks
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             chunks = list(pool.map(_run_chunk, payloads))
     else:
         chunks = [_run_chunk(p) for p in payloads]
-    rows = []
-    flat = [report for chunk in chunks for report in chunk]
-    idx = 0
-    for n in config.n_grid:
-        for rep in reps:
-            rows.append(Row(replication=rep, report=flat[idx]))
-            idx += 1
-    return tuple(rows)
+    reports = [report for chunk in chunks for report in chunk]
+    return tuple(Row(replication=i % reps, report=report) for i, report in enumerate(reports))
 
 
 def _summarize(config, rows):
@@ -742,25 +727,34 @@ def _try_fit(points):
         return None
 
 
-def run_finite_gap(config, workers=1):
-    """Adversarial two-function ERM scenario; returns rows plus both rate fits."""
-    if config.scenario != "FiniteGap":
-        raise InvalidInputError(f"expected scenario FiniteGap, got {config.scenario}")
-    contexts = {n: _finite_gap_ctx(config, n) for n in config.n_grid}
-    rows = _run_rows("FiniteGap", config, contexts, workers)
+def _run(config, workers, accepts, **inputs):
+    """Run ``config`` if its scenario is one of ``accepts``; LqRerm at q = 2 runs as SquareLasso."""
+    scenario = "SquareLasso" if config.scenario == "LqRerm" and config.q == 2 else config.scenario
+    if scenario not in accepts:
+        raise InvalidInputError(f"expected scenario {'/'.join(accepts)}, got {config.scenario}")
+    if scenario != config.scenario:
+        config = replace(config, scenario=scenario)
+    spec = _REGISTRY[scenario]
+    contexts = spec.contexts(config, **inputs)
+    rows = _run_rows(config, contexts, workers)
     summaries, floored, exact_pts, nonexact_pts = _summarize(config, rows)
     return ScenarioResult(
-        scenario="FiniteGap",
+        scenario=scenario,
         config=config,
         rows=rows,
         summaries=summaries,
-        fit_exact=_try_fit(exact_pts),
-        fit_nonexact=_try_fit(nonexact_pts),
+        fit_exact=_try_fit(exact_pts) if spec.fits else None,
+        fit_nonexact=_try_fit(nonexact_pts) if spec.fits else None,
         satisfaction_frequency=float(np.mean([r.report.satisfied for r in rows])),
-        target_frequency=None,
+        target_frequency=spec.target(config) if spec.target else None,
         floored_count=floored,
-        extras={"delta": {n: contexts[n]["p_plus"] * 2 - 1 for n in config.n_grid}},
+        extras={n: {key: contexts[n][key] for key in spec.extras} for n in config.n_grid},
     )
+
+
+def run_finite_gap(config, workers=1):
+    """Adversarial two-function ERM scenario; returns rows plus both rate fits."""
+    return _run(config, workers, ("FiniteGap",))
 
 
 def run_isomorphy(config, workers=1, model=None, cell_probs=None):
@@ -770,103 +764,22 @@ def run_isomorphy(config, workers=1, model=None, cell_probs=None):
     supplied; it must carry true risks. The target frequency reported is
     1 - 4 exp(-x).
     """
-    if config.scenario != "Isomorphy":
-        raise InvalidInputError(f"expected scenario Isomorphy, got {config.scenario}")
-    if model is None:
-        model, cell_probs = _isomorphy_model(config)
-    elif cell_probs is None:
-        raise InvalidInputError("a custom model needs cell_probs")
-    if model.true_risks is None:
-        raise InvalidInputError("isomorphy requires a model with trueRisks")
-    contexts = {n: _isomorphy_ctx(config, n, model, np.asarray(cell_probs, dtype=float)) for n in config.n_grid}
-    rows = _run_rows("Isomorphy", config, contexts, workers)
-    summaries, floored, exact_pts, nonexact_pts = _summarize(config, rows)
-    return ScenarioResult(
-        scenario="Isomorphy",
-        config=config,
-        rows=rows,
-        summaries=summaries,
-        fit_exact=None,
-        fit_nonexact=None,
-        satisfaction_frequency=float(np.mean([r.report.satisfied for r in rows])),
-        target_frequency=1.0 - 4.0 * math.exp(-config.x),
-        floored_count=floored,
-        extras={
-            n: {
-                "rho": contexts[n]["rho"],
-                "lambda_star": contexts[n]["lambda_star"],
-                "lambda_band": contexts[n]["lambda_band"],
-                "bn": contexts[n]["bn"],
-                "big_bn": contexts[n]["big_bn"],
-            }
-            for n in config.n_grid
-        },
-    )
+    return _run(config, workers, ("Isomorphy",), model=model, cell_probs=cell_probs)
 
 
 def run_square_lasso(config, workers=1):
-    """Squared-l1-penalized least squares against the probe beta_star."""
-    if config.scenario not in ("SquareLasso", "LqRerm"):
-        raise InvalidInputError(f"expected scenario SquareLasso, got {config.scenario}")
-    if config.q != 2:
-        raise InvalidInputError("SquareLasso requires q = 2")
-    if not config.noise.sub_gaussian:
-        raise InvalidInputError("SquareLasso requires Gaussian or Bounded noise")
-    run_config = config if config.scenario == "SquareLasso" else replace(config, scenario="SquareLasso")
-    contexts = {n: _rerm_ctx(run_config, n) for n in run_config.n_grid}
-    rows = _run_rows("SquareLasso", run_config, contexts, workers)
-    summaries, floored, exact_pts, nonexact_pts = _summarize(run_config, rows)
-    return ScenarioResult(
-        scenario="SquareLasso",
-        config=run_config,
-        rows=rows,
-        summaries=summaries,
-        fit_exact=_try_fit(exact_pts),
-        fit_nonexact=_try_fit(nonexact_pts),
-        satisfaction_frequency=float(np.mean([r.report.satisfied for r in rows])),
-        target_frequency=None,
-        floored_count=floored,
-        extras={n: {"penalty_coef": contexts[n]["penalty_coef"], "budget": contexts[n]["budget"]} for n in run_config.n_grid},
-    )
+    """Squared-l1-penalized least squares against the probe beta_star; takes LqRerm at q = 2 too."""
+    return _run(config, workers, ("SquareLasso",))
 
 
 def run_lq_rerm(config, workers=1):
-    """L_q RERM scenario; q = 2 delegates to the square-lasso path bit for bit."""
-    if config.scenario not in ("LqRerm", "SquareLasso"):
-        raise InvalidInputError(f"expected scenario LqRerm, got {config.scenario}")
-    if config.q == 2:
-        return run_square_lasso(replace(config, scenario="SquareLasso"), workers=workers)
-    if config.noise.kind != NoiseSpec.BOUNDED:
-        raise InvalidInputError("q > 2 requires Bounded noise and a bounded design")
-    run_config = config if config.scenario == "LqRerm" else replace(config, scenario="LqRerm")
-    contexts = {n: _rerm_ctx(run_config, n) for n in run_config.n_grid}
-    rows = _run_rows("LqRerm", run_config, contexts, workers)
-    summaries, floored, exact_pts, nonexact_pts = _summarize(run_config, rows)
-    return ScenarioResult(
-        scenario="LqRerm",
-        config=run_config,
-        rows=rows,
-        summaries=summaries,
-        fit_exact=_try_fit(exact_pts),
-        fit_nonexact=_try_fit(nonexact_pts),
-        satisfaction_frequency=float(np.mean([r.report.satisfied for r in rows])),
-        target_frequency=None,
-        floored_count=floored,
-        extras={n: {"penalty_coef": contexts[n]["penalty_coef"], "budget": contexts[n]["budget"]} for n in run_config.n_grid},
-    )
-
-
-_RUNNERS = {
-    "FiniteGap": run_finite_gap,
-    "Isomorphy": run_isomorphy,
-    "SquareLasso": run_square_lasso,
-    "LqRerm": run_lq_rerm,
-}
+    """L_q RERM scenario; q = 2 runs as SquareLasso bit for bit."""
+    return _run(config, workers, ("LqRerm", "SquareLasso"))
 
 
 def run_scenario(config, workers=1):
-    """Dispatch a configuration to its scenario runner."""
-    return _RUNNERS[config.scenario](config, workers=workers)
+    """Run a configuration as its scenario."""
+    return _run(config, workers, SCENARIOS)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,7 @@ def test_every_scenario_byte_identical_across_workers(scenario, tmp_path):
         ("nGrid=[1.5, 2.5, 3.5]", "nGrid"),
         ('betaStar.support="a"', "betaStar.support"),
         ('constants.c0="abc"', "constants.c0"),
+        ("constants.C0=5", "constants.C0"),
         ('noise={"kind": "Gaussian", "sd": "abc"}', "noise.sd"),
         ("x=NaN", "'x'"),
         ("x=Infinity", "'x'"),
@@ -160,6 +161,24 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
     code = run_cli(["experiment", "--config", finite_gap_config, "--out", tmp_path / "o", "--set", override])
     assert code == 2
     assert field_name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides, field_name",
+    [
+        (["scenario=SquareLasso", "q=3"], "'q'"),
+        (["scenario=SquareLasso", 'noise={"kind": "Exponential", "rate": 1}'], "'noise'"),
+        (["scenario=LqRerm", "q=4"], "'noise'"),
+    ],
+    ids=["SquareLasso-q3", "SquareLasso-Exponential", "LqRerm-q4-Gaussian"],
+)
+def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
+    args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]
+    for override in overrides:
+        args += ["--set", override]
+    assert run_cli(args) == 2
+    assert field_name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 class TestCompute:
@@ -219,6 +238,25 @@ class TestCompute:
         assert run_cli(["compute", "dudley", "--file", path]) == 0
         value = float(capsys.readouterr().out.strip())
         assert value == pytest.approx(math.sqrt(math.log(2)), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["penalty", "--n", "nan", "--d", "3", "--x", "1", "--Kd", "1"], "--n"),
+            (["penalty", "--n", "8", "--d", "3", "--x", "inf", "--Kd", "1"], "--x"),
+            (["rho-a", "--lambda-star", "nan", "--bn", "0", "--Bn", "0", "--epsilon", "0.25", "--x", "1",
+              "--n", "100"], "--lambda-star"),
+            (["rho-b", "--n", "256", "--d", "20", "--q", "2", "--Kd", "1", "--epsilon", "0.25", "--r", "nan",
+              "--x", "1"], "--r"),
+            (["massart-rate", "--V", "8", "--n", "128", "--x", "nan", "--epsilon", "0.25"], "--x"),
+        ],
+        ids=["penalty-n-nan", "penalty-x-inf", "rho-a-lambda-nan", "rho-b-r-nan", "massart-x-nan"],
+    )
+    def test_non_finite_real_exits_2_naming_flag(self, args, flag, capsys):
+        assert run_cli(["compute", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}:" in captured.err
 
     def test_bad_args_exit_2(self, tmp_path):
         assert run_cli(["compute", "penalty", "--n", "1", "--d", "2", "--x", "1", "--Kd", "1"]) == 2

@@ -1,4 +1,8 @@
+import ast
+import importlib
 import math
+import re
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -187,6 +191,29 @@ class TestFiniteGap:
         r1 = run_finite_gap(cfg, workers=1)
         r2 = run_finite_gap(cfg, workers=3)
         assert rows_csv_text(r1) == rows_csv_text(r2)
+
+    @pytest.mark.parametrize("workers, pool_size", [(64, 3), (2, 2)])
+    def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, pool_size):
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        cfg = finite_gap_config(n_grid=[64], replications=3)
+        result = run_finite_gap(cfg, workers=workers)
+        assert sizes == [pool_size]
+        assert rows_csv_text(result) == rows_csv_text(run_finite_gap(cfg))
 
     def test_erm_pick_invariant_under_monotone_loss_relabeling(self):
         # any order-preserving relabeling of the two empirical risks keeps
@@ -411,6 +438,22 @@ class TestConfigParsing:
         assert NoiseSpec.gaussian(2.0).abs_moment(2) == 4.0
         assert NoiseSpec.bounded(1.0).abs_moment(4) == pytest.approx(0.2)
 
+    @pytest.mark.parametrize(
+        "build, field_name",
+        [
+            (lambda: finite_gap_config(x=float("nan")), "'x'"),
+            (lambda: finite_gap_config(d=2.7), "'d'"),
+            (lambda: finite_gap_config(replications=True), "'replications'"),
+            (lambda: finite_gap_config(constants={"c0": "abc"}), "'constants.c0'"),
+            (lambda: BetaStarSpec(2.5, 1.0), "'betaStar.support'"),
+            (lambda: NoiseSpec("Gaussian", True), "'noise.sd'"),
+        ],
+        ids=["x-nan", "d-2.7", "replications-True", "constants-c0-str", "betaStar-support-2.5", "noise-sd-True"],
+    )
+    def test_direct_construction_rejects_naming_field(self, build, field_name):
+        with pytest.raises(InvalidInputError, match=re.escape(field_name)):
+            build()
+
     def test_integral_reals_accepted_as_integers(self):
         cfg = config_from_mapping({"scenario": "FiniteGap", "nGrid": [4.0, 8], "d": 3.0})
         assert cfg.n_grid == (4, 8) and cfg.d == 3
@@ -430,3 +473,18 @@ class TestConfigParsing:
         assert spec.l1_norm() == 3.0
         with pytest.raises(InvalidInputError):
             spec.vector(1)
+
+
+def test_benchmark_probe_patch_targets_exist():
+    # a renamed import would silently make a traced benchmark layer report 0 calls;
+    # PATCHES is read with ast so that importing the probe's sys.path change never runs
+    probe = Path(__file__).resolve().parents[1] / "perfbench" / "probe.py"
+    tree = ast.parse(probe.read_text(encoding="utf-8"))
+    (patches,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "PATCHES" for t in node.targets)
+    ]
+    assert patches
+    for module_name, attr, _ in patches:
+        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"

@@ -48,7 +48,7 @@ import numpy as np
 
 from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
 from .complexity import expected_localized_sup, fixed_point_lambda
-from .errors import InvalidInputError
+from .errors import InvalidInputError, IterationLimitError
 from .model import FiniteModel, LossSpec, Sample, erm_finite, risk_estimate
 from .solvers import erm_residual, l1_penalty_level, solve_lq_rerm
 
@@ -246,7 +246,11 @@ def _rerm_row(config, ctx, n, rep, rng):
     beta_star, noise = ctx["beta_star"], config.noise
     design = _rerm_design(rng, n, config.d, noise)
     sample = Sample(design=design, response=design @ beta_star + noise.draw(rng, n))
-    solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
+    try:
+        solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
+    except IterationLimitError as exc:
+        raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {rep}: {exc}; "
+                           f"best gap {exc.best.optimality_gap:.3g}") from exc
 
     if config.q == 2:
         # design coordinates are independent and mean zero, and the noise is
@@ -475,6 +479,8 @@ class ScenarioConfig:
         if self.scenario == "SquareLasso" and self.q != 2:
             raise InvalidInputError(f"field 'q' must be 2 for SquareLasso, got {self.q!r}")
         if self.scenario in ("SquareLasso", "LqRerm"):
+            if self.beta_star.support > self.d:
+                raise InvalidInputError(f"field 'betaStar.support' must be <= d = {self.d}, got {self.beta_star.support}")
             if self.q == 2 and not self.noise.sub_gaussian:
                 raise InvalidInputError(f"field 'noise' must be Gaussian or Bounded at q = 2, got {self.noise.kind}")
             if self.q > 2 and self.noise.kind != NoiseSpec.BOUNDED:

@@ -1,10 +1,11 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oraclebench import psi_alpha_norm, vc_rate
+from oraclebench import IterationLimitError, harness, psi_alpha_norm, vc_rate
 from oraclebench.cli import main
 
 
@@ -169,8 +170,9 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=SquareLasso", "q=3"], "'q'"),
         (["scenario=SquareLasso", 'noise={"kind": "Exponential", "rate": 1}'], "'noise'"),
         (["scenario=LqRerm", "q=4"], "'noise'"),
+        (["scenario=SquareLasso", "d=2"], "'betaStar.support'"),
     ],
-    ids=["SquareLasso-q3", "SquareLasso-Exponential", "LqRerm-q4-Gaussian"],
+    ids=["SquareLasso-q3", "SquareLasso-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
     args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]
@@ -179,6 +181,26 @@ def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_
     assert run_cli(args) == 2
     assert field_name in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys):
+    solve = harness.solve_lq_rerm
+    calls = []
+
+    def failing_at_n128_rep2(sample, *args, **kwargs):
+        calls.append(sample.n)
+        solution = solve(sample, *args, **kwargs)
+        if calls.count(128) == 3:
+            raise IterationLimitError("iteration budget exhausted", best=replace(solution, optimality_gap=0.25))
+        return solution
+
+    monkeypatch.setattr(harness, "solve_lq_rerm", failing_at_n128_rep2)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["SquareLasso"]))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--workers", 1]) == 3
+    err = capsys.readouterr().err
+    assert "SquareLasso solver failed at n=128, replication 2" in err
+    assert "best gap 0.25" in err
 
 
 class TestCompute:

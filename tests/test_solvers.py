@@ -180,14 +180,85 @@ class TestSolveLqRerm:
         assert np.all(np.isfinite(best.beta))
         assert best.objective <= np.mean(s.response**2) + 1e-12
 
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    def test_prox_matches_brute_force(self, q):
+        # the minimizer of |b - v|^2 / 2 + c |b|_1^q is the l1-ball projection of v at its own
+        # l1 norm, so a scan over that norm brackets the minimum from above
+        from oraclebench.solvers import _prox_l1_power
 
-def _constrained_value(sample, radius):
-    from oraclebench.solvers import _inner_solve, _LqObjective
+        rng = np.random.default_rng(21)
+        for _ in range(15):
+            v = rng.standard_normal(int(rng.integers(1, 8))) * rng.uniform(0.1, 3)
+            c = 10.0 ** rng.uniform(-3, 1)
 
-    obj = _LqObjective(sample, 2.0)
-    step = 1.0 / obj.lipschitz_estimate(np.zeros(obj.d))
-    _, value, _, _ = _inner_solve(obj, radius, np.zeros(obj.d), step, 1e-12, 50_000)
-    return value
+            def h(b):
+                return 0.5 * float((b - v) @ (b - v)) + c * float(np.abs(b).sum()) ** q
+
+            brute = min(h(project_l1_ball(v, t)) for t in np.linspace(0.0, np.abs(v).sum(), 1001))
+            mine = h(_prox_l1_power(v, c, q))
+            assert mine <= brute + 1e-12
+            assert brute - mine <= 1e-5 * (1.0 + brute)
+
+    @pytest.mark.parametrize("q, pen", [(2.0, 0.05), (3.0, 0.05), (4.0, 0.05), (2.0, 0.0), (4.0, 0.0)])
+    def test_gap_bounds_excess_over_reference(self, q, pen):
+        rng = np.random.default_rng(22)
+        s = random_instance(rng, n=30, d=5)
+        f_ref = solve_lq_rerm(s, q, pen, tol=1e-12).objective
+        excesses = []
+        for max_iter in (1, 2, 4, 8, 16, 32):
+            try:
+                sol = solve_lq_rerm(s, q, pen, tol=1e-12, max_iter=max_iter)
+            except IterationLimitError as exc:
+                sol = exc.best
+            excesses.append(sol.objective - f_ref)
+            assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
+        assert excesses[0] > 1e-2
+        for tol in (1e-2, 1e-4, 1e-6):
+            sol = solve_lq_rerm(s, q, pen, tol=tol)
+            assert sol.optimality_gap <= tol
+            assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_rank_deficient_design_converges(self, q):
+        rng = np.random.default_rng(23)
+        s = random_instance(rng, n=15, d=40)
+        for pen in (0.0, 0.01, 1.0):
+            sol = solve_lq_rerm(s, q, pen, tol=1e-8)
+            assert sol.optimality_gap <= 1e-8
+        # with more coordinates than points the unpenalized risk interpolates to 0
+        assert solve_lq_rerm(s, q, 0.0, tol=1e-8).objective <= 1e-8
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_zero_penalty_gap_is_certified(self, q):
+        rng = np.random.default_rng(24)
+        s = random_instance(rng, n=40, d=3)
+        sol = solve_lq_rerm(s, q, 0.0, tol=1e-9)
+        assert sol.optimality_gap <= 1e-9
+        # reference minimizer: least squares, then Newton steps on mean |r|^q
+        beta = np.linalg.lstsq(s.design, s.response, rcond=None)[0]
+        for _ in range(100):
+            r = s.response - s.design @ beta
+            grad = -(q / s.n) * s.design.T @ (np.sign(r) * np.abs(r) ** (q - 1.0))
+            hess = (q * (q - 1.0) / s.n) * s.design.T @ (s.design * (np.abs(r) ** (q - 2.0))[:, None])
+            beta = beta - np.linalg.solve(hess, grad)
+        f_ref = float(np.mean(np.abs(s.response - s.design @ beta) ** q))
+        assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
+        assert f_ref - sol.objective <= 1e-12
+
+
+def _constrained_value(sample, radius, max_iter=50_000):
+    """Least mean square risk over the l1 ball of ``radius``, by projected gradient at step 1/L."""
+    gram = sample.design.T @ sample.design / sample.n
+    xty = sample.design.T @ sample.response / sample.n
+    step = 1.0 / (2.0 * np.linalg.eigvalsh(gram)[-1])
+    beta = np.zeros(sample.d)
+    for _ in range(max_iter):
+        nxt = project_l1_ball(beta - 2.0 * step * (gram @ beta - xty), radius)
+        moved = float(np.abs(nxt - beta).max())
+        beta = nxt
+        if moved <= 1e-14:
+            break
+    return float(np.mean((sample.response - sample.design @ beta) ** 2))
 
 
 class TestSolveSquareLasso:

@@ -1,22 +1,25 @@
 """Regularized least squares with l1-power penalties, plus residual builders.
 
-The central estimator minimizes
+Three entry points share one solver loop. ``solve_lq_rerm`` minimizes
 
     F(beta) = mean_i |y_i - <x_i, beta>|^q + pen * ||beta||_1^q,   q >= 2,
 
-by one accelerated proximal-gradient loop (FISTA, Beck & Teboulle 2009) for
-every q >= 2. The prox of c * ||beta||_1^q is soft-thresholding at a
-threshold found from the sorted magnitudes. At q = 2 the step is the fixed
-1/L, with L exact from the Gram matrix; for q > 2 it is found by
-backtracking. The momentum restarts from the current iterate whenever the
-objective would rise, so the objective never increases along the iterates.
+``solve_square_lasso`` is its q = 2 case with pen = kappa / n, and
+``solve_lasso`` is the q = 2 risk plus pen * ||beta||_1. The loop is
+accelerated proximal gradient (FISTA, Beck & Teboulle 2009). The prox of
+c * ||beta||_1^p, for p = 1 or q, is soft-thresholding at a threshold found
+from the sorted magnitudes, by the same helper that projects onto l1 balls.
+At q = 2 the step is the fixed 1/L, with L exact from the Gram matrix; for
+q > 2 it is found by backtracking. The momentum restarts from the current
+iterate whenever the objective would rise, so the objective never increases.
 
-The loop stops on a certified Frank-Wolfe duality gap (Jaggi 2013). Every
+The loop stops on a certified duality gap, which bounds F(beta) - min F
+from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
 minimizer satisfies pen * ||beta||_1^q <= F(0), so it lies in the l1 ball of
-radius R = (F(0) / pen)^{1/q}, and the largest decrease of the objective's
-linearization over that ball bounds F(beta) - min F from above. At pen = 0
-the ball is replaced by an l2 ball around the minimizer in the design's row
-space.
+radius R = (F(0) / pen)^{1/q}, and the gap is the largest decrease of the
+objective's linearization over that ball. For the lasso it is the Fenchel
+gap at the residual scaled into the dual's feasible set. At pen = 0 the ball
+is replaced by an l2 ball around the minimizer in the design's row space.
 
 The closed-form builders at the bottom evaluate penalty levels and the
 residual terms that appear in nonexact oracle inequalities for ERM and RERM.
@@ -52,9 +55,9 @@ class RermSolution:
     """Solution of a penalized regression: coefficients and a certificate.
 
     ``objective`` is the empirical risk at ``beta`` plus the penalty term,
-    ``inner_radius`` is ``||beta||_1``, and ``optimality_gap`` is a
-    Frank-Wolfe duality gap: a certified upper bound, up to rounding, on how
-    far ``objective`` sits above the minimum.
+    ``inner_radius`` is ``||beta||_1``, and ``optimality_gap`` is a duality
+    gap: a certified upper bound, up to rounding, on how far ``objective``
+    sits above the minimum.
     """
 
     beta: np.ndarray
@@ -70,6 +73,21 @@ class RermSolution:
             raise InvalidInputError("inner_radius and optimality_gap must be nonnegative")
 
 
+def _soft_threshold(v, thresholds):
+    """Soft-threshold v at theta_k for the largest k with u_k > theta_k; zero if there is none.
+
+    u holds the magnitudes of v in decreasing order, and ``thresholds(css, k)``
+    maps their cumulative sums css_k, for k = 1..d active coordinates, to theta_k.
+    """
+    absv = np.abs(v)
+    u = np.sort(absv)[::-1]
+    theta = thresholds(np.cumsum(u), np.arange(1, u.size + 1))
+    active = np.nonzero(u > theta)[0]
+    if active.size == 0:
+        return np.zeros_like(v)
+    return np.sign(v) * np.maximum(absv - theta[active[-1]], 0.0)
+
+
 def project_l1_ball(v, radius):
     """Euclidean projection onto the l1 ball of the given radius.
 
@@ -77,55 +95,47 @@ def project_l1_ball(v, radius):
     the soft-thresholding of v at the threshold theta solving
     sum_i max(|v_i| - theta, 0) = radius, found from the sorted magnitudes.
     """
-    if radius < 0:
+    if not radius >= 0:
         raise InvalidInputError("radius must be nonnegative")
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("vector contains non-finite values")
-    absv = np.abs(v)
-    if absv.sum() <= radius:
+    if np.abs(v).sum() <= radius:
         return v.copy()
     if radius == 0.0:
         return np.zeros_like(v)
-    u = np.sort(absv)[::-1]
-    css = np.cumsum(u)
-    k = np.arange(1, u.size + 1)
-    candidates = (css - radius) / k
-    rho = np.nonzero(u > candidates)[0][-1]
-    theta = candidates[rho]
-    return np.sign(v) * np.maximum(absv - theta, 0.0)
+    return _soft_threshold(v, lambda css, k: (css - radius) / k)
 
 
-def _prox_l1_power(v, c, q):
-    """argmin_b ||b - v||^2 / 2 + c * ||b||_1^q, for c >= 0 and q >= 2.
+def _prox_l1_power(v, c, p):
+    """argmin_b ||b - v||^2 / 2 + c * ||b||_1^p, for c >= 0 and p = 1 or p >= 2.
 
-    The minimizer soft-thresholds v at theta = c q T^{q-1}, where T is its
-    own l1 norm. With the k largest magnitudes active, T solves
-    T + k c q T^{q-1} = (sum of those k magnitudes): in closed form at q = 2,
-    by Newton for every k at once otherwise. The active count is the largest
-    k whose k-th magnitude exceeds its threshold.
+    At p = 1 this is soft-thresholding at c. Otherwise the minimizer
+    soft-thresholds v at theta = c p T^{p-1}, where T is its own l1 norm.
+    With the k largest magnitudes active, T solves T + k c p T^{p-1} =
+    (sum of those k magnitudes): in closed form at p = 2, by Newton for
+    every k at once otherwise.
     """
     if c == 0.0:
         return v
-    absv = np.abs(v)
-    u = np.sort(absv)[::-1]
-    css = np.cumsum(u)
-    a = c * q * np.arange(1, u.size + 1)
-    if q == 2.0:
-        total = css / (1.0 + a)
-    else:
-        # both terms bound the root from above, so Newton descends to it monotonically
-        total = np.minimum(css, (css / a) ** (1.0 / (q - 1.0)))
-        for _ in range(100):
-            step = (total + a * total ** (q - 1.0) - css) / (1.0 + a * (q - 1.0) * total ** (q - 2.0))
-            total = total - step
-            if np.all(step <= 1e-15 * total):
-                break
-    theta = c * q * total ** (q - 1.0)
-    active = np.nonzero(u > theta)[0]
-    if active.size == 0:
-        return np.zeros_like(v)
-    return np.sign(v) * np.maximum(absv - theta[active[-1]], 0.0)
+    if p == 1.0:
+        return _soft_threshold(v, lambda css, k: np.full(css.shape, c))
+
+    def thresholds(css, k):
+        a = c * p * k
+        if p == 2.0:
+            total = css / (1.0 + a)
+        else:
+            # both terms bound the root from above, so Newton descends to it monotonically
+            total = np.minimum(css, (css / a) ** (1.0 / (p - 1.0)))
+            for _ in range(100):
+                step = (total + a * total ** (p - 1.0) - css) / (1.0 + a * (p - 1.0) * total ** (p - 2.0))
+                total = total - step
+                if np.all(step <= 1e-15 * total):
+                    break
+        return c * p * total ** (p - 1.0)
+
+    return _soft_threshold(v, thresholds)
 
 
 class _LqObjective:
@@ -186,6 +196,74 @@ class _LqObjective:
         return fit / math.sqrt(float(positive[0]))
 
 
+def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
+    """FISTA for mean_i |y_i - <x_i, beta>|^q + pen * ||beta||_1^power, with power 1 or q.
+
+    See :func:`solve_lq_rerm`; ``pen_name`` names the penalty in error messages.
+    """
+    if not q >= 2:
+        raise InvalidInputError("q must be >= 2")
+    if not 0 <= pen < math.inf:
+        raise InvalidInputError(f"{pen_name} must be finite and nonnegative")
+    if not 0 < tol < math.inf:
+        raise InvalidInputError("tol must be finite and positive")
+    obj = _LqObjective(sample, q)
+    q, pen, power = obj.q, float(pen), float(power)
+    # every minimizer lies in the l1 ball of this radius; at pen = 0, one lies in this l2 ball
+    radius = (obj.risk_exact(np.zeros(obj.d)) / pen) ** (1.0 / power) if pen > 0 else obj.row_space_radius()
+
+    def duality_gap(beta, value, grad):
+        if pen == 0.0:
+            return float(grad @ beta) + float(np.linalg.norm(grad)) * radius
+        gmax = float(np.abs(grad).max())
+        if power == 1.0:
+            # power 1 comes only with q = 2. Near the minimum the Frank-Wolfe form is about
+            # (gmax - pen) * F(0) / pen, which rounding keeps above tol for small pen
+            s = pen / max(gmax, pen)
+            return s * float(grad @ beta) + pen * float(np.abs(beta).sum()) + (1.0 - s) ** 2 * value
+        t = min(radius, (gmax / (power * pen)) ** (1.0 / (power - 1.0)))
+        return float(grad @ beta) + pen * float(np.abs(beta).sum()) ** power + gmax * t - pen * t**power
+
+    def solution(beta, gap):
+        l1 = float(np.abs(beta).sum())
+        return RermSolution(beta=beta, objective=obj.risk_exact(beta) + pen * l1**power, inner_radius=l1,
+                            optimality_gap=max(gap, 0.0))
+
+    beta = np.zeros(obj.d)
+    total, grad = obj.value_and_grad(beta)
+    gap = duality_gap(beta, total, grad)
+    z, z_grad, momentum = beta, grad, 1.0
+    step = 1.0 / max(obj.lipschitz_estimate(beta), 1e-12)
+    for _ in range(int(max_iter)):
+        if gap <= tol:
+            return solution(beta, gap)
+        while True:
+            cand = _prox_l1_power(z - step * z_grad, step * pen, power)
+            cand_value, cand_grad = obj.value_and_grad(cand)
+            if q == 2.0 or step < 1e-280:
+                break
+            # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
+            # from above, so this test implies sufficient decrease; unlike a difference of
+            # objective values it does not cancel to rounding near the minimum
+            delta = cand - z
+            if float((cand_grad - z_grad) @ delta) <= float(delta @ delta) / (2.0 * step):
+                break
+            step *= 0.5
+        cand_total = cand_value + pen * float(np.abs(cand).sum()) ** power
+        if cand_total > total and momentum > 1.0:
+            # the momentum overshot: restart it from the current iterate, whose plain step decreases
+            z, z_grad, momentum = beta, grad, 1.0
+            continue
+        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
+        z = cand + ((momentum - 1.0) / next_momentum) * (cand - beta)
+        beta, grad, total, momentum = cand, cand_grad, cand_total, next_momentum
+        gap = duality_gap(beta, cand_value, grad)
+        _, z_grad = obj.value_and_grad(z)
+        if q != 2.0:
+            step *= 1.25
+    raise IterationLimitError("iteration budget exhausted", best=solution(beta, gap))
+
+
 def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
     """Minimize the L_q empirical risk plus ``penalty_coef * ||beta||_1^q``.
 
@@ -200,105 +278,27 @@ def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
     carrying the last iterate, whose objective is the least seen up to
     rounding.
     """
-    if q < 2:
-        raise InvalidInputError("q must be >= 2")
-    if penalty_coef < 0:
-        raise InvalidInputError("penalty_coef must be nonnegative")
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    obj = _LqObjective(sample, q)
-    q, pen = obj.q, float(penalty_coef)
-    # every minimizer lies in the l1 ball of this radius; at pen = 0, one lies in this l2 ball
-    radius = (obj.risk_exact(np.zeros(obj.d)) / pen) ** (1.0 / q) if pen > 0 else obj.row_space_radius()
-
-    def frank_wolfe_gap(beta, grad):
-        if pen == 0.0:
-            return float(grad @ beta) + float(np.linalg.norm(grad)) * radius
-        gmax = float(np.abs(grad).max())
-        t = min(radius, (gmax / (q * pen)) ** (1.0 / (q - 1.0)))
-        return float(grad @ beta) + pen * float(np.abs(beta).sum()) ** q + gmax * t - pen * t**q
-
-    def solution(beta, gap):
-        l1 = float(np.abs(beta).sum())
-        return RermSolution(beta=beta, objective=obj.risk_exact(beta) + pen * l1**q, inner_radius=l1,
-                            optimality_gap=max(gap, 0.0))
-
-    beta = np.zeros(obj.d)
-    total, grad = obj.value_and_grad(beta)
-    gap = frank_wolfe_gap(beta, grad)
-    z, z_grad, momentum = beta, grad, 1.0
-    step = 1.0 / max(obj.lipschitz_estimate(beta), 1e-12)
-    for _ in range(int(max_iter)):
-        if gap <= tol:
-            return solution(beta, gap)
-        while True:
-            cand = _prox_l1_power(z - step * z_grad, step * pen, q)
-            cand_value, cand_grad = obj.value_and_grad(cand)
-            if q == 2.0 or step < 1e-280:
-                break
-            # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
-            # from above, so this test implies sufficient decrease; unlike a difference of
-            # objective values it does not cancel to rounding near the minimum
-            delta = cand - z
-            if float((cand_grad - z_grad) @ delta) <= float(delta @ delta) / (2.0 * step):
-                break
-            step *= 0.5
-        cand_total = cand_value + pen * float(np.abs(cand).sum()) ** q
-        if cand_total > total and momentum > 1.0:
-            # the momentum overshot: restart it from the current iterate, whose plain step decreases
-            z, z_grad, momentum = beta, grad, 1.0
-            continue
-        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
-        z = cand + ((momentum - 1.0) / next_momentum) * (cand - beta)
-        beta, grad, total, momentum = cand, cand_grad, cand_total, next_momentum
-        gap = frank_wolfe_gap(beta, grad)
-        _, z_grad = obj.value_and_grad(z)
-        if q != 2.0:
-            step *= 1.25
-    raise IterationLimitError("iteration budget exhausted", best=solution(beta, gap))
+    return _proximal_descent(sample, q, "penalty_coef", penalty_coef, q, tol, max_iter)
 
 
 def solve_square_lasso(sample, kappa, tol=1e-8, max_iter=200_000):
     """Least squares penalized by ``kappa * ||beta||_1^2 / n``.
 
-    Delegates to :func:`solve_lq_rerm` with q = 2 and penalty coefficient
-    kappa / n, inheriting its optimality contract.
+    The q = 2 case of :func:`solve_lq_rerm` with penalty coefficient
+    kappa / n, with the same optimality contract.
     """
-    if kappa < 0:
-        raise InvalidInputError("kappa must be nonnegative")
-    return solve_lq_rerm(sample, q=2.0, penalty_coef=kappa / sample.n, tol=tol, max_iter=max_iter)
+    return _proximal_descent(sample, 2.0, "kappa", kappa / sample.n, 2.0, tol, max_iter)
 
 
 def solve_lasso(sample, lambda1, tol=1e-8, max_iter=200_000):
     """Standard lasso: mean squared error plus ``lambda1 * ||beta||_1``.
 
-    Proximal gradient with per-coordinate soft thresholding; iterates until
-    the fixed-point residual of the proximal map is at most ``tol``.
+    The loop of :func:`solve_lq_rerm` at q = 2 with the plain l1 penalty,
+    whose prox is soft-thresholding, and the same contract: it stops once a
+    certified duality gap (the Fenchel gap of the lasso) is at most ``tol``,
+    so ``tol`` bounds the objective's excess over the minimum.
     """
-    if lambda1 < 0:
-        raise InvalidInputError("lambda1 must be nonnegative")
-    if tol <= 0:
-        raise InvalidInputError("tol must be positive")
-    obj = _LqObjective(sample, 2.0)
-    lip = obj.lipschitz_estimate(np.zeros(obj.d))
-    step = 1.0 / max(lip, 1e-12)
-    thresh = step * lambda1
-    beta = np.zeros(obj.d)
-    accel = beta.copy()
-    t_momentum = 1.0
-    for it in range(int(max_iter)):
-        _, grad = obj.value_and_grad(accel)
-        forward = accel - step * grad
-        nxt = np.sign(forward) * np.maximum(np.abs(forward) - thresh, 0.0)
-        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum**2))
-        accel = nxt + ((t_momentum - 1.0) / t_next) * (nxt - beta)
-        beta, t_momentum = nxt, t_next
-        _, grad_at = obj.value_and_grad(beta)
-        fwd = beta - step * grad_at
-        fixed_point = np.sign(fwd) * np.maximum(np.abs(fwd) - thresh, 0.0)
-        if float(np.max(np.abs(beta - fixed_point))) <= tol:
-            return beta
-    raise IterationLimitError("lasso did not converge", best=beta)
+    return _proximal_descent(sample, 2.0, "lambda1", lambda1, 1.0, tol, max_iter)
 
 
 def l1_penalty_level(n, d, x, q, kd, c0=1.0):

@@ -124,7 +124,7 @@ def test_criterion_4_solver_grid_oracles():
         lam = rng.uniform(0.01, 0.5)
         objective = risks + lam * np.abs(betas).sum(axis=1)
         resolution = _grid_resolution(objective)
-        beta = solve_lasso(sample, lam, tol=1e-10)
+        beta = solve_lasso(sample, lam, tol=1e-10).beta
         mine = float(np.mean((response - design @ beta) ** 2) + lam * np.abs(beta).sum())
         worst_l1 = max(worst_l1, abs(mine - objective.min()) - resolution)
 

@@ -89,8 +89,9 @@ class TestProjectL1Ball:
         assert np.array_equal(project_l1_ball(np.array([1.0, -2.0]), 0.0), [0.0, 0.0])
 
     def test_negative_radius(self):
-        with pytest.raises(InvalidInputError):
-            project_l1_ball(np.array([1.0]), -0.5)
+        for radius in (-0.5, float("nan")):
+            with pytest.raises(InvalidInputError):
+                project_l1_ball(np.array([1.0]), radius)
 
 
 class TestSolveLqRerm:
@@ -180,7 +181,7 @@ class TestSolveLqRerm:
         assert np.all(np.isfinite(best.beta))
         assert best.objective <= np.mean(s.response**2) + 1e-12
 
-    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0])
     def test_prox_matches_brute_force(self, q):
         # the minimizer of |b - v|^2 / 2 + c |b|_1^q is the l1-ball projection of v at its own
         # l1 norm, so a scan over that norm brackets the minimum from above
@@ -199,22 +200,25 @@ class TestSolveLqRerm:
             assert mine <= brute + 1e-12
             assert brute - mine <= 1e-5 * (1.0 + brute)
 
-    @pytest.mark.parametrize("q, pen", [(2.0, 0.05), (3.0, 0.05), (4.0, 0.05), (2.0, 0.0), (4.0, 0.0)])
+    @pytest.mark.parametrize(
+        "q, pen",
+        [(2.0, 0.05), (3.0, 0.05), (4.0, 0.05), (2.0, 0.0), (4.0, 0.0), (1.0, 0.05), (1.0, 1e-8), (1.0, 0.0)],
+    )
     def test_gap_bounds_excess_over_reference(self, q, pen):
         rng = np.random.default_rng(22)
         s = random_instance(rng, n=30, d=5)
-        f_ref = solve_lq_rerm(s, q, pen, tol=1e-12).objective
+        f_ref = _solve(s, q, pen, tol=1e-12).objective
         excesses = []
         for max_iter in (1, 2, 4, 8, 16, 32):
             try:
-                sol = solve_lq_rerm(s, q, pen, tol=1e-12, max_iter=max_iter)
+                sol = _solve(s, q, pen, tol=1e-12, max_iter=max_iter)
             except IterationLimitError as exc:
                 sol = exc.best
             excesses.append(sol.objective - f_ref)
             assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
         assert excesses[0] > 1e-2
         for tol in (1e-2, 1e-4, 1e-6):
-            sol = solve_lq_rerm(s, q, pen, tol=tol)
+            sol = _solve(s, q, pen, tol=tol)
             assert sol.optimality_gap <= tol
             assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
 
@@ -244,6 +248,34 @@ class TestSolveLqRerm:
         f_ref = float(np.mean(np.abs(s.response - s.design @ beta) ** q))
         assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
         assert f_ref - sol.objective <= 1e-12
+
+
+def _solve(sample, q, pen, **kwargs):
+    """solve_lq_rerm at q, or at q = 1 the lasso: the same loop with the penalty's power 1."""
+    if q == 1.0:
+        return solve_lasso(sample, pen, **kwargs)
+    return solve_lq_rerm(sample, q, pen, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "solve, kwargs, name",
+    [
+        (solve_lq_rerm, {"q": float("nan"), "penalty_coef": 0.1}, "q"),
+        (solve_lq_rerm, {"q": 2.0, "penalty_coef": float("nan")}, "penalty_coef"),
+        (solve_lq_rerm, {"q": 4.0, "penalty_coef": float("inf")}, "penalty_coef"),
+        (solve_lq_rerm, {"q": 2.0, "penalty_coef": 0.1, "tol": float("nan")}, "tol"),
+        (solve_square_lasso, {"kappa": float("nan")}, "kappa"),
+        (solve_square_lasso, {"kappa": float("inf")}, "kappa"),
+        (solve_square_lasso, {"kappa": 1.0, "tol": float("nan")}, "tol"),
+        (solve_lasso, {"lambda1": float("nan")}, "lambda1"),
+        (solve_lasso, {"lambda1": float("inf")}, "lambda1"),
+        (solve_lasso, {"lambda1": 0.1, "tol": float("inf")}, "tol"),
+    ],
+)
+def test_solvers_reject_non_finite_arguments(solve, kwargs, name):
+    s = random_instance(np.random.default_rng(25))
+    with pytest.raises(InvalidInputError, match=name):
+        solve(s, **kwargs)
 
 
 def _constrained_value(sample, radius, max_iter=50_000):
@@ -299,7 +331,7 @@ class TestSolveLasso:
     def test_zero_penalty_least_squares(self):
         rng = np.random.default_rng(12)
         s = random_instance(rng)
-        beta = solve_lasso(s, 0.0, tol=1e-12)
+        beta = solve_lasso(s, 0.0, tol=1e-12).beta
         ls = np.linalg.lstsq(s.design, s.response, rcond=None)[0]
         assert np.allclose(beta, ls, atol=1e-8)
 
@@ -307,7 +339,7 @@ class TestSolveLasso:
         rng = np.random.default_rng(13)
         s = random_instance(rng)
         lam = 2 * np.abs(s.design.T @ s.response).max() / s.n
-        beta = solve_lasso(s, lam * 1.0001, tol=1e-12)
+        beta = solve_lasso(s, lam * 1.0001, tol=1e-12).beta
         assert np.array_equal(beta, np.zeros(s.d))
 
     def test_matches_grid_oracle(self):
@@ -315,7 +347,7 @@ class TestSolveLasso:
         for _ in range(5):
             s = random_instance(rng)
             lam = rng.uniform(0.01, 0.5)
-            beta = solve_lasso(s, lam, tol=1e-10)
+            beta = solve_lasso(s, lam, tol=1e-10).beta
             mine = np.mean((s.response - s.design @ beta) ** 2) + lam * np.abs(beta).sum()
             gridmin = grid_objective_min(s, lam, 1.0)
             assert mine <= gridmin + 1e-8

@@ -5,18 +5,14 @@
 # localized star hull; its expected empirical-process supremum, as a
 # function of the level, crosses (eps/4) * level exactly once, and that
 # crossing is the level above which empirical means track population means
-# up to (1 +- eps) factors. We estimate the crossing by Monte Carlo plus
-# bisection and check the claimed equivalence on fresh draws.
+# up to (1 +- eps) factors. We draw the class 500 times once, evaluate the
+# Monte Carlo estimate of the expected supremum on those same draws at any
+# level, find the crossing by bisection, and check the claimed equivalence
+# on fresh draws.
 
 import numpy as np
 
-from oraclebench import (
-    LocalizedSupInput,
-    expected_localized_sup,
-    fixed_point_lambda,
-    localized_star_hull_sup,
-    peeling_bound,
-)
+from oraclebench import expected_localized_sup, fixed_point_lambda, peeling_bound
 
 rng = np.random.default_rng(7)
 M, n = 6, 400
@@ -31,19 +27,17 @@ def sampler(stream):
 
 
 print()
-print("=== the localized supremum grows with the level, then saturates ===")
-probe = np.random.default_rng(1)
-m_, d_ = sampler(probe)
+print("=== the expected localized supremum grows with the level, then saturates ===")
+estimate = expected_localized_sup(sampler, replications=500, seed=42)   # the 500 draws happen here
 for level in (0.05, 0.15, 0.3, 0.6, 1.0):
-    value = localized_star_hull_sup(LocalizedSupInput(means=m_, deviations=d_, level=level))
-    print(f"level={level:4.2f}  sup over hull = {value:.5f}")
+    value = estimate(level)
+    print(f"level={level:4.2f}  E sup over hull = {value.mean:.5f} +- {value.stderr:.5f}")
 
 print()
-print("=== Monte Carlo fixed point ===")
+print("=== Monte Carlo fixed point on the same draws ===")
 eps = 0.25
-phi = lambda lam: expected_localized_sup(sampler, lam, replications=500, rng=42).mean
-lam_star = fixed_point_lambda(phi, eps, bracket_hi=1.0, tol=1e-5)
-est = expected_localized_sup(sampler, lam_star, replications=500, rng=42)
+lam_star = fixed_point_lambda(lambda lam: estimate(lam).mean, eps, bracket_hi=1.0, tol=1e-5)
+est = estimate(lam_star)
 print(f"eps = {eps}: fixed point lambda* = {lam_star:.5f}")
 print(f"E sup at lambda*   = {est.mean:.5f} +- {est.stderr:.5f}  (target (eps/4)*lambda* = {eps / 4 * lam_star:.5f})")
 

@@ -9,6 +9,9 @@ linear in theta, so each g contributes at its largest admissible scaling.
 The fixed point of lam -> E sup over the localized hull, compared against
 (eps/4)*lam, is the level above which empirical and population means are
 equivalent; bisection is valid because E sup / lam is nonincreasing in lam.
+``expected_localized_sup`` draws the class once and returns the map
+lam -> E sup over those fixed draws, so every level the bisection visits
+sees the same sample and the map is pointwise monotone by construction.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ __all__ = [
     "LocalizedSupInput",
     "ComplexityProfile",
     "PeelingBound",
-    "sup_deviation",
     "localized_star_hull_sup",
     "expected_localized_sup",
     "fixed_point_lambda",
@@ -55,31 +57,37 @@ class LocalizedSupInput:
     level: float
 
     def __post_init__(self):
-        means = np.asarray(self.means, dtype=float)
-        devs = np.asarray(self.deviations, dtype=float)
-        if means.ndim != 1 or means.size < 1 or devs.shape != means.shape:
-            raise InvalidInputError("means and deviations must be nonempty equal-length vectors")
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(devs))):
-            raise InvalidInputError("means and deviations must be finite")
-        if np.any(means < 0):
-            raise InvalidInputError("means must be nonnegative (losses are nonnegative)")
-        if np.any(devs < 0):
-            raise InvalidInputError("deviations must be nonnegative")
-        if self.level < 0:
-            raise InvalidInputError("level must be nonnegative")
+        means, devs = _checked_draws(self.means, self.deviations, ndim=1)
+        _check_level(self.level)
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "deviations", devs)
 
 
-def sup_deviation(means, empirical_means):
-    """Largest absolute gap between population and empirical means."""
+def _checked_draws(means, deviations, ndim):
+    """Means and deviations as float arrays of ``ndim`` axes, members on the last."""
     means = np.asarray(means, dtype=float)
-    emp = np.asarray(empirical_means, dtype=float)
-    if means.ndim != 1 or means.size < 1 or emp.shape != means.shape:
-        raise InvalidInputError("inputs must be nonempty equal-length vectors")
-    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(emp))):
-        raise InvalidInputError("inputs must be finite")
-    return float(np.max(np.abs(means - emp)))
+    devs = np.asarray(deviations, dtype=float)
+    if means.ndim != ndim or means.shape[-1] < 1 or devs.shape != means.shape:
+        raise InvalidInputError("means and deviations must be nonempty equal-length vectors")
+    if not (np.all(np.isfinite(means)) and np.all(np.isfinite(devs))):
+        raise InvalidInputError("means and deviations must be finite")
+    if np.any(means < 0):
+        raise InvalidInputError("means must be nonnegative (losses are nonnegative)")
+    if np.any(devs < 0):
+        raise InvalidInputError("deviations must be nonnegative")
+    return means, devs
+
+
+def _check_level(level):
+    if not level >= 0:
+        raise InvalidInputError("level must be nonnegative")
+
+
+def _star_hull_sup(means, deviations, level):
+    # max_j min(1, level / mean_j) * deviation_j along the last axis
+    with np.errstate(divide="ignore"):
+        caps = np.where(means > 0, level / np.where(means > 0, means, 1.0), np.inf)
+    return np.max(np.minimum(1.0, caps) * deviations, axis=-1)
 
 
 def localized_star_hull_sup(inp):
@@ -90,39 +98,40 @@ def localized_star_hull_sup(inp):
     scaled deviation is linear in theta, the supremum over the hull is
     max_g min(1, level / mean_g) * deviation_g.
     """
-    means = inp.means
-    with np.errstate(divide="ignore"):
-        caps = np.where(means > 0, inp.level / np.where(means > 0, means, 1.0), np.inf)
-    theta = np.minimum(1.0, caps)
-    return float(np.max(theta * inp.deviations))
+    return float(_star_hull_sup(inp.means, inp.deviations, inp.level))
 
 
-def expected_localized_sup(class_sampler, level, replications, rng):
-    """Monte Carlo estimate of the expected localized star-hull supremum.
+def expected_localized_sup(class_sampler, replications, seed):
+    """Monte Carlo map from a level to the expected localized star-hull supremum.
 
     ``class_sampler(rng)`` must return a ``(means, deviations)`` pair for a
-    fresh draw. Replication streams are spawned deterministically from the
-    seed, so the result does not depend on evaluation order; passing the same
-    integer seed at different levels replays identical draws, which keeps the
-    map level -> estimate pointwise monotone for fixed-point bisection.
+    fresh draw. It is called exactly ``replications`` times, here, once on
+    each stream spawned from ``SeedSequence(seed)``; the draws are checked
+    once and kept. The returned ``estimate(level)`` averages the exact
+    localized supremum over those fixed draws and returns a ``RiskEstimate``
+    (mean and ddof-1 standard error). Because every level sees the same
+    draws, ``estimate(level).mean`` is nondecreasing in the level and
+    ``estimate(level).mean / level`` nonincreasing, as fixed-point bisection
+    requires.
     """
     replications = int(replications)
     if replications < 1:
         raise InvalidInputError("replications must be >= 1")
-    if isinstance(rng, np.random.Generator):
-        seeds = rng.integers(0, 2**63 - 1, size=replications)
-        streams = [np.random.default_rng(int(s)) for s in seeds]
-    else:
-        streams = [np.random.default_rng(c) for c in np.random.SeedSequence(rng).spawn(replications)]
-    values = np.empty(replications)
-    for i, stream in enumerate(streams):
-        means, deviations = class_sampler(stream)
-        values[i] = localized_star_hull_sup(
-            LocalizedSupInput(means=means, deviations=deviations, level=level)
-        )
-    mean = float(values.mean())
-    stderr = float(values.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-    return RiskEstimate(mean=mean, stderr=stderr, count=replications)
+    streams = np.random.SeedSequence(seed).spawn(replications)
+    pairs = [class_sampler(np.random.default_rng(stream)) for stream in streams]
+    try:
+        means, devs = (np.array(column, dtype=float) for column in zip(*pairs))
+    except ValueError as exc:
+        raise InvalidInputError("every draw must give numeric vectors of one common length") from exc
+    means, devs = _checked_draws(means, devs, ndim=2)
+
+    def estimate(level):
+        _check_level(level)
+        values = _star_hull_sup(means, devs, level)
+        stderr = float(values.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        return RiskEstimate(mean=float(values.mean()), stderr=stderr, count=replications)
+
+    return estimate
 
 
 def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):

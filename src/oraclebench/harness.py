@@ -173,12 +173,9 @@ def _isomorphy_ctx(config, n, model, p_plus):
         return true_risks, np.abs(true_risks - emp)
 
     lam_seed = derive_seed(config.master_seed, "isomorphy/lambda", n, 0)
-
-    def phi(lam):
-        return expected_localized_sup(sampler, lam, config.lambda_replications, lam_seed).mean
-
-    lam_star = fixed_point_lambda(phi, config.epsilon, bracket_hi=1.0, tol=1e-4)
-    phi_at = expected_localized_sup(sampler, lam_star, config.lambda_replications, lam_seed)
+    estimate = expected_localized_sup(sampler, config.lambda_replications, lam_seed)
+    lam_star = fixed_point_lambda(lambda lam: estimate(lam).mean, config.epsilon, bracket_hi=1.0, tol=1e-4)
+    phi_at = estimate(lam_star)
 
     calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
     calib = np.vstack(

@@ -20,7 +20,6 @@ __all__ = [
     "Sample",
     "LossSpec",
     "FiniteModel",
-    "L1BallModel",
     "RiskEstimate",
     "empirical_risk",
     "prediction_risk",
@@ -147,20 +146,6 @@ class FiniteModel:
     @property
     def size(self):
         return self.predictions.shape[0]
-
-
-@dataclass(frozen=True)
-class L1BallModel:
-    """The class of linear predictors with l1 norm at most ``radius``."""
-
-    radius: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise InvalidInputError(f"radius must be a nonnegative real, got {self.radius}")
-
-    def contains(self, beta, tol=1e-12):
-        return float(np.sum(np.abs(beta))) <= self.radius + tol
 
 
 @dataclass(frozen=True)

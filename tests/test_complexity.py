@@ -16,7 +16,6 @@ from oraclebench import (
     lq_localized_bound,
     maurey_l1_gamma2,
     peeling_bound,
-    sup_deviation,
 )
 
 
@@ -31,23 +30,9 @@ def brute_force_localized_sup(means, deviations, level, grid=10**4):
     return best
 
 
-class TestSupDeviation:
-    def test_identical(self):
-        assert sup_deviation([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_example(self):
-        assert sup_deviation([1.0, 2.0], [0.5, 2.5]) == 0.5
-
-    def test_singleton(self):
-        assert sup_deviation([3.0], [1.0]) == 2.0
-
-    def test_empty(self):
-        with pytest.raises(InvalidInputError):
-            sup_deviation([], [])
-
-
 class TestLocalizedStarHullSup:
-    def test_unclipped_equals_sup_deviation(self):
+    def test_unclipped_equals_max_deviation(self):
+        # at a level >= every mean, no member is scaled down
         means = np.array([0.5, 1.0, 0.2])
         devs = np.array([0.1, 0.4, 0.3])
         inp = LocalizedSupInput(means=means, deviations=devs, level=2.0)
@@ -106,28 +91,87 @@ class TestExpectedLocalizedSup:
         emp = means + rng.normal(0, 0.1, size=2)
         return means, np.abs(means - emp)
 
+    @staticmethod
+    def _reference(sampler, level, replications, seed):
+        """Per-level loop over the same spawned streams, one exact sup per draw."""
+        values = []
+        for child in np.random.SeedSequence(seed).spawn(replications):
+            means, devs = sampler(np.random.default_rng(child))
+            values.append(
+                localized_star_hull_sup(LocalizedSupInput(means=means, deviations=devs, level=level))
+            )
+        return float(np.mean(values))
+
     def test_single_replication_equals_one_draw(self):
-        est = expected_localized_sup(self._sampler, 1.0, 1, 42)
+        est = expected_localized_sup(self._sampler, 1, 42)(1.0)
         rng = np.random.default_rng(np.random.SeedSequence(42).spawn(1)[0])
         means, devs = self._sampler(rng)
         direct = localized_star_hull_sup(
             LocalizedSupInput(means=means, deviations=devs, level=1.0)
         )
-        assert est.mean == pytest.approx(direct)
+        assert est.mean == direct
+        assert est.stderr == 0.0
         assert est.count == 1
 
     def test_deterministic_data_zero(self):
-        est = expected_localized_sup(lambda rng: (np.array([0.5]), np.array([0.0])), 1.0, 10, 3)
+        est = expected_localized_sup(lambda rng: (np.array([0.5]), np.array([0.0])), 10, 3)(1.0)
         assert est.mean == 0.0
 
     def test_seed_determinism(self):
-        a = expected_localized_sup(self._sampler, 0.5, 50, 9)
-        b = expected_localized_sup(self._sampler, 0.5, 50, 9)
-        assert a == b
+        a = expected_localized_sup(self._sampler, 50, 9)
+        b = expected_localized_sup(self._sampler, 50, 9)
+        for level in (0.0, 0.5, 2.0):
+            assert a(level) == b(level)
+
+    def test_draws_once_for_any_number_of_levels(self):
+        calls = []
+
+        def counting(rng):
+            calls.append(1)
+            return self._sampler(rng)
+
+        estimate = expected_localized_sup(counting, 40, 5)
+        assert len(calls) == 40
+        for level in np.linspace(0.0, 1.0, 25):
+            estimate(level)
+        assert len(calls) == 40
+
+    def test_matches_per_level_reference_bit_for_bit(self):
+        def sampler(rng):
+            # the last member has mean zero and is never scaled down
+            means = np.array([0.2, 0.5, 0.0])
+            return means, np.abs(rng.normal(0, 0.1, size=3))
+
+        estimate = expected_localized_sup(sampler, 60, 13)
+        # level 0, between two means, above the max mean
+        for level in (0.0, 0.35, 0.9):
+            assert estimate(level).mean == self._reference(sampler, level, 60, 13)
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda rng: (np.array([-0.1, 0.3]), np.array([0.1, 0.1])),
+            lambda rng: (np.array([0.1, 0.3]), np.array([-0.1, 0.1])),
+            lambda rng: (np.array([0.1, 0.3]), np.array([np.nan, 0.1])),
+            lambda rng: (np.array([0.1, 0.3]), np.array([0.1])),
+            lambda rng: (np.ones(int(rng.integers(2, 5))),) * 2,
+        ],
+        ids=["negative-mean", "negative-deviation", "nan-deviation", "unequal-pair", "unequal-draws"],
+    )
+    def test_bad_draws_rejected_at_construction(self, draw):
+        with pytest.raises(InvalidInputError):
+            expected_localized_sup(draw, 20, 1)
+
+    def test_bad_replications_and_level_rejected(self):
+        with pytest.raises(InvalidInputError):
+            expected_localized_sup(self._sampler, 0, 1)
+        estimate = expected_localized_sup(self._sampler, 5, 1)
+        with pytest.raises(InvalidInputError):
+            estimate(-0.1)
 
     def test_monte_carlo_self_consistency(self):
-        small = expected_localized_sup(self._sampler, 1.0, 2000, 10)
-        large = expected_localized_sup(self._sampler, 1.0, 8000, 11)
+        small = expected_localized_sup(self._sampler, 2000, 10)(1.0)
+        large = expected_localized_sup(self._sampler, 8000, 11)(1.0)
         band = 5 * math.hypot(small.stderr, large.stderr)
         assert abs(small.mean - large.mean) <= band
 

@@ -265,6 +265,21 @@ class TestIsomorphy:
         with pytest.raises(InvalidInputError):
             run_isomorphy(self.iso_config(), model=model, cell_probs=np.full(4, 0.5))
 
+    def test_localization_draws_once_per_n(self, monkeypatch):
+        calls = []
+        original = harness.expected_localized_sup
+
+        def counting(sampler, replications, seed):
+            def counted(rng):
+                calls.append(1)
+                return sampler(rng)
+
+            return original(counted, replications, seed)
+
+        monkeypatch.setattr(harness, "expected_localized_sup", counting)
+        run_isomorphy(self.iso_config(n_grid=[128, 256], replications=20, lambda_replications=50))
+        assert len(calls) == 2 * 50
+
     def test_report_shape(self):
         res = run_isomorphy(self.iso_config())
         assert res.target_frequency == pytest.approx(1 - 4 * math.exp(-2))

@@ -4,7 +4,6 @@ import pytest
 from oraclebench import (
     FiniteModel,
     InvalidInputError,
-    L1BallModel,
     LossSpec,
     Sample,
     empirical_risk,
@@ -173,10 +172,3 @@ class TestContainers:
             FiniteModel(predictions=np.ones((2, 3)), true_risks=np.array([0.1]))
         with pytest.raises(InvalidInputError):
             FiniteModel(predictions=np.ones((1, 3)), true_risks=np.array([-0.1]))
-
-    def test_l1_ball_model(self):
-        ball = L1BallModel(radius=1.0)
-        assert ball.contains(np.array([0.5, -0.5]))
-        assert not ball.contains(np.array([0.8, -0.5]))
-        with pytest.raises(InvalidInputError):
-            L1BallModel(radius=-1.0)

@@ -34,10 +34,8 @@ from .concentration import (
     bernstein_verify,
     envelope_psi1,
     psi_alpha_norm,
-    single_function_bound,
-    weak_variance,
 )
-from .errors import BracketError, InvalidInputError, InvalidProfileError, IterationLimitError
+from .errors import BracketError, InvalidInputError, IterationLimitError
 from .harness import (
     BetaStarSpec,
     NoiseSpec,
@@ -63,18 +61,14 @@ from .model import (
     Sample,
     empirical_risk,
     erm_finite,
-    prediction_risk,
     risk_estimate,
 )
 from .solvers import (
     RermSolution,
     ResidualSpec,
-    criterion_bound,
     erm_residual,
-    generalized_inverse,
     l1_penalty_level,
     project_l1_ball,
-    rerm_regularizer,
     rerm_residual,
     solve_lasso,
     solve_lq_rerm,
@@ -92,7 +86,6 @@ __all__ = [
     "ComplexityProfile",
     "FiniteModel",
     "InvalidInputError",
-    "InvalidProfileError",
     "IterationLimitError",
     "LocalizedSupInput",
     "LossSpec",
@@ -112,7 +105,6 @@ __all__ = [
     "bernstein_verify",
     "config_from_mapping",
     "covering_number",
-    "criterion_bound",
     "derive_seed",
     "dudley_gamma2",
     "empirical_risk",
@@ -121,18 +113,15 @@ __all__ = [
     "erm_residual",
     "expected_localized_sup",
     "fixed_point_lambda",
-    "generalized_inverse",
     "l1_complexity_profile",
     "l1_penalty_level",
     "localized_star_hull_sup",
     "lq_localized_bound",
     "maurey_l1_gamma2",
     "peeling_bound",
-    "prediction_risk",
     "project_l1_ball",
     "psi_alpha_norm",
     "rate_fit",
-    "rerm_regularizer",
     "rerm_residual",
     "risk_estimate",
     "run_finite_gap",
@@ -140,12 +129,10 @@ __all__ = [
     "run_lq_rerm",
     "run_scenario",
     "run_square_lasso",
-    "single_function_bound",
     "solve_lasso",
     "solve_lq_rerm",
     "solve_square_lasso",
     "vc_rate",
-    "weak_variance",
     "write_rows_csv",
     "write_summary_csv",
 ]

@@ -30,7 +30,7 @@ import numpy as np
 from . import __version__
 from .complexity import dudley_gamma2, fixed_point_lambda, l1_complexity_profile
 from .concentration import psi_alpha_norm
-from .errors import BracketError, InvalidInputError, InvalidProfileError
+from .errors import BracketError, InvalidInputError
 from .harness import config_from_mapping, run_scenario, write_rows_csv, write_summary_csv
 from .solvers import erm_residual, l1_penalty_level, rerm_residual, vc_rate
 
@@ -220,7 +220,7 @@ def _compute_value(args):
 def _cmd_compute(args):
     try:
         value = _compute_value(args)
-    except (InvalidInputError, BracketError, InvalidProfileError, OSError, ValueError) as exc:
+    except (InvalidInputError, BracketError, OSError, ValueError) as exc:
         print(f"compute error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"{value:.12g}")

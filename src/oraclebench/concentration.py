@@ -20,11 +20,9 @@ __all__ = [
     "BernsteinCertificate",
     "psi_alpha_norm",
     "envelope_psi1",
-    "weak_variance",
     "bernstein_from_psi1",
     "bernstein_verify",
     "adamczak_bound",
-    "single_function_bound",
 ]
 
 _GROWTH_LIMIT = 200
@@ -49,15 +47,10 @@ class PsiNormEstimate:
 
 @dataclass(frozen=True)
 class BernsteinCertificate:
-    """Second-moment control constant B with its additive B^2/n residual.
-
-    ``checked`` stays False until ``bernstein_verify`` has confirmed the
-    empirical moment inequality on actual data.
-    """
+    """Second-moment control constant B with its additive B^2/n residual."""
 
     bn: float
     residual: float
-    checked: bool = False
 
     def __post_init__(self):
         if self.bn < 0 or self.residual < 0:
@@ -133,22 +126,11 @@ def envelope_psi1(class_values, tol=1e-9):
     return psi_alpha_norm(maxima, alpha=1.0, tol=tol).value
 
 
-def weak_variance(second_moments):
-    """sqrt of the largest mean-square over the class."""
-    arr = np.asarray(second_moments, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise InvalidInputError("second_moments must be a nonempty vector")
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise InvalidInputError("second_moments must be finite and nonnegative")
-    return float(np.sqrt(arr.max()))
-
-
 def bernstein_from_psi1(psi1, n, c0=1.0):
     """Second-moment control constant for nonnegative subexponential losses.
 
     A psi_1 diameter D yields B = c0 * D * log(e n); the certificate carries
-    the additive residual B^2/n and is marked unchecked until verified on
-    data.
+    the additive residual B^2/n.
     """
     if psi1 < 0:
         raise InvalidInputError("psi1 must be nonnegative")
@@ -157,7 +139,7 @@ def bernstein_from_psi1(psi1, n, c0=1.0):
     if c0 <= 0:
         raise InvalidInputError("c0 must be positive")
     bn = c0 * psi1 * math.log(math.e * n)
-    return BernsteinCertificate(bn=bn, residual=bn * bn / n, checked=False)
+    return BernsteinCertificate(bn=bn, residual=bn * bn / n)
 
 
 def bernstein_verify(samples, psi1, z):
@@ -208,24 +190,3 @@ def adamczak_bound(exp_sup, sigma, bn, n, x, alpha, big_k=1.0):
         + big_k * sigma * math.sqrt(x / n)
         + big_k * (1.0 + 1.0 / alpha) * bn * x / n
     )
-
-
-def single_function_bound(pg, bn_g, bn, n, x, alpha, k_prime=1.0):
-    """Upper bound on the empirical mean of one nonnegative function.
-
-    Evaluates (1+2a)*Pg + K'*(1+1/a)*(bn_g + B)*(x+1)/n for alpha in (0,1).
-    """
-    if not 0 < alpha < 1:
-        raise InvalidInputError("alpha must lie in (0, 1)")
-    for name, value in (
-        ("pg", pg),
-        ("bn_g", bn_g),
-        ("bn", bn),
-        ("x", x),
-        ("k_prime", k_prime),
-    ):
-        if value < 0:
-            raise InvalidInputError(f"{name} must be nonnegative")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    return (1.0 + 2.0 * alpha) * pg + k_prime * (1.0 + 1.0 / alpha) * (bn_g + bn) * (x + 1.0) / n

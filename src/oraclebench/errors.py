@@ -9,10 +9,6 @@ class BracketError(RuntimeError):
     """A bisection bracket could not be established; enlarge the bracket."""
 
 
-class InvalidProfileError(ValueError):
-    """A complexity profile does not grow enough for the requested inversion."""
-
-
 class IterationLimitError(RuntimeError):
     """A solver hit its iteration budget. Carries the best iterate found."""
 

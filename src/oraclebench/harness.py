@@ -154,14 +154,8 @@ def _isomorphy_losses(rng, model, p_plus, n):
     return (model.predictions[:, cells] * labels) <= 0
 
 
-def _isomorphy_contexts(config, model=None, cell_probs=None):
-    if model is None:
-        model, cell_probs = _isomorphy_model(config)
-    elif cell_probs is None:
-        raise InvalidInputError("a custom model needs cell_probs")
-    if model.true_risks is None:
-        raise InvalidInputError("isomorphy requires a model with trueRisks")
-    p_plus = np.asarray(cell_probs, dtype=float)
+def _isomorphy_contexts(config):
+    model, p_plus = _isomorphy_model(config)
     return {n: _isomorphy_ctx(config, n, model, p_plus) for n in config.n_grid}
 
 
@@ -271,7 +265,7 @@ def _rerm_row(config, ctx, n, rep, rng):
     return OracleReport.build(n, estimate.mean, ctx["oracle"], config.epsilon, ctx["budget"])
 
 
-# contexts(config, **inputs) -> {n: ctx}; row(config, ctx, n, rep, rng) -> OracleReport;
+# contexts(config) -> {n: ctx}; row(config, ctx, n, rep, rng) -> OracleReport;
 # target(config) -> target frequency; extras: the ctx keys reported per n
 _Scenario = namedtuple("_Scenario", "contexts row tag fits target extras")
 
@@ -354,9 +348,10 @@ class NoiseSpec:
     """Additive noise family: Gaussian(sd), Bounded(range), or Exponential(rate).
 
     Bounded noise is uniform on [-range, range]; exponential noise is
-    centered to mean zero. Gaussian and bounded noise have sub-Gaussian
-    tails, which is what the penalized scenarios assume; exponential noise is
-    provided for tail-estimation demos and is rejected by those scenarios.
+    centered to mean zero, and its subexponential tail is the paper's
+    unbounded setting. Every kind has mean zero, so each serves the q = 2
+    scenarios, whose risk is exact. Above q = 2, ``abs_moment`` has a closed
+    form for Bounded noise only, so only Bounded noise runs there.
     """
 
     kind: str
@@ -389,10 +384,6 @@ class NoiseSpec:
     @classmethod
     def exponential(cls, rate):
         return cls(cls.EXPONENTIAL, rate)
-
-    @property
-    def sub_gaussian(self):
-        return self.kind in (self.GAUSSIAN, self.BOUNDED)
 
     def draw(self, rng, size):
         if self.kind == self.GAUSSIAN:
@@ -478,13 +469,11 @@ class ScenarioConfig:
         if self.scenario in ("SquareLasso", "LqRerm"):
             if self.beta_star.support > self.d:
                 raise InvalidInputError(f"field 'betaStar.support' must be <= d = {self.d}, got {self.beta_star.support}")
-            if self.q == 2 and not self.noise.sub_gaussian:
-                raise InvalidInputError(f"field 'noise' must be Gaussian or Bounded at q = 2, got {self.noise.kind}")
             if self.q > 2 and self.noise.kind != NoiseSpec.BOUNDED:
                 raise InvalidInputError(f"field 'noise' must be Bounded at q > 2, got {self.noise.kind}")
 
-    def constant(self, name, default=1.0):
-        return float(self.constants.get(name, default))
+    def constant(self, name):
+        return float(self.constants.get(name, 1.0))
 
     def resolved_test_size(self):
         return self.test_size if self.test_size is not None else min(20 * max(self.n_grid), 10**6)
@@ -730,7 +719,7 @@ def _try_fit(points):
         return None
 
 
-def _run(config, workers, accepts, **inputs):
+def _run(config, workers, accepts):
     """Run ``config`` if its scenario is one of ``accepts``; LqRerm at q = 2 runs as SquareLasso."""
     scenario = "SquareLasso" if config.scenario == "LqRerm" and config.q == 2 else config.scenario
     if scenario not in accepts:
@@ -738,7 +727,7 @@ def _run(config, workers, accepts, **inputs):
     if scenario != config.scenario:
         config = replace(config, scenario=scenario)
     spec = _REGISTRY[scenario]
-    contexts = spec.contexts(config, **inputs)
+    contexts = spec.contexts(config)
     rows = _run_rows(config, contexts, workers)
     summaries, floored, exact_pts, nonexact_pts = _summarize(config, rows)
     return ScenarioResult(
@@ -760,14 +749,12 @@ def run_finite_gap(config, workers=1):
     return _run(config, workers, ("FiniteGap",))
 
 
-def run_isomorphy(config, workers=1, model=None, cell_probs=None):
+def run_isomorphy(config, workers=1):
     """Isomorphy event frequency against the estimated residual budget.
 
-    A custom finite ``model`` (with its per-cell label probabilities) may be
-    supplied; it must carry true risks. The target frequency reported is
-    1 - 4 exp(-x).
+    The target frequency reported is 1 - 4 exp(-x).
     """
-    return _run(config, workers, ("Isomorphy",), model=model, cell_probs=cell_probs)
+    return _run(config, workers, ("Isomorphy",))
 
 
 def run_square_lasso(config, workers=1):

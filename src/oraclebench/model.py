@@ -22,7 +22,6 @@ __all__ = [
     "FiniteModel",
     "RiskEstimate",
     "empirical_risk",
-    "prediction_risk",
     "erm_finite",
     "risk_estimate",
 ]
@@ -132,8 +131,8 @@ class FiniteModel:
 
     def __post_init__(self):
         preds = _as_readonly_float_array(self.predictions, "predictions", 2)
-        if preds.shape[0] < 1:
-            raise InvalidInputError("model must contain at least one function")
+        if preds.shape[0] < 1 or preds.shape[1] < 1:
+            raise InvalidInputError("model must contain at least one function and one sample point")
         object.__setattr__(self, "predictions", preds)
         if self.true_risks is not None:
             risks = _as_readonly_float_array(self.true_risks, "true_risks", 1)
@@ -178,25 +177,24 @@ def empirical_risk(losses):
     return float(np.mean(losses))
 
 
-def prediction_risk(predictions, responses, loss):
-    """Empirical risk of a vector of predictions against responses."""
-    return empirical_risk(loss.per_sample(predictions, responses))
-
-
 def erm_finite(model, responses, loss, slack=0.0):
     """Index of the empirical risk minimizer over a finite dictionary.
 
-    Returns the smallest index whose empirical risk is within ``slack`` of
-    the minimum; ``slack=0`` picks the lowest-index exact minimizer, which
-    keeps repeated runs reproducible.
+    Scores every predictor with one loss evaluation over the whole
+    prediction matrix. Returns the smallest index whose empirical risk is
+    within ``slack`` of the minimum; ``slack=0`` picks the lowest-index exact
+    minimizer, which keeps repeated runs reproducible.
     """
     if slack < 0:
         raise InvalidInputError("slack must be nonnegative")
     if model.size < 1:
         raise InvalidInputError("empty model")
-    risks = np.array(
-        [prediction_risk(model.predictions[j], responses, loss) for j in range(model.size)]
-    )
+    responses = np.asarray(responses, dtype=float)
+    if responses.shape != model.predictions.shape[1:]:
+        raise InvalidInputError(f"responses must hold one value per sample point, got shape {responses.shape}")
+    risks = loss.per_sample(model.predictions, np.broadcast_to(responses, model.predictions.shape)).mean(axis=1)
+    if not np.all(np.isfinite(risks)):
+        raise InvalidInputError("losses contain non-finite values")
     best = risks.min()
     return int(np.flatnonzero(risks <= best + slack)[0])
 

@@ -17,9 +17,11 @@ The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
 minimizer satisfies pen * ||beta||_1^q <= F(0), so it lies in the l1 ball of
 radius R = (F(0) / pen)^{1/q}, and the gap is the largest decrease of the
-objective's linearization over that ball. For the lasso it is the Fenchel
-gap at the residual scaled into the dual's feasible set. At pen = 0 the ball
-is replaced by an l2 ball around the minimizer in the design's row space.
+objective's linearization over that ball. At pen = 0 the ball is replaced
+by an l2 ball around the minimizer in the design's row space. For the lasso
+it is the smaller of the Fenchel gap at the residual scaled into the dual's
+feasible set and that l2 gap of the risk plus the penalty; the second
+certifies penalties below the rounding level of the gradient.
 
 The closed-form builders at the bottom evaluate penalty levels and the
 residual terms that appear in nonexact oracle inequalities for ERM and RERM.
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidProfileError, IterationLimitError
+from .errors import InvalidInputError, IterationLimitError
 
 __all__ = [
     "RermSolution",
@@ -44,9 +46,6 @@ __all__ = [
     "l1_penalty_level",
     "erm_residual",
     "rerm_residual",
-    "generalized_inverse",
-    "criterion_bound",
-    "rerm_regularizer",
     "vc_rate",
 ]
 
@@ -209,20 +208,26 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         raise InvalidInputError("tol must be finite and positive")
     obj = _LqObjective(sample, q)
     q, pen, power = obj.q, float(pen), float(power)
-    # every minimizer lies in the l1 ball of this radius; at pen = 0, one lies in this l2 ball
-    radius = (obj.risk_exact(np.zeros(obj.d)) / pen) ** (1.0 / power) if pen > 0 else obj.row_space_radius()
+    # at power q every minimizer lies in the l1 ball of this radius; otherwise a minimizer of
+    # the risk alone lies in this l2 ball
+    l1_ball = pen > 0 and power != 1.0
+    radius = (obj.risk_exact(np.zeros(obj.d)) / pen) ** (1.0 / power) if l1_ball else obj.row_space_radius()
 
     def duality_gap(beta, value, grad):
-        if pen == 0.0:
-            return float(grad @ beta) + float(np.linalg.norm(grad)) * radius
-        gmax = float(np.abs(grad).max())
-        if power == 1.0:
+        l1 = float(np.abs(beta).sum())
+        if not l1_ball:
+            # min F >= min risk, so the risk's l2 gap plus the penalty bounds F - min F
+            row_space_gap = float(grad @ beta) + float(np.linalg.norm(grad)) * radius + pen * l1
+            if pen == 0.0:
+                return row_space_gap
             # power 1 comes only with q = 2. Near the minimum the Frank-Wolfe form is about
-            # (gmax - pen) * F(0) / pen, which rounding keeps above tol for small pen
-            s = pen / max(gmax, pen)
-            return s * float(grad @ beta) + pen * float(np.abs(beta).sum()) + (1.0 - s) ** 2 * value
+            # (gmax - pen) * F(0) / pen, which rounding keeps above tol for small pen; the
+            # Fenchel gap in turn stays at rounding level once pen is below the gradient's
+            s = pen / max(float(np.abs(grad).max()), pen)
+            return min(s * float(grad @ beta) + pen * l1 + (1.0 - s) ** 2 * value, row_space_gap)
+        gmax = float(np.abs(grad).max())
         t = min(radius, (gmax / (power * pen)) ** (1.0 / (power - 1.0)))
-        return float(grad @ beta) + pen * float(np.abs(beta).sum()) ** power + gmax * t - pen * t**power
+        return float(grad @ beta) + pen * l1**power + gmax * t - pen * t**power
 
     def solution(beta, gap):
         l1 = float(np.abs(beta).sum())
@@ -295,8 +300,9 @@ def solve_lasso(sample, lambda1, tol=1e-8, max_iter=200_000):
 
     The loop of :func:`solve_lq_rerm` at q = 2 with the plain l1 penalty,
     whose prox is soft-thresholding, and the same contract: it stops once a
-    certified duality gap (the Fenchel gap of the lasso) is at most ``tol``,
-    so ``tol`` bounds the objective's excess over the minimum.
+    certified duality gap (the lasso's Fenchel gap, or the l2 row-space gap
+    of the risk plus the penalty when smaller) is at most ``tol``, so ``tol``
+    bounds the objective's excess over the minimum.
     """
     return _proximal_descent(sample, 2.0, "lambda1", lambda1, 1.0, tol, max_iter)
 
@@ -372,75 +378,6 @@ def rerm_residual(profile, r, x, c0=1.0):
     eps = profile.epsilon
     deviation = c0 * (profile.phi_n(r) + profile.bn(r) / eps) * (x + 1.0) / (profile.n * eps)
     return float(max(profile.lambda_star(r), deviation))
-
-
-def generalized_inverse(fn, y, tol=1e-9):
-    """sup of r > 0 with fn(r) <= y, for a nondecreasing map.
-
-    ``fn`` is either a callable or a ``(grid, values)`` pair of equal-length
-    arrays tabulating a nondecreasing map. Returns 0 when fn exceeds y
-    already at 0. For tabulated maps that never exceed y the largest grid
-    point is returned; a callable that never exceeds y within the doubling
-    budget raises InvalidProfileError.
-    """
-    if isinstance(fn, tuple):
-        grid, values = (np.asarray(a, dtype=float) for a in fn)
-        if grid.shape != values.shape or grid.ndim != 1 or grid.size < 1:
-            raise InvalidInputError("tabulated map needs equal-length grid and value vectors")
-        mask = values <= y
-        if not mask.any():
-            return 0.0
-        return float(grid[np.nonzero(mask)[0][-1]])
-    if fn(0.0) > y:
-        return 0.0
-    hi = 1.0
-    for _ in range(200):
-        if fn(hi) > y:
-            break
-        hi *= 2.0
-    else:
-        raise InvalidProfileError("map does not exceed the target on its range")
-    lo = 0.0 if hi == 1.0 else hi / 2.0
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (hi + lo)
-        if fn(mid) <= y:
-            lo = mid
-        else:
-            hi = mid
-    return float(lo)
-
-
-def criterion_bound(profile, f0_risk, f0_crit, f0_bn, x, epsilon, k1=1.0, k_prime=1.0, bounded_crit=None):
-    """A priori bound on the criterion of the regularized minimizer.
-
-    When the criterion is uniformly bounded, that bound is returned directly.
-    Otherwise the bound is the larger of k1 * (crit(f0) + 2) and the
-    generalized inverse of lambda_star at the anchor function's empirical
-    risk ceiling (1+2eps)(3 R(f0) + 2 k' (bn(f0) + bn(crit(f0))) (x+1)/n).
-    """
-    if bounded_crit is not None:
-        return float(bounded_crit)
-    if f0_risk < 0 or f0_crit < 0 or f0_bn < 0:
-        raise InvalidInputError("anchor quantities must be nonnegative")
-    target = (1.0 + 2.0 * epsilon) * (
-        3.0 * f0_risk + 2.0 * k_prime * (f0_bn + profile.bn(f0_crit)) * (x + 1.0) / profile.n
-    )
-    return float(max(k1 * (f0_crit + 2.0), generalized_inverse(profile.lambda_star, target)))
-
-
-def rerm_regularizer(profile, crit, x, alpha_n, epsilon, c0=1.0):
-    """Regularizing function evaluated at a criterion value.
-
-    Evaluates (2 / (1 + 2 epsilon)) * rho(crit + 1, x + log(alpha_n)), where
-    rho is the radius-indexed residual of the profile and alpha_n >= 1 is the
-    a priori criterion bound.
-    """
-    if alpha_n < 1:
-        raise InvalidInputError("alpha_n must be >= 1")
-    if crit < 0:
-        raise InvalidInputError("crit must be nonnegative")
-    rho = rerm_residual(profile, crit + 1.0, x + math.log(alpha_n), c0)
-    return float(2.0 / (1.0 + 2.0 * epsilon) * rho)
 
 
 def vc_rate(v, n, x, epsilon, c0=1.0):

@@ -168,11 +168,11 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
     "overrides, field_name",
     [
         (["scenario=SquareLasso", "q=3"], "'q'"),
-        (["scenario=SquareLasso", 'noise={"kind": "Exponential", "rate": 1}'], "'noise'"),
+        (["scenario=LqRerm", "q=4", 'noise={"kind": "Exponential", "rate": 1}'], "'noise'"),
         (["scenario=LqRerm", "q=4"], "'noise'"),
         (["scenario=SquareLasso", "d=2"], "'betaStar.support'"),
     ],
-    ids=["SquareLasso-q3", "SquareLasso-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d"],
+    ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
     args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]

@@ -10,8 +10,6 @@ from oraclebench import (
     bernstein_verify,
     envelope_psi1,
     psi_alpha_norm,
-    single_function_bound,
-    weak_variance,
 )
 
 LOG2_INV = 1.0 / math.log(2.0)
@@ -81,29 +79,11 @@ class TestEnvelopePsi1:
             envelope_psi1([[1.0, 2.0], [1.0]])
 
 
-class TestWeakVariance:
-    def test_zero(self):
-        assert weak_variance([0.0]) == 0.0
-
-    def test_max_then_sqrt(self):
-        assert weak_variance([4.0, 9.0]) == 3.0
-
-    def test_singleton(self):
-        assert weak_variance([2.25]) == 1.5
-
-    def test_invalid(self):
-        with pytest.raises(InvalidInputError):
-            weak_variance([])
-        with pytest.raises(InvalidInputError):
-            weak_variance([-1.0])
-
-
 class TestBernstein:
     def test_zero_diameter(self):
         cert = bernstein_from_psi1(0.0, 100)
         assert cert.bn == 0.0
         assert cert.residual == 0.0
-        assert not cert.checked
 
     def test_unit_inputs(self):
         assert bernstein_from_psi1(1.0, 1).bn == pytest.approx(1.0)
@@ -167,27 +147,3 @@ class TestProcessBounds:
             with_2k = adamczak_bound(e, s, b, n, x, 0.7, 2.6)
             only_k = adamczak_bound(e, s, b, n, x, 0.7, 1.3) - (1.7) * e
             assert with_2k - (1.7) * e == pytest.approx(2 * only_k, rel=1e-12, abs=1e-15)
-
-    def test_single_function_first_term(self):
-        assert single_function_bound(1.0, 0, 0, 10, 0, alpha=0.25) == 1.5
-
-    def test_single_function_plug_in(self):
-        # (1 + 1/0.25) * (1 + 1) * (1 + 1) / 2 = 10 when Pg = 0
-        assert single_function_bound(0.0, 1.0, 1.0, 2, 1.0, alpha=0.25, k_prime=1.0) == 10.0
-
-    def test_single_function_kprime_zero(self):
-        assert single_function_bound(2.0, 5.0, 5.0, 3, 1.0, alpha=0.3, k_prime=0.0) == pytest.approx(
-            (1 + 0.6) * 2.0
-        )
-
-    def test_single_function_alpha_domain(self):
-        with pytest.raises(InvalidInputError):
-            single_function_bound(1.0, 0, 0, 10, 0, alpha=1.0)
-        with pytest.raises(InvalidInputError):
-            single_function_bound(1.0, 0, 0, 10, 0, alpha=0.0)
-
-    def test_single_function_linear_in_kprime(self):
-        lo = single_function_bound(0.5, 1.0, 2.0, 7, 3.0, 0.4, k_prime=1.0)
-        hi = single_function_bound(0.5, 1.0, 2.0, 7, 3.0, 0.4, k_prime=2.0)
-        fixed = (1 + 0.8) * 0.5
-        assert hi - fixed == pytest.approx(2 * (lo - fixed), rel=1e-12)

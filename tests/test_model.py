@@ -8,7 +8,6 @@ from oraclebench import (
     Sample,
     empirical_risk,
     erm_finite,
-    prediction_risk,
     risk_estimate,
 )
 
@@ -23,7 +22,7 @@ class TestEmpiricalRisk:
     def test_direct_lq_evaluation(self):
         # q=2, one sample x=1, y=3, beta=1: |3 - 1|^2 = 4
         loss = LossSpec.lq(2)
-        assert prediction_risk(np.array([1.0]), np.array([3.0]), loss) == 4.0
+        assert empirical_risk(loss.per_sample(np.array([1.0]), np.array([3.0]))) == 4.0
 
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidInputError):
@@ -51,7 +50,7 @@ class TestEmpiricalRisk:
         for _ in range(20):
             preds = rng.choice([-1.0, 1.0], size=30)
             ys = rng.choice([-1.0, 1.0], size=30)
-            value = prediction_risk(preds, ys, loss)
+            value = empirical_risk(loss.per_sample(preds, ys))
             assert 0.0 <= value <= 1.0
             assert np.all(np.isin(loss.per_sample(preds, ys), (0.0, 1.0)))
 
@@ -61,9 +60,9 @@ class TestEmpiricalRisk:
         ys = rng.standard_normal(25)
         for q in (2.0, 3.0, 4.0):
             loss = LossSpec.lq(q)
-            base = prediction_risk(preds, ys, loss)
+            base = empirical_risk(loss.per_sample(preds, ys))
             for c in (0.0, 0.5, 2.0):
-                scaled = prediction_risk(c * preds, c * ys, loss)
+                scaled = empirical_risk(loss.per_sample(c * preds, c * ys))
                 assert scaled == pytest.approx(c**q * base, rel=1e-12, abs=1e-300)
 
 
@@ -102,9 +101,34 @@ class TestErmFinite:
         assert erm_finite(model, ys, LossSpec.lq(2)) == 1
         assert erm_finite(model, ys, LossSpec.lq(2), slack=0.3) == 0
 
+    def test_matches_the_per_row_loop(self):
+        # reference: each predictor's empirical risk on its own, lowest index among the minimizers
+        rng = np.random.default_rng(4)
+        for loss in (LossSpec.lq(2), LossSpec.lq(3.5), LossSpec.zero_one()):
+            for _ in range(50):
+                m, n = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+                preds, ys = rng.standard_normal((m, n)), rng.standard_normal(n)
+                if loss.is_zero_one:
+                    preds, ys = np.sign(preds), np.where(ys > 0, 1.0, -1.0)
+                risks = [empirical_risk(loss.per_sample(row, ys)) for row in preds]
+                assert erm_finite(FiniteModel(predictions=preds), ys, loss) == int(np.argmin(risks))
+
+    def test_wrong_response_length_rejected(self):
+        model = FiniteModel(predictions=np.zeros((2, 3)))
+        with pytest.raises(InvalidInputError):
+            erm_finite(model, np.zeros(2), LossSpec.lq(2))
+
+    def test_overflowing_loss_rejected(self):
+        # |1e200|^4 overflows to inf
+        with pytest.raises(InvalidInputError):
+            erm_finite(FiniteModel(predictions=[[1e200]]), np.array([0.0]), LossSpec.lq(4))
+
     def test_empty_model_rejected(self):
         with pytest.raises(InvalidInputError):
             FiniteModel(predictions=np.empty((0, 3)))
+        # the old per-row path rejected an empty sample through empirical_risk
+        with pytest.raises(InvalidInputError):
+            FiniteModel(predictions=np.empty((2, 0)))
 
 
 class TestRiskEstimate:

@@ -5,17 +5,13 @@ import pytest
 
 from oraclebench import (
     InvalidInputError,
-    InvalidProfileError,
     IterationLimitError,
     Sample,
-    criterion_bound,
     empirical_risk,
     erm_residual,
-    generalized_inverse,
     l1_complexity_profile,
     l1_penalty_level,
     project_l1_ball,
-    rerm_regularizer,
     rerm_residual,
     solve_lasso,
     solve_lq_rerm,
@@ -352,6 +348,17 @@ class TestSolveLasso:
             gridmin = grid_objective_min(s, lam, 1.0)
             assert mine <= gridmin + 1e-8
 
+    def test_certifies_below_the_gradient_rounding_level(self):
+        # at lambda1 = 1e-12 the Fenchel gap stays near 1e-8 from rounding in the gradient; the
+        # row-space gap of the risk plus lambda1 * ||beta||_1 certifies tol at once
+        rng = np.random.default_rng(2)
+        design = rng.standard_normal((20, 3))
+        response = design @ np.array([1.0, -2.0, 0.5]) + 0.1 * rng.standard_normal(20)
+        sol = solve_lasso(Sample(design, response), 1e-12, tol=1e-10, max_iter=20_000)
+        assert sol.optimality_gap <= 1e-10
+        ls = np.linalg.lstsq(design, response, rcond=None)[0]
+        assert sol.objective <= float(np.mean((response - design @ ls) ** 2)) + 1e-12 * np.abs(ls).sum() + 1e-10
+
 
 class TestPenaltyLevel:
     def test_unit_plug_in(self):
@@ -426,73 +433,6 @@ class TestRermResidual:
             (profile.phi_n(r) + profile.bn(r) / eps) * (x + 1) / (n * eps),
         )
         assert rerm_residual(profile, r, x) == pytest.approx(expected, rel=1e-12)
-
-
-class TestGeneralizedInverse:
-    def test_identity_map(self):
-        assert generalized_inverse(lambda r: r, 3.0, tol=1e-10) == pytest.approx(3.0, abs=1e-8)
-
-    def test_quadratic_map(self):
-        assert generalized_inverse(lambda r: (1 + r) ** 2, 4.0, tol=1e-10) == pytest.approx(
-            1.0, abs=1e-8
-        )
-
-    def test_constant_above_target(self):
-        assert generalized_inverse(lambda r: 7.0, 3.0) == 0.0
-
-    def test_constant_below_target_raises(self):
-        with pytest.raises(InvalidProfileError):
-            generalized_inverse(lambda r: 1.0, 3.0)
-
-    def test_tabulated_map(self):
-        grid = np.linspace(0, 10, 101)
-        values = grid**2
-        assert generalized_inverse((grid, values), 25.0) == pytest.approx(5.0)
-        assert generalized_inverse((grid, values), -1.0) == 0.0
-        assert generalized_inverse((grid, values), 1e9) == 10.0
-
-
-class TestCriterionBound:
-    def test_bounded_case(self):
-        assert criterion_bound(None, 0, 0, 0, 1.0, 0.25, bounded_crit=7.0) == 7.0
-
-    def test_zero_risk_anchor(self):
-        profile = TestRermResidual.degenerate_profile()
-        profile2 = l1_complexity_profile(256, 20, 2.0, 1.0, 0.25)
-        # anchor with zero risk and zero tail bounds: inverse at 0 is 0
-        value = criterion_bound(profile2, 0.0, 1.0, 0.0, 1.0, 0.25, k1=1.0, k_prime=0.0)
-        assert value == pytest.approx(1.0 * (1.0 + 2.0))
-
-    def test_monotone_in_x(self):
-        profile = l1_complexity_profile(256, 20, 2.0, 1.0, 0.25)
-        a = criterion_bound(profile, 0.5, 1.0, 0.3, 1.0, 0.25)
-        b = criterion_bound(profile, 0.5, 1.0, 0.3, 5.0, 0.25)
-        assert b >= a
-
-
-class TestRermRegularizer:
-    def test_degenerate_profile(self):
-        profile = TestRermResidual.degenerate_profile()
-        assert rerm_regularizer(profile, 1.0, 1.0, 1.0, 0.25) == 0.0
-
-    def test_monotone_in_crit(self):
-        profile = l1_complexity_profile(256, 20, 2.0, 1.0, 0.25)
-        values = [rerm_regularizer(profile, c, 1.0, 2.0, 0.25) for c in (0.0, 1.0, 2.0, 4.0)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_prefactor_against_residual(self):
-        profile = l1_complexity_profile(256, 20, 2.0, 1.0, 0.25)
-        crit, x, alpha_n, eps = 1.0, 1.0, 3.0, 0.01
-        rho = rerm_residual(profile, crit + 1.0, x + math.log(alpha_n))
-        value = rerm_regularizer(profile, crit, x, alpha_n, eps)
-        assert value == pytest.approx(2.0 / (1.0 + 2 * eps) * rho, rel=1e-12)
-        # prefactor tends to 2 as eps tends to 0
-        assert value == pytest.approx(2.0 * rho, rel=0.05)
-
-    def test_alpha_domain(self):
-        profile = TestRermResidual.degenerate_profile()
-        with pytest.raises(InvalidInputError):
-            rerm_regularizer(profile, 1.0, 1.0, 0.5, 0.25)
 
 
 class TestVcRate:

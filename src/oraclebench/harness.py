@@ -92,17 +92,22 @@ def _fnv1a64(text):
     return h
 
 
+def _stream_prefix(master_seed, tag, n):
+    z = _splitmix64(master_seed & _MASK64)
+    z = _splitmix64(z ^ _fnv1a64(tag))
+    return _splitmix64(z ^ (int(n) & _MASK64))
+
+
 def derive_seed(master_seed, tag, n, replication):
     """Deterministic 64-bit stream seed for one replication of one scenario.
 
     Mixing (masterSeed, tag, n, replication) through splitmix64 guarantees
     that reordering or parallelizing replications cannot change any stream.
+    The seed is ``_splitmix64(_stream_prefix(master_seed, tag, n) ^ replication)``:
+    the prefix mixes (masterSeed, tag, n), so a run computes it once per
+    chunk and mixes in only the replication per row.
     """
-    z = _splitmix64(master_seed & _MASK64)
-    z = _splitmix64(z ^ _fnv1a64(tag))
-    z = _splitmix64(z ^ (int(n) & _MASK64))
-    z = _splitmix64(z ^ (int(replication) & _MASK64))
-    return int(z)
+    return _splitmix64(_stream_prefix(master_seed, tag, n) ^ (int(replication) & _MASK64))
 
 
 # ---------------------------------------------------------------------------
@@ -117,13 +122,13 @@ def _finite_gap_ctx(config, n):
     predictions = np.vstack([np.ones(n), -np.ones(n)])
     model = FiniteModel(predictions=predictions, true_risks=true_risks)
     budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
-    return {"model": model, "p_plus": p_plus, "delta": delta, "budget": budget}
+    return {"model": model, "loss": LossSpec.zero_one(), "p_plus": p_plus, "delta": delta, "budget": budget}
 
 
 def _finite_gap_row(config, ctx, n, rep, rng):
-    labels = np.where(rng.random(n) < ctx["p_plus"], 1.0, -1.0)
+    labels = 2.0 * (rng.random(n) < ctx["p_plus"]) - 1.0
     model = ctx["model"]
-    j = erm_finite(model, labels, LossSpec.zero_one())
+    j = erm_finite(model, labels, ctx["loss"])
     achieved = float(model.true_risks[j])
     oracle = float(model.true_risks.min())
     return OracleReport.build(n, achieved, oracle, config.epsilon, ctx["budget"])
@@ -644,10 +649,8 @@ class ScenarioResult:
 def _run_chunk(payload):
     config, ctx, n, reps = payload
     spec = _REGISTRY[config.scenario]
-    return [
-        spec.row(config, ctx, n, rep, np.random.default_rng(derive_seed(config.master_seed, spec.tag, n, rep)))
-        for rep in reps
-    ]
+    prefix = _stream_prefix(config.master_seed, spec.tag, n)
+    return [spec.row(config, ctx, n, rep, np.random.default_rng(_splitmix64(prefix ^ rep))) for rep in reps]
 
 
 def _run_rows(config, contexts, workers):

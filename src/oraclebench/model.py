@@ -103,18 +103,29 @@ class LossSpec:
         return self.kind == self._ZERO_ONE
 
     def per_sample(self, predictions, responses):
-        """Vector of per-sample losses for predictions against responses."""
+        """Per-sample losses of predictions against responses.
+
+        ``responses`` is at least 1-dimensional and its shape equals the
+        trailing shape of ``predictions``; numpy broadcasts it, so an (M, n)
+        prediction matrix against n responses gives the (M, n) losses of every
+        row. Each input is checked once, at its own size. An ``|r|^q`` that
+        overflows comes back as ``inf`` without a warning; ``empirical_risk``
+        and ``erm_finite`` reject it.
+        """
         predictions = np.asarray(predictions, dtype=float)
         responses = np.asarray(responses, dtype=float)
-        if predictions.shape != responses.shape:
-            raise InvalidInputError("predictions and responses must share a shape")
-        if not np.all(np.isfinite(predictions)) or not np.all(np.isfinite(responses)):
+        if responses.ndim < 1 or predictions.shape[predictions.ndim - responses.ndim:] != responses.shape:
+            raise InvalidInputError(
+                f"responses shape {responses.shape} must equal the trailing shape of predictions {predictions.shape}"
+            )
+        if not np.isfinite(predictions).all() or not np.isfinite(responses).all():
             raise InvalidInputError("non-finite prediction or response")
         if self.is_zero_one:
-            if not np.all(np.isin(responses, (-1.0, 1.0))):
+            if not (np.abs(responses) == 1.0).all():
                 raise InvalidInputError("zero-one loss requires responses in {-1,+1}")
             return (predictions * responses <= 0).astype(float)
-        return np.abs(responses - predictions) ** self.q
+        with np.errstate(over="ignore"):
+            return np.abs(responses - predictions) ** self.q
 
 
 @dataclass(frozen=True)
@@ -180,20 +191,22 @@ def empirical_risk(losses):
 def erm_finite(model, responses, loss, slack=0.0):
     """Index of the empirical risk minimizer over a finite dictionary.
 
-    Scores every predictor with one loss evaluation over the whole
-    prediction matrix. Returns the smallest index whose empirical risk is
-    within ``slack`` of the minimum; ``slack=0`` picks the lowest-index exact
-    minimizer, which keeps repeated runs reproducible.
+    ``responses`` holds one value per sample point, the last axis of
+    ``model.predictions``. One loss evaluation scores every predictor, with
+    the responses broadcast against the prediction matrix and each checked
+    once. Returns the smallest index whose empirical risk is within ``slack``
+    of the minimum; ``slack=0`` picks the lowest-index exact minimizer, which
+    keeps repeated runs reproducible, and an infinite slack picks index 0.
     """
-    if slack < 0:
-        raise InvalidInputError("slack must be nonnegative")
+    if not slack >= 0:
+        raise InvalidInputError(f"slack must be nonnegative, got {slack}")
     if model.size < 1:
         raise InvalidInputError("empty model")
     responses = np.asarray(responses, dtype=float)
     if responses.shape != model.predictions.shape[1:]:
         raise InvalidInputError(f"responses must hold one value per sample point, got shape {responses.shape}")
-    risks = loss.per_sample(model.predictions, np.broadcast_to(responses, model.predictions.shape)).mean(axis=1)
-    if not np.all(np.isfinite(risks)):
+    risks = loss.per_sample(model.predictions, responses).mean(axis=1)
+    if not np.isfinite(risks).all():
         raise InvalidInputError("losses contain non-finite values")
     best = risks.min()
     return int(np.flatnonzero(risks <= best + slack)[0])

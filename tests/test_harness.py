@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import importlib
 import math
 import re
@@ -166,6 +167,16 @@ class TestDeriveSeed:
         assert a != derive_seed(777, "square-lasso", 128, 3)
         assert a != derive_seed(778, "finite-gap", 128, 3)
 
+    @pytest.mark.parametrize("master_seed, n, replication", [
+        (2**64 - 1, 128, 3),
+        (777, 0, 0),
+        (777, 256, 2**32),
+        (2**64 - 1, 0, 2**64 - 1),
+    ])
+    def test_is_the_stream_prefix_composition(self, master_seed, n, replication):
+        prefix = harness._stream_prefix(master_seed, "finite-gap", n)
+        assert derive_seed(master_seed, "finite-gap", n, replication) == harness._splitmix64(prefix ^ replication)
+
 
 class TestFiniteGap:
     def test_identical_functions_zero_exact_slack(self):
@@ -184,6 +195,16 @@ class TestFiniteGap:
             delta = min(0.5 / math.sqrt(n), 1 - 1e-12)
             risks = {0.5 - delta / 2, 0.5 + delta / 2}
             assert any(abs(row.report.achieved_risk - r) < 1e-12 for r in risks)
+
+    def test_golden_streams(self):
+        # sha256 of the CSVs pins every replication's stream, not only their agreement across workers
+        result = run_finite_gap(finite_gap_config())
+        assert hashlib.sha256(rows_csv_text(result).encode()).hexdigest() == (
+            "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee"
+        )
+        assert hashlib.sha256(summary_csv_text(result).encode()).hexdigest() == (
+            "7ad822c51c4eed7b87c3223815b061d3bc9a06e0bb56f87fa0d960f1bdc07a93"
+        )
 
     def test_workers_do_not_change_rows(self):
         cfg = finite_gap_config()

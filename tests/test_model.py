@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,9 +121,32 @@ class TestErmFinite:
             erm_finite(model, np.zeros(2), LossSpec.lq(2))
 
     def test_overflowing_loss_rejected(self):
-        # |1e200|^4 overflows to inf
+        # |1e200|^4 overflows to inf, which is rejected without a numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                erm_finite(FiniteModel(predictions=[[1e200]]), [0.0], LossSpec.lq(4))
+
+    def test_nan_slack_rejected(self):
+        model = FiniteModel(predictions=np.array([[1.0, 1.0], [-1.0, -1.0]]))
+        with pytest.raises(InvalidInputError, match="slack"):
+            erm_finite(model, np.array([1.0, -1.0]), LossSpec.zero_one(), slack=float("nan"))
+
+    def test_infinite_slack_picks_index_0(self):
+        model = FiniteModel(predictions=np.array([[1.0, 1.0], [-1.0, -1.0]]))
+        assert erm_finite(model, np.array([-1.0, -1.0]), LossSpec.zero_one(), slack=float("inf")) == 0
+
+    def test_nan_response_rejected(self):
+        model = FiniteModel(predictions=np.zeros((2, 3)))
+        for loss in (LossSpec.lq(2), LossSpec.zero_one()):
+            with pytest.raises(InvalidInputError):
+                erm_finite(model, np.array([1.0, np.nan, 1.0]), loss)
+
+    @pytest.mark.parametrize("bad", [0.5, 0.0])
+    def test_zero_one_rejects_non_sign_responses(self, bad):
+        model = FiniteModel(predictions=np.ones((2, 3)))
         with pytest.raises(InvalidInputError):
-            erm_finite(FiniteModel(predictions=[[1e200]]), np.array([0.0]), LossSpec.lq(4))
+            erm_finite(model, np.array([1.0, bad, -1.0]), LossSpec.zero_one())
 
     def test_empty_model_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -131,7 +156,39 @@ class TestErmFinite:
             FiniteModel(predictions=np.empty((2, 0)))
 
 
+class TestPerSample:
+    @pytest.mark.parametrize("loss", [LossSpec.lq(2), LossSpec.lq(3.5), LossSpec.zero_one()],
+                             ids=["L2", "L3.5", "zero_one"])
+    def test_matrix_against_vector_matches_row_by_row(self, loss):
+        rng = np.random.default_rng(5)
+        preds, ys = rng.standard_normal((4, 9)), rng.standard_normal(9)
+        if loss.is_zero_one:
+            preds, ys = np.sign(preds), np.where(ys > 0, 1.0, -1.0)
+        rows = np.vstack([loss.per_sample(row, ys) for row in preds])
+        assert np.array_equal(loss.per_sample(preds, ys), rows)
+
+    @pytest.mark.parametrize("preds, ys", [
+        (np.zeros((2, 3)), np.zeros(2)),
+        (np.zeros((2, 3)), np.zeros((3, 2))),
+        (np.zeros(3), np.zeros((1, 3))),
+        (np.zeros((2, 3)), np.float64(0.0)),
+        (np.float64(0.0), np.float64(0.0)),
+    ])
+    def test_rejects_shape_mismatch_and_0d_responses(self, preds, ys):
+        with pytest.raises(InvalidInputError, match="trailing shape"):
+            LossSpec.lq(2).per_sample(preds, ys)
+
+
 class TestRiskEstimate:
+    def test_overflowing_loss_rejected_without_warning(self):
+        def generator(rng, size):
+            return np.zeros((size, 1)), np.zeros(size)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError):
+                risk_estimate(lambda x: np.full(len(x), 1e200), generator, LossSpec.lq(4), 10, 0)
+
     def test_perfect_predictor(self):
         def generator(rng, size):
             x = rng.standard_normal((size, 1))

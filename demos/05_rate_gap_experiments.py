@@ -12,9 +12,7 @@ from oraclebench import (
     BetaStarSpec,
     NoiseSpec,
     ScenarioConfig,
-    run_finite_gap,
-    run_isomorphy,
-    run_square_lasso,
+    run_scenario,
     write_rows_csv,
     write_summary_csv,
 )
@@ -28,7 +26,7 @@ config = ScenarioConfig(
     master_seed=777,
     gamma=0.5,
 )
-result = run_finite_gap(config)
+result = run_scenario(config)
 print(f"{'n':>6} {'mean exact':>12} {'mean nonexact':>14} {'floored':>8}")
 for s in result.summaries:
     print(f"{s.n:6d} {s.mean_slack_exact:12.6f} {s.mean_slack_nonexact:14.6g} {str(s.floored):>8}")
@@ -44,7 +42,7 @@ iso = ScenarioConfig(
     scenario="Isomorphy", n_grid=[512], d=8, epsilon=0.25, x=2.0,
     replications=500, master_seed=777,
 )
-iso_result = run_isomorphy(iso)
+iso_result = run_scenario(iso)
 info = iso_result.extras[512]
 print(f"estimated localization level = {info['lambda_star']:.4f} "
       f"(+- {info['lambda_band']:.4f} noise band)")
@@ -65,7 +63,7 @@ lasso = ScenarioConfig(
     beta_star=BetaStarSpec(3, 1.0),
     constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
 )
-lasso_result = run_square_lasso(lasso)
+lasso_result = run_scenario(lasso)
 print(f"{'n':>6} {'mean nonexact slack':>20} {'satisfied':>10}")
 for s in lasso_result.summaries:
     print(f"{s.n:6d} {s.mean_slack_nonexact:20.6f} {s.satisfaction_frequency:10.2f}")

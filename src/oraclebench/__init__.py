@@ -29,7 +29,6 @@ from .complexity import (
 from .concentration import (
     BernsteinCertificate,
     PsiNormEstimate,
-    adamczak_bound,
     bernstein_from_psi1,
     bernstein_verify,
     envelope_psi1,
@@ -39,18 +38,13 @@ from .errors import BracketError, InvalidInputError, IterationLimitError
 from .harness import (
     BetaStarSpec,
     NoiseSpec,
-    OracleReport,
     RateFit,
     ScenarioConfig,
     ScenarioResult,
     config_from_mapping,
     derive_seed,
     rate_fit,
-    run_finite_gap,
-    run_isomorphy,
-    run_lq_rerm,
     run_scenario,
-    run_square_lasso,
     write_rows_csv,
     write_summary_csv,
 )
@@ -90,7 +84,6 @@ __all__ = [
     "LocalizedSupInput",
     "LossSpec",
     "NoiseSpec",
-    "OracleReport",
     "PeelingBound",
     "PsiNormEstimate",
     "RateFit",
@@ -100,7 +93,6 @@ __all__ = [
     "Sample",
     "ScenarioConfig",
     "ScenarioResult",
-    "adamczak_bound",
     "bernstein_from_psi1",
     "bernstein_verify",
     "config_from_mapping",
@@ -124,11 +116,7 @@ __all__ = [
     "rate_fit",
     "rerm_residual",
     "risk_estimate",
-    "run_finite_gap",
-    "run_isomorphy",
-    "run_lq_rerm",
     "run_scenario",
-    "run_square_lasso",
     "solve_lasso",
     "solve_lq_rerm",
     "solve_square_lasso",

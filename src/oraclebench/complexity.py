@@ -144,9 +144,9 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
     """
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError("tol must be positive")
-    if bracket_hi <= 0:
+    if not bracket_hi > 0:
         raise InvalidInputError("bracket_hi must be positive")
     slope = epsilon / 4.0
 
@@ -277,7 +277,7 @@ def covering_number(points, radius):
     pairwise distance (every point its own ball); nonincreasing in the
     radius and never smaller after appending a point.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise InvalidInputError("radius must be positive")
     pts = _as_point_array(points)
     return _count_at(_prefix_radii(pts), radius)

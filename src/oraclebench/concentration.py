@@ -22,7 +22,6 @@ __all__ = [
     "envelope_psi1",
     "bernstein_from_psi1",
     "bernstein_verify",
-    "adamczak_bound",
 ]
 
 _GROWTH_LIMIT = 200
@@ -72,7 +71,7 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
     """
     if alpha < 1:
         raise InvalidInputError("alpha must be >= 1")
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidInputError("tol must be positive")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:
@@ -164,29 +163,3 @@ def bernstein_verify(samples, psi1, z):
     lhs = float(np.mean(x * x))
     rhs = log_ez * psi1 * float(np.mean(x)) + (4.0 + 6.0 * log_ez**2 * psi1**2) / (math.e * z)
     return lhs <= rhs
-
-
-def adamczak_bound(exp_sup, sigma, bn, n, x, alpha, big_k=1.0):
-    """High-probability bound on the supremum of an empirical process.
-
-    Evaluates (1+a)*E sup + K*sigma*sqrt(x/n) + K*(1+1/a)*bn*x/n, the
-    subexponential-envelope form of Talagrand's inequality.
-    """
-    for name, value in (
-        ("exp_sup", exp_sup),
-        ("sigma", sigma),
-        ("bn", bn),
-        ("x", x),
-        ("big_k", big_k),
-    ):
-        if value < 0:
-            raise InvalidInputError(f"{name} must be nonnegative")
-    if n < 1:
-        raise InvalidInputError("n must be >= 1")
-    if alpha <= 0:
-        raise InvalidInputError("alpha must be positive")
-    return (
-        (1.0 + alpha) * exp_sup
-        + big_k * sigma * math.sqrt(x / n)
-        + big_k * (1.0 + 1.0 / alpha) * bn * x / n
-    )

@@ -21,18 +21,23 @@ Four scenarios are provided:
 
 One registry, ``_REGISTRY``, holds per scenario its context builder, row
 function, seed tag, whether it fits rates, its target frequency and its
-per-n extras. Every ``run_*`` entry point takes one path, ``_run``, which
-holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso, so both
-give identical output for identical configurations. One field table,
-``_FIELDS``, is the config schema: ``ScenarioConfig`` casts and checks every
-field through it, whether built in Python or by ``config_from_mapping``.
+per-n extras. Each per-n context holds that n's oracle risk and residual
+budget, and a row function returns one number: the achieved risk of one
+replication. ``run_scenario`` is the one entry point and holds the one
+dispatch rule: LqRerm at q = 2 runs as SquareLasso, so both give identical
+output for identical configurations. It also holds the one slack definition:
+exact slack = achieved - oracle, nonexact slack = achieved - (1 + 3 eps) *
+oracle, and a replication is satisfied when its nonexact slack is at most the
+budget. One field table, ``_FIELDS``, is the config schema:
+``ScenarioConfig`` casts and checks every field through it, whether built in
+Python or by ``config_from_mapping``.
 
 Every replication draws from a generator seeded by a 64-bit mix of
 (masterSeed, scenario tag, n, replication index), so results are independent
-of scheduling and worker count; rows are always aggregated in replication
-order. Nonpositive per-n mean nonexact slacks cannot enter a log-log fit:
-they are excluded from the fit, counted, and reported floored at a small
-configurable value in summaries.
+of scheduling and worker count; the achieved risks are always gathered in
+replication order. Nonpositive per-n mean nonexact slacks cannot enter a
+log-log fit: they are excluded from the fit, counted, and reported floored at
+a small configurable value in summaries.
 """
 
 from __future__ import annotations
@@ -57,17 +62,11 @@ __all__ = [
     "BetaStarSpec",
     "ScenarioConfig",
     "config_from_mapping",
-    "OracleReport",
-    "Row",
     "RateFit",
     "SummaryRow",
     "ScenarioResult",
     "derive_seed",
     "rate_fit",
-    "run_finite_gap",
-    "run_isomorphy",
-    "run_square_lasso",
-    "run_lq_rerm",
     "run_scenario",
     "rows_csv_text",
     "summary_csv_text",
@@ -122,16 +121,14 @@ def _finite_gap_ctx(config, n):
     predictions = np.vstack([np.ones(n), -np.ones(n)])
     model = FiniteModel(predictions=predictions, true_risks=true_risks)
     budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
-    return {"model": model, "loss": LossSpec.zero_one(), "p_plus": p_plus, "delta": delta, "budget": budget}
+    return {"model": model, "loss": LossSpec.zero_one(), "p_plus": p_plus, "delta": delta,
+            "oracle": float(true_risks.min()), "budget": budget}
 
 
 def _finite_gap_row(config, ctx, n, rep, rng):
     labels = 2.0 * (rng.random(n) < ctx["p_plus"]) - 1.0
     model = ctx["model"]
-    j = erm_finite(model, labels, ctx["loss"])
-    achieved = float(model.true_risks[j])
-    oracle = float(model.true_risks.min())
-    return OracleReport.build(n, achieved, oracle, config.epsilon, ctx["budget"])
+    return float(model.true_risks[erm_finite(model, labels, ctx["loss"])])
 
 
 def _isomorphy_model(config):
@@ -191,9 +188,13 @@ def _isomorphy_ctx(config, n, model, p_plus):
     )
     # crude noise band on the fixed point: the defining slope is epsilon/4
     lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
+    # the achieved risk is the worst margin and the oracle risk is 0, so both
+    # slacks equal that margin and "satisfied" is the isomorphy event at rho
     return {
         "model": model,
         "p_plus": p_plus,
+        "oracle": 0.0,
+        "budget": spec.value,
         "rho": spec.value,
         "lambda_star": lam_star,
         "lambda_band": lam_band,
@@ -204,11 +205,7 @@ def _isomorphy_ctx(config, n, model, p_plus):
 
 def _isomorphy_row(config, ctx, n, rep, rng):
     emp = _isomorphy_losses(rng, ctx["model"], ctx["p_plus"], n).mean(axis=1)
-    true_risks = ctx["model"].true_risks
-    margin = float(np.max(true_risks - (1.0 + 2.0 * config.epsilon) * emp))
-    # oracle risk 0 makes both slacks equal the worst margin, so the
-    # satisfied flag is exactly the isomorphy event at budget rho
-    return OracleReport.build(n, margin, 0.0, config.epsilon, ctx["rho"])
+    return float(np.max(ctx["model"].true_risks - (1.0 + 2.0 * config.epsilon) * emp))
 
 
 def _rerm_ctx(config, n):
@@ -253,8 +250,7 @@ def _rerm_row(config, ctx, n, rep, rng):
         # independent of them with mean zero, so the square risk is exact:
         # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
         delta = solution.beta - beta_star
-        achieved = _rerm_design_m2(noise) * float(delta @ delta) + ctx["oracle"]
-        return OracleReport.build(n, achieved, ctx["oracle"], config.epsilon, ctx["budget"])
+        return _rerm_design_m2(noise) * float(delta @ delta) + ctx["oracle"]
 
     def generator(gen_rng, size):
         x_test = _rerm_design(gen_rng, size, config.d, noise)
@@ -267,11 +263,12 @@ def _rerm_row(config, ctx, n, rep, rng):
         config.resolved_test_size(),
         derive_seed(config.master_seed, "lq-rerm/test", n, rep),
     )
-    return OracleReport.build(n, estimate.mean, ctx["oracle"], config.epsilon, ctx["budget"])
+    return float(estimate.mean)
 
 
-# contexts(config) -> {n: ctx}; row(config, ctx, n, rep, rng) -> OracleReport;
-# target(config) -> target frequency; extras: the ctx keys reported per n
+# contexts(config) -> {n: ctx}, each ctx holding that n's "oracle" risk and "budget";
+# row(config, ctx, n, rep, rng) -> achieved risk; target(config) -> target frequency;
+# extras: the ctx keys reported per n
 _Scenario = namedtuple("_Scenario", "contexts row tag fits target extras")
 
 
@@ -544,46 +541,6 @@ def config_from_mapping(mapping):
 
 
 @dataclass(frozen=True)
-class OracleReport:
-    """Per-experiment record of achieved risk against an oracle and a budget.
-
-    ``slack_exact`` is achieved - oracle; ``slack_nonexact`` is achieved -
-    (1 + 3 eps) * oracle; the report is satisfied when the nonexact slack
-    fits inside the residual budget.
-    """
-
-    n: int
-    achieved_risk: float
-    oracle_risk: float
-    epsilon: float
-    residual_budget: float
-    slack_exact: float
-    slack_nonexact: float
-    satisfied: bool
-
-    @classmethod
-    def build(cls, n, achieved_risk, oracle_risk, epsilon, residual_budget):
-        slack_exact = achieved_risk - oracle_risk
-        slack_nonexact = achieved_risk - (1.0 + 3.0 * epsilon) * oracle_risk
-        return cls(
-            n=int(n),
-            achieved_risk=float(achieved_risk),
-            oracle_risk=float(oracle_risk),
-            epsilon=float(epsilon),
-            residual_budget=float(residual_budget),
-            slack_exact=float(slack_exact),
-            slack_nonexact=float(slack_nonexact),
-            satisfied=bool(slack_nonexact <= residual_budget),
-        )
-
-
-@dataclass(frozen=True)
-class Row:
-    replication: int
-    report: OracleReport
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Log-log OLS fit of values against sample sizes.
 
@@ -632,11 +589,23 @@ class SummaryRow:
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Everything one scenario run produces: rows, summaries, fits, extras."""
+    """Everything one scenario run produces: per-replication arrays, summaries, fits, extras.
+
+    The six per-replication arrays are the columns of ``rows.csv``, each with
+    one row per n of ``config.n_grid`` and one column per replication:
+    ``achieved`` risk; that n's ``oracle`` risk and residual ``budget``;
+    ``slack_exact`` = achieved - oracle; ``slack_nonexact`` = achieved -
+    (1 + 3 eps) * oracle; and ``satisfied`` = slack_nonexact <= budget.
+    """
 
     scenario: str
     config: ScenarioConfig
-    rows: tuple
+    achieved: np.ndarray
+    oracle: np.ndarray
+    budget: np.ndarray
+    slack_exact: np.ndarray
+    slack_nonexact: np.ndarray
+    satisfied: np.ndarray
     summaries: tuple
     fit_exact: RateFit | None
     fit_nonexact: RateFit | None
@@ -654,7 +623,10 @@ def _run_chunk(payload):
 
 
 def _run_rows(config, contexts, workers):
-    """Compute all rows, optionally across processes, in replication order."""
+    """The achieved risk of every replication, optionally computed across processes.
+
+    Returns a (len(nGrid), replications) array in replication order.
+    """
     reps = config.replications
     size = max(1, math.ceil(reps / (workers * 4))) if workers > 1 else reps
     payloads = [
@@ -668,51 +640,14 @@ def _run_rows(config, contexts, workers):
             chunks = list(pool.map(_run_chunk, payloads))
     else:
         chunks = [_run_chunk(p) for p in payloads]
-    reports = [report for chunk in chunks for report in chunk]
-    return tuple(Row(replication=i % reps, report=report) for i, report in enumerate(reports))
-
-
-def _summarize(config, rows):
-    summaries = []
-    floored = 0
-    exact_points = []
-    nonexact_points = []
-    for n in config.n_grid:
-        group = [r.report for r in rows if r.report.n == n]
-        count = len(group)
-        achieved = np.array([g.achieved_risk for g in group])
-        oracle = np.array([g.oracle_risk for g in group])
-        s_exact = np.array([g.slack_exact for g in group])
-        s_nonexact = np.array([g.slack_nonexact for g in group])
-        budget = np.array([g.residual_budget for g in group])
-        sat = np.array([g.satisfied for g in group])
-        mean_ne = float(s_nonexact.mean())
-        is_floored = mean_ne <= 0.0
-        floored += int(is_floored)
-        exact_points.append((n, float(s_exact.mean())))
-        nonexact_points.append((n, mean_ne))
-        summaries.append(
-            SummaryRow(
-                n=n,
-                replications=count,
-                mean_achieved=float(achieved.mean()),
-                mean_oracle=float(oracle.mean()),
-                mean_slack_exact=float(s_exact.mean()),
-                stderr_slack_exact=_stderr(s_exact),
-                mean_slack_nonexact=max(mean_ne, config.floor) if is_floored else mean_ne,
-                stderr_slack_nonexact=_stderr(s_nonexact),
-                mean_budget=float(budget.mean()),
-                satisfaction_frequency=float(sat.mean()),
-                floored=is_floored,
-            )
-        )
-    return tuple(summaries), floored, exact_points, nonexact_points
+    return np.array([risk for chunk in chunks for risk in chunk]).reshape(len(config.n_grid), reps)
 
 
 def _stderr(values):
-    if values.size < 2:
-        return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+    """Per-n standard error of the mean of a (len(nGrid), replications) array."""
+    if values.shape[1] < 2:
+        return np.zeros(values.shape[0])
+    return values.std(axis=1, ddof=1) / math.sqrt(values.shape[1])
 
 
 def _try_fit(points):
@@ -722,57 +657,62 @@ def _try_fit(points):
         return None
 
 
-def _run(config, workers, accepts):
-    """Run ``config`` if its scenario is one of ``accepts``; LqRerm at q = 2 runs as SquareLasso."""
+def run_scenario(config, workers=1):
+    """Run a configuration as its scenario; LqRerm at q = 2 runs as SquareLasso."""
     scenario = "SquareLasso" if config.scenario == "LqRerm" and config.q == 2 else config.scenario
-    if scenario not in accepts:
-        raise InvalidInputError(f"expected scenario {'/'.join(accepts)}, got {config.scenario}")
     if scenario != config.scenario:
         config = replace(config, scenario=scenario)
     spec = _REGISTRY[scenario]
     contexts = spec.contexts(config)
-    rows = _run_rows(config, contexts, workers)
-    summaries, floored, exact_pts, nonexact_pts = _summarize(config, rows)
+    achieved = _run_rows(config, contexts, workers)
+    # each n's oracle risk and budget repeated over its replications, as rows.csv lists them
+    oracle, budget = (
+        np.repeat([[contexts[n][key]] for n in config.n_grid], config.replications, axis=1)
+        for key in ("oracle", "budget")
+    )
+    # the one definition of the two slacks and of a satisfied replication
+    slack_exact = achieved - oracle
+    slack_nonexact = achieved - (1.0 + 3.0 * config.epsilon) * oracle
+    satisfied = slack_nonexact <= budget
+
+    mean_exact = slack_exact.mean(axis=1).tolist()
+    mean_nonexact = slack_nonexact.mean(axis=1).tolist()
+    floored = [mean <= 0.0 for mean in mean_nonexact]
+    summaries = tuple(
+        SummaryRow(
+            n=n,
+            replications=config.replications,
+            mean_achieved=float(achieved[i].mean()),
+            mean_oracle=float(oracle[i].mean()),
+            mean_slack_exact=mean_exact[i],
+            stderr_slack_exact=float(stderr_exact),
+            mean_slack_nonexact=max(mean_nonexact[i], config.floor) if floored[i] else mean_nonexact[i],
+            stderr_slack_nonexact=float(stderr_nonexact),
+            mean_budget=float(budget[i].mean()),
+            satisfaction_frequency=float(satisfied[i].mean()),
+            floored=floored[i],
+        )
+        for i, (n, stderr_exact, stderr_nonexact) in enumerate(
+            zip(config.n_grid, _stderr(slack_exact), _stderr(slack_nonexact))
+        )
+    )
     return ScenarioResult(
         scenario=scenario,
         config=config,
-        rows=rows,
+        achieved=achieved,
+        oracle=oracle,
+        budget=budget,
+        slack_exact=slack_exact,
+        slack_nonexact=slack_nonexact,
+        satisfied=satisfied,
         summaries=summaries,
-        fit_exact=_try_fit(exact_pts) if spec.fits else None,
-        fit_nonexact=_try_fit(nonexact_pts) if spec.fits else None,
-        satisfaction_frequency=float(np.mean([r.report.satisfied for r in rows])),
+        fit_exact=_try_fit(zip(config.n_grid, mean_exact)) if spec.fits else None,
+        fit_nonexact=_try_fit(zip(config.n_grid, mean_nonexact)) if spec.fits else None,
+        satisfaction_frequency=float(satisfied.mean()),
         target_frequency=spec.target(config) if spec.target else None,
-        floored_count=floored,
+        floored_count=sum(floored),
         extras={n: {key: contexts[n][key] for key in spec.extras} for n in config.n_grid},
     )
-
-
-def run_finite_gap(config, workers=1):
-    """Adversarial two-function ERM scenario; returns rows plus both rate fits."""
-    return _run(config, workers, ("FiniteGap",))
-
-
-def run_isomorphy(config, workers=1):
-    """Isomorphy event frequency against the estimated residual budget.
-
-    The target frequency reported is 1 - 4 exp(-x).
-    """
-    return _run(config, workers, ("Isomorphy",))
-
-
-def run_square_lasso(config, workers=1):
-    """Squared-l1-penalized least squares against the probe beta_star; takes LqRerm at q = 2 too."""
-    return _run(config, workers, ("SquareLasso",))
-
-
-def run_lq_rerm(config, workers=1):
-    """L_q RERM scenario; q = 2 runs as SquareLasso bit for bit."""
-    return _run(config, workers, ("LqRerm", "SquareLasso"))
-
-
-def run_scenario(config, workers=1):
-    """Run a configuration as its scenario."""
-    return _run(config, workers, SCENARIOS)
 
 
 # ---------------------------------------------------------------------------
@@ -799,23 +739,12 @@ def _fmt_opt(value):
 def rows_csv_text(result):
     """Per-replication CSV payload with a fixed column order."""
     lines = [ROWS_HEADER]
-    for row in result.rows:
-        rep = row.report
-        lines.append(
-            ",".join(
-                [
-                    result.scenario,
-                    str(rep.n),
-                    str(row.replication),
-                    _fmt(rep.achieved_risk),
-                    _fmt(rep.oracle_risk),
-                    _fmt(rep.slack_exact),
-                    _fmt(rep.slack_nonexact),
-                    _fmt(rep.residual_budget),
-                    "true" if rep.satisfied else "false",
-                ]
-            )
-        )
+    columns = [values.tolist() for values in (result.achieved, result.oracle, result.slack_exact,
+                                              result.slack_nonexact, result.budget)]
+    for i, n in enumerate(result.config.n_grid):
+        for rep, satisfied in enumerate(result.satisfied[i].tolist()):
+            fields = ",".join(_fmt(column[i][rep]) for column in columns)
+            lines.append(f"{result.scenario},{n},{rep},{fields},{'true' if satisfied else 'false'}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,9 +23,7 @@ from oraclebench import (
     localized_star_hull_sup,
     project_l1_ball,
     psi_alpha_norm,
-    run_finite_gap,
-    run_isomorphy,
-    run_square_lasso,
+    run_scenario,
     solve_lasso,
     solve_square_lasso,
 )
@@ -167,7 +165,7 @@ def test_criterion_5_finite_gap_rate_split():
         master_seed=777,
         gamma=0.5,
     )
-    result = run_finite_gap(config)
+    result = run_scenario(config)
     fit_exact = result.fit_exact
     fit_nonexact = result.fit_nonexact
     elapsed = time.perf_counter() - start
@@ -201,7 +199,7 @@ def test_criterion_6_isomorphy_frequency():
         replications=2000,
         master_seed=777,
     )
-    result = run_isomorphy(config)
+    result = run_scenario(config)
     threshold = 1.0 - 4.0 * math.exp(-2.0) - 0.02
     elapsed = time.perf_counter() - start
     ok = result.satisfaction_frequency >= threshold and elapsed < 120.0
@@ -229,7 +227,7 @@ def test_criterion_7_square_lasso_fast_rate():
         beta_star=BetaStarSpec(3, 1.0),
         constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
     )
-    result = run_square_lasso(config)
+    result = run_scenario(config)
     fit = result.fit_nonexact
     elapsed = time.perf_counter() - start
     ok = (

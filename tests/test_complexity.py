@@ -16,6 +16,7 @@ from oraclebench import (
     lq_localized_bound,
     maurey_l1_gamma2,
     peeling_bound,
+    psi_alpha_norm,
 )
 
 
@@ -374,3 +375,19 @@ class TestL1ComplexityProfile:
     def test_epsilon_domain(self):
         with pytest.raises(InvalidInputError):
             l1_complexity_profile(100, 50, 2.0, 1.0, 0.6)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: psi_alpha_norm(np.random.default_rng(0).exponential(size=500), 1.0, tol=math.nan), "tol"),
+        (lambda: fixed_point_lambda(lambda lam: 0.01 * math.sqrt(lam), 0.25, 1.0, tol=math.nan), "tol"),
+        (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.nan), "bracket_hi"),
+        (lambda: covering_number(np.eye(3), math.nan), "radius"),
+    ],
+    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "covering-radius"],
+)
+def test_nan_numerical_argument_rejected_naming_it(call, name):
+    # a NaN fails every comparison, so a "<= 0" check lets it through to a wrong answer
+    with pytest.raises(InvalidInputError, match=name):
+        call()

@@ -5,7 +5,6 @@ import pytest
 
 from oraclebench import (
     InvalidInputError,
-    adamczak_bound,
     bernstein_from_psi1,
     bernstein_verify,
     envelope_psi1,
@@ -122,28 +121,3 @@ class TestBernstein:
     def test_verify_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             bernstein_verify([-1.0, 2.0], 1.0, 1.0)
-
-
-class TestProcessBounds:
-    def test_adamczak_zeros(self):
-        assert adamczak_bound(0, 0, 0, 10, 0, 0.5) == 0.0
-
-    def test_adamczak_first_term_only(self):
-        assert adamczak_bound(1.0, 0, 0, 10, 0, alpha=0.5) == 1.5
-
-    def test_adamczak_sigma_term(self):
-        assert adamczak_bound(0, 1.0, 0, 4, 1.0, alpha=1.0, big_k=1.0) == 0.5
-
-    def test_adamczak_monotone_and_linear_in_k(self):
-        rng = np.random.default_rng(6)
-        for _ in range(20):
-            e, s, b, x = rng.uniform(0, 2, size=4)
-            n = int(rng.integers(1, 100))
-            base = adamczak_bound(e, s, b, n, x, alpha=0.7, big_k=1.3)
-            assert adamczak_bound(e + 0.1, s, b, n, x, 0.7, 1.3) >= base
-            assert adamczak_bound(e, s + 0.1, b, n, x, 0.7, 1.3) >= base
-            assert adamczak_bound(e, s, b + 0.1, n, x, 0.7, 1.3) >= base
-            assert adamczak_bound(e, s, b, n, x + 0.1, 0.7, 1.3) >= base
-            with_2k = adamczak_bound(e, s, b, n, x, 0.7, 2.6)
-            only_k = adamczak_bound(e, s, b, n, x, 0.7, 1.3) - (1.7) * e
-            assert with_2k - (1.7) * e == pytest.approx(2 * only_k, rel=1e-12, abs=1e-15)

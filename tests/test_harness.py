@@ -16,17 +16,12 @@ from oraclebench import (
     InvalidInputError,
     LossSpec,
     NoiseSpec,
-    OracleReport,
     ScenarioConfig,
     config_from_mapping,
     derive_seed,
     rate_fit,
     risk_estimate,
-    run_finite_gap,
-    run_isomorphy,
-    run_lq_rerm,
     run_scenario,
-    run_square_lasso,
 )
 from oraclebench import harness
 from oraclebench.harness import rows_csv_text, summary_csv_text
@@ -59,6 +54,21 @@ def lasso_config(**kwargs):
         beta_star=BetaStarSpec(2, 1.0),
         constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
         test_size=4000,
+    )
+    base.update(kwargs)
+    return ScenarioConfig(**base)
+
+
+def iso_config(**kwargs):
+    base = dict(
+        scenario="Isomorphy",
+        n_grid=[256],
+        d=8,
+        epsilon=0.25,
+        x=2.0,
+        replications=200,
+        master_seed=777,
+        lambda_replications=200,
     )
     base.update(kwargs)
     return ScenarioConfig(**base)
@@ -142,20 +152,22 @@ class TestRateFit:
 
 
 class TestOracleReport:
+    # the slack and satisfied definitions, checked on the per-replication arrays of whole runs
     def test_slack_identity(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            achieved = rng.uniform(0, 2)
-            oracle = rng.uniform(0, 2)
-            eps = rng.uniform(0.001, 0.49)
-            rep = OracleReport.build(100, achieved, oracle, eps, 1.0)
-            assert rep.slack_exact - rep.slack_nonexact == pytest.approx(
-                3 * eps * oracle, rel=1e-12, abs=1e-15
-            )
+        for eps in (0.0019, 0.1, 0.49):
+            for config in (finite_gap_config(epsilon=eps), lasso_config(epsilon=eps)):
+                res = run_scenario(config)
+                assert res.achieved.shape == (len(config.n_grid), config.replications)
+                assert np.all(res.oracle > 0)
+                assert np.array_equal(res.slack_exact, res.achieved - res.oracle)
+                np.testing.assert_allclose(res.slack_exact - res.slack_nonexact, 3 * eps * res.oracle,
+                                           rtol=1e-12, atol=1e-15)
 
     def test_satisfied_definition(self):
-        rep = OracleReport.build(10, 1.0, 0.5, 0.1, 0.4)
-        assert rep.satisfied == (rep.slack_nonexact <= 0.4)
+        # a small c0 shrinks the budget until some replications miss it
+        res = run_scenario(finite_gap_config(constants={"c0": 1e-3}))
+        assert 0 < res.satisfaction_frequency < 1
+        assert np.array_equal(res.satisfied, res.slack_nonexact <= res.budget)
 
 
 class TestDeriveSeed:
@@ -181,35 +193,48 @@ class TestDeriveSeed:
 class TestFiniteGap:
     def test_identical_functions_zero_exact_slack(self):
         # gamma = 0 collapses the risk gap, so any pick is an oracle
-        res = run_finite_gap(finite_gap_config(gamma=0.0, epsilon=0.01))
-        assert all(r.report.slack_exact == 0.0 for r in res.rows)
+        res = run_scenario(finite_gap_config(gamma=0.0, epsilon=0.01))
+        assert np.all(res.slack_exact == 0.0)
 
     def test_huge_gap_always_picks_oracle(self):
-        res = run_finite_gap(finite_gap_config(gamma=1e6, epsilon=0.01))
-        assert all(r.report.slack_exact == 0.0 for r in res.rows)
+        res = run_scenario(finite_gap_config(gamma=1e6, epsilon=0.01))
+        assert np.all(res.slack_exact == 0.0)
 
     def test_achieved_risk_is_a_model_risk(self):
-        res = run_finite_gap(finite_gap_config())
-        for row in res.rows:
-            n = row.report.n
+        res = run_scenario(finite_gap_config())
+        for n, achieved in zip(res.config.n_grid, res.achieved):
             delta = min(0.5 / math.sqrt(n), 1 - 1e-12)
             risks = {0.5 - delta / 2, 0.5 + delta / 2}
-            assert any(abs(row.report.achieved_risk - r) < 1e-12 for r in risks)
+            for risk in achieved:
+                assert any(abs(risk - r) < 1e-12 for r in risks)
 
     def test_golden_streams(self):
-        # sha256 of the CSVs pins every replication's stream, not only their agreement across workers
-        result = run_finite_gap(finite_gap_config())
-        assert hashlib.sha256(rows_csv_text(result).encode()).hexdigest() == (
-            "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee"
-        )
-        assert hashlib.sha256(summary_csv_text(result).encode()).hexdigest() == (
-            "7ad822c51c4eed7b87c3223815b061d3bc9a06e0bb56f87fa0d960f1bdc07a93"
-        )
+        # sha256 of the CSVs pins every replication's stream, not only their agreement across
+        # workers; one small config per scenario, with LqRerm at q = 4 so that it runs as itself
+        golden = [
+            (finite_gap_config(),
+             "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee",
+             "7ad822c51c4eed7b87c3223815b061d3bc9a06e0bb56f87fa0d960f1bdc07a93"),
+            (iso_config(),
+             "fd19c01236bf831a2d1e022da165da55f98913b0217e06039e94df2ee751c54c",
+             "f78c6228e50e0d681dc77402ccc5e1e0527db6b1c041d98d37e31a45da31305a"),
+            (lasso_config(),
+             "ed7f617ead56020dcc31fe69cb89d26d9b333035628a8b366ce080622cd8481f",
+             "deec1920ec079ea3234e498aaeafd48e9d11b35c4ce64b794d69b38b15092049"),
+            (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
+             "802641634886bcf7ece156ea2dce1d5647d6674e5ab3d4135a6bba958e4a8544",
+             "1dd05779c504abea97a3fccb48203a7af5fcd1f13d1e636ddd335e723938beb1"),
+        ]
+        for config, rows_sha, summary_sha in golden:
+            result = run_scenario(config)
+            assert result.scenario == config.scenario
+            assert hashlib.sha256(rows_csv_text(result).encode()).hexdigest() == rows_sha, config.scenario
+            assert hashlib.sha256(summary_csv_text(result).encode()).hexdigest() == summary_sha, config.scenario
 
     def test_workers_do_not_change_rows(self):
         cfg = finite_gap_config()
-        r1 = run_finite_gap(cfg, workers=1)
-        r2 = run_finite_gap(cfg, workers=3)
+        r1 = run_scenario(cfg, workers=1)
+        r2 = run_scenario(cfg, workers=3)
         assert rows_csv_text(r1) == rows_csv_text(r2)
 
     @pytest.mark.parametrize("workers, pool_size", [(64, 3), (2, 2)])
@@ -231,9 +256,9 @@ class TestFiniteGap:
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
         cfg = finite_gap_config(n_grid=[64], replications=3)
-        result = run_finite_gap(cfg, workers=workers)
+        result = run_scenario(cfg, workers=workers)
         assert sizes == [pool_size]
-        assert rows_csv_text(result) == rows_csv_text(run_finite_gap(cfg))
+        assert rows_csv_text(result) == rows_csv_text(run_scenario(cfg))
 
     def test_erm_pick_invariant_under_monotone_loss_relabeling(self):
         # any order-preserving relabeling of the two empirical risks keeps
@@ -244,37 +269,19 @@ class TestFiniteGap:
             relabeled = 0.2 + 0.5 * risks  # strictly increasing map
             assert np.argmin(risks) == np.argmin(relabeled)
 
-    def test_wrong_scenario_rejected(self):
-        with pytest.raises(InvalidInputError):
-            run_finite_gap(lasso_config())
-
 
 class TestIsomorphy:
-    def iso_config(self, **kwargs):
-        base = dict(
-            scenario="Isomorphy",
-            n_grid=[256],
-            d=8,
-            epsilon=0.25,
-            x=2.0,
-            replications=200,
-            master_seed=777,
-            lambda_replications=200,
-        )
-        base.update(kwargs)
-        return ScenarioConfig(**base)
-
     def test_deterministic_labels_full_frequency(self):
-        res = run_isomorphy(self.iso_config(label_flip=0.5))
+        res = run_scenario(iso_config(label_flip=0.5))
         assert res.satisfaction_frequency == 1.0
 
     def test_inflated_budget_full_frequency(self):
-        res = run_isomorphy(self.iso_config(constants={"c0": 1e6}))
+        res = run_scenario(iso_config(constants={"c0": 1e6}))
         assert res.satisfaction_frequency == 1.0
 
     def test_frequency_monotone_in_budget(self):
-        res = run_isomorphy(self.iso_config())
-        margins = np.array([r.report.achieved_risk for r in res.rows])
+        res = run_scenario(iso_config())
+        margins = res.achieved.ravel()
         rho = res.extras[256]["rho"]
         freq = lambda budget: float(np.mean(margins <= budget))
         assert freq(rho / 4) <= freq(rho) <= freq(rho * 4)
@@ -292,27 +299,26 @@ class TestIsomorphy:
             return original(counted, replications, seed)
 
         monkeypatch.setattr(harness, "expected_localized_sup", counting)
-        run_isomorphy(self.iso_config(n_grid=[128, 256], replications=20, lambda_replications=50))
+        run_scenario(iso_config(n_grid=[128, 256], replications=20, lambda_replications=50))
         assert len(calls) == 2 * 50
 
     def test_report_shape(self):
-        res = run_isomorphy(self.iso_config())
+        res = run_scenario(iso_config())
         assert res.target_frequency == pytest.approx(1 - 4 * math.exp(-2))
-        assert all(r.report.oracle_risk == 0.0 for r in res.rows)
+        assert np.all(res.oracle == 0.0)
         assert set(res.extras[256]) >= {"rho", "lambda_star", "lambda_band"}
 
 
 class TestSquareLasso:
     def test_noiseless_zero_signal(self):
         cfg = lasso_config(noise=NoiseSpec.gaussian(0.0), beta_star=BetaStarSpec(0, 0.0))
-        res = run_square_lasso(cfg)
-        for row in res.rows:
-            assert row.report.achieved_risk == pytest.approx(0.0, abs=1e-12)
-            assert row.report.satisfied
+        res = run_scenario(cfg)
+        assert np.all(np.abs(res.achieved) <= 1e-12)
+        assert res.satisfied.all()
 
     def test_consistency_with_tiny_penalty(self):
         cfg = lasso_config(n_grid=[512], constants={"c0": 0.0, "c1": 1.0}, replications=4)
-        res = run_square_lasso(cfg)
+        res = run_scenario(cfg)
         sd2 = 0.25
         for s in res.summaries:
             assert s.mean_achieved == pytest.approx(sd2 * (1 + cfg.d / 512), rel=0.2)
@@ -321,7 +327,7 @@ class TestSquareLasso:
     def test_exponential_noise_rejected(self):
         # exponential noise runs at q = 2; above it only Bounded noise has a closed-form risk
         with pytest.raises(InvalidInputError, match="'noise'"):
-            run_lq_rerm(lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.exponential(1.0)))
+            run_scenario(lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.exponential(1.0)))
 
     def test_exponential_noise_meets_the_criterion_7_gates(self):
         # the paper's unbounded setting: the criterion-7 config with centered Exponential(2) noise
@@ -336,14 +342,14 @@ class TestSquareLasso:
             beta_star=BetaStarSpec(3, 1.0),
             constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
         )
-        result = run_square_lasso(config)
+        result = run_scenario(config)
         assert result.fit_nonexact.slope <= -0.8
         assert result.fit_nonexact.r_squared >= 0.9
         assert result.satisfaction_frequency >= 0.9
 
     def test_q_must_be_two(self):
         with pytest.raises(InvalidInputError):
-            run_square_lasso(lasso_config(q=3.0))
+            run_scenario(lasso_config(q=3.0))
 
     @pytest.mark.parametrize(
         "noise, design_m2",
@@ -355,7 +361,7 @@ class TestSquareLasso:
         beta_hat = np.linspace(-0.5, 1.5, cfg.d)
         beta_star = cfg.beta_star.vector(cfg.d)
         monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
-        achieved = run_square_lasso(cfg).rows[0].report.achieved_risk
+        achieved = run_scenario(cfg).achieved[0, 0]
         exact = design_m2 * float(np.sum((beta_hat - beta_star) ** 2)) + noise.abs_moment(2)
         assert achieved == pytest.approx(exact, rel=1e-12)
 
@@ -371,17 +377,17 @@ class TestSquareLasso:
             raise AssertionError("risk_estimate called for q = 2")
 
         monkeypatch.setattr(harness, "risk_estimate", forbidden)
-        res_sq = run_square_lasso(lasso_config(noise=NoiseSpec.bounded(0.5)))
-        res_lq = run_lq_rerm(lasso_config(scenario="LqRerm"))
-        assert len(res_sq.rows) == len(res_lq.rows) == 12
+        res_sq = run_scenario(lasso_config(noise=NoiseSpec.bounded(0.5)))
+        res_lq = run_scenario(lasso_config(scenario="LqRerm"))
+        assert res_sq.achieved.size == res_lq.achieved.size == 12
 
 
 class TestLqRerm:
     def test_q2_delegates_bit_for_bit(self):
         cfg_sq = lasso_config()
         cfg_lq = lasso_config(scenario="LqRerm")
-        res_sq = run_square_lasso(cfg_sq)
-        res_lq = run_lq_rerm(cfg_lq)
+        res_sq = run_scenario(cfg_sq)
+        res_lq = run_scenario(cfg_lq)
         assert rows_csv_text(res_sq) == rows_csv_text(res_lq)
         assert summary_csv_text(res_sq) == summary_csv_text(res_lq)
 
@@ -393,8 +399,8 @@ class TestLqRerm:
             beta_star=BetaStarSpec(0, 0.0),
             replications=3,
         )
-        res = run_lq_rerm(cfg)
-        assert all(r.report.slack_nonexact <= 1e-12 for r in res.rows)
+        res = run_scenario(cfg)
+        assert np.all(res.slack_nonexact <= 1e-12)
 
     def test_q4_bounded_noise_satisfaction(self):
         cfg = lasso_config(
@@ -405,12 +411,12 @@ class TestLqRerm:
             replications=10,
             test_size=4000,
         )
-        res = run_lq_rerm(cfg)
+        res = run_scenario(cfg)
         assert res.satisfaction_frequency >= 0.9
 
     def test_q4_gaussian_rejected(self):
         with pytest.raises(InvalidInputError):
-            run_lq_rerm(lasso_config(scenario="LqRerm", q=4.0))
+            run_scenario(lasso_config(scenario="LqRerm", q=4.0))
 
 
 class TestRunScenarioAndCsv:
@@ -433,7 +439,7 @@ class TestRunScenarioAndCsv:
         assert first[2] == "0"
         assert first[8] in ("true", "false")
         # 17 significant digits round-trip
-        assert float(first[3]) == res.rows[0].report.achieved_risk
+        assert float(first[3]) == res.achieved[0, 0]
 
     def test_determinism_of_whole_run(self):
         cfg = finite_gap_config()

@@ -18,13 +18,13 @@ constant = np.ones(500)
 exponential = rng.exponential(1.0, 500)
 gaussian = rng.standard_normal(500)
 
-print(f"constant 1, alpha=1 : {psi_alpha_norm(constant, 1.0).value:.4f}  (closed form 1/ln2 = {1/np.log(2):.4f})")
-print(f"exp(1),    alpha=1 : {psi_alpha_norm(exponential, 1.0).value:.4f}  (population value 2)")
-print(f"N(0,1),    alpha=2 : {psi_alpha_norm(gaussian, 2.0).value:.4f}  (population value sqrt(8/3) = {np.sqrt(8/3):.4f})")
+print(f"constant 1, alpha=1 : {psi_alpha_norm(constant, 1.0):.4f}  (closed form 1/ln2 = {1/np.log(2):.4f})")
+print(f"exp(1),    alpha=1 : {psi_alpha_norm(exponential, 1.0):.4f}  (population value 2)")
+print(f"N(0,1),    alpha=2 : {psi_alpha_norm(gaussian, 2.0):.4f}  (population value sqrt(8/3) = {np.sqrt(8/3):.4f})")
 
 # positive homogeneity: scaling the data scales the norm
-base = psi_alpha_norm(exponential, 1.0).value
-print(f"3x data            : {psi_alpha_norm(3 * exponential, 1.0).value:.4f}  (3x norm = {3 * base:.4f})")
+base = psi_alpha_norm(exponential, 1.0)
+print(f"3x data            : {psi_alpha_norm(3 * exponential, 1.0):.4f}  (3x norm = {3 * base:.4f})")
 
 print()
 print("=== envelope of a finite class ===")
@@ -39,7 +39,7 @@ print()
 print("=== Bernstein-type second moment control ===")
 n = 50
 for name, sample in [("exponential", exponential), ("|N(0,1)|", np.abs(gaussian)), ("uniform[0,2]", rng.uniform(0, 2, 500))]:
-    psi1 = psi_alpha_norm(sample, 1.0).value
+    psi1 = psi_alpha_norm(sample, 1.0)
     cert = bernstein_from_psi1(psi1, n)
     ok = bernstein_verify(sample, psi1, z=float(len(sample)))
     ratio = np.mean(sample**2) / max(np.mean(sample), 1e-12)

@@ -28,7 +28,6 @@ from .complexity import (
 )
 from .concentration import (
     BernsteinCertificate,
-    PsiNormEstimate,
     bernstein_from_psi1,
     bernstein_verify,
     envelope_psi1,
@@ -59,7 +58,6 @@ from .model import (
 )
 from .solvers import (
     RermSolution,
-    ResidualSpec,
     erm_residual,
     l1_penalty_level,
     project_l1_ball,
@@ -85,10 +83,8 @@ __all__ = [
     "LossSpec",
     "NoiseSpec",
     "PeelingBound",
-    "PsiNormEstimate",
     "RateFit",
     "RermSolution",
-    "ResidualSpec",
     "RiskEstimate",
     "Sample",
     "ScenarioConfig",

@@ -186,13 +186,11 @@ def _load_vector(path):
 def _compute_value(args):
     if args.quantity == "psi-norm":
         samples = _load_vector(args.file)
-        return psi_alpha_norm(samples, args.alpha, args.tol).value
+        return psi_alpha_norm(samples, args.alpha, args.tol)
     if args.quantity == "penalty":
         return l1_penalty_level(args.n, args.d, args.x, args.q, args.Kd, args.c0)
     if args.quantity == "rho-a":
-        return erm_residual(
-            args.lambda_star, args.bn, args.Bn, args.epsilon, args.x, args.n, args.c0
-        ).value
+        return erm_residual(args.lambda_star, args.bn, args.Bn, args.epsilon, args.x, args.n, args.c0)
     if args.quantity == "rho-b":
         profile = l1_complexity_profile(args.n, args.d, args.q, args.Kd, args.epsilon)
         return rerm_residual(profile, args.r, args.x, args.c0)

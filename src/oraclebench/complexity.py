@@ -129,7 +129,7 @@ def expected_localized_sup(class_sampler, replications, seed):
         _check_level(level)
         values = _star_hull_sup(means, devs, level)
         stderr = float(values.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-        return RiskEstimate(mean=float(values.mean()), stderr=stderr, count=replications)
+        return RiskEstimate(mean=float(values.mean()), stderr=stderr)
 
     return estimate
 
@@ -173,11 +173,10 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
 
 
 class PeelingBound(NamedTuple):
-    """Value of a peeled sum plus the dyadic levels that contributed."""
+    """Value of a peeled sum plus the number of dyadic levels that contributed."""
 
     value: float
     terms: int
-    last_level: int
 
 
 def peeling_bound(per_level_bound, lam, r_star, i_max):
@@ -187,27 +186,24 @@ def peeling_bound(per_level_bound, lam, r_star, i_max):
     whose level 2^{i+1}*lam reaches r_star, the smallest mean in the class;
     shells below r_star are empty and contribute nothing.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidInputError("lam must be positive")
-    if r_star < 0:
+    if not r_star >= 0:
         raise InvalidInputError("r_star must be nonnegative")
-    i_max = int(i_max)
-    if i_max < 0:
+    if not i_max >= 0:
         raise InvalidInputError("i_max must be >= 0")
     total = 0.0
     terms = 0
-    last = -1
-    for i in range(i_max + 1):
+    for i in range(int(i_max) + 1):
         mu = math.ldexp(lam, i + 1)
         if mu < r_star:
             continue
         value = per_level_bound(mu)
-        if value < 0:
+        if not value >= 0:
             raise InvalidInputError("per_level_bound must be nonnegative")
         total += math.ldexp(value, -i)
         terms += 1
-        last = i
-    return PeelingBound(value=total, terms=terms, last_level=last)
+    return PeelingBound(value=total, terms=terms)
 
 
 def _pairwise_sup_distances(points):
@@ -314,44 +310,44 @@ def dudley_gamma2(points, scales=20):
     return total
 
 
-def maurey_l1_gamma2(r, max_x_inf, n, d, c0=1.0):
+def maurey_l1_gamma2(r, max_x_inf, n, d):
     """Empirical-method complexity of an l1 ball of linear predictors.
 
-    Evaluates c0 * r * max_i ||X_i||_inf * log(d) * log(sqrt(n)/log(d)); the
-    last factor is clamped below at 1 so the bound stays meaningful when
-    sqrt(n) does not exceed log(d).
+    Evaluates r * max_i ||X_i||_inf * log(d) * log(sqrt(n)/log(d)); the last
+    factor is clamped below at 1 so the bound stays meaningful when sqrt(n)
+    does not exceed log(d).
     """
-    if r < 0 or max_x_inf < 0:
+    if not (r >= 0 and max_x_inf >= 0):
         raise InvalidInputError("r and max_x_inf must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise InvalidInputError("n must be >= 1")
-    if d < 2:
+    if not d >= 2:
         raise InvalidInputError("d must be >= 2")
     log_d = math.log(d)
     tail = max(1.0, math.log(math.sqrt(n) / log_d)) if math.sqrt(n) > log_d else 1.0
-    return c0 * r * max_x_inf * log_d * tail
+    return r * max_x_inf * log_d * tail
 
 
-def lq_localized_bound(mu, un, m_psi1, n, q, c0=1.0):
+def lq_localized_bound(mu, un, m_psi1, n, q):
     """Expected localized supremum bound for the L_q loss class.
 
-    For q = 2 the bound is c0 * max(sqrt(mu*U/n), U/n) with U the expected
-    squared chaining complexity of the localized coordinate projection. For
-    q > 2 the envelope scale M enters through the factor (M log n)^{(q-2)/q}
-    and an additive (M log n)/n term.
+    For q = 2 the bound is max(sqrt(mu*U/n), U/n) with U the expected squared
+    chaining complexity of the localized coordinate projection. For q > 2
+    the envelope scale M enters through the factor (M log n)^{(q-2)/q} and
+    an additive (M log n)/n term.
     """
-    if q < 2:
+    if not q >= 2:
         raise InvalidInputError("q must be >= 2")
-    if n < 2:
+    if not n >= 2:
         raise InvalidInputError("n must be >= 2")
-    for name, value in (("mu", mu), ("un", un), ("m_psi1", m_psi1), ("c0", c0)):
-        if value < 0:
+    for name, value in (("mu", mu), ("un", un), ("m_psi1", m_psi1)):
+        if not value >= 0:
             raise InvalidInputError(f"{name} must be nonnegative")
     base = math.sqrt(mu * un / n)
     if q == 2:
-        return c0 * max(base, un / n)
+        return max(base, un / n)
     factor = (m_psi1 * math.log(n)) ** ((q - 2.0) / q)
-    return c0 * max(base * math.sqrt(factor), (un / n) * factor, m_psi1 * math.log(n) / n)
+    return max(base * math.sqrt(factor), (un / n) * factor, m_psi1 * math.log(n) / n)
 
 
 @dataclass(frozen=True)
@@ -373,38 +369,38 @@ class ComplexityProfile:
     def __post_init__(self):
         if not 0 < self.epsilon < 0.5:
             raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        if self.n < 1:
+        if not self.n >= 1:
             raise InvalidInputError("n must be >= 1")
 
 
-def l1_complexity_profile(n, d, q, kd, epsilon, c_lambda=1.0, c_bern=1.0, c_env=1.0):
+def l1_complexity_profile(n, d, q, kd, epsilon):
     """Closed-form complexity profile for l1 balls under the L_q loss.
 
     With h(n,d) = kd^q (log n)^{(4q-2)/q} (log d)^2, the maps are
 
-        lambda_star(r) = c_lambda * (1+r)^q * h(n,d) / (n epsilon^2),
-        bn(r)          = c_bern * (2 kd)^q * (1+r)^q * log(e n),
-        phi_n(r)       = c_env * kd^q * (log n) * (1+r)^q.
+        lambda_star(r) = (1+r)^q * h(n,d) / (n epsilon^2),
+        bn(r)          = (2 kd)^q * (1+r)^q * log(e n),
+        phi_n(r)       = kd^q * (log n) * (1+r)^q.
 
     All three are nondecreasing in r and homogeneous of degree q in kd.
     """
-    if n < 2 or d < 2:
+    if not (n >= 2 and d >= 2):
         raise InvalidInputError("n and d must be >= 2")
-    if q < 2:
+    if not q >= 2:
         raise InvalidInputError("q must be >= 2")
-    if kd <= 0:
+    if not kd > 0:
         raise InvalidInputError("kd must be positive")
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
     h = kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2
 
     def lambda_star(r):
-        return c_lambda * (1.0 + r) ** q * h / (n * epsilon**2)
+        return (1.0 + r) ** q * h / (n * epsilon**2)
 
     def bn(r):
-        return c_bern * (2.0 * kd) ** q * (1.0 + r) ** q * math.log(math.e * n)
+        return (2.0 * kd) ** q * (1.0 + r) ** q * math.log(math.e * n)
 
     def phi_n(r):
-        return c_env * kd**q * math.log(n) * (1.0 + r) ** q
+        return kd**q * math.log(n) * (1.0 + r) ** q
 
     return ComplexityProfile(n=float(n), epsilon=float(epsilon), lambda_star=lambda_star, bn=bn, phi_n=phi_n)

@@ -4,6 +4,7 @@ The psi_alpha (Orlicz) norm of a sample is the smallest scale c at which the
 empirical exponential moment mean(exp(|x_i|^alpha / c^alpha)) drops to 2.
 Everything downstream is plug-in: empirical moments replace expectations, and
 population-level claims are left to Monte Carlo replication in the harness.
+``psi_alpha_norm`` and ``envelope_psi1`` return the scale as a float.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import InvalidInputError
 
 __all__ = [
-    "PsiNormEstimate",
     "BernsteinCertificate",
     "psi_alpha_norm",
     "envelope_psi1",
@@ -25,23 +25,6 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class PsiNormEstimate:
-    """Empirical psi_alpha norm: the scale, the exponent, and the sample count."""
-
-    alpha: float
-    value: float
-    sample_count: int
-
-    def __post_init__(self):
-        if self.alpha < 1:
-            raise InvalidInputError("alpha must be >= 1")
-        if self.value < 0:
-            raise InvalidInputError("value must be nonnegative")
-        if self.sample_count < 1:
-            raise InvalidInputError("sample_count must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -66,10 +49,10 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
 
     The map c -> mean(exp(|x_i|^alpha / c^alpha)) is strictly decreasing, so
     the smallest c with moment <= 2 is found by growing an upper bracket
-    geometrically from max|x_i| and bisecting down to ``tol``. A sample of
-    all zeros has norm 0.
+    geometrically from max|x_i| and bisecting down to ``tol``; returns the
+    upper end of the final bracket. A sample of all zeros has norm 0.
     """
-    if alpha < 1:
+    if not alpha >= 1:
         raise InvalidInputError("alpha must be >= 1")
     if not tol > 0:
         raise InvalidInputError("tol must be positive")
@@ -79,10 +62,9 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("samples contain non-finite values")
     absx = np.abs(x)
-    m = int(x.size)
     top = float(absx.max())
     if top == 0.0:
-        return PsiNormEstimate(alpha=float(alpha), value=0.0, sample_count=m)
+        return 0.0
 
     hi = top
     for _ in range(_GROWTH_LIMIT):
@@ -103,15 +85,16 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
             hi = mid
         else:
             lo = mid
-    return PsiNormEstimate(alpha=float(alpha), value=float(hi), sample_count=m)
+    return float(hi)
 
 
-def envelope_psi1(class_values, tol=1e-9):
+def envelope_psi1(class_values):
     """psi_1 norm of the per-draw envelope maxima.
 
     ``class_values[r, i]`` holds sup over the class of |g(Z_i)| for the i-th
     point of the r-th independent draw; the estimate is the psi_1 norm of the
-    per-draw maxima over i.
+    per-draw maxima over i, bisected to the default tolerance of
+    :func:`psi_alpha_norm`.
     """
     try:
         arr = np.asarray(class_values, dtype=float)
@@ -122,22 +105,20 @@ def envelope_psi1(class_values, tol=1e-9):
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("class_values contain non-finite values")
     maxima = np.max(np.abs(arr), axis=1)
-    return psi_alpha_norm(maxima, alpha=1.0, tol=tol).value
+    return psi_alpha_norm(maxima, alpha=1.0)
 
 
-def bernstein_from_psi1(psi1, n, c0=1.0):
+def bernstein_from_psi1(psi1, n):
     """Second-moment control constant for nonnegative subexponential losses.
 
-    A psi_1 diameter D yields B = c0 * D * log(e n); the certificate carries
-    the additive residual B^2/n.
+    A psi_1 diameter D yields B = D * log(e n); the certificate carries the
+    additive residual B^2/n.
     """
-    if psi1 < 0:
+    if not psi1 >= 0:
         raise InvalidInputError("psi1 must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise InvalidInputError("n must be >= 1")
-    if c0 <= 0:
-        raise InvalidInputError("c0 must be positive")
-    bn = c0 * psi1 * math.log(math.e * n)
+    bn = psi1 * math.log(math.e * n)
     return BernsteinCertificate(bn=bn, residual=bn * bn / n)
 
 
@@ -148,9 +129,9 @@ def bernstein_verify(samples, psi1, z):
     log(ez) * psi1 * mean(x) + (4 + 6 log^2(ez) psi1^2) / (ez),
     with psi1 an upper bound on the empirical psi_1 norm of the samples.
     """
-    if z < 1:
+    if not z >= 1:
         raise InvalidInputError("z must be >= 1")
-    if psi1 < 0:
+    if not psi1 >= 0:
         raise InvalidInputError("psi1 must be nonnegative")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:

@@ -10,7 +10,7 @@ class BracketError(RuntimeError):
 
 
 class IterationLimitError(RuntimeError):
-    """A solver hit its iteration budget. Carries the best iterate found."""
+    """A solver hit its iteration budget. Carries the last iterate and its certificate."""
 
     def __init__(self, message, best=None):
         super().__init__(message)

@@ -181,11 +181,9 @@ def _isomorphy_ctx(config, n, model, p_plus):
     pooled = [
         _isomorphy_losses(calib_rng, model, p_plus, n)[j].astype(float) for j in range(model.size)
     ]
-    diam = max(psi_alpha_norm(losses, alpha=1.0, tol=1e-6).value for losses in pooled)
+    diam = max(psi_alpha_norm(losses, alpha=1.0, tol=1e-6) for losses in pooled)
     big_bn = bernstein_from_psi1(diam, n).bn
-    spec = erm_residual(
-        lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0")
-    )
+    rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
     # crude noise band on the fixed point: the defining slope is epsilon/4
     lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
     # the achieved risk is the worst margin and the oracle risk is 0, so both
@@ -194,8 +192,8 @@ def _isomorphy_ctx(config, n, model, p_plus):
         "model": model,
         "p_plus": p_plus,
         "oracle": 0.0,
-        "budget": spec.value,
-        "rho": spec.value,
+        "budget": rho,
+        "rho": rho,
         "lambda_star": lam_star,
         "lambda_band": lam_band,
         "bn": bn,
@@ -545,19 +543,17 @@ class RateFit:
     """Log-log OLS fit of values against sample sizes.
 
     The fit is ordinary least squares of log(value) on log(n) over the
-    points with positive value; ``points`` echoes all supplied pairs.
+    points with positive value.
     """
 
     slope: float
     intercept: float
     r_squared: float
-    points: tuple
 
 
 def rate_fit(points):
     """Fit a power law to (n, value) pairs; needs >= 3 positive values."""
-    pts = [(float(n), float(v)) for n, v in points]
-    usable = [(n, v) for n, v in pts if v > 0]
+    usable = [(float(n), float(v)) for n, v in points if v > 0]
     if len(usable) < 3:
         raise InvalidInputError("rate_fit needs at least 3 points with positive values")
     logn = np.log([n for n, _ in usable])
@@ -569,7 +565,7 @@ def rate_fit(points):
     ss_res = float(np.sum((logv - predicted) ** 2))
     ss_tot = float(np.sum((logv - logv.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return RateFit(slope=slope, intercept=intercept, r_squared=r_squared, points=tuple(pts))
+    return RateFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 
 @dataclass(frozen=True)

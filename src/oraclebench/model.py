@@ -160,15 +160,12 @@ class FiniteModel:
 
 @dataclass(frozen=True)
 class RiskEstimate:
-    """Monte Carlo risk estimate: sample mean, its standard error, and count."""
+    """Monte Carlo risk estimate: sample mean and its standard error."""
 
     mean: float
     stderr: float
-    count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise InvalidInputError("count must be >= 1")
         if self.stderr < 0:
             raise InvalidInputError("stderr must be nonnegative")
 
@@ -188,18 +185,15 @@ def empirical_risk(losses):
     return float(np.mean(losses))
 
 
-def erm_finite(model, responses, loss, slack=0.0):
+def erm_finite(model, responses, loss):
     """Index of the empirical risk minimizer over a finite dictionary.
 
     ``responses`` holds one value per sample point, the last axis of
     ``model.predictions``. One loss evaluation scores every predictor, with
     the responses broadcast against the prediction matrix and each checked
-    once. Returns the smallest index whose empirical risk is within ``slack``
-    of the minimum; ``slack=0`` picks the lowest-index exact minimizer, which
-    keeps repeated runs reproducible, and an infinite slack picks index 0.
+    once. Returns the lowest-index exact minimizer, which keeps repeated runs
+    reproducible.
     """
-    if not slack >= 0:
-        raise InvalidInputError(f"slack must be nonnegative, got {slack}")
     if model.size < 1:
         raise InvalidInputError("empty model")
     responses = np.asarray(responses, dtype=float)
@@ -208,8 +202,7 @@ def erm_finite(model, responses, loss, slack=0.0):
     risks = loss.per_sample(model.predictions, responses).mean(axis=1)
     if not np.isfinite(risks).all():
         raise InvalidInputError("losses contain non-finite values")
-    best = risks.min()
-    return int(np.flatnonzero(risks <= best + slack)[0])
+    return int(np.argmin(risks))
 
 
 def risk_estimate(predictor, generator, loss, test_size, rng):
@@ -227,4 +220,4 @@ def risk_estimate(predictor, generator, loss, test_size, rng):
     losses = loss.per_sample(np.asarray(predictor(design), dtype=float), responses)
     mean = empirical_risk(losses)
     stderr = float(np.std(losses, ddof=1) / np.sqrt(test_size))
-    return RiskEstimate(mean=mean, stderr=stderr, count=test_size)
+    return RiskEstimate(mean=mean, stderr=stderr)

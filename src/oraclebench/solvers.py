@@ -11,7 +11,10 @@ c * ||beta||_1^p, for p = 1 or q, is soft-thresholding at a threshold found
 from the sorted magnitudes, by the same helper that projects onto l1 balls.
 At q = 2 the step is the fixed 1/L, with L exact from the Gram matrix; for
 q > 2 it is found by backtracking. The momentum restarts from the current
-iterate whenever the objective would rise, so the objective never increases.
+iterate whenever the new step points against it, (z - cand).(cand - beta) > 0
+for the extrapolated point z (the gradient restart of O'Donoghue & Candes
+2015). The test compares no objective values, so rounding near the minimum
+does not trigger it; the objective may rise between iterates.
 
 The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
@@ -24,7 +27,8 @@ feasible set and that l2 gap of the risk plus the penalty; the second
 certifies penalties below the rounding level of the gradient.
 
 The closed-form builders at the bottom evaluate penalty levels and the
-residual terms that appear in nonexact oracle inequalities for ERM and RERM.
+residual terms that appear in nonexact oracle inequalities for ERM and RERM,
+each as a float.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .errors import InvalidInputError, IterationLimitError
 
 __all__ = [
     "RermSolution",
-    "ResidualSpec",
     "project_l1_ball",
     "solve_lq_rerm",
     "solve_square_lasso",
@@ -54,22 +57,20 @@ class RermSolution:
     """Solution of a penalized regression: coefficients and a certificate.
 
     ``objective`` is the empirical risk at ``beta`` plus the penalty term,
-    ``inner_radius`` is ``||beta||_1``, and ``optimality_gap`` is a duality
-    gap: a certified upper bound, up to rounding, on how far ``objective``
-    sits above the minimum.
+    and ``optimality_gap`` is a duality gap: a certified upper bound, up to
+    rounding, on how far ``objective`` sits above the minimum.
     """
 
     beta: np.ndarray
     objective: float
-    inner_radius: float
     optimality_gap: float
 
     def __post_init__(self):
         beta = np.asarray(self.beta, dtype=float).copy()
         beta.setflags(write=False)
         object.__setattr__(self, "beta", beta)
-        if self.inner_radius < 0 or self.optimality_gap < 0:
-            raise InvalidInputError("inner_radius and optimality_gap must be nonnegative")
+        if self.optimality_gap < 0:
+            raise InvalidInputError("optimality_gap must be nonnegative")
 
 
 def _soft_threshold(v, thresholds):
@@ -231,12 +232,11 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
 
     def solution(beta, gap):
         l1 = float(np.abs(beta).sum())
-        return RermSolution(beta=beta, objective=obj.risk_exact(beta) + pen * l1**power, inner_radius=l1,
-                            optimality_gap=max(gap, 0.0))
+        return RermSolution(beta=beta, objective=obj.risk_exact(beta) + pen * l1**power, optimality_gap=max(gap, 0.0))
 
     beta = np.zeros(obj.d)
-    total, grad = obj.value_and_grad(beta)
-    gap = duality_gap(beta, total, grad)
+    value, grad = obj.value_and_grad(beta)
+    gap = duality_gap(beta, value, grad)
     z, z_grad, momentum = beta, grad, 1.0
     step = 1.0 / max(obj.lipschitz_estimate(beta), 1e-12)
     for _ in range(int(max_iter)):
@@ -254,14 +254,15 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
             if float((cand_grad - z_grad) @ delta) <= float(delta @ delta) / (2.0 * step):
                 break
             step *= 0.5
-        cand_total = cand_value + pen * float(np.abs(cand).sum()) ** power
-        if cand_total > total and momentum > 1.0:
-            # the momentum overshot: restart it from the current iterate, whose plain step decreases
+        if float((z - cand) @ (cand - beta)) > 0.0:
+            # the step turned against the momentum: restart it from the current iterate. Without
+            # momentum z is beta and the test cannot fire; unlike a rise of the objective it does
+            # not fire on rounding noise near the minimum
             z, z_grad, momentum = beta, grad, 1.0
             continue
         next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
         z = cand + ((momentum - 1.0) / next_momentum) * (cand - beta)
-        beta, grad, total, momentum = cand, cand_grad, cand_total, next_momentum
+        beta, grad, momentum = cand, cand_grad, next_momentum
         gap = duality_gap(beta, cand_value, grad)
         _, z_grad = obj.value_and_grad(z)
         if q != 2.0:
@@ -274,14 +275,14 @@ def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
 
     FISTA from zero, with the prox of the l1-power penalty, a fixed step at
     q = 2 and backtracking for q > 2, restarting the momentum whenever the
-    objective would rise. It stops once the Frank-Wolfe gap of the current
-    iterate is at most ``tol``; that gap is the returned ``optimality_gap``
-    and bounds the objective's excess over the minimum. At penalty 0 on a
-    rank-deficient design the iterates stay in the design's row space, so
-    the reported minimizer is the one of least l2 norm. Running ``max_iter``
-    proximal iterations without reaching ``tol`` raises IterationLimitError
-    carrying the last iterate, whose objective is the least seen up to
-    rounding.
+    new step points against it. It stops once the Frank-Wolfe gap of the
+    current iterate is at most ``tol``; that gap is the returned
+    ``optimality_gap`` and bounds the objective's excess over the minimum.
+    At penalty 0 on a rank-deficient design the iterates stay in the
+    design's row space, so the reported minimizer is the one of least l2
+    norm. Running ``max_iter`` proximal iterations without reaching ``tol``
+    raises IterationLimitError carrying the last iterate and its gap; the
+    objective is not monotone, so that iterate need not be the best seen.
     """
     return _proximal_descent(sample, q, "penalty_coef", penalty_coef, q, tol, max_iter)
 
@@ -313,56 +314,32 @@ def l1_penalty_level(n, d, x, q, kd, c0=1.0):
     Evaluates c0 * kd^q * (log n)^{(4q-2)/q} * (log d)^2 * (x + log n); the
     RERM objective divides this by n * epsilon^2.
     """
-    if n < 2 or d < 2:
+    if not (n >= 2 and d >= 2):
         raise InvalidInputError("n and d must be >= 2")
-    if x <= 0:
+    if not x > 0:
         raise InvalidInputError("x must be positive")
-    if q < 2:
+    if not q >= 2:
         raise InvalidInputError("q must be >= 2")
-    if kd <= 0:
+    if not kd > 0:
         raise InvalidInputError("kd must be positive")
     return c0 * kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2 * (x + math.log(n))
 
 
-@dataclass(frozen=True)
-class ResidualSpec:
-    """Residual term of the ERM oracle inequality and its ingredients.
-
-    ``value`` is max(lambda_star, c0 * (envelope + bernstein/epsilon) * x /
-    (n * epsilon)) with ``envelope`` the psi_1 envelope bound and
-    ``bernstein`` the second-moment control constant.
-    """
-
-    lambda_star: float
-    envelope: float
-    bernstein: float
-    epsilon: float
-    x: float
-    n: int
-    c0: float
-    value: float
-
-
 def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
-    """Residual budget for the nonexact ERM oracle inequality."""
+    """Residual budget for the nonexact ERM oracle inequality.
+
+    Returns max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon))
+    as a float, with ``bn`` the psi_1 envelope bound and ``big_bn`` the
+    second-moment control constant.
+    """
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
     for name, value in (("lambda_star", lambda_star), ("bn", bn), ("big_bn", big_bn), ("x", x)):
-        if value < 0:
+        if not value >= 0:
             raise InvalidInputError(f"{name} must be nonnegative")
-    if n < 1:
+    if not n >= 1:
         raise InvalidInputError("n must be >= 1")
-    value = max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon))
-    return ResidualSpec(
-        lambda_star=float(lambda_star),
-        envelope=float(bn),
-        bernstein=float(big_bn),
-        epsilon=float(epsilon),
-        x=float(x),
-        n=int(n),
-        c0=float(c0),
-        value=float(value),
-    )
+    return float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
 
 
 def rerm_residual(profile, r, x, c0=1.0):
@@ -371,9 +348,9 @@ def rerm_residual(profile, r, x, c0=1.0):
     Evaluates max(lambda_star(r), c0 * (phi_n(r) + bn(r)/eps) * (x+1) /
     (n * eps)) from a complexity profile; nondecreasing in r and in x.
     """
-    if r < 0:
+    if not r >= 0:
         raise InvalidInputError("r must be nonnegative")
-    if x <= 0:
+    if not x > 0:
         raise InvalidInputError("x must be positive")
     eps = profile.epsilon
     deviation = c0 * (profile.phi_n(r) + profile.bn(r) / eps) * (x + 1.0) / (profile.n * eps)
@@ -388,7 +365,7 @@ def vc_rate(v, n, x, epsilon, c0=1.0):
     """
     if not 1 <= v <= n:
         raise InvalidInputError("need 1 <= v <= n")
-    if x <= 0:
+    if not x > 0:
         raise InvalidInputError("x must be positive")
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")

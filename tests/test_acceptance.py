@@ -41,10 +41,10 @@ def report(number, description, ok, detail=""):
 
 def test_criterion_1_psi1_closed_form():
     start = time.perf_counter()
-    est = psi_alpha_norm(np.ones(32), 1.0, tol=1e-8).value
+    est = psi_alpha_norm(np.ones(32), 1.0, tol=1e-8)
     closed_form = 1.0 / math.log(2.0)
     ok_value = abs(est - closed_form) <= 1e-6
-    scaled = psi_alpha_norm(3.0 * np.ones(32), 1.0, tol=1e-8).value
+    scaled = psi_alpha_norm(3.0 * np.ones(32), 1.0, tol=1e-8)
     ok_scale = abs(scaled - 3.0 * est) <= 2e-6
     elapsed = time.perf_counter() - start
     report(
@@ -260,7 +260,7 @@ def test_criterion_8_bernstein_universality():
             samples = rng.uniform(0.0, rng.uniform(0.5, 4.0), size=n)
         else:
             samples = np.abs(rng.standard_normal(n)) * rng.uniform(0.2, 2.0)
-        psi1 = psi_alpha_norm(samples, 1.0, tol=1e-7).value
+        psi1 = psi_alpha_norm(samples, 1.0, tol=1e-7)
         holds += bernstein_verify(samples, psi1, z=float(n))
     elapsed = time.perf_counter() - start
     ok = holds == total and elapsed < 10.0

@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import oraclebench
@@ -12,13 +13,25 @@ UNREACHED_BY_DESIGN = {
 }
 
 
-def _reached_names():
-    """Every name and attribute that the package modules (not ``__init__``) and the demos use."""
+# defaulted parameters of exported functions that no module or demo sets, each with its reason
+UNSET_BY_DESIGN = {
+    (solver, "max_iter"): "tests stop the loop early to check the certificate and IterationLimitError"
+    for solver in ("solve_lq_rerm", "solve_square_lasso", "solve_lasso")
+}
+
+
+def _trees():
+    """Parsed package modules (not ``__init__``) and demos."""
     paths = [p for p in sorted((ROOT / "src" / "oraclebench").glob("*.py")) if p.name != "__init__.py"]
     paths += sorted((ROOT / "demos").glob("*.py"))
+    return [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+
+
+def _reached_names():
+    """Every name and attribute that the package modules and the demos use."""
     used = set()
-    for path in paths:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in _trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -37,3 +50,35 @@ def test_allow_list_names_only_unreached_exports():
     # once a module or demo reaches a listed name, its entry above is stale
     stale = sorted(set(UNREACHED_BY_DESIGN) & _reached_names())
     assert not stale, f"allow-listed but reached by a module or demo: {stale}"
+
+
+def _unset_defaults():
+    """(function, parameter) for every defaulted parameter of an exported function that no call
+    in a package module or demo passes, by position or by keyword."""
+    params = {}
+    for name in oraclebench.__all__:
+        obj = getattr(oraclebench, name)
+        if inspect.isfunction(obj):
+            params[name] = list(inspect.signature(obj).parameters.values())
+    unset = {(name, p.name) for name, ps in params.items() for p in ps if p.default is not p.empty}
+    for tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if func not in params:
+                continue
+            keywords = {kw.arg for kw in node.keywords}
+            unset -= {(func, p.name) for i, p in enumerate(params[func]) if i < len(node.args) or p.name in keywords}
+    return unset
+
+
+def test_every_default_is_set():
+    # a default that every caller keeps is a constant: inline it or name it above
+    unset = sorted(_unset_defaults() - set(UNSET_BY_DESIGN))
+    assert not unset, f"defaulted parameters that no module or demo sets: {unset}"
+
+
+def test_allow_list_names_only_unset_defaults():
+    stale = sorted(set(UNSET_BY_DESIGN) - _unset_defaults())
+    assert not stale, f"allow-listed but set by a module or demo: {stale}"

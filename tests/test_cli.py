@@ -225,7 +225,7 @@ class TestCompute:
         path.write_text("\n".join(repr(float(v)) for v in samples))
         assert run_cli(["compute", "psi-norm", "--file", path, "--alpha", "1.5", "--tol", "1e-10"]) == 0
         printed = capsys.readouterr().out.strip()
-        expected = psi_alpha_norm(samples, 1.5, tol=1e-10).value
+        expected = psi_alpha_norm(samples, 1.5, tol=1e-10)
         assert printed == f"{expected:.12g}"
 
     def test_fixed_point_sqrt_table(self, tmp_path, capsys):

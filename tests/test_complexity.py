@@ -7,16 +7,22 @@ from oraclebench import (
     BracketError,
     InvalidInputError,
     LocalizedSupInput,
+    bernstein_from_psi1,
+    bernstein_verify,
     covering_number,
     dudley_gamma2,
+    erm_residual,
     expected_localized_sup,
     fixed_point_lambda,
     l1_complexity_profile,
+    l1_penalty_level,
     localized_star_hull_sup,
     lq_localized_bound,
     maurey_l1_gamma2,
     peeling_bound,
     psi_alpha_norm,
+    rerm_residual,
+    vc_rate,
 )
 
 
@@ -112,7 +118,6 @@ class TestExpectedLocalizedSup:
         )
         assert est.mean == direct
         assert est.stderr == 0.0
-        assert est.count == 1
 
     def test_deterministic_data_zero(self):
         est = expected_localized_sup(lambda rng: (np.array([0.5]), np.array([0.0])), 10, 3)(1.0)
@@ -227,7 +232,6 @@ class TestPeelingBound:
         out = peeling_bound(lambda mu: 1.0, 1.0, 2.0 ** 12, 10)
         assert out.value == 0.0
         assert out.terms == 0
-        assert out.last_level == -1
 
     def test_monotone_in_imax(self):
         values = [peeling_bound(lambda mu: 1.0, 1.0, 0.0, k).value for k in range(8)]
@@ -384,10 +388,50 @@ class TestL1ComplexityProfile:
         (lambda: fixed_point_lambda(lambda lam: 0.01 * math.sqrt(lam), 0.25, 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.nan), "bracket_hi"),
         (lambda: covering_number(np.eye(3), math.nan), "radius"),
+        (lambda: peeling_bound(lambda mu: 1.0, math.nan, 0.0, 3), "lam"),
+        (lambda: peeling_bound(lambda mu: 1.0, 1.0, math.nan, 3), "r_star"),
+        (lambda: peeling_bound(lambda mu: 1.0, 1.0, 0.0, math.nan), "i_max"),
+        (lambda: peeling_bound(lambda mu: math.nan, 1.0, 0.0, 3), "per_level_bound"),
+        (lambda: maurey_l1_gamma2(math.nan, 1.0, 100, 10), "r"),
+        (lambda: maurey_l1_gamma2(1.0, math.nan, 100, 10), "max_x_inf"),
+        (lambda: maurey_l1_gamma2(1.0, 1.0, math.nan, 10), "n"),
+        (lambda: maurey_l1_gamma2(1.0, 1.0, 100, math.nan), "d"),
+        (lambda: lq_localized_bound(math.nan, 1.0, 1.0, 100, 2.0), "mu"),
+        (lambda: lq_localized_bound(1.0, math.nan, 1.0, 100, 2.0), "un"),
+        (lambda: lq_localized_bound(1.0, 1.0, math.nan, 100, 4.0), "m_psi1"),
+        (lambda: lq_localized_bound(1.0, 1.0, 1.0, math.nan, 2.0), "n"),
+        (lambda: lq_localized_bound(1.0, 1.0, 1.0, 100, math.nan), "q"),
+        (lambda: l1_complexity_profile(math.nan, 50, 2.0, 1.0, 0.25), "n"),
+        (lambda: l1_complexity_profile(100, math.nan, 2.0, 1.0, 0.25), "d"),
+        (lambda: l1_complexity_profile(100, 50, math.nan, 1.0, 0.25), "q"),
+        (lambda: l1_complexity_profile(100, 50, 2.0, math.nan, 0.25), "kd"),
+        (lambda: psi_alpha_norm(np.ones(5), math.nan), "alpha"),
+        (lambda: bernstein_from_psi1(math.nan, 10), "psi1"),
+        (lambda: bernstein_from_psi1(1.0, math.nan), "n"),
+        (lambda: bernstein_verify(np.ones(5), math.nan, 5.0), "psi1"),
+        (lambda: bernstein_verify(np.ones(5), 1.0, math.nan), "z"),
+        (lambda: l1_penalty_level(math.nan, 50, 1.0, 2.0, 1.0), "n"),
+        (lambda: l1_penalty_level(100, math.nan, 1.0, 2.0, 1.0), "d"),
+        (lambda: l1_penalty_level(100, 50, math.nan, 2.0, 1.0), "x"),
+        (lambda: l1_penalty_level(100, 50, 1.0, math.nan, 1.0), "q"),
+        (lambda: l1_penalty_level(100, 50, 1.0, 2.0, math.nan), "kd"),
+        (lambda: erm_residual(math.nan, 1.0, 1.0, 0.25, 1.0, 100), "lambda_star"),
+        (lambda: erm_residual(0.0, math.nan, 1.0, 0.25, 1.0, 100), "bn"),
+        (lambda: erm_residual(0.0, 1.0, math.nan, 0.25, 1.0, 100), "big_bn"),
+        (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, math.nan, 100), "x"),
+        (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, math.nan), "n"),
+        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), math.nan, 1.0), "r"),
+        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, math.nan), "x"),
+        (lambda: vc_rate(4, 100, math.nan, 0.25), "x"),
     ],
-    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "covering-radius"],
+    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "covering-radius", "peeling-lam",
+         "peeling-r-star", "peeling-i-max", "peeling-level-bound", "maurey-r", "maurey-max-x-inf", "maurey-n",
+         "maurey-d", "lq-bound-mu", "lq-bound-un", "lq-bound-m-psi1", "lq-bound-n", "lq-bound-q", "profile-n",
+         "profile-d", "profile-q", "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1",
+         "verify-z", "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star",
+         "rho-a-bn", "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x", "vc-rate-x"],
 )
 def test_nan_numerical_argument_rejected_naming_it(call, name):
-    # a NaN fails every comparison, so a "<= 0" check lets it through to a wrong answer
-    with pytest.raises(InvalidInputError, match=name):
+    # a NaN fails every comparison, so a "<= 0" check or a max() lets it through to a wrong answer
+    with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
         call()

@@ -16,21 +16,19 @@ LOG2_INV = 1.0 / math.log(2.0)
 
 class TestPsiAlphaNorm:
     def test_all_zero(self):
-        assert psi_alpha_norm(np.zeros(5), 1.0).value == 0.0
+        assert psi_alpha_norm(np.zeros(5), 1.0) == 0.0
 
     def test_constant_ones_closed_form(self):
         # solve exp(1/c) = 2 exactly: c = 1/ln 2
-        est = psi_alpha_norm(np.ones(7), 1.0, tol=1e-9)
-        assert est.value == pytest.approx(LOG2_INV, abs=1e-8)
-        assert est.sample_count == 7
+        assert psi_alpha_norm(np.ones(7), 1.0, tol=1e-9) == pytest.approx(LOG2_INV, abs=1e-8)
 
     def test_positive_homogeneity(self):
         rng = np.random.default_rng(0)
         tol = 1e-8
         for _ in range(10):
             x = rng.exponential(1.0, size=40)
-            base = psi_alpha_norm(x, 1.0, tol=tol).value
-            scaled = psi_alpha_norm(3.0 * x, 1.0, tol=tol).value
+            base = psi_alpha_norm(x, 1.0, tol=tol)
+            scaled = psi_alpha_norm(3.0 * x, 1.0, tol=tol)
             assert abs(scaled - 3.0 * base) <= 2e-7
 
     def test_monotone_in_data(self):
@@ -40,14 +38,14 @@ class TestPsiAlphaNorm:
             for _ in range(10):
                 x = rng.exponential(1.0, size=30)
                 bump = x + rng.uniform(0, 0.5, size=30)
-                lo = psi_alpha_norm(x, alpha, tol=tol).value
-                hi = psi_alpha_norm(bump, alpha, tol=tol).value
+                lo = psi_alpha_norm(x, alpha, tol=tol)
+                hi = psi_alpha_norm(bump, alpha, tol=tol)
                 assert hi >= lo - 2 * tol
 
     def test_moment_at_estimate_is_feasible(self):
         rng = np.random.default_rng(2)
         x = rng.standard_normal(100)
-        c = psi_alpha_norm(x, 2.0, tol=1e-10).value
+        c = psi_alpha_norm(x, 2.0, tol=1e-10)
         assert np.mean(np.exp((np.abs(x) / c) ** 2)) <= 2.0 + 1e-9
 
     def test_invalid_inputs(self):
@@ -71,7 +69,7 @@ class TestEnvelopePsi1:
         rng = np.random.default_rng(3)
         bound = 2.5
         values = rng.uniform(0, bound, size=(50, 10))
-        assert envelope_psi1(values, tol=1e-9) <= bound * LOG2_INV + 1e-8
+        assert envelope_psi1(values) <= bound * LOG2_INV + 1e-8
 
     def test_ragged_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -115,7 +113,7 @@ class TestBernstein:
                 samples = rng.uniform(0, rng.uniform(0.5, 5.0), size=200)
             else:
                 samples = np.abs(rng.standard_normal(200)) * rng.uniform(0.1, 2.0)
-            psi1 = psi_alpha_norm(samples, 1.0, tol=1e-8).value
+            psi1 = psi_alpha_norm(samples, 1.0, tol=1e-8)
             assert bernstein_verify(samples, psi1, z=float(len(samples)))
 
     def test_verify_rejects_negative(self):

@@ -101,7 +101,6 @@ class TestErmFinite:
         model = FiniteModel(predictions=preds)
         ys = np.array([0.0, 0.0])
         assert erm_finite(model, ys, LossSpec.lq(2)) == 1
-        assert erm_finite(model, ys, LossSpec.lq(2), slack=0.3) == 0
 
     def test_matches_the_per_row_loop(self):
         # reference: each predictor's empirical risk on its own, lowest index among the minimizers
@@ -126,15 +125,6 @@ class TestErmFinite:
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):
                 erm_finite(FiniteModel(predictions=[[1e200]]), [0.0], LossSpec.lq(4))
-
-    def test_nan_slack_rejected(self):
-        model = FiniteModel(predictions=np.array([[1.0, 1.0], [-1.0, -1.0]]))
-        with pytest.raises(InvalidInputError, match="slack"):
-            erm_finite(model, np.array([1.0, -1.0]), LossSpec.zero_one(), slack=float("nan"))
-
-    def test_infinite_slack_picks_index_0(self):
-        model = FiniteModel(predictions=np.array([[1.0, 1.0], [-1.0, -1.0]]))
-        assert erm_finite(model, np.array([-1.0, -1.0]), LossSpec.zero_one(), slack=float("inf")) == 0
 
     def test_nan_response_rejected(self):
         model = FiniteModel(predictions=np.zeros((2, 3)))

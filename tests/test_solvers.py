@@ -134,7 +134,6 @@ class TestSolveLqRerm:
         sol = solve_lq_rerm(s, 3.0, 0.07, tol=1e-8)
         risk = empirical_risk(np.abs(s.response - s.design @ sol.beta) ** 3)
         assert sol.objective == pytest.approx(risk + 0.07 * np.abs(sol.beta).sum() ** 3, abs=1e-10)
-        assert np.abs(sol.beta).sum() <= sol.inner_radius + 1e-8
 
     def test_never_beats_reference_probes(self):
         rng = np.random.default_rng(6)
@@ -359,6 +358,15 @@ class TestSolveLasso:
         ls = np.linalg.lstsq(design, response, rcond=None)[0]
         assert sol.objective <= float(np.mean((response - design @ ls) ** 2)) + 1e-12 * np.abs(ls).sum() + 1e-10
 
+    def test_certifies_where_rounding_swamps_objective_differences(self):
+        # near the minimum the q = 2 objective values of successive iterates differ by rounding only;
+        # a restart on a rise of the objective then fires on noise and FISTA stalls short of tol
+        rng = np.random.default_rng(0)
+        design = rng.standard_normal((15, 40))
+        response = design[:, :3].sum(axis=1) + 0.1 * rng.standard_normal(15)
+        sol = solve_lasso(Sample(design, response), 1e-6, tol=1e-10)
+        assert sol.optimality_gap <= 1e-10
+
 
 class TestPenaltyLevel:
     def test_unit_plug_in(self):
@@ -384,22 +392,20 @@ class TestPenaltyLevel:
 
 class TestErmResidual:
     def test_lambda_dominates(self):
-        spec = erm_residual(0.7, 0.0, 0.0, 0.25, 1.0, 100)
-        assert spec.value == 0.7
+        assert erm_residual(0.7, 0.0, 0.0, 0.25, 1.0, 100) == 0.7
 
     def test_deviation_plug_in(self):
         n = 64
         eps = 0.4
-        spec = erm_residual(0.0, 1.0, 0.0, eps, float(n), n)
-        assert spec.value == pytest.approx(1.0 / eps)
+        assert erm_residual(0.0, 1.0, 0.0, eps, float(n), n) == pytest.approx(1.0 / eps)
 
     def test_monotone_in_x(self):
-        values = [erm_residual(0.0, 1.0, 2.0, 0.25, x, 100).value for x in (0.5, 1.0, 2.0)]
+        values = [erm_residual(0.0, 1.0, 2.0, 0.25, x, 100) for x in (0.5, 1.0, 2.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_linear_in_c0(self):
-        a = erm_residual(0.0, 1.0, 2.0, 0.25, 1.0, 100, c0=1.0).value
-        b = erm_residual(0.0, 1.0, 2.0, 0.25, 1.0, 100, c0=2.0).value
+        a = erm_residual(0.0, 1.0, 2.0, 0.25, 1.0, 100, c0=1.0)
+        b = erm_residual(0.0, 1.0, 2.0, 0.25, 1.0, 100, c0=2.0)
         assert b == pytest.approx(2 * a)
 
     def test_epsilon_domain(self):

@@ -12,7 +12,7 @@
 
 import numpy as np
 
-from oraclebench import expected_localized_sup, fixed_point_lambda, peeling_bound
+from oraclebench import expected_localized_sup, fixed_point_lambda
 
 rng = np.random.default_rng(7)
 M, n = 6, 400
@@ -51,10 +51,3 @@ for r in range(reps):
     scale = np.maximum(means, lam_star)
     hits += np.all(np.abs(means - emp) <= eps * scale)
 print(f"fraction of draws with |Eg - P_n g| <= eps*max(Eg, lambda*) for all g: {hits / reps:.4f}")
-
-print()
-print("=== peeling: a dyadic-shell bound on the same quantity ===")
-per_level = lambda mu: float(np.sqrt(mu * np.log(M) / n))
-bound = peeling_bound(per_level, lam_star, float(means.min()), i_max=40)
-print(f"peeled bound at lambda* = {bound.value:.5f} using {bound.terms} shells "
-      f"(direct estimate was {est.mean:.5f})")

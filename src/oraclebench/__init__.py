@@ -4,7 +4,8 @@ The package has three layers:
 
 * primitives: empirical risk and ERM over finite dictionaries (``model``),
   empirical Orlicz-norm and concentration evaluators (``concentration``),
-  localization, peeling and chaining complexity (``complexity``);
+  star-hull localization, its fixed point and the l1-ball complexity
+  profile (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
   the closed-form penalty/residual builders (``solvers``);
 * harness: seeded Monte Carlo scenarios that measure exact and nonexact
@@ -15,16 +16,10 @@ The package has three layers:
 from .complexity import (
     ComplexityProfile,
     LocalizedSupInput,
-    PeelingBound,
-    covering_number,
-    dudley_gamma2,
     expected_localized_sup,
     fixed_point_lambda,
     l1_complexity_profile,
     localized_star_hull_sup,
-    lq_localized_bound,
-    maurey_l1_gamma2,
-    peeling_bound,
 )
 from .concentration import (
     BernsteinCertificate,
@@ -65,7 +60,6 @@ from .solvers import (
     solve_lasso,
     solve_lq_rerm,
     solve_square_lasso,
-    vc_rate,
 )
 
 __version__ = "0.1.0"
@@ -82,7 +76,6 @@ __all__ = [
     "LocalizedSupInput",
     "LossSpec",
     "NoiseSpec",
-    "PeelingBound",
     "RateFit",
     "RermSolution",
     "RiskEstimate",
@@ -92,9 +85,7 @@ __all__ = [
     "bernstein_from_psi1",
     "bernstein_verify",
     "config_from_mapping",
-    "covering_number",
     "derive_seed",
-    "dudley_gamma2",
     "empirical_risk",
     "envelope_psi1",
     "erm_finite",
@@ -104,9 +95,6 @@ __all__ = [
     "l1_complexity_profile",
     "l1_penalty_level",
     "localized_star_hull_sup",
-    "lq_localized_bound",
-    "maurey_l1_gamma2",
-    "peeling_bound",
     "project_l1_ball",
     "psi_alpha_norm",
     "rate_fit",
@@ -116,7 +104,6 @@ __all__ = [
     "solve_lasso",
     "solve_lq_rerm",
     "solve_square_lasso",
-    "vc_rate",
     "write_rows_csv",
     "write_summary_csv",
 ]

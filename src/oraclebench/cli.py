@@ -28,11 +28,11 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .complexity import dudley_gamma2, fixed_point_lambda, l1_complexity_profile
+from .complexity import fixed_point_lambda, l1_complexity_profile
 from .concentration import psi_alpha_norm
 from .errors import BracketError, InvalidInputError
 from .harness import config_from_mapping, run_scenario, write_rows_csv, write_summary_csv
-from .solvers import erm_residual, l1_penalty_level, rerm_residual, vc_rate
+from .solvers import erm_residual, l1_penalty_level, rerm_residual
 
 __all__ = ["main", "entry", "build_parser"]
 
@@ -94,19 +94,11 @@ def build_parser():
     _reals(rho_b, "--n", "--d", "--q", "--Kd", "--epsilon", "--r", "--x", required=True)
     _reals(rho_b, "--c0", default=1.0)
 
-    dud = comp_sub.add_parser("dudley", help="entropy-integral complexity of a point file")
-    dud.add_argument("--file", required=True)
-    dud.add_argument("--scales", type=int, default=20)
-
     fixed = comp_sub.add_parser("fixed-point", help="localization fixed point from a table")
     fixed.add_argument("--table", required=True, help="two-column file of (level, expected sup)")
     _reals(fixed, "--epsilon", required=True)
     _reals(fixed, "--tol", default=1e-9)
     _reals(fixed, "--bracket-hi", default=None)
-
-    mas = comp_sub.add_parser("massart-rate", help="finite-dimension reference rate")
-    _reals(mas, "--V", "--n", "--x", "--epsilon", required=True)
-    _reals(mas, "--c0", default=1.0)
 
     return parser
 
@@ -194,9 +186,6 @@ def _compute_value(args):
     if args.quantity == "rho-b":
         profile = l1_complexity_profile(args.n, args.d, args.q, args.Kd, args.epsilon)
         return rerm_residual(profile, args.r, args.x, args.c0)
-    if args.quantity == "dudley":
-        points = np.atleast_2d(np.loadtxt(args.file, ndmin=2))
-        return dudley_gamma2(points, scales=args.scales)
     if args.quantity == "fixed-point":
         table = np.atleast_2d(np.loadtxt(args.table, ndmin=2))
         if table.shape[1] != 2:
@@ -210,8 +199,6 @@ def _compute_value(args):
             return float(np.interp(lam, grid, values))
 
         return fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
-    if args.quantity == "massart-rate":
-        return vc_rate(args.V, args.n, args.x, args.epsilon, args.c0)
     raise InvalidInputError(f"unknown quantity {args.quantity!r}")
 
 

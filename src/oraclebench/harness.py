@@ -290,7 +290,9 @@ SCENARIOS = tuple(_REGISTRY)
 # configuration schema
 # ---------------------------------------------------------------------------
 
-_CONSTANT_NAMES = ("c0", "c1", "Kd")
+# each named constant with its domain: c0 and c1 scale budgets and penalties, Kd is raised to the power q
+_CONSTANTS = {"c0": (lambda v: v >= 0, "be >= 0"), "c1": (lambda v: v >= 0, "be >= 0"),
+              "Kd": (lambda v: v > 0, "be positive")}
 
 
 def _as_int(key, value):
@@ -319,10 +321,15 @@ def _as_grid(key, value):
 def _as_constants(key, value):
     if not isinstance(value, dict):
         raise InvalidInputError(f"field {key!r} must be a map of names to reals, got {value!r}")
-    for name in value:
-        if name not in _CONSTANT_NAMES:
-            raise InvalidInputError(f"field '{key}.{name}' is not a known constant; use {'/'.join(_CONSTANT_NAMES)}")
-    return {name: _as_real(f"{key}.{name}", v) for name, v in value.items()}
+    constants = {}
+    for name, raw in value.items():
+        if name not in _CONSTANTS:
+            raise InvalidInputError(f"field '{key}.{name}' is not a known constant; use {'/'.join(_CONSTANTS)}")
+        holds, requirement = _CONSTANTS[name]
+        constants[name] = _as_real(f"{key}.{name}", raw)
+        if not holds(constants[name]):
+            raise InvalidInputError(f"field '{key}.{name}' must {requirement}, got {constants[name]!r}")
+    return constants
 
 
 def _as_instance(cls):
@@ -440,8 +447,8 @@ class ScenarioConfig:
     capped at 1e6) and only affects LqRerm with q != 2, since the q = 2
     achieved risk is exact; ``lambda_replications`` drives the localization
     estimate; ``floor`` is the tiny positive stand-in reported for
-    nonpositive mean slacks. The named constants are c0, c1 and Kd; each
-    defaults to 1.
+    nonpositive mean slacks. The named constants are c0 >= 0, c1 >= 0 and
+    Kd > 0; each defaults to 1.
     """
 
     scenario: str

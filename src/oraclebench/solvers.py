@@ -49,7 +49,6 @@ __all__ = [
     "l1_penalty_level",
     "erm_residual",
     "rerm_residual",
-    "vc_rate",
 ]
 
 @dataclass(frozen=True)
@@ -322,6 +321,8 @@ def l1_penalty_level(n, d, x, q, kd, c0=1.0):
         raise InvalidInputError("q must be >= 2")
     if not kd > 0:
         raise InvalidInputError("kd must be positive")
+    if not 0 <= c0 < math.inf:
+        raise InvalidInputError("c0 must be finite and nonnegative")
     return c0 * kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2 * (x + math.log(n))
 
 
@@ -339,6 +340,8 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
             raise InvalidInputError(f"{name} must be nonnegative")
     if not n >= 1:
         raise InvalidInputError("n must be >= 1")
+    if not 0 <= c0 < math.inf:
+        raise InvalidInputError("c0 must be finite and nonnegative")
     return float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
 
 
@@ -352,21 +355,9 @@ def rerm_residual(profile, r, x, c0=1.0):
         raise InvalidInputError("r must be nonnegative")
     if not x > 0:
         raise InvalidInputError("x must be positive")
+    if not 0 <= c0 < math.inf:
+        raise InvalidInputError("c0 must be finite and nonnegative")
     eps = profile.epsilon
     deviation = c0 * (profile.phi_n(r) + profile.bn(r) / eps) * (x + 1.0) / (profile.n * eps)
     return float(max(profile.lambda_star(r), deviation))
 
-
-def vc_rate(v, n, x, epsilon, c0=1.0):
-    """Fast-rate residual for a finite-dimension class under the sign loss.
-
-    Evaluates c0 * x * v * log(e n / v) / (epsilon^2 n) for 1 <= v <= n,
-    the reference curve the harness compares empirical rates against.
-    """
-    if not 1 <= v <= n:
-        raise InvalidInputError("need 1 <= v <= n")
-    if not x > 0:
-        raise InvalidInputError("x must be positive")
-    if not 0 < epsilon < 0.5:
-        raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    return c0 * x * v * math.log(math.e * n / v) / (epsilon**2 * n)

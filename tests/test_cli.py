@@ -1,12 +1,21 @@
+import argparse
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oraclebench import IterationLimitError, harness, psi_alpha_norm, vc_rate
-from oraclebench.cli import main
+from oraclebench import (
+    IterationLimitError,
+    harness,
+    l1_complexity_profile,
+    l1_penalty_level,
+    psi_alpha_norm,
+    rerm_residual,
+)
+from oraclebench.cli import build_parser, main
 
 
 @pytest.fixture
@@ -29,6 +38,11 @@ def finite_gap_config(tmp_path):
 
 def run_cli(args):
     return main([str(a) for a in args])
+
+
+def _subcommands(parser):
+    """The subparsers of ``parser`` by name."""
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestExperiment:
@@ -171,8 +185,11 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=LqRerm", "q=4", 'noise={"kind": "Exponential", "rate": 1}'], "'noise'"),
         (["scenario=LqRerm", "q=4"], "'noise'"),
         (["scenario=SquareLasso", "d=2"], "'betaStar.support'"),
+        (["scenario=SquareLasso", "constants.Kd=-1"], "'constants.Kd'"),
+        (["scenario=SquareLasso", "constants.c1=-1"], "'constants.c1'"),
     ],
-    ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d"],
+    ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d",
+         "SquareLasso-Kd-negative", "SquareLasso-c1-negative"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
     args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]
@@ -236,12 +253,6 @@ class TestCompute:
         value = float(capsys.readouterr().out.strip())
         assert value == pytest.approx(100.0, abs=0.1)
 
-    def test_massart_rate_matches_library(self, capsys):
-        args = ["compute", "massart-rate", "--V", "8", "--n", "128", "--x", "2", "--epsilon", "0.25"]
-        assert run_cli(args) == 0
-        printed = capsys.readouterr().out.strip()
-        assert printed == f"{vc_rate(8, 128, 2.0, 0.25):.12g}"
-
     def test_rho_a_and_rho_b(self, capsys):
         assert run_cli(
             ["compute", "rho-a", "--lambda-star", "0.7", "--bn", "0", "--Bn", "0",
@@ -252,14 +263,12 @@ class TestCompute:
             ["compute", "rho-b", "--n", "256", "--d", "20", "--q", "2", "--Kd", "1",
              "--epsilon", "0.25", "--r", "1", "--x", "1"]
         ) == 0
-        assert float(capsys.readouterr().out.strip()) > 0
+        expected = rerm_residual(l1_complexity_profile(256, 20, 2, 1, 0.25), 1, 1)
+        assert capsys.readouterr().out.strip() == f"{expected:.12g}"
 
-    def test_dudley_two_points(self, tmp_path, capsys):
-        path = tmp_path / "pts.txt"
-        path.write_text("0.0 0.0\n1.0 0.0\n")
-        assert run_cli(["compute", "dudley", "--file", path]) == 0
-        value = float(capsys.readouterr().out.strip())
-        assert value == pytest.approx(math.sqrt(math.log(2)), rel=1e-9)
+    def test_penalty_matches_library(self, capsys):
+        assert run_cli(["compute", "penalty", "--n", "1024", "--d", "50", "--x", "1", "--q", "4", "--Kd", "1.5"]) == 0
+        assert capsys.readouterr().out.strip() == f"{l1_penalty_level(1024, 50, 1.0, 4.0, 1.5):.12g}"
 
     @pytest.mark.parametrize(
         "args, flag",
@@ -270,15 +279,21 @@ class TestCompute:
               "--n", "100"], "--lambda-star"),
             (["rho-b", "--n", "256", "--d", "20", "--q", "2", "--Kd", "1", "--epsilon", "0.25", "--r", "nan",
               "--x", "1"], "--r"),
-            (["massart-rate", "--V", "8", "--n", "128", "--x", "nan", "--epsilon", "0.25"], "--x"),
         ],
-        ids=["penalty-n-nan", "penalty-x-inf", "rho-a-lambda-nan", "rho-b-r-nan", "massart-x-nan"],
+        ids=["penalty-n-nan", "penalty-x-inf", "rho-a-lambda-nan", "rho-b-r-nan"],
     )
     def test_non_finite_real_exits_2_naming_flag(self, args, flag, capsys):
         assert run_cli(["compute", *args]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"argument {flag}:" in captured.err
+
+    def test_readme_shows_one_example_per_subcommand(self):
+        section = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = section.split("## CLI", 1)[1].split("\n## ", 1)[0]
+        examples = [line.split()[2] for line in section.splitlines() if line.startswith("oraclebench compute ")]
+        examples = sorted(name for name in examples if name != "QUANTITY")
+        assert examples == sorted(_subcommands(_subcommands(build_parser())["compute"]))
 
     def test_bad_args_exit_2(self, tmp_path):
         assert run_cli(["compute", "penalty", "--n", "1", "--d", "2", "--x", "1", "--Kd", "1"]) == 2

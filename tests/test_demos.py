@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,10 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_all_demos_found():
-    assert len(DEMOS) == 5
+    # the README's demo list names exactly the scripts in demos/
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("## Demos", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^(?:\d+\.|-) `([^`]+\.py)`", section, re.M)
+    assert listed == [demo.name for demo in DEMOS]
 
 
 def _run_fresh(args, cwd):

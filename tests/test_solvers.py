@@ -16,7 +16,6 @@ from oraclebench import (
     solve_lasso,
     solve_lq_rerm,
     solve_square_lasso,
-    vc_rate,
 )
 
 
@@ -440,18 +439,3 @@ class TestRermResidual:
         )
         assert rerm_residual(profile, r, x) == pytest.approx(expected, rel=1e-12)
 
-
-class TestVcRate:
-    def test_v_equals_n(self):
-        assert vc_rate(16, 16, 2.0, 0.25) == pytest.approx(2.0 / 0.25**2)
-
-    def test_linear_in_x(self):
-        a = vc_rate(4, 100, 1.0, 0.25)
-        assert vc_rate(4, 100, 3.0, 0.25) == pytest.approx(3 * a)
-
-    def test_zero_constant(self):
-        assert vc_rate(4, 100, 1.0, 0.25, c0=0.0) == 0.0
-
-    def test_domain(self):
-        with pytest.raises(InvalidInputError):
-            vc_rate(101, 100, 1.0, 0.25)

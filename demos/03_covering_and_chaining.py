@@ -1,32 +1,17 @@
-# Covering numbers, the entropy-integral complexity, and the l1-ball bound.
+# The chaining complexity of an l1 ball and the localized bound it feeds.
 #
-# covering_number gives a deterministic greedy upper bound on how many
-# sup-metric balls of a given radius cover a finite point set;
-# dudley_gamma2 integrates sqrt(log N) across scales, the standard upper
-# bound on the chaining functional. For l1 balls of linear predictors the
-# empirical-method bound gives the same complexity in closed form without
-# touching the points.
+# For l1 balls of linear predictors Maurey's empirical method bounds the
+# chaining functional in closed form from the design's largest entry,
+# without enumerating the ball. Its square is the complexity that the
+# localized L_q loss-class bound takes, at q = 2 and with the envelope
+# factor at q = 4.
 
 import numpy as np
 
-from oraclebench import covering_number, dudley_gamma2, lq_localized_bound, maurey_l1_gamma2
+from oraclebench import lq_localized_bound, maurey_l1_gamma2
 
 rng = np.random.default_rng(11)
 
-print("=== covering numbers shrink as the radius grows ===")
-points = rng.standard_normal((40, 4))
-for radius in (0.25, 0.5, 1.0, 2.0, 4.0):
-    print(f"radius={radius:4.2f}  N <= {covering_number(points, radius):3d}")
-
-print()
-print("=== entropy integral ===")
-two = np.array([[0.0], [1.3]])
-print(f"two points at distance 1.3: gamma2 bound = {dudley_gamma2(two):.5f} "
-      f"(exact integral 1.3*sqrt(ln 2) = {1.3 * np.sqrt(np.log(2)):.5f})")
-print(f"40 Gaussian points in R^4 : gamma2 bound = {dudley_gamma2(points):.3f}")
-print(f"same points scaled by 2   : {dudley_gamma2(2 * points):.3f}  (exactly doubles)")
-
-print()
 print("=== l1-ball complexity without enumerating the ball ===")
 n, d = 1024, 200
 design = rng.standard_normal((n, d))
@@ -36,8 +21,8 @@ for r in (0.5, 1.0, 2.0):
 
 print()
 print("=== localized loss-class bound fed by the chaining complexity ===")
-# complexity of a small class: the square of the gamma2 bound on the points
-un = dudley_gamma2(points) ** 2
+# complexity of the radius-0.1 ball: the square of its empirical-method bound
+un = maurey_l1_gamma2(0.1, max_inf, n, d) ** 2
 for mu in (0.01, 0.1, 1.0):
     b2 = lq_localized_bound(mu, un, 0.0, n, 2.0)
     b4 = lq_localized_bound(mu, un, 2.0, n, 4.0)

@@ -1,4 +1,4 @@
-"""Localized empirical process suprema and metric complexity estimates.
+"""Localized empirical process suprema, their fixed point, and l1-ball profiles.
 
 The star hull of a class of nonnegative-mean functions is the set of all
 down-scalings theta*g with theta in [0,1]; localizing at level lam keeps the
@@ -12,13 +12,19 @@ equivalent; bisection is valid because E sup / lam is nonincreasing in lam.
 ``expected_localized_sup`` draws the class once and returns the map
 lam -> E sup over those fixed draws, so every level the bisection visits
 sees the same sample and the map is pointwise monotone by construction.
+
+``l1_complexity_profile`` gives the same level, with the envelope and
+second-moment constants, in closed form for l1 balls of linear predictors
+under the L_q loss, as maps of the ball's radius; ``maurey_l1_gamma2`` and
+``lq_localized_bound`` are the l1-ball chaining complexity and the L_q
+localized-supremum bound that such a level is built from.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -28,13 +34,9 @@ from .model import RiskEstimate
 __all__ = [
     "LocalizedSupInput",
     "ComplexityProfile",
-    "PeelingBound",
     "localized_star_hull_sup",
     "expected_localized_sup",
     "fixed_point_lambda",
-    "peeling_bound",
-    "covering_number",
-    "dudley_gamma2",
     "maurey_l1_gamma2",
     "lq_localized_bound",
     "l1_complexity_profile",
@@ -170,144 +172,6 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
         else:
             lo = mid
     return float(hi)
-
-
-class PeelingBound(NamedTuple):
-    """Value of a peeled sum plus the number of dyadic levels that contributed."""
-
-    value: float
-    terms: int
-
-
-def peeling_bound(per_level_bound, lam, r_star, i_max):
-    """Dyadic-shell bound on the expected localized supremum.
-
-    Sums 2^{-i} * per_level_bound(2^{i+1} * lam) over shells i = 0..i_max
-    whose level 2^{i+1}*lam reaches r_star, the smallest mean in the class;
-    shells below r_star are empty and contribute nothing.
-    """
-    if not lam > 0:
-        raise InvalidInputError("lam must be positive")
-    if not r_star >= 0:
-        raise InvalidInputError("r_star must be nonnegative")
-    if not i_max >= 0:
-        raise InvalidInputError("i_max must be >= 0")
-    total = 0.0
-    terms = 0
-    for i in range(int(i_max) + 1):
-        mu = math.ldexp(lam, i + 1)
-        if mu < r_star:
-            continue
-        value = per_level_bound(mu)
-        if not value >= 0:
-            raise InvalidInputError("per_level_bound must be nonnegative")
-        total += math.ldexp(value, -i)
-        terms += 1
-    return PeelingBound(value=total, terms=terms)
-
-
-def _pairwise_sup_distances(points):
-    # (m, m) matrix of sup-metric distances, O(m^2 d)
-    diffs = points[:, None, :] - points[None, :, :]
-    return np.max(np.abs(diffs), axis=2)
-
-
-def _as_point_array(points):
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2 or arr.shape[0] < 1:
-        raise InvalidInputError("points must be a nonempty m x dim array")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("points contain non-finite values")
-    return arr
-
-
-def _farthest_point_radii(points):
-    """Covering radii of the farthest-point traversal, starting at index 0.
-
-    radii[k] is the covering radius achieved by the first k+1 centers. The
-    traversal does not depend on any target radius, so the implied covering
-    number is nonincreasing in the radius by construction.
-    """
-    m = points.shape[0]
-    dist = np.max(np.abs(points - points[0]), axis=1)
-    radii = np.empty(m)
-    radii[0] = dist.max()
-    for k in range(1, m):
-        nxt = int(np.argmax(dist))
-        if dist[nxt] == 0.0:
-            radii[k:] = 0.0
-            return radii
-        dist = np.minimum(dist, np.max(np.abs(points - points[nxt]), axis=1))
-        radii[k] = dist.max()
-    return radii
-
-
-def _prefix_radii(points):
-    """Farthest-point covering radii of every index prefix of the point set.
-
-    Taking the covering count as a max over prefixes keeps it from shrinking
-    when a point is appended (greedy traversals can reroute and cover a
-    superset with fewer centers, which would break monotonicity otherwise).
-    """
-    return [_farthest_point_radii(points[: m + 1]) for m in range(points.shape[0])]
-
-
-def _count_at(prefix_radii, eps):
-    best = 1
-    for radii in prefix_radii:
-        count = int(np.argmax(radii <= eps)) + 1
-        if count > best:
-            best = count
-    return best
-
-
-def covering_number(points, radius):
-    """Greedy upper bound on the covering number in the sup metric.
-
-    The count at a radius is the number of farthest-point-traversal centers
-    needed before the residual covering radius drops to that radius,
-    maximized over index prefixes of the point set. Exact when radius >=
-    diameter (one ball) and when radius falls below the smallest positive
-    pairwise distance (every point its own ball); nonincreasing in the
-    radius and never smaller after appending a point.
-    """
-    if not radius > 0:
-        raise InvalidInputError("radius must be positive")
-    pts = _as_point_array(points)
-    return _count_at(_prefix_radii(pts), radius)
-
-
-def dudley_gamma2(points, scales=20):
-    """Entropy-integral bound on the gamma_2 functional in the sup metric.
-
-    Upper Riemann sum of sqrt(log N(eps)) over the dyadic grid of radii from
-    the diameter down to diameter / 2^scales, refined by the covering-radius
-    breakpoints of N. Because N is piecewise constant between breakpoints,
-    the refined sum equals the exact integral of the step function for any
-    number of scales. Returns 0 for a singleton or an all-duplicate set.
-    """
-    scales = int(scales)
-    if scales < 1:
-        raise InvalidInputError("scales must be >= 1")
-    pts = _as_point_array(points)
-    m = pts.shape[0]
-    if m == 1:
-        return 0.0
-    prefix_radii = _prefix_radii(pts)
-    diam = float(_pairwise_sup_distances(pts).max())
-    if diam == 0.0:
-        return 0.0
-    cuts = {diam / 2.0**k for k in range(scales + 1)}
-    cuts.update(float(r) for radii in prefix_radii for r in radii)
-    cuts.add(0.0)
-    grid = sorted(c for c in cuts if 0.0 <= c <= diam)
-    total = 0.0
-    for lo, hi in zip(grid, grid[1:]):
-        count = _count_at(prefix_radii, 0.5 * (lo + hi))
-        total += (hi - lo) * math.sqrt(math.log(count))
-    return total
 
 
 def maurey_l1_gamma2(r, max_x_inf, n, d):

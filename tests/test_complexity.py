@@ -9,8 +9,6 @@ from oraclebench import (
     LocalizedSupInput,
     bernstein_from_psi1,
     bernstein_verify,
-    covering_number,
-    dudley_gamma2,
     erm_residual,
     expected_localized_sup,
     fixed_point_lambda,
@@ -19,10 +17,8 @@ from oraclebench import (
     localized_star_hull_sup,
     lq_localized_bound,
     maurey_l1_gamma2,
-    peeling_bound,
     psi_alpha_norm,
     rerm_residual,
-    vc_rate,
 )
 
 
@@ -216,89 +212,6 @@ class TestFixedPointLambda:
             fixed_point_lambda(lambda lam: 0.0, 0.5, 1.0)
 
 
-class TestPeelingBound:
-    def test_constant_levels_geometric(self):
-        out = peeling_bound(lambda mu: 3.0, 1.0, 0.0, 50)
-        assert out.value == pytest.approx(2 * 3.0, rel=1e-12)
-        assert out.terms == 51
-
-    def test_sqrt_levels(self):
-        lam = 0.7
-        out = peeling_bound(lambda mu: math.sqrt(mu), lam, 0.0, 120)
-        expected = math.sqrt(2 * lam) / (1 - 2 ** (-0.5))
-        assert out.value == pytest.approx(expected, rel=1e-9)
-
-    def test_all_shells_empty(self):
-        out = peeling_bound(lambda mu: 1.0, 1.0, 2.0 ** 12, 10)
-        assert out.value == 0.0
-        assert out.terms == 0
-
-    def test_monotone_in_imax(self):
-        values = [peeling_bound(lambda mu: 1.0, 1.0, 0.0, k).value for k in range(8)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_negative_bound_rejected(self):
-        with pytest.raises(InvalidInputError):
-            peeling_bound(lambda mu: -1.0, 1.0, 0.0, 2)
-
-
-class TestCoveringNumber:
-    def test_radius_at_least_diameter(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.5], [0.2, 0.9]])
-        assert covering_number(pts, 1.0) == 1
-
-    def test_two_points(self):
-        pts = np.array([[0.0], [1.0]])
-        assert covering_number(pts, 0.49) == 2
-        assert covering_number(pts, 1.0) == 1
-
-    def test_duplicates(self):
-        pts = np.tile(np.array([[0.3, -0.7]]), (5, 1))
-        assert covering_number(pts, 1e-9) == 1
-
-    def test_below_min_pairwise_distance(self):
-        rng = np.random.default_rng(2)
-        pts = rng.standard_normal((12, 3))
-        dists = np.max(np.abs(pts[:, None, :] - pts[None, :, :]), axis=2)
-        min_pos = dists[dists > 0].min()
-        assert covering_number(pts, min_pos * 0.99) == 12
-
-    def test_nonincreasing_in_radius(self):
-        rng = np.random.default_rng(3)
-        pts = rng.standard_normal((25, 2))
-        radii = np.geomspace(1e-3, 10, 40)
-        counts = [covering_number(pts, r) for r in radii]
-        assert all(b <= a for a, b in zip(counts, counts[1:]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            covering_number(np.empty((0, 2)), 1.0)
-
-
-class TestDudleyGamma2:
-    def test_singleton(self):
-        assert dudley_gamma2(np.array([[1.0, 2.0]])) == 0.0
-
-    def test_two_points_exact_integral(self):
-        d = 1.7
-        pts = np.array([[0.0], [d]])
-        assert dudley_gamma2(pts) == pytest.approx(d * math.sqrt(math.log(2)), rel=1e-9)
-
-    def test_scaling(self):
-        rng = np.random.default_rng(4)
-        pts = rng.standard_normal((15, 3))
-        base = dudley_gamma2(pts)
-        assert dudley_gamma2(2.5 * pts) == pytest.approx(2.5 * base, rel=1e-12)
-
-    def test_monotone_under_point_addition(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            m = int(rng.integers(2, 12))
-            pts = rng.standard_normal((m, 2))
-            extra = rng.standard_normal((1, 2))
-            assert dudley_gamma2(np.vstack([pts, extra])) >= dudley_gamma2(pts) - 1e-12
-
-
 class TestMaureyBound:
     def test_zero_radius(self):
         assert maurey_l1_gamma2(0.0, 1.0, 100, 10) == 0.0
@@ -387,11 +300,6 @@ class TestL1ComplexityProfile:
         (lambda: psi_alpha_norm(np.random.default_rng(0).exponential(size=500), 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.01 * math.sqrt(lam), 0.25, 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.nan), "bracket_hi"),
-        (lambda: covering_number(np.eye(3), math.nan), "radius"),
-        (lambda: peeling_bound(lambda mu: 1.0, math.nan, 0.0, 3), "lam"),
-        (lambda: peeling_bound(lambda mu: 1.0, 1.0, math.nan, 3), "r_star"),
-        (lambda: peeling_bound(lambda mu: 1.0, 1.0, 0.0, math.nan), "i_max"),
-        (lambda: peeling_bound(lambda mu: math.nan, 1.0, 0.0, 3), "per_level_bound"),
         (lambda: maurey_l1_gamma2(math.nan, 1.0, 100, 10), "r"),
         (lambda: maurey_l1_gamma2(1.0, math.nan, 100, 10), "max_x_inf"),
         (lambda: maurey_l1_gamma2(1.0, 1.0, math.nan, 10), "n"),
@@ -422,14 +330,20 @@ class TestL1ComplexityProfile:
         (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, math.nan), "n"),
         (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), math.nan, 1.0), "r"),
         (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, math.nan), "x"),
-        (lambda: vc_rate(4, 100, math.nan, 0.25), "x"),
+        (lambda: l1_penalty_level(100, 50, 1.0, 2.0, 1.0, c0=math.nan), "c0"),
+        (lambda: l1_penalty_level(100, 50, 1.0, 2.0, 1.0, c0=-1.0), "c0"),
+        (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, 100, c0=math.nan), "c0"),
+        (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, 100, c0=-1.0), "c0"),
+        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=math.nan), "c0"),
+        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=-1.0), "c0"),
     ],
-    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "covering-radius", "peeling-lam",
-         "peeling-r-star", "peeling-i-max", "peeling-level-bound", "maurey-r", "maurey-max-x-inf", "maurey-n",
+    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "maurey-r", "maurey-max-x-inf", "maurey-n",
          "maurey-d", "lq-bound-mu", "lq-bound-un", "lq-bound-m-psi1", "lq-bound-n", "lq-bound-q", "profile-n",
-         "profile-d", "profile-q", "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1",
-         "verify-z", "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star",
-         "rho-a-bn", "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x", "vc-rate-x"],
+         "profile-d", "profile-q", "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
+         "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star", "rho-a-bn",
+         "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x",
+         "penalty-c0-nan", "penalty-c0-negative", "rho-a-c0-nan", "rho-a-c0-negative", "rho-b-c0-nan",
+         "rho-b-c0-negative"],
 )
 def test_nan_numerical_argument_rejected_naming_it(call, name):
     # a NaN fails every comparison, so a "<= 0" check or a max() lets it through to a wrong answer

@@ -28,7 +28,12 @@ dispatch rule: LqRerm at q = 2 runs as SquareLasso, so both give identical
 output for identical configurations. It also holds the one slack definition:
 exact slack = achieved - oracle, nonexact slack = achieved - (1 + 3 eps) *
 oracle, and a replication is satisfied when its nonexact slack is at most the
-budget. One field table, ``_FIELDS``, is the config schema:
+budget. FiniteGap and Isomorphy score their finite dictionary on the
+sample's histogram over its distinct labelled points: each context holds the
+loss table at those points, and a replication counts how often each point
+occurs and takes one matrix-vector product (``histogram_risks``). The 0-1
+losses are integers, so the risks are bit-identical to the mean of the full
+(functions, n) loss matrix. One field table, ``_FIELDS``, is the config schema:
 ``ScenarioConfig`` casts and checks every field through it, whether built in
 Python or by ``config_from_mapping``.
 
@@ -54,7 +59,7 @@ import numpy as np
 from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
 from .complexity import expected_localized_sup, fixed_point_lambda
 from .errors import InvalidInputError, IterationLimitError
-from .model import FiniteModel, LossSpec, Sample, erm_finite, risk_estimate
+from .model import FiniteModel, LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
 from .solvers import erm_residual, l1_penalty_level, solve_lq_rerm
 
 __all__ = [
@@ -118,25 +123,29 @@ def _finite_gap_ctx(config, n):
     delta = min(config.gamma / math.sqrt(n), 1.0 - 1e-12)
     p_plus = 0.5 + delta / 2.0
     true_risks = np.array([1.0 - p_plus, p_plus])
-    predictions = np.vstack([np.ones(n), -np.ones(n)])
-    model = FiniteModel(predictions=predictions, true_risks=true_risks)
+    # the constant predictors +1 and -1 at the two distinct points, labels +1 and -1
+    model = FiniteModel(predictions=[[1.0, 1.0], [-1.0, -1.0]], true_risks=true_risks)
+    losses = LossSpec.zero_one().per_sample(model.predictions, np.array([1.0, -1.0]))
     budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
-    return {"model": model, "loss": LossSpec.zero_one(), "p_plus": p_plus, "delta": delta,
+    return {"model": model, "losses": losses, "p_plus": p_plus, "delta": delta,
             "oracle": float(true_risks.min()), "budget": budget}
 
 
 def _finite_gap_row(config, ctx, n, rep, rng):
-    labels = 2.0 * (rng.random(n) < ctx["p_plus"]) - 1.0
-    model = ctx["model"]
-    return float(model.true_risks[erm_finite(model, labels, ctx["loss"])])
+    # n uniforms rather than one binomial draw: criterion 5 passes or fails with this exact stream
+    plus = int(np.count_nonzero(rng.random(n) < ctx["p_plus"]))
+    return float(ctx["model"].true_risks[erm_finite(ctx["losses"], [plus, n - plus])])
 
 
 def _isomorphy_model(config):
-    """Finite sign dictionary over equiprobable cells with known risks.
+    """Finite sign dictionary over equiprobable cells with known risks, and its loss table.
 
     Labels are +1 with probability 0.5 + label_flip on even cells and
     0.5 - label_flip on odd cells; predictor sign patterns are drawn once
     from a seed derived from the master seed, so population risks are exact.
+    The distinct points are the (cell, label) pairs: point c is cell c with
+    label +1 and point cells + c is cell c with label -1, so the model's
+    predictions are the patterns twice over.
     """
     k = config.cells
     rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/model", 0, 0))
@@ -145,28 +154,34 @@ def _isomorphy_model(config):
     p_plus = 0.5 + config.label_flip * signs
     err_prob = np.where(patterns > 0, 1.0 - p_plus, p_plus)
     true_risks = err_prob.mean(axis=1)
-    model = FiniteModel(predictions=patterns, true_risks=true_risks)
-    return model, p_plus
+    model = FiniteModel(predictions=np.hstack([patterns, patterns]), true_risks=true_risks)
+    losses = LossSpec.zero_one().per_sample(model.predictions, np.repeat([1.0, -1.0], k))
+    return model, losses, p_plus
 
 
-def _isomorphy_losses(rng, model, p_plus, n):
-    """One fresh draw of n labeled cells: the functions x n boolean matrix of sign losses."""
-    cells = rng.integers(0, p_plus.size, size=n)
-    labels = np.where(rng.random(n) < p_plus[cells], 1.0, -1.0)
-    return (model.predictions[:, cells] * labels) <= 0
+def _isomorphy_points(rng, p_plus, n):
+    """One fresh draw of n labelled cells, as indices of the distinct points of ``_isomorphy_model``."""
+    k = p_plus.size
+    cells = rng.integers(0, k, size=n)
+    negative = rng.random(n) >= p_plus[cells]
+    return cells + k * negative
+
+
+def _isomorphy_risks(rng, losses, p_plus, n):
+    """Empirical risks of every function on one fresh draw, scored on its histogram."""
+    return histogram_risks(losses, np.bincount(_isomorphy_points(rng, p_plus, n), minlength=losses.shape[1]))
 
 
 def _isomorphy_contexts(config):
-    model, p_plus = _isomorphy_model(config)
-    return {n: _isomorphy_ctx(config, n, model, p_plus) for n in config.n_grid}
+    model, losses, p_plus = _isomorphy_model(config)
+    return {n: _isomorphy_ctx(config, n, model, losses, p_plus) for n in config.n_grid}
 
 
-def _isomorphy_ctx(config, n, model, p_plus):
+def _isomorphy_ctx(config, n, model, losses, p_plus):
     true_risks = model.true_risks
 
     def sampler(rng):
-        emp = _isomorphy_losses(rng, model, p_plus, n).mean(axis=1)
-        return true_risks, np.abs(true_risks - emp)
+        return true_risks, np.abs(true_risks - _isomorphy_risks(rng, losses, p_plus, n))
 
     lam_seed = derive_seed(config.master_seed, "isomorphy/lambda", n, 0)
     estimate = expected_localized_sup(sampler, config.lambda_replications, lam_seed)
@@ -174,14 +189,11 @@ def _isomorphy_ctx(config, n, model, p_plus):
     phi_at = estimate(lam_star)
 
     calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
-    calib = np.vstack(
-        [_isomorphy_losses(calib_rng, model, p_plus, n).max(axis=0).astype(float) for _ in range(64)]
-    )
+    # the envelope and psi_1 draws need per-sample losses: the loss table's columns at the drawn points
+    calib = np.vstack([losses[:, _isomorphy_points(calib_rng, p_plus, n)].max(axis=0) for _ in range(64)])
     bn = envelope_psi1(calib)
-    pooled = [
-        _isomorphy_losses(calib_rng, model, p_plus, n)[j].astype(float) for j in range(model.size)
-    ]
-    diam = max(psi_alpha_norm(losses, alpha=1.0, tol=1e-6) for losses in pooled)
+    pooled = [losses[j, _isomorphy_points(calib_rng, p_plus, n)] for j in range(model.size)]
+    diam = max(psi_alpha_norm(sample_losses, alpha=1.0, tol=1e-6) for sample_losses in pooled)
     big_bn = bernstein_from_psi1(diam, n).bn
     rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
     # crude noise band on the fixed point: the defining slope is epsilon/4
@@ -190,6 +202,7 @@ def _isomorphy_ctx(config, n, model, p_plus):
     # slacks equal that margin and "satisfied" is the isomorphy event at rho
     return {
         "model": model,
+        "losses": losses,
         "p_plus": p_plus,
         "oracle": 0.0,
         "budget": rho,
@@ -202,7 +215,7 @@ def _isomorphy_ctx(config, n, model, p_plus):
 
 
 def _isomorphy_row(config, ctx, n, rep, rng):
-    emp = _isomorphy_losses(rng, ctx["model"], ctx["p_plus"], n).mean(axis=1)
+    emp = _isomorphy_risks(rng, ctx["losses"], ctx["p_plus"], n)
     return float(np.max(ctx["model"].true_risks - (1.0 + 2.0 * config.epsilon) * emp))
 
 

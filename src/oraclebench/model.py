@@ -3,6 +3,8 @@
 Conventions used throughout the package:
 
 * risks are means of nonnegative per-sample losses,
+* a finite dictionary is scored on the sample's histogram over its distinct
+  points: the (functions, points) loss table times the count of each point,
 * binary labels live in {-1, +1} and a sign mismatch costs 1,
 * every container is immutable after construction, so all operations here
   are pure functions and safe to call concurrently.
@@ -23,6 +25,7 @@ __all__ = [
     "RiskEstimate",
     "empirical_risk",
     "erm_finite",
+    "histogram_risks",
     "risk_estimate",
 ]
 
@@ -110,7 +113,7 @@ class LossSpec:
         prediction matrix against n responses gives the (M, n) losses of every
         row. Each input is checked once, at its own size. An ``|r|^q`` that
         overflows comes back as ``inf`` without a warning; ``empirical_risk``
-        and ``erm_finite`` reject it.
+        and ``histogram_risks`` reject it.
         """
         predictions = np.asarray(predictions, dtype=float)
         responses = np.asarray(responses, dtype=float)
@@ -130,11 +133,14 @@ class LossSpec:
 
 @dataclass(frozen=True)
 class FiniteModel:
-    """A finite dictionary of predictors, stored as per-sample values.
+    """A finite dictionary of predictors, stored as values at distinct points.
 
     ``predictions[j, i]`` is the value of the j-th predictor at the i-th
-    sample point. ``true_risks``, when supplied by a generator that knows the
-    data distribution, holds the population risk of each predictor.
+    distinct sample point, a point being everything a loss reads (for the
+    sign loss, an input and its label). A sample is then its histogram over
+    these points, and ``histogram_risks`` scores the whole dictionary on it.
+    ``true_risks``, when supplied by a generator that knows the data
+    distribution, holds the population risk of each predictor.
     """
 
     predictions: np.ndarray
@@ -185,24 +191,49 @@ def empirical_risk(losses):
     return float(np.mean(losses))
 
 
-def erm_finite(model, responses, loss):
+def histogram_risks(losses, counts):
+    """Empirical risks of a finite dictionary from the sample's histogram.
+
+    ``losses[j, i]`` is the loss of the j-th predictor at the i-th distinct
+    point and ``counts[i]`` how often that point occurs in the sample, so the
+    risks are ``losses @ counts / counts.sum()``. Counts must be nonnegative
+    integers with a positive total, and the risks must come out finite and
+    nonnegative. For integer-valued losses, such as the 0-1 loss, every dot
+    product is an exact integer below 2**53 in any summation order, so the
+    risks equal the mean of the expanded (functions, n) loss matrix bit for
+    bit.
+    """
+    losses = np.asarray(losses, dtype=float)
+    counts = np.asarray(counts)
+    if losses.ndim != 2 or losses.shape[0] < 1 or counts.shape != losses.shape[1:]:
+        raise InvalidInputError(
+            f"losses must be (functions, points) with one count per point, got shapes {losses.shape} and {counts.shape}"
+        )
+    integral = counts.dtype.kind in "iu" or (
+        counts.dtype.kind == "f" and np.isfinite(counts).all() and (counts == np.floor(counts)).all()
+    )
+    if not (integral and (counts >= 0).all()):
+        raise InvalidInputError("counts must be nonnegative integers")
+    total = counts.sum()
+    if not total > 0:
+        raise InvalidInputError("counts must have a positive total")
+    # 0 * inf and overflow give NaN or inf without a warning; the check below rejects both
+    with np.errstate(invalid="ignore", over="ignore"):
+        risks = losses @ counts / total
+    # NaN fails both comparisons
+    if not ((risks >= 0) & (risks < np.inf)).all():
+        raise InvalidInputError("risks must be finite and nonnegative")
+    return risks
+
+
+def erm_finite(losses, counts):
     """Index of the empirical risk minimizer over a finite dictionary.
 
-    ``responses`` holds one value per sample point, the last axis of
-    ``model.predictions``. One loss evaluation scores every predictor, with
-    the responses broadcast against the prediction matrix and each checked
-    once. Returns the lowest-index exact minimizer, which keeps repeated runs
+    Scores every predictor with ``histogram_risks(losses, counts)`` and
+    returns the lowest-index exact minimizer, which keeps repeated runs
     reproducible.
     """
-    if model.size < 1:
-        raise InvalidInputError("empty model")
-    responses = np.asarray(responses, dtype=float)
-    if responses.shape != model.predictions.shape[1:]:
-        raise InvalidInputError(f"responses must hold one value per sample point, got shape {responses.shape}")
-    risks = loss.per_sample(model.predictions, responses).mean(axis=1)
-    if not np.isfinite(risks).all():
-        raise InvalidInputError("losses contain non-finite values")
-    return int(np.argmin(risks))
+    return int(np.argmin(histogram_risks(losses, counts)))
 
 
 def risk_estimate(predictor, generator, loss, test_size, rng):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import importlib
 import math
@@ -301,6 +302,20 @@ class TestIsomorphy:
         run_scenario(iso_config(n_grid=[128, 256], replications=20, lambda_replications=50))
         assert len(calls) == 2 * 50
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_histogram_draw_matches_the_expanded_draw(self, seed):
+        # the draw as the (functions, n) loss matrix it replaced: same risks bit for bit, same stream use
+        config = iso_config(cells=int(np.random.default_rng(seed).integers(2, 65)))
+        model, losses, p_plus = harness._isomorphy_model(config)
+        patterns = model.predictions[:, : config.cells]
+        for n in (1, 255, 256, 4096):
+            old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            cells = old_rng.integers(0, p_plus.size, size=n)
+            labels = np.where(old_rng.random(n) < p_plus[cells], 1.0, -1.0)
+            expanded = ((patterns[:, cells] * labels) <= 0).mean(axis=1)
+            assert np.array_equal(harness._isomorphy_risks(new_rng, losses, p_plus, n), expanded)
+            assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
     def test_report_shape(self):
         res = run_scenario(iso_config())
         assert res.target_frequency == pytest.approx(1 - 4 * math.exp(-2))
@@ -527,6 +542,24 @@ class TestConfigParsing:
         assert spec.l1_norm() == 3.0
         with pytest.raises(InvalidInputError):
             spec.vector(1)
+
+
+@pytest.mark.parametrize("config", [finite_gap_config(), iso_config(lambda_replications=20)],
+                         ids=["FiniteGap", "Isomorphy"])
+def test_finite_dictionary_contexts_hold_no_array_that_grows_with_n(config):
+    # a context is pickled into every pool payload, so it holds per-point tables, never (M, n) matrices
+    def array_sizes(value):
+        if isinstance(value, np.ndarray):
+            return [value.size]
+        if isinstance(value, dict):
+            return [size for item in value.values() for size in array_sizes(item)]
+        if dataclasses.is_dataclass(value):
+            return [size for f in dataclasses.fields(value) for size in array_sizes(getattr(value, f.name))]
+        return []
+
+    contexts = harness._REGISTRY[config.scenario].contexts(dataclasses.replace(config, n_grid=(64, 4096)))
+    small, large = (array_sizes(contexts[n]) for n in (64, 4096))
+    assert small and small == large
 
 
 def test_benchmark_probe_patch_targets_exist():

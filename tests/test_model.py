@@ -10,6 +10,7 @@ from oraclebench import (
     Sample,
     empirical_risk,
     erm_finite,
+    histogram_risks,
     risk_estimate,
 )
 
@@ -69,38 +70,34 @@ class TestEmpiricalRisk:
 
 
 class TestErmFinite:
+    # a sample given point by point is the histogram np.ones(n) over its n points
     def test_single_function(self):
-        model = FiniteModel(predictions=np.array([[1.0, 1.0]]))
-        assert erm_finite(model, np.array([1.0, -1.0]), LossSpec.zero_one()) == 0
+        losses = LossSpec.zero_one().per_sample(np.array([[1.0, 1.0]]), np.array([1.0, -1.0]))
+        assert erm_finite(losses, np.ones(2)) == 0
 
     def test_strict_minimizer(self):
         # second row fits responses exactly
         preds = np.array([[0.0, 0.0], [1.0, 2.0]])
-        model = FiniteModel(predictions=preds)
-        assert erm_finite(model, np.array([1.0, 2.0]), LossSpec.lq(2)) == 1
+        assert erm_finite(LossSpec.lq(2).per_sample(preds, np.array([1.0, 2.0])), np.ones(2)) == 1
 
     def test_tie_breaks_to_lowest_index(self):
         preds = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        model = FiniteModel(predictions=preds)
         # both predictors err on exactly one point
-        assert erm_finite(model, np.array([1.0, 1.0]), LossSpec.zero_one()) == 0
+        assert erm_finite(LossSpec.zero_one().per_sample(preds, np.array([1.0, 1.0])), np.ones(2)) == 0
 
     def test_append_worse_function_keeps_index(self):
         rng = np.random.default_rng(3)
         loss = LossSpec.lq(2)
         ys = rng.standard_normal(12)
         preds = rng.standard_normal((4, 12))
-        model = FiniteModel(predictions=preds)
-        j = erm_finite(model, ys, loss)
+        j = erm_finite(loss.per_sample(preds, ys), np.ones(12))
         worse = ys + 100.0  # empirical risk far above all rows
-        bigger = FiniteModel(predictions=np.vstack([preds, worse]))
-        assert erm_finite(bigger, ys, loss) == j
+        assert erm_finite(loss.per_sample(np.vstack([preds, worse]), ys), np.ones(12)) == j
 
     def test_slack_selects_earlier_index(self):
         preds = np.array([[0.5, 0.5], [0.0, 0.0]])
-        model = FiniteModel(predictions=preds)
         ys = np.array([0.0, 0.0])
-        assert erm_finite(model, ys, LossSpec.lq(2)) == 1
+        assert erm_finite(LossSpec.lq(2).per_sample(preds, ys), np.ones(2)) == 1
 
     def test_matches_the_per_row_loop(self):
         # reference: each predictor's empirical risk on its own, lowest index among the minimizers
@@ -112,38 +109,100 @@ class TestErmFinite:
                 if loss.is_zero_one:
                     preds, ys = np.sign(preds), np.where(ys > 0, 1.0, -1.0)
                 risks = [empirical_risk(loss.per_sample(row, ys)) for row in preds]
-                assert erm_finite(FiniteModel(predictions=preds), ys, loss) == int(np.argmin(risks))
+                assert erm_finite(loss.per_sample(preds, ys), np.ones(n)) == int(np.argmin(risks))
 
     def test_wrong_response_length_rejected(self):
-        model = FiniteModel(predictions=np.zeros((2, 3)))
+        # one response per point, checked when the loss table is built
         with pytest.raises(InvalidInputError):
-            erm_finite(model, np.zeros(2), LossSpec.lq(2))
+            erm_finite(LossSpec.lq(2).per_sample(np.zeros((2, 3)), np.zeros(2)), np.ones(3))
+
+    @pytest.mark.parametrize("losses, counts", [
+        (np.zeros((2, 3)), np.ones(2)),
+        (np.zeros((2, 3)), np.ones(4)),
+        (np.zeros((2, 3)), np.ones((1, 3))),
+        (np.zeros(3), np.ones(3)),
+        (np.zeros((2, 3, 1)), np.ones(3)),
+        (np.zeros((0, 3)), np.ones(3)),
+        (np.zeros((2, 3)), np.array([1.0, -1.0, 2.0])),
+        (np.zeros((2, 3)), np.array([1, -1, 2])),
+        (np.zeros((2, 3)), np.array([1.0, 0.5, 2.0])),
+        (np.zeros((2, 3)), np.array([1.0, np.nan, 2.0])),
+        (np.zeros((2, 3)), np.array([1.0, np.inf, 2.0])),
+        (np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros((2, 3)), np.zeros(3, dtype=int)),
+        (np.array([[0.0, np.nan], [1.0, 1.0]]), np.ones(2)),
+        (np.array([[-1.0, 0.0], [1.0, 1.0]]), np.ones(2)),
+    ], ids=["counts-too-short", "counts-too-long", "counts-2d", "losses-1d", "losses-3d", "no-functions",
+            "negative-float-count", "negative-int-count", "non-integer-count", "nan-count", "inf-count",
+            "all-zero-float-counts", "all-zero-int-counts", "nan-loss", "negative-loss"])
+    def test_bad_shapes_counts_and_losses_rejected(self, losses, counts):
+        with pytest.raises(InvalidInputError):
+            erm_finite(losses, counts)
 
     def test_overflowing_loss_rejected(self):
         # |1e200|^4 overflows to inf, which is rejected without a numpy warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(InvalidInputError):
-                erm_finite(FiniteModel(predictions=[[1e200]]), [0.0], LossSpec.lq(4))
+                erm_finite(LossSpec.lq(4).per_sample(np.array([[1e200]]), np.array([0.0])), np.ones(1))
+            # an infinite loss at a point that does not occur gives 0 * inf = NaN, also without a warning
+            with pytest.raises(InvalidInputError):
+                erm_finite(np.array([[np.inf, 0.0]]), [0, 1])
 
     def test_nan_response_rejected(self):
-        model = FiniteModel(predictions=np.zeros((2, 3)))
         for loss in (LossSpec.lq(2), LossSpec.zero_one()):
             with pytest.raises(InvalidInputError):
-                erm_finite(model, np.array([1.0, np.nan, 1.0]), loss)
+                erm_finite(loss.per_sample(np.zeros((2, 3)), np.array([1.0, np.nan, 1.0])), np.ones(3))
+
 
     @pytest.mark.parametrize("bad", [0.5, 0.0])
     def test_zero_one_rejects_non_sign_responses(self, bad):
-        model = FiniteModel(predictions=np.ones((2, 3)))
+        # non-sign responses are rejected when the loss table is built
         with pytest.raises(InvalidInputError):
-            erm_finite(model, np.array([1.0, bad, -1.0]), LossSpec.zero_one())
+            erm_finite(LossSpec.zero_one().per_sample(np.ones((2, 3)), np.array([1.0, bad, -1.0])), np.ones(3))
 
     def test_empty_model_rejected(self):
         with pytest.raises(InvalidInputError):
             FiniteModel(predictions=np.empty((0, 3)))
-        # the old per-row path rejected an empty sample through empirical_risk
         with pytest.raises(InvalidInputError):
             FiniteModel(predictions=np.empty((2, 0)))
+
+
+class TestHistogramRisks:
+    """The histogram of a sample scores a sign dictionary exactly as its expanded (M, n) loss matrix."""
+
+    @staticmethod
+    def _expanded_and_histogram(rng, m, cells, n, p_plus=0.5):
+        # distinct points: cell c labelled +1 is point c, labelled -1 is point cells + c
+        patterns = rng.choice([-1.0, 1.0], size=(m, cells))
+        cell = rng.integers(0, cells, size=n)
+        labels = np.where(rng.random(n) < p_plus, 1.0, -1.0)
+        loss = LossSpec.zero_one()
+        expanded = loss.per_sample(patterns[:, cell], labels).mean(axis=1)
+        table = loss.per_sample(np.hstack([patterns, patterns]), np.repeat([1.0, -1.0], cells))
+        counts = np.bincount(cell + cells * (labels < 0), minlength=2 * cells)
+        return expanded, table, counts
+
+    def test_bit_identical_to_the_expanded_mean(self):
+        rng = np.random.default_rng(2012)
+        for _ in range(200):
+            m, cells = int(rng.integers(1, 9)), int(rng.integers(1, 65))
+            n = int(rng.choice([1, 2, 3, 4096, rng.integers(1, 4097)]))
+            expanded, table, counts = self._expanded_and_histogram(rng, m, cells, n, rng.uniform(0.05, 0.95))
+            risks = histogram_risks(table, counts)
+            assert np.array_equal(risks, expanded)
+            assert erm_finite(table, counts) == int(np.argmin(expanded))
+
+    @pytest.mark.parametrize("n", [2, 64, 4096])
+    def test_exact_tie_goes_to_index_0(self, n):
+        # the constant predictors +1 and -1 on an even sample with exactly n / 2 labels +1
+        labels = np.repeat([1.0, -1.0], n // 2)
+        preds = np.vstack([np.ones(n), -np.ones(n)])
+        expanded = LossSpec.zero_one().per_sample(preds, labels).mean(axis=1)
+        table = LossSpec.zero_one().per_sample(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -1.0]))
+        risks = histogram_risks(table, [n // 2, n // 2])
+        assert np.array_equal(risks, expanded) and risks[0] == risks[1] == 0.5
+        assert erm_finite(table, [n // 2, n // 2]) == int(np.argmin(expanded)) == 0
 
 
 class TestPerSample:

@@ -4,8 +4,8 @@ The package has three layers:
 
 * primitives: empirical risk and ERM over finite dictionaries (``model``),
   empirical Orlicz-norm and concentration evaluators (``concentration``),
-  star-hull localization, its fixed point and the l1-ball complexity
-  profile (``complexity``);
+  star-hull localization, its fixed point, the l1-ball complexity profile
+  and the Maurey and L_q localized-supremum bounds (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
   the closed-form penalty/residual builders (``solvers``);
 * harness: seeded Monte Carlo scenarios that measure exact and nonexact
@@ -20,6 +20,8 @@ from .complexity import (
     fixed_point_lambda,
     l1_complexity_profile,
     localized_star_hull_sup,
+    lq_localized_bound,
+    maurey_l1_gamma2,
 )
 from .concentration import (
     BernsteinCertificate,
@@ -97,6 +99,8 @@ __all__ = [
     "l1_complexity_profile",
     "l1_penalty_level",
     "localized_star_hull_sup",
+    "lq_localized_bound",
+    "maurey_l1_gamma2",
     "project_l1_ball",
     "psi_alpha_norm",
     "rate_fit",

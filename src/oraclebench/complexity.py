@@ -15,7 +15,9 @@ sees the same sample and the map is pointwise monotone by construction.
 
 ``l1_complexity_profile`` gives the same level, with the envelope and
 second-moment constants, in closed form for l1 balls of linear predictors
-under the L_q loss, as maps of the ball's radius.
+under the L_q loss, as maps of the ball's radius; ``maurey_l1_gamma2`` and
+``lq_localized_bound`` are the l1-ball chaining complexity and the L_q
+localized-supremum bound that such a level is built from.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ __all__ = [
     "localized_star_hull_sup",
     "expected_localized_sup",
     "fixed_point_lambda",
+    "maurey_l1_gamma2",
+    "lq_localized_bound",
     "l1_complexity_profile",
 ]
 
@@ -168,6 +172,46 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
         else:
             lo = mid
     return float(hi)
+
+
+def maurey_l1_gamma2(r, max_x_inf, n, d):
+    """Empirical-method complexity of an l1 ball of linear predictors.
+
+    Evaluates r * max_i ||X_i||_inf * log(d) * log(sqrt(n)/log(d)); the last
+    factor is clamped below at 1 so the bound stays meaningful when sqrt(n)
+    does not exceed log(d).
+    """
+    if not (r >= 0 and max_x_inf >= 0):
+        raise InvalidInputError("r and max_x_inf must be nonnegative")
+    if not n >= 1:
+        raise InvalidInputError("n must be >= 1")
+    if not d >= 2:
+        raise InvalidInputError("d must be >= 2")
+    log_d = math.log(d)
+    tail = max(1.0, math.log(math.sqrt(n) / log_d)) if math.sqrt(n) > log_d else 1.0
+    return r * max_x_inf * log_d * tail
+
+
+def lq_localized_bound(mu, un, m_psi1, n, q):
+    """Expected localized supremum bound for the L_q loss class.
+
+    For q = 2 the bound is max(sqrt(mu*U/n), U/n) with U the expected squared
+    chaining complexity of the localized coordinate projection. For q > 2
+    the envelope scale M enters through the factor (M log n)^{(q-2)/q} and
+    an additive (M log n)/n term.
+    """
+    if not q >= 2:
+        raise InvalidInputError("q must be >= 2")
+    if not n >= 2:
+        raise InvalidInputError("n must be >= 2")
+    for name, value in (("mu", mu), ("un", un), ("m_psi1", m_psi1)):
+        if not value >= 0:
+            raise InvalidInputError(f"{name} must be nonnegative")
+    base = math.sqrt(mu * un / n)
+    if q == 2:
+        return max(base, un / n)
+    factor = (m_psi1 * math.log(n)) ** ((q - 2.0) / q)
+    return max(base * math.sqrt(factor), (un / n) * factor, m_psi1 * math.log(n) / n)
 
 
 @dataclass(frozen=True)

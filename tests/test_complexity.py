@@ -15,6 +15,8 @@ from oraclebench import (
     l1_complexity_profile,
     l1_penalty_level,
     localized_star_hull_sup,
+    lq_localized_bound,
+    maurey_l1_gamma2,
     psi_alpha_norm,
     rerm_residual,
 )
@@ -210,6 +212,49 @@ class TestFixedPointLambda:
             fixed_point_lambda(lambda lam: 0.0, 0.5, 1.0)
 
 
+class TestMaureyBound:
+    def test_zero_radius(self):
+        assert maurey_l1_gamma2(0.0, 1.0, 100, 10) == 0.0
+
+    def test_linear_in_radius(self):
+        a = maurey_l1_gamma2(1.0, 2.0, 100, 10)
+        assert maurey_l1_gamma2(2.0, 2.0, 100, 10) == pytest.approx(2 * a)
+
+    def test_plug_in(self):
+        # d = e^2, sqrt(n)/log(d) = e: product is 1 * 1 * 1 * 2 * 1 = 2
+        d = math.e**2
+        n = (math.e * math.log(d)) ** 2
+        assert maurey_l1_gamma2(1.0, 1.0, n, d) == pytest.approx(2.0, rel=1e-12)
+
+    def test_small_n_clamped(self):
+        assert maurey_l1_gamma2(1.0, 1.0, 1, 10) == pytest.approx(math.log(10))
+
+    def test_d_domain(self):
+        with pytest.raises(InvalidInputError):
+            maurey_l1_gamma2(1.0, 1.0, 10, 1)
+
+
+class TestLqLocalizedBound:
+    def test_zero_un_q2(self):
+        assert lq_localized_bound(1.0, 0.0, 0.0, 10, 2.0) == 0.0
+
+    def test_q2_balanced(self):
+        n = 64
+        assert lq_localized_bound(1.0, float(n), 0.0, n, 2.0) == pytest.approx(1.0)
+
+    def test_q_above_2_with_unit_factor(self):
+        # m_psi1 * log(n) = 1 collapses the exponent to the q=2 terms plus 1/n
+        n = 50
+        m = 1.0 / math.log(n)
+        mu, un = 0.5, 10.0
+        expect = max(math.sqrt(mu * un / n), un / n, 1.0 / n)
+        assert lq_localized_bound(mu, un, m, n, 4.0) == pytest.approx(expect, rel=1e-12)
+
+    def test_q_domain(self):
+        with pytest.raises(InvalidInputError):
+            lq_localized_bound(1.0, 1.0, 1.0, 10, 1.5)
+
+
 class TestL1ComplexityProfile:
     def test_plug_in_unit_constants(self):
         eps = 0.3
@@ -255,6 +300,15 @@ class TestL1ComplexityProfile:
         (lambda: psi_alpha_norm(np.random.default_rng(0).exponential(size=500), 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.01 * math.sqrt(lam), 0.25, 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.nan), "bracket_hi"),
+        (lambda: maurey_l1_gamma2(math.nan, 1.0, 100, 10), "r"),
+        (lambda: maurey_l1_gamma2(1.0, math.nan, 100, 10), "max_x_inf"),
+        (lambda: maurey_l1_gamma2(1.0, 1.0, math.nan, 10), "n"),
+        (lambda: maurey_l1_gamma2(1.0, 1.0, 100, math.nan), "d"),
+        (lambda: lq_localized_bound(math.nan, 1.0, 1.0, 100, 2.0), "mu"),
+        (lambda: lq_localized_bound(1.0, math.nan, 1.0, 100, 2.0), "un"),
+        (lambda: lq_localized_bound(1.0, 1.0, math.nan, 100, 4.0), "m_psi1"),
+        (lambda: lq_localized_bound(1.0, 1.0, 1.0, math.nan, 2.0), "n"),
+        (lambda: lq_localized_bound(1.0, 1.0, 1.0, 100, math.nan), "q"),
         (lambda: l1_complexity_profile(math.nan, 50, 2.0, 1.0, 0.25), "n"),
         (lambda: l1_complexity_profile(100, math.nan, 2.0, 1.0, 0.25), "d"),
         (lambda: l1_complexity_profile(100, 50, math.nan, 1.0, 0.25), "q"),
@@ -283,8 +337,9 @@ class TestL1ComplexityProfile:
         (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=math.nan), "c0"),
         (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=-1.0), "c0"),
     ],
-    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "profile-n", "profile-d", "profile-q",
-         "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
+    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "maurey-r", "maurey-max-x-inf", "maurey-n",
+         "maurey-d", "lq-bound-mu", "lq-bound-un", "lq-bound-m-psi1", "lq-bound-n", "lq-bound-q", "profile-n",
+         "profile-d", "profile-q", "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
          "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star", "rho-a-bn",
          "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x",
          "penalty-c0-nan", "penalty-c0-negative", "rho-a-c0-nan", "rho-a-c0-negative", "rho-b-c0-nan",

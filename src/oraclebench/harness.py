@@ -15,8 +15,11 @@ Four scenarios are provided:
   beta = beta_star with a matching budget. The achieved risk is the exact
   population square risk m2 ||beta - beta_star||^2 + E noise^2, where m2 is
   the design's per-coordinate second moment; no test set is drawn.
-* ``LqRerm``: the same with the L_q risk and an l1^q penalty. For q != 2 the
-  achieved risk is a Monte Carlo estimate on a fresh test set of
+* ``LqRerm``: the same with the L_q risk and an l1^q penalty. At q = 4 the
+  achieved risk is exact too: with delta = beta - beta_star, S = m2 ||delta||^2
+  and m4 the design's per-coordinate fourth moment, E (x.delta + noise)^4 =
+  3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 + 6 S E noise^2 + E noise^4. For any
+  other q > 2 it is a Monte Carlo estimate on a fresh test set of
   ``test_size`` points.
 
 One registry, ``_REGISTRY``, holds per scenario its context builder, row
@@ -235,20 +238,23 @@ def _rerm_ctx(config, n):
     }
 
 
-def _rerm_design(rng, size, d, noise):
-    if noise.kind == NoiseSpec.BOUNDED:
-        return rng.uniform(-1.0, 1.0, size=(size, d))
-    return rng.standard_normal((size, d))
+# design laws of independent mean-zero coordinates: draw(rng, size, d) -> (size, d) matrix,
+# m2 = E x_j^2 and m4 = E x_j^4
+_Design = namedtuple("_Design", "draw m2 m4")
+_DESIGNS = {
+    "Gaussian": _Design(lambda rng, size, d: rng.standard_normal((size, d)), 1.0, 3.0),
+    "Uniform": _Design(lambda rng, size, d: rng.uniform(-1.0, 1.0, size=(size, d)), 1.0 / 3.0, 1.0 / 5.0),
+}
 
 
-def _rerm_design_m2(noise):
-    """E x_j^2 under ``_rerm_design``: 1/3 for uniform[-1, 1], 1 for standard Gaussian."""
-    return 1.0 / 3.0 if noise.kind == NoiseSpec.BOUNDED else 1.0
+def _design_of(noise):
+    """The design a run draws: uniform[-1, 1] with Bounded noise, standard Gaussian otherwise."""
+    return _DESIGNS["Uniform" if noise.kind == NoiseSpec.BOUNDED else "Gaussian"]
 
 
 def _rerm_row(config, ctx, n, rep, rng):
-    beta_star, noise = ctx["beta_star"], config.noise
-    design = _rerm_design(rng, n, config.d, noise)
+    beta_star, noise, law = ctx["beta_star"], config.noise, _design_of(config.noise)
+    design = law.draw(rng, n, config.d)
     sample = Sample(design=design, response=design @ beta_star + noise.draw(rng, n))
     try:
         solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
@@ -256,15 +262,30 @@ def _rerm_row(config, ctx, n, rep, rng):
         raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {rep}: {exc}; "
                            f"best gap {exc.best.optimality_gap:.3g}") from exc
 
+    delta = solution.beta - beta_star
     if config.q == 2:
         # design coordinates are independent and mean zero, and the noise is
         # independent of them with mean zero, so the square risk is exact:
         # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
-        delta = solution.beta - beta_star
-        return _rerm_design_m2(noise) * float(delta @ delta) + ctx["oracle"]
+        return law.m2 * float(delta @ delta) + ctx["oracle"]
+
+    if config.q == 4:
+        # expanding E (x.delta + xi)^4, the two cross terms with a first power of
+        # x.delta or of xi vanish for the same reason, which leaves
+        # E (x.delta)^4 + 6 E (x.delta)^2 E xi^2 + E xi^4, with
+        # E (x.delta)^4 = 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 and S = m2 ||delta||^2;
+        # the oracle is E xi^4, so beta = beta_star scores the oracle exactly
+        with np.errstate(over="ignore"):
+            square = law.m2 * float(delta @ delta)
+            fourth = float(np.sum(delta**4))
+        risk = (3.0 * square * square + (law.m4 - 3.0 * law.m2**2) * fourth
+                + 6.0 * square * noise.abs_moment(2) + ctx["oracle"])
+        if not math.isfinite(risk):
+            raise InvalidInputError(f"{config.scenario} exact risk is not finite at n={n}, replication {rep}")
+        return risk
 
     def generator(gen_rng, size):
-        x_test = _rerm_design(gen_rng, size, config.d, noise)
+        x_test = law.draw(gen_rng, size, config.d)
         return x_test, x_test @ beta_star + noise.draw(gen_rng, size)
 
     estimate = risk_estimate(
@@ -371,7 +392,9 @@ class NoiseSpec:
     centered to mean zero, and its subexponential tail is the paper's
     unbounded setting. Every kind has mean zero, so each serves the q = 2
     scenarios, whose risk is exact. Above q = 2, ``abs_moment`` has a closed
-    form for Bounded noise only, so only Bounded noise runs there.
+    form for Bounded noise only, so only Bounded noise runs there. The exact
+    q = 4 risk reads both E noise^2 and E noise^4 from ``abs_moment``; the
+    Monte Carlo risk of any other q > 2 uses ``draw``.
     """
 
     kind: str
@@ -457,8 +480,11 @@ class ScenarioConfig:
     ``gamma`` scales the FiniteGap risk gap gamma/sqrt(n); ``label_flip`` and
     ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality);
     ``test_size`` overrides the fresh-test-set size (default 20 * max(nGrid),
-    capped at 1e6) and only affects LqRerm with q != 2, since the q = 2
-    achieved risk is exact; ``lambda_replications`` drives the localization
+    capped at 1e6) and only affects LqRerm with q other than 2 and 4, since
+    the achieved risk is exact at q = 2, m2 ||delta||^2 + E noise^2, and at
+    q = 4, 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 + 6 S E noise^2 + E noise^4
+    with delta = beta - beta_star, S = m2 ||delta||^2 and m2, m4 the design's
+    per-coordinate moments; ``lambda_replications`` drives the localization
     estimate; ``floor`` is the tiny positive stand-in reported for
     nonpositive mean slacks. The named constants are c0 >= 0, c1 >= 0 and
     Kd > 0; each defaults to 1.

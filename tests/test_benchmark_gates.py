@@ -1,0 +1,45 @@
+"""The benchmark's workloads meet their correctness gates at the benchmark's default seed.
+
+``perfbench/run.py`` is loaded as a module, without writing bytecode next to
+it, and each workload's config runs in process through ``run_scenario``. A
+change that breaks a gate then fails here, not only in a benchmark run.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from oraclebench import config_from_mapping, run_scenario
+from oraclebench.harness import write_summary_csv
+
+RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+
+
+def _load_run_py():
+    spec = importlib.util.spec_from_file_location("perfbench_run", RUN_PY)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules
+    sys.modules[spec.name] = module
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return module
+
+
+RUN = _load_run_py()
+
+
+@pytest.mark.parametrize("name", sorted(RUN.WORKLOADS))
+def test_workload_meets_its_gate_at_seed_777(name, tmp_path):
+    workload = RUN.WORKLOADS[name]
+    # CSV bytes do not depend on the worker count, so one process is enough
+    result = run_scenario(config_from_mapping(dict(workload.config, masterSeed=777)))
+    summary = tmp_path / "summary.csv"
+    write_summary_csv(result, summary)
+    failed = [label for label, ok in workload.gate(RUN._summary_stats(summary)) if not ok]
+    assert not failed, f"{name}: {failed}"

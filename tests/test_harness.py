@@ -222,8 +222,8 @@ class TestFiniteGap:
              "65eb9c252091c733dd885833b7ad07af277eae1f5f571801f047cf9ab8323433",
              "c37ea9732cb0a240bd3a5a2ef439c221bd05c7bb0481a86e4df6e96b3d399876"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
-             "172b80428bf678f70b3785fe23cc656fe55ce53987cefe3d0a6d2654241525ff",
-             "275f735ea960324ad76d3c35d5c049d52634d7a9952377874fd0f1ea3cb4bb58"),
+             "cf264c71c2c1fcdee83939df49502917cd503dc5074e8f8e597dd3aeb9324a31",
+             "9b359309976cb4e3977971b059467996fbdbc8361f435a98319977e915eb324a"),
         ]
         for config, rows_sha, summary_sha in golden:
             result = run_scenario(config)
@@ -380,7 +380,7 @@ class TestSquareLasso:
         assert achieved == pytest.approx(exact, rel=1e-12)
 
         def generator(rng, size):
-            design = harness._rerm_design(rng, size, cfg.d, noise)
+            design = harness._design_of(noise).draw(rng, size, cfg.d)
             return design, design @ beta_star + noise.draw(rng, size)
 
         estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(2), 200_000, 5)
@@ -431,6 +431,70 @@ class TestLqRerm:
     def test_q4_gaussian_rejected(self):
         with pytest.raises(InvalidInputError):
             run_scenario(lasso_config(scenario="LqRerm", q=4.0))
+
+    def test_q4_exact_risk_matches_monte_carlo(self, monkeypatch):
+        noise = NoiseSpec.bounded(0.5)
+        cfg = lasso_config(scenario="LqRerm", q=4.0, noise=noise, n_grid=[64], replications=1)
+        beta_star = cfg.beta_star.vector(cfg.d)
+        # a delta of the noise's scale, heaviest on one coordinate: each of the four terms of the
+        # exact risk then moves it by more than 4 stderr of the estimate below
+        beta_hat = beta_star + np.array([0.6, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+        achieved = run_scenario(cfg).achieved[0, 0]
+
+        def generator(rng, size):
+            design = harness._design_of(noise).draw(rng, size, cfg.d)
+            return design, design @ beta_star + noise.draw(rng, size)
+
+        estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(4), 200_000, 5)
+        assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
+
+    def test_q4_exact_slack_is_zero_at_beta_star(self, monkeypatch):
+        noise = NoiseSpec.bounded(0.5)
+        cfg = lasso_config(scenario="LqRerm", q=4.0, noise=noise, replications=2)
+        beta_star = cfg.beta_star.vector(cfg.d)
+        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_star.copy()))
+        res = run_scenario(cfg)
+        assert np.all(res.achieved == noise.abs_moment(4))
+        assert np.all(res.oracle == noise.abs_moment(4))
+        assert np.all(res.slack_exact == 0.0)
+
+    def test_q4_non_finite_exact_risk_rejected(self, monkeypatch):
+        beta_hat = np.full(8, 1e100)
+        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+        cfg = lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5), replications=1)
+        with pytest.raises(InvalidInputError, match="not finite at n=128, replication 0"):
+            run_scenario(cfg)
+
+    def test_q4_never_draws_a_test_set(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("risk_estimate called for q = 4")
+
+        monkeypatch.setattr(harness, "risk_estimate", forbidden)
+        res = run_scenario(lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)))
+        assert res.achieved.size == 12
+
+    def test_q3_scores_on_a_test_set(self, monkeypatch):
+        sizes = []
+        original = harness.risk_estimate
+
+        def recording(predictor, generator, loss, test_size, rng):
+            sizes.append(test_size)
+            return original(predictor, generator, loss, test_size, rng)
+
+        monkeypatch.setattr(harness, "risk_estimate", recording)
+        cfg = lasso_config(scenario="LqRerm", q=3.0, noise=NoiseSpec.bounded(0.5), replications=2, test_size=None)
+        res = run_scenario(cfg)
+        assert sizes == [cfg.resolved_test_size()] * res.achieved.size
+
+
+@pytest.mark.parametrize("name", sorted(harness._DESIGNS))
+def test_design_table_moments(name):
+    law = harness._DESIGNS[name]
+    x = law.draw(np.random.default_rng(3), 200_000, 1)[:, 0]
+    for power, moment in ((1, 0.0), (2, law.m2), (4, law.m4)):
+        values = x**power
+        assert abs(values.mean() - moment) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size), power
 
 
 class TestRunScenarioAndCsv:

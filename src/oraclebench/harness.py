@@ -22,23 +22,27 @@ Four scenarios are provided:
   other q > 2 it is a Monte Carlo estimate on a fresh test set of
   ``test_size`` points.
 
-One registry, ``_REGISTRY``, holds per scenario its context builder, row
+One registry, ``_REGISTRY``, holds per scenario its context builder, rows
 function, seed tag, whether it fits rates, its target frequency and its
 per-n extras. Each per-n context holds that n's oracle risk and residual
-budget, and a row function returns one number: the achieved risk of one
-replication. ``run_scenario`` is the one entry point and holds the one
-dispatch rule: LqRerm at q = 2 runs as SquareLasso, so both give identical
-output for identical configurations. It also holds the one slack definition:
-exact slack = achieved - oracle, nonexact slack = achieved - (1 + 3 eps) *
-oracle, and a replication is satisfied when its nonexact slack is at most the
-budget. FiniteGap and Isomorphy score their finite dictionary on the
-sample's histogram over its distinct labelled points: each context holds the
-loss table at those points, and a replication counts how often each point
-occurs and takes one matrix-vector product (``histogram_risks``). The 0-1
-losses are integers, so the risks are bit-identical to the mean of the full
-(functions, n) loss matrix. One field table, ``_FIELDS``, is the config schema:
-``ScenarioConfig`` casts and checks every field through it, whether built in
-Python or by ``config_from_mapping``.
+budget, and a rows function scores one chunk of replications at one n: it
+gets their indices and their generators, made one at a time, and returns
+their achieved risks in replication order. ``run_scenario`` is the one entry
+point and holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso,
+so both give identical output for identical configurations. It also holds
+the one slack definition: exact slack = achieved - oracle, nonexact slack =
+achieved - (1 + 3 eps) * oracle, and a replication is satisfied when its
+nonexact slack is at most the budget. FiniteGap and Isomorphy score their
+finite dictionary on the sample's histogram over its distinct labelled
+points: each context holds the loss table at those points, and a
+replication counts how often each point occurs. Isomorphy takes one
+matrix-vector product per replication (``histogram_risks``); FiniteGap
+gathers the two counts of every replication of a chunk and picks all of its
+minimizers with one ``erm_finite`` call on the (2, replications) count
+matrix. The 0-1 losses are integers, so the risks are bit-identical to the
+mean of the full (functions, n) loss matrix. One field table, ``_FIELDS``,
+is the config schema: ``ScenarioConfig`` casts and checks every field
+through it, whether built in Python or by ``config_from_mapping``.
 
 Every replication draws from a generator seeded by a 64-bit mix of
 (masterSeed, scenario tag, n, replication index), so results are independent
@@ -50,6 +54,7 @@ a small configurable value in summaries.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -134,10 +139,11 @@ def _finite_gap_ctx(config, n):
             "oracle": float(true_risks.min()), "budget": budget}
 
 
-def _finite_gap_row(config, ctx, n, rep, rng):
-    # n uniforms rather than one binomial draw: criterion 5 passes or fails with this exact stream
-    plus = int(np.count_nonzero(rng.random(n) < ctx["p_plus"]))
-    return float(ctx["model"].true_risks[erm_finite(ctx["losses"], [plus, n - plus])])
+def _finite_gap_rows(config, ctx, n, reps, rngs):
+    # n uniforms per replication rather than one binomial draw: criterion 5 passes or fails with this
+    # exact stream
+    plus = np.fromiter((np.count_nonzero(rng.random(n) < ctx["p_plus"]) for rng in rngs), np.int64, len(reps))
+    return ctx["model"].true_risks[erm_finite(ctx["losses"], np.vstack([plus, n - plus]))]
 
 
 def _isomorphy_model(config):
@@ -281,7 +287,7 @@ def _rerm_row(config, ctx, n, rep, rng):
         risk = (3.0 * square * square + (law.m4 - 3.0 * law.m2**2) * fourth
                 + 6.0 * square * noise.abs_moment(2) + ctx["oracle"])
         if not math.isfinite(risk):
-            raise InvalidInputError(f"{config.scenario} exact risk is not finite at n={n}, replication {rep}")
+            raise RuntimeError(f"{config.scenario} exact risk is not finite at n={n}, replication {rep}")
         return risk
 
     def generator(gen_rng, size):
@@ -299,22 +305,29 @@ def _rerm_row(config, ctx, n, rep, rng):
 
 
 # contexts(config) -> {n: ctx}, each ctx holding that n's "oracle" risk and "budget";
-# row(config, ctx, n, rep, rng) -> achieved risk; target(config) -> target frequency;
+# rows(config, ctx, n, reps, rngs) -> the achieved risk of each replication in the range reps,
+# rngs yielding their generators in order; target(config) -> target frequency;
 # extras: the ctx keys reported per n
-_Scenario = namedtuple("_Scenario", "contexts row tag fits target extras")
+_Scenario = namedtuple("_Scenario", "contexts rows tag fits target extras")
 
 
 def _per_n(ctx_fn):
     return lambda config: {n: ctx_fn(config, n) for n in config.n_grid}
 
 
+def _each(row):
+    """The rows function that scores replication after replication with ``row(config, ctx, n, rep, rng)``."""
+    return lambda config, ctx, n, reps, rngs: [row(config, ctx, n, rep, rng) for rep, rng in zip(reps, rngs)]
+
+
 _REGISTRY = {
-    "FiniteGap": _Scenario(_per_n(_finite_gap_ctx), _finite_gap_row, "finite-gap", True, None, ("delta",)),
-    "Isomorphy": _Scenario(_isomorphy_contexts, _isomorphy_row, "isomorphy", False,
+    "FiniteGap": _Scenario(_per_n(_finite_gap_ctx), _finite_gap_rows, "finite-gap", True, None, ("delta",)),
+    "Isomorphy": _Scenario(_isomorphy_contexts, _each(_isomorphy_row), "isomorphy", False,
                            lambda config: 1.0 - 4.0 * math.exp(-config.x),
                            ("rho", "lambda_star", "lambda_band", "bn", "big_bn")),
-    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _rerm_row, "square-lasso", True, None, ("penalty_coef", "budget")),
-    "LqRerm": _Scenario(_per_n(_rerm_ctx), _rerm_row, "lq-rerm", True, None, ("penalty_coef", "budget")),
+    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "square-lasso", True, None,
+                             ("penalty_coef", "budget")),
+    "LqRerm": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "lq-rerm", True, None, ("penalty_coef", "budget")),
 }
 
 SCENARIOS = tuple(_REGISTRY)
@@ -661,7 +674,9 @@ def _run_chunk(payload):
     config, ctx, n, reps = payload
     spec = _REGISTRY[config.scenario]
     prefix = _stream_prefix(config.master_seed, spec.tag, n)
-    return [spec.row(config, ctx, n, rep, np.random.default_rng(_splitmix64(prefix ^ rep))) for rep in reps]
+    # one generator at a time, as the rows function asks for the next replication's
+    rngs = (np.random.default_rng(_splitmix64(prefix ^ rep)) for rep in reps)
+    return np.asarray(spec.rows(config, ctx, n, reps, rngs), dtype=float)
 
 
 def _run_rows(config, contexts, workers):
@@ -682,7 +697,7 @@ def _run_rows(config, contexts, workers):
             chunks = list(pool.map(_run_chunk, payloads))
     else:
         chunks = [_run_chunk(p) for p in payloads]
-    return np.array([risk for chunk in chunks for risk in chunk]).reshape(len(config.n_grid), reps)
+    return np.concatenate(chunks).reshape(len(config.n_grid), reps)
 
 
 def _stderr(values):
@@ -778,15 +793,29 @@ def _fmt_opt(value):
     return "" if value is None else _fmt(value)
 
 
+def _texts(values):
+    """The ``_fmt`` text of each value of one row; a row that repeats one value is formatted once."""
+    values = np.asarray(values, dtype=float)
+    # compared as bits: 0.0 == -0.0, but their texts differ
+    bits = values.view(np.uint64)
+    if (bits == bits[0]).all():
+        return itertools.repeat(_fmt(values[0]), values.size)
+    return map(_fmt, values.tolist())
+
+
 def rows_csv_text(result):
-    """Per-replication CSV payload with a fixed column order."""
+    """Per-replication CSV payload with a fixed column order.
+
+    ``run_scenario`` repeats each n's oracle risk and budget over its
+    replications, so those two are formatted once per n.
+    """
     lines = [ROWS_HEADER]
-    columns = [values.tolist() for values in (result.achieved, result.oracle, result.slack_exact,
-                                              result.slack_nonexact, result.budget)]
+    columns = (result.achieved, result.oracle, result.slack_exact, result.slack_nonexact, result.budget)
     for i, n in enumerate(result.config.n_grid):
-        for rep, satisfied in enumerate(result.satisfied[i].tolist()):
-            fields = ",".join(_fmt(column[i][rep]) for column in columns)
-            lines.append(f"{result.scenario},{n},{rep},{fields},{'true' if satisfied else 'false'}")
+        fields = zip(*(_texts(column[i]) for column in columns), result.satisfied[i].tolist())
+        for rep, (achieved, oracle, exact, nonexact, budget, satisfied) in enumerate(fields):
+            lines.append(f"{result.scenario},{n},{rep},{achieved},{oracle},{exact},{nonexact},{budget},"
+                         f"{'true' if satisfied else 'false'}")
     return "\n".join(lines) + "\n"
 
 

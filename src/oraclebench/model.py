@@ -5,6 +5,7 @@ Conventions used throughout the package:
 * risks are means of nonnegative per-sample losses,
 * a finite dictionary is scored on the sample's histogram over its distinct
   points: the (functions, points) loss table times the count of each point,
+  and many samples at once as one table-matrix product over their histograms,
 * binary labels live in {-1, +1} and a sign mismatch costs 1,
 * every container is immutable after construction, so all operations here
   are pure functions and safe to call concurrently.
@@ -192,31 +193,36 @@ def empirical_risk(losses):
 
 
 def histogram_risks(losses, counts):
-    """Empirical risks of a finite dictionary from the sample's histogram.
+    """Empirical risks of a finite dictionary from the histograms of one or more samples.
 
     ``losses[j, i]`` is the loss of the j-th predictor at the i-th distinct
-    point and ``counts[i]`` how often that point occurs in the sample, so the
-    risks are ``losses @ counts / counts.sum()``. Counts must be nonnegative
-    integers with a positive total, and the risks must come out finite and
-    nonnegative. For integer-valued losses, such as the 0-1 loss, every dot
-    product is an exact integer below 2**53 in any summation order, so the
-    risks equal the mean of the expanded (functions, n) loss matrix bit for
-    bit.
+    point. ``counts`` is one sample's histogram, ``counts[i]`` being how often
+    the i-th point occurs, or a (points, samples) matrix with one histogram
+    per column. The risks are ``losses @ counts / counts.sum(axis=0)``, of
+    shape (functions,) or (functions, samples). Counts must be nonnegative
+    integers and every histogram must have a positive total; the risks must
+    come out finite and nonnegative. For integer-valued losses, such as the
+    0-1 loss, every dot product is an exact integer below 2**53 in any
+    summation order, so the risks equal the mean of the expanded
+    (functions, n) loss matrix bit for bit, and each column of a matrix call
+    equals the call on that column alone.
     """
     losses = np.asarray(losses, dtype=float)
     counts = np.asarray(counts)
-    if losses.ndim != 2 or losses.shape[0] < 1 or counts.shape != losses.shape[1:]:
+    if (losses.ndim != 2 or losses.shape[0] < 1 or counts.ndim not in (1, 2)
+            or counts.shape[0] != losses.shape[1] or 0 in counts.shape[1:]):
         raise InvalidInputError(
-            f"losses must be (functions, points) with one count per point, got shapes {losses.shape} and {counts.shape}"
+            "losses must be (functions, points) and counts (points,) or (points, samples) with at least "
+            f"one sample, got shapes {losses.shape} and {counts.shape}"
         )
     integral = counts.dtype.kind in "iu" or (
         counts.dtype.kind == "f" and np.isfinite(counts).all() and (counts == np.floor(counts)).all()
     )
     if not (integral and (counts >= 0).all()):
         raise InvalidInputError("counts must be nonnegative integers")
-    total = counts.sum()
-    if not total > 0:
-        raise InvalidInputError("counts must have a positive total")
+    total = counts.sum(axis=0)
+    if not (total > 0).all():
+        raise InvalidInputError("counts must have a positive total in every sample")
     # 0 * inf and overflow give NaN or inf without a warning; the check below rejects both
     with np.errstate(invalid="ignore", over="ignore"):
         risks = losses @ counts / total
@@ -227,13 +233,15 @@ def histogram_risks(losses, counts):
 
 
 def erm_finite(losses, counts):
-    """Index of the empirical risk minimizer over a finite dictionary.
+    """Index of the empirical risk minimizer over a finite dictionary, per sample.
 
     Scores every predictor with ``histogram_risks(losses, counts)`` and
     returns the lowest-index exact minimizer, which keeps repeated runs
-    reproducible.
+    reproducible: an int for one histogram of shape (points,), and an int
+    array with one index per column for a (points, samples) matrix.
     """
-    return int(np.argmin(histogram_risks(losses, counts)))
+    picks = np.argmin(histogram_risks(losses, counts), axis=0)
+    return int(picks) if picks.ndim == 0 else picks
 
 
 def risk_estimate(predictor, generator, loss, test_size, rng):

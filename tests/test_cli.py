@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -218,6 +219,15 @@ def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys
     err = capsys.readouterr().err
     assert "SquareLasso solver failed at n=128, replication 2" in err
     assert "best gap 0.25" in err
+
+
+def test_non_finite_q4_risk_exits_3_naming_replication(monkeypatch, tmp_path, capsys):
+    beta_hat = np.full(3, 1e100)
+    monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["LqRerm"]))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--workers", 1]) == 3
+    assert "runtime error: LqRerm exact risk is not finite at n=64, replication 0" in capsys.readouterr().err
 
 
 class TestCompute:

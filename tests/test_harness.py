@@ -75,6 +75,25 @@ def iso_config(**kwargs):
     return ScenarioConfig(**base)
 
 
+def inline_pool(sizes):
+    """A stand-in for ProcessPoolExecutor that maps in this process and appends each pool's size to ``sizes``."""
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    return InlinePool
+
+
 def _config_mappings():
     """Valid run-file mappings with up to two fields replaced by arbitrary JSON values."""
     scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
@@ -240,25 +259,44 @@ class TestFiniteGap:
     @pytest.mark.parametrize("workers, pool_size", [(64, 3), (2, 2)])
     def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, pool_size):
         sizes = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", inline_pool(sizes))
         cfg = finite_gap_config(n_grid=[64], replications=3)
         result = run_scenario(cfg, workers=workers)
         assert sizes == [pool_size]
         assert rows_csv_text(result) == rows_csv_text(run_scenario(cfg))
+
+    @staticmethod
+    def _per_replication_achieved(config):
+        # the row of one replication at a time, as FiniteGap scored it before chunks were scored at once
+        achieved = []
+        for n in config.n_grid:
+            ctx = harness._finite_gap_ctx(config, n)
+            for rep in range(config.replications):
+                rng = np.random.default_rng(derive_seed(config.master_seed, "finite-gap", n, rep))
+                plus = int(np.count_nonzero(rng.random(n) < ctx["p_plus"]))
+                achieved.append(float(ctx["model"].true_risks[harness.erm_finite(ctx["losses"], [plus, n - plus])]))
+        return np.array(achieved).reshape(len(config.n_grid), config.replications)
+
+    @pytest.mark.parametrize("replications, workers, chunks", [
+        (7, 1, [7]), (7, 2, [1] * 7), (7, 3, [1] * 7), (45, 2, [6] * 7 + [3]), (45, 3, [4] * 11 + [1]),
+    ])
+    def test_chunk_scoring_matches_the_per_replication_row(self, monkeypatch, replications, workers, chunks):
+        # one erm_finite call per chunk, on that chunk's (2, size) counts; an inline pool keeps the counter
+        # in this process
+        cfg = finite_gap_config(n_grid=[64, 100, 257], replications=replications, gamma=2.0)
+        expected = self._per_replication_achieved(cfg)
+        calls = []
+        original = harness.erm_finite
+
+        def counting(losses, counts):
+            calls.append(np.shape(counts)[1])
+            return original(losses, counts)
+
+        monkeypatch.setattr(harness, "erm_finite", counting)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", inline_pool([]))
+        result = run_scenario(cfg, workers=workers)
+        assert np.array_equal(result.achieved, expected)
+        assert calls == chunks * len(cfg.n_grid)
 
     def test_erm_pick_invariant_under_monotone_loss_relabeling(self):
         # any order-preserving relabeling of the two empirical risks keeps
@@ -463,7 +501,8 @@ class TestLqRerm:
         beta_hat = np.full(8, 1e100)
         monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
         cfg = lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5), replications=1)
-        with pytest.raises(InvalidInputError, match="not finite at n=128, replication 0"):
+        # a runtime fault of the run, not a malformed input
+        with pytest.raises(RuntimeError, match="not finite at n=128, replication 0"):
             run_scenario(cfg)
 
     def test_q4_never_draws_a_test_set(self, monkeypatch):
@@ -518,6 +557,17 @@ class TestRunScenarioAndCsv:
         assert first[8] in ("true", "false")
         # 17 significant digits round-trip
         assert float(first[3]) == res.achieved[0, 0]
+
+    def test_rows_csv_formats_every_value_of_a_row_that_varies(self):
+        # the per-n text of oracle and budget is only a shortcut: rows whose values differ, even as
+        # 0.0 and -0.0, are written value by value
+        res = run_scenario(finite_gap_config(n_grid=[64, 128], replications=4))
+        oracle = np.array([[0.0, -0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
+        budget = np.array([[1.0, 1.0, 1.0, 1.0], [0.1, 0.2, 1 / 3, np.nan]])
+        res = dataclasses.replace(res, oracle=oracle, budget=budget)
+        lines = rows_csv_text(res).strip().split("\n")[1:]
+        assert [line.split(",")[4] for line in lines] == ["0", "-0", "0", "0"] + ["0.25"] * 4
+        assert [line.split(",")[7] for line in lines] == ["1"] * 4 + [f"{v:.17g}" for v in budget[1]]
 
     def test_determinism_of_whole_run(self):
         cfg = finite_gap_config()

@@ -205,6 +205,50 @@ class TestHistogramRisks:
         assert erm_finite(table, [n // 2, n // 2]) == int(np.argmin(expanded)) == 0
 
 
+class TestHistogramMatrix:
+    """A (points, samples) count matrix scores each column as the one-histogram call on it alone."""
+
+    def test_each_column_equals_the_vector_call(self):
+        rng = np.random.default_rng(2013)
+        loss = LossSpec.zero_one()
+        for _ in range(100):
+            m, cells, samples = int(rng.integers(1, 9)), int(rng.integers(1, 65)), int(rng.integers(1, 40))
+            patterns = rng.choice([-1.0, 1.0], size=(m, cells))
+            table = loss.per_sample(np.hstack([patterns, patterns]), np.repeat([1.0, -1.0], cells))
+            n = int(rng.choice([1, 2, 4096, rng.integers(1, 4097)]))
+            counts = np.stack([np.bincount(rng.integers(0, 2 * cells, size=n), minlength=2 * cells)
+                               for _ in range(samples)], axis=1)
+            risks, picks = histogram_risks(table, counts), erm_finite(table, counts)
+            assert risks.shape == (m, samples) and picks.shape == (samples,)
+            for k in range(samples):
+                assert np.array_equal(risks[:, k], histogram_risks(table, counts[:, k]))
+                assert picks[k] == erm_finite(table, counts[:, k])
+
+    @pytest.mark.parametrize("counts", [
+        np.array([[3, 0], [1, 0]]),
+        np.array([[3.0, 0.0], [1.0, 0.0]]),
+        np.array([[3, 2], [1, -1]]),
+        np.array([[3.0, 2.0], [1.0, -1.0]]),
+        np.array([[3.0, 2.0], [1.0, 0.5]]),
+        np.empty((2, 0), dtype=int),
+        np.ones((2, 2, 1), dtype=int),
+    ], ids=["zero-total-int", "zero-total-float", "negative-int", "negative-float", "non-integer", "no-samples",
+            "counts-3d"])
+    def test_bad_column_rejected(self, counts):
+        table = LossSpec.zero_one().per_sample(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -1.0]))
+        for fn in (histogram_risks, erm_finite):
+            with pytest.raises(InvalidInputError):
+                fn(table, counts)
+
+    def test_exact_tie_goes_to_index_0_in_every_column(self):
+        # the constant predictors +1 and -1, each column an even sample with exactly half its labels +1
+        table = LossSpec.zero_one().per_sample(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -1.0]))
+        halves = np.array([1, 32, 2048])
+        risks = histogram_risks(table, np.vstack([halves, halves]))
+        assert np.all(risks == 0.5)
+        assert np.array_equal(erm_finite(table, np.vstack([halves, halves])), [0, 0, 0])
+
+
 class TestPerSample:
     @pytest.mark.parametrize("loss", [LossSpec.lq(2), LossSpec.lq(3.5), LossSpec.zero_one()],
                              ids=["L2", "L3.5", "zero_one"])

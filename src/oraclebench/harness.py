@@ -14,7 +14,14 @@ Four scenarios are provided:
   penalty at the theory-driven level, slack measured against the probe
   beta = beta_star with a matching budget. The achieved risk is the exact
   population square risk m2 ||beta - beta_star||^2 + E noise^2, where m2 is
-  the design's per-coordinate second moment; no test set is drawn.
+  the design's per-coordinate second moment; no test set is drawn. The
+  square loss reads a sample only through X'X, X'y and y'y, so with Gaussian
+  noise, whose design is Gaussian too, a replication draws the QR factor of
+  its n rows instead of the rows: R by the Bartlett decomposition, Q'y and
+  the residual norm by the rotation invariance of the noise. That sample of
+  at most d + 1 rows has the raw rows' objective and gradient, and its cost
+  does not grow with n. Bounded noise (uniform design), Exponential noise
+  and q > 2 draw the n rows.
 * ``LqRerm``: the same with the L_q risk and an l1^q penalty. At q = 4 the
   achieved risk is exact too: with delta = beta - beta_star, S = m2 ||delta||^2
   and m4 the design's per-coordinate fourth moment, E (x.delta + noise)^4 =
@@ -258,10 +265,51 @@ def _design_of(noise):
     return _DESIGNS["Uniform" if noise.kind == NoiseSpec.BOUNDED else "Gaussian"]
 
 
+def _factor_sample(n, r, qty, residual):
+    """The sample of at most d + 1 rows with the mean square loss and gradient of n rows X = QR, y.
+
+    ``r`` is the (min(n, d), d) factor R, ``qty`` is Q'y and ``residual`` is
+    ||y - QQ'y||. Since ||y - X b||^2 = ||Q'y - R b||^2 + residual^2, the m
+    rows [R; 0], [Q'y; residual] scaled by sqrt(m / n) score every b as the n
+    rows do; for n <= d the residual is 0 and its row is left out.
+    """
+    if n > r.shape[1]:
+        r, qty = np.vstack([r, np.zeros(r.shape[1])]), np.append(qty, residual)
+    scale = math.sqrt(qty.size / n)
+    return Sample(design=scale * r, response=scale * qty)
+
+
+def _gaussian_factor_sample(rng, n, beta_star, noise):
+    """An exact draw of ``_factor_sample`` for n standard Gaussian rows with Gaussian noise, at O(d^2) cost.
+
+    With X = QR, k = min(n, d), R has independent entries: chi_{n-i} at
+    (i, i) and N(0, 1) above the diagonal (Bartlett), and Q is independent of
+    R. The noise is rotation invariant and independent of X, so Q'y = R
+    beta_star + k fresh noise draws, and for n > d the residual has squared
+    norm sd^2 chi^2_{n-d}, independent of both. Drawn in that order: R, Q'y,
+    the residual.
+    """
+    d = beta_star.size
+    k = min(n, d)
+    r = np.triu(rng.standard_normal((k, d)), 1)
+    r[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(n - np.arange(k)))
+    qty = r @ beta_star + noise.draw(rng, k)
+    # chisquare(0) raises, and at n <= d there is no residual
+    residual = noise.param * math.sqrt(rng.chisquare(n - d)) if n > d else 0.0
+    return _factor_sample(n, r, qty, residual)
+
+
 def _rerm_row(config, ctx, n, rep, rng):
     beta_star, noise, law = ctx["beta_star"], config.noise, _design_of(config.noise)
-    design = law.draw(rng, n, config.d)
-    sample = Sample(design=design, response=design @ beta_star + noise.draw(rng, n))
+    if config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN:
+        # the square loss reads the sample only through X'X, X'y and y'y, and a Gaussian design
+        # with Gaussian noise is rotation invariant, so the exact law of its QR factor (Bartlett)
+        # is drawn at O(d^2) cost instead of O(n d); the argument needs both to be rotation
+        # invariant, so uniform designs (Bounded noise), Exponential noise and q > 2 draw n raw rows
+        sample = _gaussian_factor_sample(rng, n, beta_star, noise)
+    else:
+        design = law.draw(rng, n, config.d)
+        sample = Sample(design=design, response=design @ beta_star + noise.draw(rng, n))
     try:
         solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
     except IterationLimitError as exc:

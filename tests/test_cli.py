@@ -206,9 +206,12 @@ def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys
     calls = []
 
     def failing_at_n128_rep2(sample, *args, **kwargs):
+        # a Gaussian sample solves on its d + 1 row factor, so the replication is found by call
+        # order: at workers 1 the solves follow the grid, six replications per n, and n = 128's
+        # replication 2 is the 9th
         calls.append(sample.n)
         solution = solve(sample, *args, **kwargs)
-        if calls.count(128) == 3:
+        if len(calls) == 9:
             raise IterationLimitError("iteration budget exhausted", best=replace(solution, optimality_gap=0.25))
         return solution
 

@@ -17,15 +17,18 @@ from oraclebench import (
     InvalidInputError,
     LossSpec,
     NoiseSpec,
+    Sample,
     ScenarioConfig,
     config_from_mapping,
     derive_seed,
     rate_fit,
     risk_estimate,
     run_scenario,
+    solve_lq_rerm,
 )
 from oraclebench import harness
 from oraclebench.harness import rows_csv_text, summary_csv_text
+from oraclebench.solvers import _LqObjective
 
 
 def finite_gap_config(**kwargs):
@@ -229,7 +232,8 @@ class TestFiniteGap:
 
     def test_golden_streams(self):
         # sha256 of the CSVs pins every replication's stream, not only their agreement across
-        # workers; one small config per scenario, with LqRerm at q = 4 so that it runs as itself
+        # workers; one small config per scenario, with LqRerm at q = 4 so that it runs as itself, and
+        # SquareLasso with each noise: Gaussian draws the QR factor, the other two the n raw rows
         golden = [
             (finite_gap_config(),
              "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee",
@@ -238,8 +242,14 @@ class TestFiniteGap:
              "fd19c01236bf831a2d1e022da165da55f98913b0217e06039e94df2ee751c54c",
              "f78c6228e50e0d681dc77402ccc5e1e0527db6b1c041d98d37e31a45da31305a"),
             (lasso_config(),
-             "65eb9c252091c733dd885833b7ad07af277eae1f5f571801f047cf9ab8323433",
-             "c37ea9732cb0a240bd3a5a2ef439c221bd05c7bb0481a86e4df6e96b3d399876"),
+             "f0a92561d8389cc8765b6012474b0d63d47756774fdaa27408d83b54b6a38608",
+             "0f339d65d201de4017110be24f113ce851488edd979cd941629321b9d05b4ff1"),
+            (lasso_config(noise=NoiseSpec.exponential(2.0)),
+             "b6f7d4ba00c26b3a14677c65a33cb647177d061070ad8503724445701076b943",
+             "6792d138c854d2e22755b5d096632b7c1e7c79b7de31e0b691fe7ead75e274b8"),
+            (lasso_config(noise=NoiseSpec.bounded(0.5)),
+             "d5e1201e1a025aa62efd9dfd7cd6883776639e6389910f74fd796d63c6364460",
+             "7f26a6c83183c805cc17c4699df4c6f70e58de3d038d0558cc3c335c21f40433"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
              "cf264c71c2c1fcdee83939df49502917cd503dc5074e8f8e597dd3aeb9324a31",
              "9b359309976cb4e3977971b059467996fbdbc8361f435a98319977e915eb324a"),
@@ -432,6 +442,86 @@ class TestSquareLasso:
         res_sq = run_scenario(lasso_config(noise=NoiseSpec.bounded(0.5)))
         res_lq = run_scenario(lasso_config(scenario="LqRerm"))
         assert res_sq.achieved.size == res_lq.achieved.size == 12
+
+
+class TestGaussianFactorSample:
+    """Gaussian SquareLasso rows solve on the QR factor of their sample, not on its n rows."""
+
+    @pytest.mark.parametrize("n", [40, 8, 5], ids=["n>d", "n=d", "n<d"])
+    def test_factor_sample_has_the_raw_objective(self, n):
+        d = 8
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((n, d))
+        y = x @ rng.standard_normal(d) + rng.standard_normal(n)
+        q, r = np.linalg.qr(x)
+        qty = q.T @ y
+        sample = harness._factor_sample(n, r, qty, float(np.linalg.norm(y - q @ qty)))
+        assert sample.n == (d + 1 if n > d else n)
+        raw, factor = _LqObjective(Sample(design=x, response=y), 2), _LqObjective(sample, 2)
+        for beta in rng.standard_normal((5, d)):
+            raw_value, raw_grad = raw.value_and_grad(beta)
+            value, grad = factor.value_and_grad(beta)
+            assert abs(value - raw_value) <= 1e-10
+            assert np.abs(grad - raw_grad).max() <= 1e-10
+            assert abs(factor.risk_exact(beta) - raw.risk_exact(beta)) <= 1e-10
+
+    def test_mean_achieved_risk_matches_raw_draws(self):
+        # per n, the factor draws' mean achieved risk lies within 4 combined stderr of that of
+        # raw draws solved at the same penalty
+        config = lasso_config(d=10, n_grid=[32, 256], replications=400)
+        beta_star = config.beta_star.vector(config.d)
+        result = run_scenario(config)
+        for n, achieved in zip(config.n_grid, result.achieved):
+            penalty_coef = harness._rerm_ctx(config, n)["penalty_coef"]
+            raw = []
+            for rep in range(config.replications):
+                rng = np.random.default_rng(derive_seed(config.master_seed, "square-lasso/raw", n, rep))
+                x = rng.standard_normal((n, config.d))
+                sample = Sample(design=x, response=x @ beta_star + config.noise.draw(rng, n))
+                delta = solve_lq_rerm(sample, 2, penalty_coef, tol=1e-6).beta - beta_star
+                raw.append(float(delta @ delta) + config.noise.abs_moment(2))
+            raw = np.array(raw)
+            combined = math.sqrt(achieved.var(ddof=1) / achieved.size + raw.var(ddof=1) / raw.size)
+            assert abs(achieved.mean() - raw.mean()) <= 4.0 * combined, n
+
+    def test_grid_at_and_below_d_certifies(self, monkeypatch):
+        # n < d gives an n x d factor, and n = d has no residual, whose chi^2_0 draw would raise
+        gaps = []
+        solve = harness.solve_lq_rerm
+
+        def recording(sample, *args, **kwargs):
+            solution = solve(sample, *args, **kwargs)
+            gaps.append(solution.optimality_gap)
+            return solution
+
+        monkeypatch.setattr(harness, "solve_lq_rerm", recording)
+        result = run_scenario(lasso_config(n_grid=[4, 8, 16], d=8))
+        assert len(gaps) == result.achieved.size
+        assert max(gaps) <= 1e-6
+        assert np.isfinite(result.achieved).all()
+
+    @pytest.mark.parametrize(
+        "config, factor",
+        [
+            (lasso_config(), True),
+            (lasso_config(scenario="LqRerm"), True),
+            (lasso_config(noise=NoiseSpec.exponential(2.0)), False),
+            (lasso_config(noise=NoiseSpec.bounded(0.5)), False),
+            (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)), False),
+        ],
+        ids=["gaussian", "lq-rerm-q2-gaussian", "exponential", "bounded", "lq-rerm-q4-bounded"],
+    )
+    def test_only_gaussian_square_loss_solves_on_the_factor(self, monkeypatch, config, factor):
+        rows = []
+
+        def recording(sample, *args, **kwargs):
+            rows.append(sample.n)
+            return SimpleNamespace(beta=np.zeros(sample.d))
+
+        monkeypatch.setattr(harness, "solve_lq_rerm", recording)
+        run_scenario(config)
+        expected = [config.d + 1 if factor else n for n in config.n_grid for _ in range(config.replications)]
+        assert rows == expected
 
 
 class TestLqRerm:

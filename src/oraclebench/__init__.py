@@ -2,10 +2,11 @@
 
 The package has three layers:
 
-* primitives: empirical risk and ERM over finite dictionaries (``model``),
-  empirical Orlicz-norm and concentration evaluators (``concentration``),
-  star-hull localization, its fixed point, the l1-ball complexity profile
-  and the Maurey and L_q localized-supremum bounds (``complexity``);
+* primitives: empirical risk and ERM over finite dictionaries, each given by
+  its (functions, points) loss table (``model``), empirical Orlicz-norm and
+  concentration evaluators that return floats (``concentration``), star-hull
+  localization, its fixed point, the l1-ball complexity profile and Maurey's
+  l1-ball chaining complexity (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
   the closed-form penalty/residual builders (``solvers``);
 * harness: seeded Monte Carlo scenarios that measure exact and nonexact
@@ -20,11 +21,9 @@ from .complexity import (
     fixed_point_lambda,
     l1_complexity_profile,
     localized_star_hull_sup,
-    lq_localized_bound,
     maurey_l1_gamma2,
 )
 from .concentration import (
-    BernsteinCertificate,
     bernstein_from_psi1,
     bernstein_verify,
     envelope_psi1,
@@ -45,7 +44,6 @@ from .harness import (
     write_summary_csv,
 )
 from .model import (
-    FiniteModel,
     LossSpec,
     RiskEstimate,
     Sample,
@@ -70,10 +68,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "BetaStarSpec",
-    "BernsteinCertificate",
     "BracketError",
     "ComplexityProfile",
-    "FiniteModel",
     "InvalidInputError",
     "IterationLimitError",
     "LocalizedSupInput",
@@ -99,7 +95,6 @@ __all__ = [
     "l1_complexity_profile",
     "l1_penalty_level",
     "localized_star_hull_sup",
-    "lq_localized_bound",
     "maurey_l1_gamma2",
     "project_l1_ball",
     "psi_alpha_norm",

@@ -15,9 +15,8 @@ sees the same sample and the map is pointwise monotone by construction.
 
 ``l1_complexity_profile`` gives the same level, with the envelope and
 second-moment constants, in closed form for l1 balls of linear predictors
-under the L_q loss, as maps of the ball's radius; ``maurey_l1_gamma2`` and
-``lq_localized_bound`` are the l1-ball chaining complexity and the L_q
-localized-supremum bound that such a level is built from.
+under the L_q loss, as maps of the ball's radius; ``maurey_l1_gamma2`` is
+the l1-ball chaining complexity that such a level is built from.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "expected_localized_sup",
     "fixed_point_lambda",
     "maurey_l1_gamma2",
-    "lq_localized_bound",
     "l1_complexity_profile",
 ]
 
@@ -190,28 +188,6 @@ def maurey_l1_gamma2(r, max_x_inf, n, d):
     log_d = math.log(d)
     tail = max(1.0, math.log(math.sqrt(n) / log_d)) if math.sqrt(n) > log_d else 1.0
     return r * max_x_inf * log_d * tail
-
-
-def lq_localized_bound(mu, un, m_psi1, n, q):
-    """Expected localized supremum bound for the L_q loss class.
-
-    For q = 2 the bound is max(sqrt(mu*U/n), U/n) with U the expected squared
-    chaining complexity of the localized coordinate projection. For q > 2
-    the envelope scale M enters through the factor (M log n)^{(q-2)/q} and
-    an additive (M log n)/n term.
-    """
-    if not q >= 2:
-        raise InvalidInputError("q must be >= 2")
-    if not n >= 2:
-        raise InvalidInputError("n must be >= 2")
-    for name, value in (("mu", mu), ("un", un), ("m_psi1", m_psi1)):
-        if not value >= 0:
-            raise InvalidInputError(f"{name} must be nonnegative")
-    base = math.sqrt(mu * un / n)
-    if q == 2:
-        return max(base, un / n)
-    factor = (m_psi1 * math.log(n)) ** ((q - 2.0) / q)
-    return max(base * math.sqrt(factor), (un / n) * factor, m_psi1 * math.log(n) / n)
 
 
 @dataclass(frozen=True)

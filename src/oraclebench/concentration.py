@@ -4,20 +4,19 @@ The psi_alpha (Orlicz) norm of a sample is the smallest scale c at which the
 empirical exponential moment mean(exp(|x_i|^alpha / c^alpha)) drops to 2.
 Everything downstream is plug-in: empirical moments replace expectations, and
 population-level claims are left to Monte Carlo replication in the harness.
-``psi_alpha_norm`` and ``envelope_psi1`` return the scale as a float.
+``psi_alpha_norm`` and ``envelope_psi1`` return the scale as a float, and
+``bernstein_from_psi1`` returns the second-moment constant B as a float.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInputError
 
 __all__ = [
-    "BernsteinCertificate",
     "psi_alpha_norm",
     "envelope_psi1",
     "bernstein_from_psi1",
@@ -25,18 +24,6 @@ __all__ = [
 ]
 
 _GROWTH_LIMIT = 200
-
-
-@dataclass(frozen=True)
-class BernsteinCertificate:
-    """Second-moment control constant B with its additive B^2/n residual."""
-
-    bn: float
-    residual: float
-
-    def __post_init__(self):
-        if self.bn < 0 or self.residual < 0:
-            raise InvalidInputError("bn and residual must be nonnegative")
 
 
 def _empirical_exp_moment(absx, alpha, c):
@@ -111,15 +98,14 @@ def envelope_psi1(class_values):
 def bernstein_from_psi1(psi1, n):
     """Second-moment control constant for nonnegative subexponential losses.
 
-    A psi_1 diameter D yields B = D * log(e n); the certificate carries the
-    additive residual B^2/n.
+    A psi_1 diameter D yields B = D * log(e n), returned as a float; its
+    additive residual is B^2/n.
     """
     if not psi1 >= 0:
         raise InvalidInputError("psi1 must be nonnegative")
     if not n >= 1:
         raise InvalidInputError("n must be >= 1")
-    bn = psi1 * math.log(math.e * n)
-    return BernsteinCertificate(bn=bn, residual=bn * bn / n)
+    return psi1 * math.log(math.e * n)
 
 
 def bernstein_verify(samples, psi1, z):

@@ -55,8 +55,8 @@ Every replication draws from a generator seeded by a 64-bit mix of
 (masterSeed, scenario tag, n, replication index), so results are independent
 of scheduling and worker count; the achieved risks are always gathered in
 replication order. Nonpositive per-n mean nonexact slacks cannot enter a
-log-log fit: they are excluded from the fit, counted, and reported floored at
-a small configurable value in summaries.
+log-log fit: they are excluded from the fit, counted, and reported in
+summaries as the tiny positive constant ``_FLOOR``.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import numpy as np
 from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
 from .complexity import expected_localized_sup, fixed_point_lambda
 from .errors import InvalidInputError, IterationLimitError
-from .model import FiniteModel, LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
+from .model import LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
 from .solvers import erm_residual, l1_penalty_level, solve_lq_rerm
 
 __all__ = [
@@ -95,6 +95,8 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+# the positive stand-in that summaries report for a nonpositive mean nonexact slack
+_FLOOR = 1e-12
 
 
 def _splitmix64(z):
@@ -139,10 +141,9 @@ def _finite_gap_ctx(config, n):
     p_plus = 0.5 + delta / 2.0
     true_risks = np.array([1.0 - p_plus, p_plus])
     # the constant predictors +1 and -1 at the two distinct points, labels +1 and -1
-    model = FiniteModel(predictions=[[1.0, 1.0], [-1.0, -1.0]], true_risks=true_risks)
-    losses = LossSpec.zero_one().per_sample(model.predictions, np.array([1.0, -1.0]))
+    losses = LossSpec.zero_one().per_sample(np.array([[1.0, 1.0], [-1.0, -1.0]]), np.array([1.0, -1.0]))
     budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
-    return {"model": model, "losses": losses, "p_plus": p_plus, "delta": delta,
+    return {"true_risks": true_risks, "losses": losses, "p_plus": p_plus, "delta": delta,
             "oracle": float(true_risks.min()), "budget": budget}
 
 
@@ -150,18 +151,18 @@ def _finite_gap_rows(config, ctx, n, reps, rngs):
     # n uniforms per replication rather than one binomial draw: criterion 5 passes or fails with this
     # exact stream
     plus = np.fromiter((np.count_nonzero(rng.random(n) < ctx["p_plus"]) for rng in rngs), np.int64, len(reps))
-    return ctx["model"].true_risks[erm_finite(ctx["losses"], np.vstack([plus, n - plus]))]
+    return ctx["true_risks"][erm_finite(ctx["losses"], np.vstack([plus, n - plus]))]
 
 
 def _isomorphy_model(config):
-    """Finite sign dictionary over equiprobable cells with known risks, and its loss table.
+    """Population risks and 0-1 loss table of a finite sign dictionary over equiprobable cells.
 
     Labels are +1 with probability 0.5 + label_flip on even cells and
     0.5 - label_flip on odd cells; predictor sign patterns are drawn once
     from a seed derived from the master seed, so population risks are exact.
     The distinct points are the (cell, label) pairs: point c is cell c with
-    label +1 and point cells + c is cell c with label -1, so the model's
-    predictions are the patterns twice over.
+    label +1 and point cells + c is cell c with label -1, so the loss table
+    scores the patterns twice over. Returns (true_risks, losses, p_plus).
     """
     k = config.cells
     rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/model", 0, 0))
@@ -169,10 +170,8 @@ def _isomorphy_model(config):
     signs = np.where(np.arange(k) % 2 == 0, 1.0, -1.0)
     p_plus = 0.5 + config.label_flip * signs
     err_prob = np.where(patterns > 0, 1.0 - p_plus, p_plus)
-    true_risks = err_prob.mean(axis=1)
-    model = FiniteModel(predictions=np.hstack([patterns, patterns]), true_risks=true_risks)
-    losses = LossSpec.zero_one().per_sample(model.predictions, np.repeat([1.0, -1.0], k))
-    return model, losses, p_plus
+    losses = LossSpec.zero_one().per_sample(np.hstack([patterns, patterns]), np.repeat([1.0, -1.0], k))
+    return err_prob.mean(axis=1), losses, p_plus
 
 
 def _isomorphy_points(rng, p_plus, n):
@@ -189,13 +188,11 @@ def _isomorphy_risks(rng, losses, p_plus, n):
 
 
 def _isomorphy_contexts(config):
-    model, losses, p_plus = _isomorphy_model(config)
-    return {n: _isomorphy_ctx(config, n, model, losses, p_plus) for n in config.n_grid}
+    true_risks, losses, p_plus = _isomorphy_model(config)
+    return {n: _isomorphy_ctx(config, n, true_risks, losses, p_plus) for n in config.n_grid}
 
 
-def _isomorphy_ctx(config, n, model, losses, p_plus):
-    true_risks = model.true_risks
-
+def _isomorphy_ctx(config, n, true_risks, losses, p_plus):
     def sampler(rng):
         return true_risks, np.abs(true_risks - _isomorphy_risks(rng, losses, p_plus, n))
 
@@ -208,16 +205,16 @@ def _isomorphy_ctx(config, n, model, losses, p_plus):
     # the envelope and psi_1 draws need per-sample losses: the loss table's columns at the drawn points
     calib = np.vstack([losses[:, _isomorphy_points(calib_rng, p_plus, n)].max(axis=0) for _ in range(64)])
     bn = envelope_psi1(calib)
-    pooled = [losses[j, _isomorphy_points(calib_rng, p_plus, n)] for j in range(model.size)]
+    pooled = [losses[j, _isomorphy_points(calib_rng, p_plus, n)] for j in range(config.d)]
     diam = max(psi_alpha_norm(sample_losses, alpha=1.0, tol=1e-6) for sample_losses in pooled)
-    big_bn = bernstein_from_psi1(diam, n).bn
+    big_bn = bernstein_from_psi1(diam, n)
     rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
     # crude noise band on the fixed point: the defining slope is epsilon/4
     lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
     # the achieved risk is the worst margin and the oracle risk is 0, so both
     # slacks equal that margin and "satisfied" is the isomorphy event at rho
     return {
-        "model": model,
+        "true_risks": true_risks,
         "losses": losses,
         "p_plus": p_plus,
         "oracle": 0.0,
@@ -232,7 +229,7 @@ def _isomorphy_ctx(config, n, model, losses, p_plus):
 
 def _isomorphy_row(config, ctx, n, rep, rng):
     emp = _isomorphy_risks(rng, ctx["losses"], ctx["p_plus"], n)
-    return float(np.max(ctx["model"].true_risks - (1.0 + 2.0 * config.epsilon) * emp))
+    return float(np.max(ctx["true_risks"] - (1.0 + 2.0 * config.epsilon) * emp))
 
 
 def _rerm_ctx(config, n):
@@ -514,8 +511,8 @@ class NoiseSpec:
 class BetaStarSpec:
     """Sparse coefficient vector: ``support`` leading coordinates at ``magnitude``."""
 
-    support: int
-    magnitude: float
+    support: int = 3
+    magnitude: float = 1.0
 
     def __post_init__(self):
         _check(self, (("betaStar.support", "support", _as_int, lambda v: v >= 0, "be >= 0"),
@@ -546,9 +543,8 @@ class ScenarioConfig:
     q = 4, 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 + 6 S E noise^2 + E noise^4
     with delta = beta - beta_star, S = m2 ||delta||^2 and m2, m4 the design's
     per-coordinate moments; ``lambda_replications`` drives the localization
-    estimate; ``floor`` is the tiny positive stand-in reported for
-    nonpositive mean slacks. The named constants are c0 >= 0, c1 >= 0 and
-    Kd > 0; each defaults to 1.
+    estimate. The named constants are c0 >= 0, c1 >= 0 and Kd > 0; each
+    defaults to 1.
     """
 
     scenario: str
@@ -560,12 +556,11 @@ class ScenarioConfig:
     replications: int = 100
     master_seed: int = 20120601
     noise: NoiseSpec = field(default_factory=lambda: NoiseSpec.gaussian(1.0))
-    beta_star: BetaStarSpec = field(default_factory=lambda: BetaStarSpec(3, 1.0))
+    beta_star: BetaStarSpec = field(default_factory=BetaStarSpec)
     constants: dict = field(default_factory=dict)
     gamma: float = 1.0
     test_size: int | None = None
     lambda_replications: int = 500
-    floor: float = 1e-12
     label_flip: float = 0.3
     cells: int = 16
 
@@ -604,7 +599,6 @@ _FIELDS = (
     ("testSize", "test_size", lambda key, v: v if v is None else _as_int(key, v), lambda v: v is None or v >= 2,
      "be >= 2"),
     ("lambdaReplications", "lambda_replications", _as_int, lambda v: v >= 1, "be >= 1"),
-    ("floor", "floor", _as_real, lambda v: v > 0, "be positive"),
     ("labelFlip", "label_flip", _as_real, lambda v: 0 <= v <= 0.5, "lie in [0, 1/2]"),
     ("cells", "cells", _as_int, lambda v: v >= 2, "be >= 2"),
 )
@@ -640,8 +634,9 @@ def config_from_mapping(mapping):
     if "betaStar" in mapping:
         spec = mapping["betaStar"]
         if not isinstance(spec, dict) or set(spec) - {"support", "magnitude"}:
-            raise InvalidInputError("betaStar must be an object with 'support' and 'magnitude'")
-        kwargs["beta_star"] = BetaStarSpec(spec.get("support", 0), spec.get("magnitude", 0.0))
+            raise InvalidInputError("betaStar must be an object with no keys but 'support' and 'magnitude'")
+        # a key left out keeps its default, as a betaStar left out does
+        kwargs["beta_star"] = BetaStarSpec(**spec)
     return ScenarioConfig(**kwargs)
 
 
@@ -791,7 +786,7 @@ def run_scenario(config, workers=1):
             mean_oracle=float(oracle[i].mean()),
             mean_slack_exact=mean_exact[i],
             stderr_slack_exact=float(stderr_exact),
-            mean_slack_nonexact=max(mean_nonexact[i], config.floor) if floored[i] else mean_nonexact[i],
+            mean_slack_nonexact=_FLOOR if floored[i] else mean_nonexact[i],
             stderr_slack_nonexact=float(stderr_nonexact),
             mean_budget=float(budget[i].mean()),
             satisfaction_frequency=float(satisfied[i].mean()),

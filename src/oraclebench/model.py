@@ -3,9 +3,11 @@
 Conventions used throughout the package:
 
 * risks are means of nonnegative per-sample losses,
-* a finite dictionary is scored on the sample's histogram over its distinct
-  points: the (functions, points) loss table times the count of each point,
-  and many samples at once as one table-matrix product over their histograms,
+* a finite dictionary is given by its (functions, points) loss table at the
+  distinct sample points and scored on the sample's histogram over them: the
+  table times the count of each point, and many samples at once as one
+  table-matrix product over their histograms; a caller that knows the data
+  distribution keeps the population risks beside the table,
 * binary labels live in {-1, +1} and a sign mismatch costs 1,
 * every container is immutable after construction, so all operations here
   are pure functions and safe to call concurrently.
@@ -22,7 +24,6 @@ from .errors import InvalidInputError
 __all__ = [
     "Sample",
     "LossSpec",
-    "FiniteModel",
     "RiskEstimate",
     "empirical_risk",
     "erm_finite",
@@ -130,39 +131,6 @@ class LossSpec:
             return (predictions * responses <= 0).astype(float)
         with np.errstate(over="ignore"):
             return np.abs(responses - predictions) ** self.q
-
-
-@dataclass(frozen=True)
-class FiniteModel:
-    """A finite dictionary of predictors, stored as values at distinct points.
-
-    ``predictions[j, i]`` is the value of the j-th predictor at the i-th
-    distinct sample point, a point being everything a loss reads (for the
-    sign loss, an input and its label). A sample is then its histogram over
-    these points, and ``histogram_risks`` scores the whole dictionary on it.
-    ``true_risks``, when supplied by a generator that knows the data
-    distribution, holds the population risk of each predictor.
-    """
-
-    predictions: np.ndarray
-    true_risks: np.ndarray | None = None
-
-    def __post_init__(self):
-        preds = _as_readonly_float_array(self.predictions, "predictions", 2)
-        if preds.shape[0] < 1 or preds.shape[1] < 1:
-            raise InvalidInputError("model must contain at least one function and one sample point")
-        object.__setattr__(self, "predictions", preds)
-        if self.true_risks is not None:
-            risks = _as_readonly_float_array(self.true_risks, "true_risks", 1)
-            if risks.shape[0] != preds.shape[0]:
-                raise InvalidInputError("true_risks length must equal the model size")
-            if np.any(risks < 0):
-                raise InvalidInputError("true_risks must be nonnegative")
-            object.__setattr__(self, "true_risks", risks)
-
-    @property
-    def size(self):
-        return self.predictions.shape[0]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,6 @@ from oraclebench import (
     l1_complexity_profile,
     l1_penalty_level,
     localized_star_hull_sup,
-    lq_localized_bound,
     maurey_l1_gamma2,
     psi_alpha_norm,
     rerm_residual,
@@ -234,27 +233,6 @@ class TestMaureyBound:
             maurey_l1_gamma2(1.0, 1.0, 10, 1)
 
 
-class TestLqLocalizedBound:
-    def test_zero_un_q2(self):
-        assert lq_localized_bound(1.0, 0.0, 0.0, 10, 2.0) == 0.0
-
-    def test_q2_balanced(self):
-        n = 64
-        assert lq_localized_bound(1.0, float(n), 0.0, n, 2.0) == pytest.approx(1.0)
-
-    def test_q_above_2_with_unit_factor(self):
-        # m_psi1 * log(n) = 1 collapses the exponent to the q=2 terms plus 1/n
-        n = 50
-        m = 1.0 / math.log(n)
-        mu, un = 0.5, 10.0
-        expect = max(math.sqrt(mu * un / n), un / n, 1.0 / n)
-        assert lq_localized_bound(mu, un, m, n, 4.0) == pytest.approx(expect, rel=1e-12)
-
-    def test_q_domain(self):
-        with pytest.raises(InvalidInputError):
-            lq_localized_bound(1.0, 1.0, 1.0, 10, 1.5)
-
-
 class TestL1ComplexityProfile:
     def test_plug_in_unit_constants(self):
         eps = 0.3
@@ -304,11 +282,6 @@ class TestL1ComplexityProfile:
         (lambda: maurey_l1_gamma2(1.0, math.nan, 100, 10), "max_x_inf"),
         (lambda: maurey_l1_gamma2(1.0, 1.0, math.nan, 10), "n"),
         (lambda: maurey_l1_gamma2(1.0, 1.0, 100, math.nan), "d"),
-        (lambda: lq_localized_bound(math.nan, 1.0, 1.0, 100, 2.0), "mu"),
-        (lambda: lq_localized_bound(1.0, math.nan, 1.0, 100, 2.0), "un"),
-        (lambda: lq_localized_bound(1.0, 1.0, math.nan, 100, 4.0), "m_psi1"),
-        (lambda: lq_localized_bound(1.0, 1.0, 1.0, math.nan, 2.0), "n"),
-        (lambda: lq_localized_bound(1.0, 1.0, 1.0, 100, math.nan), "q"),
         (lambda: l1_complexity_profile(math.nan, 50, 2.0, 1.0, 0.25), "n"),
         (lambda: l1_complexity_profile(100, math.nan, 2.0, 1.0, 0.25), "d"),
         (lambda: l1_complexity_profile(100, 50, math.nan, 1.0, 0.25), "q"),
@@ -338,8 +311,7 @@ class TestL1ComplexityProfile:
         (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=-1.0), "c0"),
     ],
     ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "maurey-r", "maurey-max-x-inf", "maurey-n",
-         "maurey-d", "lq-bound-mu", "lq-bound-un", "lq-bound-m-psi1", "lq-bound-n", "lq-bound-q", "profile-n",
-         "profile-d", "profile-q", "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
+         "maurey-d", "profile-n", "profile-d", "profile-q", "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
          "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star", "rho-a-bn",
          "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x",
          "penalty-c0-nan", "penalty-c0-negative", "rho-a-c0-nan", "rho-a-c0-negative", "rho-b-c0-nan",

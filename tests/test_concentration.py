@@ -78,16 +78,14 @@ class TestEnvelopePsi1:
 
 class TestBernstein:
     def test_zero_diameter(self):
-        cert = bernstein_from_psi1(0.0, 100)
-        assert cert.bn == 0.0
-        assert cert.residual == 0.0
+        assert bernstein_from_psi1(0.0, 100) == 0.0
 
     def test_unit_inputs(self):
-        assert bernstein_from_psi1(1.0, 1).bn == pytest.approx(1.0)
+        assert bernstein_from_psi1(1.0, 1) == pytest.approx(1.0)
 
     def test_linear_in_diameter(self):
-        a = bernstein_from_psi1(1.0, 50).bn
-        b = bernstein_from_psi1(2.0, 50).bn
+        a = bernstein_from_psi1(1.0, 50)
+        b = bernstein_from_psi1(2.0, 50)
         assert b == pytest.approx(2 * a)
 
     def test_verify_zero_samples(self):

@@ -123,7 +123,6 @@ def _config_mappings():
             "gamma": st.floats(0, 5),
             "testSize": st.integers(2, 10**5),
             "lambdaReplications": st.integers(1, 500),
-            "floor": st.floats(1e-15, 1e-3),
             "labelFlip": st.floats(0, 0.5),
             "cells": st.integers(2, 64),
             "noise": noise,
@@ -141,7 +140,7 @@ def _config_mappings():
         st.fixed_dictionaries({"nGrid": st.lists(junk, max_size=3)}),
     )
     keys = ["scenario", "nGrid", "d", "q", "epsilon", "x", "replications", "masterSeed", "gamma",
-            "testSize", "lambdaReplications", "floor", "labelFlip", "cells", "noise", "betaStar",
+            "testSize", "lambdaReplications", "labelFlip", "cells", "noise", "betaStar",
             "constants", "bogus"]
     broken = st.dictionaries(st.sampled_from(keys), junk, max_size=2) | broken_nested
     return st.builds(lambda base, bad: {**base, **bad}, valid, st.just({}) | broken)
@@ -284,7 +283,7 @@ class TestFiniteGap:
             for rep in range(config.replications):
                 rng = np.random.default_rng(derive_seed(config.master_seed, "finite-gap", n, rep))
                 plus = int(np.count_nonzero(rng.random(n) < ctx["p_plus"]))
-                achieved.append(float(ctx["model"].true_risks[harness.erm_finite(ctx["losses"], [plus, n - plus])]))
+                achieved.append(float(ctx["true_risks"][harness.erm_finite(ctx["losses"], [plus, n - plus])]))
         return np.array(achieved).reshape(len(config.n_grid), config.replications)
 
     @pytest.mark.parametrize("replications, workers, chunks", [
@@ -354,8 +353,9 @@ class TestIsomorphy:
     def test_histogram_draw_matches_the_expanded_draw(self, seed):
         # the draw as the (functions, n) loss matrix it replaced: same risks bit for bit, same stream use
         config = iso_config(cells=int(np.random.default_rng(seed).integers(2, 65)))
-        model, losses, p_plus = harness._isomorphy_model(config)
-        patterns = model.predictions[:, : config.cells]
+        _, losses, p_plus = harness._isomorphy_model(config)
+        # a label +1 point has loss 1 exactly where the pattern is -1
+        patterns = 1 - 2 * losses[:, : config.cells]
         for n in (1, 255, 256, 4096):
             old_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             cells = old_rng.integers(0, p_plus.size, size=n)
@@ -697,6 +697,15 @@ class TestConfigParsing:
         assert cfg.beta_star == BetaStarSpec(1, 2.0)
         assert cfg.constant("c0") == 0.5
 
+    @pytest.mark.parametrize("spec, support, magnitude", [
+        ({"magnitude": 2.0}, 3, 2.0), ({"support": 1}, 1, 1.0), ({}, 3, 1.0),
+    ], ids=["magnitude-only", "support-only", "empty"])
+    def test_partial_beta_star_keeps_the_default_of_the_missing_key(self, spec, support, magnitude):
+        # a key left out of betaStar takes the default a left-out betaStar has, never 0
+        cfg = config_from_mapping({"scenario": "SquareLasso", "nGrid": [16], "betaStar": spec})
+        assert ScenarioConfig("SquareLasso", (16,)).beta_star == BetaStarSpec(3, 1.0)
+        assert cfg.beta_star == BetaStarSpec(support, magnitude)
+
     def test_bad_noise_named(self):
         with pytest.raises(InvalidInputError, match="noise"):
             config_from_mapping({"scenario": "FiniteGap", "nGrid": [4], "noise": {"kind": "Laplace", "sd": 1}})
@@ -764,6 +773,13 @@ def test_finite_dictionary_contexts_hold_no_array_that_grows_with_n(config):
     contexts = harness._REGISTRY[config.scenario].contexts(dataclasses.replace(config, n_grid=(64, 4096)))
     small, large = (array_sizes(contexts[n]) for n in (64, 4096))
     assert small and small == large
+
+
+def test_readme_config_table_lists_the_schema_fields_in_order():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("| key | default | constraint | read by |\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    keys = [line.split("`", 2)[1] for line in table.splitlines()]
+    assert keys == [key for key, *_ in harness._FIELDS]
 
 
 def test_benchmark_probe_patch_targets_exist():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from oraclebench import (
-    FiniteModel,
     InvalidInputError,
     LossSpec,
     Sample,
@@ -162,10 +161,11 @@ class TestErmFinite:
             erm_finite(LossSpec.zero_one().per_sample(np.ones((2, 3)), np.array([1.0, bad, -1.0])), np.ones(3))
 
     def test_empty_model_rejected(self):
+        # a dictionary with no functions, or a loss table with no points, has no minimizer
         with pytest.raises(InvalidInputError):
-            FiniteModel(predictions=np.empty((0, 3)))
+            erm_finite(np.empty((0, 3)), np.ones(3))
         with pytest.raises(InvalidInputError):
-            FiniteModel(predictions=np.empty((2, 0)))
+            erm_finite(np.empty((2, 0)), np.ones(0))
 
 
 class TestHistogramRisks:
@@ -340,9 +340,3 @@ class TestContainers:
             LossSpec.lq(1.5)
         with pytest.raises(InvalidInputError):
             LossSpec.zero_one().per_sample(np.array([1.0]), np.array([0.5]))
-
-    def test_true_risks_validation(self):
-        with pytest.raises(InvalidInputError):
-            FiniteModel(predictions=np.ones((2, 3)), true_risks=np.array([0.1]))
-        with pytest.raises(InvalidInputError):
-            FiniteModel(predictions=np.ones((1, 3)), true_risks=np.array([-0.1]))

@@ -5,8 +5,8 @@ The package has three layers:
 * primitives: empirical risk and ERM over finite dictionaries, each given by
   its (functions, points) loss table (``model``), empirical Orlicz-norm and
   concentration evaluators that return floats (``concentration``), star-hull
-  localization, its fixed point, the l1-ball complexity profile and Maurey's
-  l1-ball chaining complexity (``complexity``);
+  localization, its fixed point and the l1-ball complexity profile
+  (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
   the closed-form penalty/residual builders (``solvers``);
 * harness: seeded Monte Carlo scenarios that measure exact and nonexact
@@ -21,7 +21,6 @@ from .complexity import (
     fixed_point_lambda,
     l1_complexity_profile,
     localized_star_hull_sup,
-    maurey_l1_gamma2,
 )
 from .concentration import (
     bernstein_from_psi1,
@@ -95,7 +94,6 @@ __all__ = [
     "l1_complexity_profile",
     "l1_penalty_level",
     "localized_star_hull_sup",
-    "maurey_l1_gamma2",
     "project_l1_ball",
     "psi_alpha_norm",
     "rate_fit",

@@ -15,8 +15,7 @@ sees the same sample and the map is pointwise monotone by construction.
 
 ``l1_complexity_profile`` gives the same level, with the envelope and
 second-moment constants, in closed form for l1 balls of linear predictors
-under the L_q loss, as maps of the ball's radius; ``maurey_l1_gamma2`` is
-the l1-ball chaining complexity that such a level is built from.
+under the L_q loss, as maps of the ball's radius.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ __all__ = [
     "localized_star_hull_sup",
     "expected_localized_sup",
     "fixed_point_lambda",
-    "maurey_l1_gamma2",
     "l1_complexity_profile",
 ]
 
@@ -170,24 +168,6 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
         else:
             lo = mid
     return float(hi)
-
-
-def maurey_l1_gamma2(r, max_x_inf, n, d):
-    """Empirical-method complexity of an l1 ball of linear predictors.
-
-    Evaluates r * max_i ||X_i||_inf * log(d) * log(sqrt(n)/log(d)); the last
-    factor is clamped below at 1 so the bound stays meaningful when sqrt(n)
-    does not exceed log(d).
-    """
-    if not (r >= 0 and max_x_inf >= 0):
-        raise InvalidInputError("r and max_x_inf must be nonnegative")
-    if not n >= 1:
-        raise InvalidInputError("n must be >= 1")
-    if not d >= 2:
-        raise InvalidInputError("d must be >= 2")
-    log_d = math.log(d)
-    tail = max(1.0, math.log(math.sqrt(n) / log_d)) if math.sqrt(n) > log_d else 1.0
-    return r * max_x_inf * log_d * tail
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,12 @@ point and holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso,
 so both give identical output for identical configurations. It also holds
 the one slack definition: exact slack = achieved - oracle, nonexact slack =
 achieved - (1 + 3 eps) * oracle, and a replication is satisfied when its
-nonexact slack is at most the budget. FiniteGap and Isomorphy score their
-finite dictionary on the sample's histogram over its distinct labelled
-points: each context holds the loss table at those points, and a
-replication counts how often each point occurs. Isomorphy takes one
+nonexact slack is at most the budget. The result holds the oracle risk and
+the budget once per n, and the achieved risk, both slacks and the satisfied
+flag per replication. FiniteGap and Isomorphy score their finite dictionary
+on the sample's histogram over its distinct labelled points: each context
+holds the loss table at those points, and a replication counts how often
+each point occurs. Isomorphy takes one
 matrix-vector product per replication (``histogram_risks``); FiniteGap
 gathers the two counts of every replication of a chunk and picks all of its
 minimizers with one ``erm_finite`` call on the (2, replications) count
@@ -61,9 +63,9 @@ summaries as the tiny positive constant ``_FLOOR``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
+import os
 import sys
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -569,6 +571,10 @@ class ScenarioConfig:
         if self.scenario == "SquareLasso" and self.q != 2:
             raise InvalidInputError(f"field 'q' must be 2 for SquareLasso, got {self.q!r}")
         if self.scenario in ("SquareLasso", "LqRerm"):
+            # the penalty level takes log n and log d, so the smallest n and d must be >= 2
+            for key, smallest in (("nGrid", self.n_grid[0]), ("d", self.d)):
+                if smallest < 2:
+                    raise InvalidInputError(f"field {key!r} must be >= 2 for {self.scenario}, got {smallest}")
             if self.beta_star.support > self.d:
                 raise InvalidInputError(f"field 'betaStar.support' must be <= d = {self.d}, got {self.beta_star.support}")
             if self.q > 2 and self.noise.kind != NoiseSpec.BOUNDED:
@@ -673,30 +679,27 @@ def rate_fit(points):
 @dataclass(frozen=True)
 class SummaryRow:
     n: int
-    replications: int
     mean_achieved: float
-    mean_oracle: float
     mean_slack_exact: float
     stderr_slack_exact: float
     mean_slack_nonexact: float
     stderr_slack_nonexact: float
-    mean_budget: float
     satisfaction_frequency: float
     floored: bool
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Everything one scenario run produces: per-replication arrays, summaries, fits, extras.
+    """Everything one scenario run produces: per-n values and per-replication arrays, summaries, fits, extras.
 
-    The six per-replication arrays are the columns of ``rows.csv``, each with
-    one row per n of ``config.n_grid`` and one column per replication:
-    ``achieved`` risk; that n's ``oracle`` risk and residual ``budget``;
-    ``slack_exact`` = achieved - oracle; ``slack_nonexact`` = achieved -
-    (1 + 3 eps) * oracle; and ``satisfied`` = slack_nonexact <= budget.
+    ``oracle`` risk and residual ``budget`` hold one value per n of
+    ``config.n_grid``. The four per-replication arrays have one row per n and
+    one column per replication: ``achieved`` risk; ``slack_exact`` = achieved
+    - oracle; ``slack_nonexact`` = achieved - (1 + 3 eps) * oracle; and
+    ``satisfied`` = slack_nonexact <= budget. ``rows.csv`` lists all six per
+    replication. ``config.scenario`` is the scenario that ran.
     """
 
-    scenario: str
     config: ScenarioConfig
     achieved: np.ndarray
     oracle: np.ndarray
@@ -736,7 +739,8 @@ def _run_rows(config, contexts, workers):
     ]
     if workers > 1:
         # the pool starts all its processes at the first submit, so it gets no more than there are chunks
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
+        # or CPUs; the chunks still follow workers, so the output does not depend on the CPU count
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads), os.cpu_count() or 1)) as pool:
             chunks = list(pool.map(_run_chunk, payloads))
     else:
         chunks = [_run_chunk(p) for p in payloads]
@@ -759,21 +763,16 @@ def _try_fit(points):
 
 def run_scenario(config, workers=1):
     """Run a configuration as its scenario; LqRerm at q = 2 runs as SquareLasso."""
-    scenario = "SquareLasso" if config.scenario == "LqRerm" and config.q == 2 else config.scenario
-    if scenario != config.scenario:
-        config = replace(config, scenario=scenario)
-    spec = _REGISTRY[scenario]
+    if config.scenario == "LqRerm" and config.q == 2:
+        config = replace(config, scenario="SquareLasso")
+    spec = _REGISTRY[config.scenario]
     contexts = spec.contexts(config)
     achieved = _run_rows(config, contexts, workers)
-    # each n's oracle risk and budget repeated over its replications, as rows.csv lists them
-    oracle, budget = (
-        np.repeat([[contexts[n][key]] for n in config.n_grid], config.replications, axis=1)
-        for key in ("oracle", "budget")
-    )
+    oracle, budget = (np.array([contexts[n][key] for n in config.n_grid], dtype=float) for key in ("oracle", "budget"))
     # the one definition of the two slacks and of a satisfied replication
-    slack_exact = achieved - oracle
-    slack_nonexact = achieved - (1.0 + 3.0 * config.epsilon) * oracle
-    satisfied = slack_nonexact <= budget
+    slack_exact = achieved - oracle[:, None]
+    slack_nonexact = achieved - (1.0 + 3.0 * config.epsilon) * oracle[:, None]
+    satisfied = slack_nonexact <= budget[:, None]
 
     mean_exact = slack_exact.mean(axis=1).tolist()
     mean_nonexact = slack_nonexact.mean(axis=1).tolist()
@@ -781,14 +780,11 @@ def run_scenario(config, workers=1):
     summaries = tuple(
         SummaryRow(
             n=n,
-            replications=config.replications,
             mean_achieved=float(achieved[i].mean()),
-            mean_oracle=float(oracle[i].mean()),
             mean_slack_exact=mean_exact[i],
             stderr_slack_exact=float(stderr_exact),
             mean_slack_nonexact=_FLOOR if floored[i] else mean_nonexact[i],
             stderr_slack_nonexact=float(stderr_nonexact),
-            mean_budget=float(budget[i].mean()),
             satisfaction_frequency=float(satisfied[i].mean()),
             floored=floored[i],
         )
@@ -797,7 +793,6 @@ def run_scenario(config, workers=1):
         )
     )
     return ScenarioResult(
-        scenario=scenario,
         config=config,
         achieved=achieved,
         oracle=oracle,
@@ -836,28 +831,16 @@ def _fmt_opt(value):
     return "" if value is None else _fmt(value)
 
 
-def _texts(values):
-    """The ``_fmt`` text of each value of one row; a row that repeats one value is formatted once."""
-    values = np.asarray(values, dtype=float)
-    # compared as bits: 0.0 == -0.0, but their texts differ
-    bits = values.view(np.uint64)
-    if (bits == bits[0]).all():
-        return itertools.repeat(_fmt(values[0]), values.size)
-    return map(_fmt, values.tolist())
-
-
 def rows_csv_text(result):
-    """Per-replication CSV payload with a fixed column order.
-
-    ``run_scenario`` repeats each n's oracle risk and budget over its
-    replications, so those two are formatted once per n.
-    """
+    """Per-replication CSV payload with a fixed column order; each n's oracle risk and budget repeat."""
     lines = [ROWS_HEADER]
-    columns = (result.achieved, result.oracle, result.slack_exact, result.slack_nonexact, result.budget)
+    scenario = result.config.scenario
+    columns = (result.achieved, result.slack_exact, result.slack_nonexact, result.satisfied)
     for i, n in enumerate(result.config.n_grid):
-        fields = zip(*(_texts(column[i]) for column in columns), result.satisfied[i].tolist())
-        for rep, (achieved, oracle, exact, nonexact, budget, satisfied) in enumerate(fields):
-            lines.append(f"{result.scenario},{n},{rep},{achieved},{oracle},{exact},{nonexact},{budget},"
+        oracle, budget = _fmt(result.oracle[i]), _fmt(result.budget[i])
+        fields = zip(*(column[i].tolist() for column in columns))
+        for rep, (achieved, exact, nonexact, satisfied) in enumerate(fields):
+            lines.append(f"{scenario},{n},{rep},{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},"
                          f"{'true' if satisfied else 'false'}")
     return "\n".join(lines) + "\n"
 
@@ -867,20 +850,20 @@ def summary_csv_text(result):
     fit_e = result.fit_exact
     fit_ne = result.fit_nonexact
     lines = [SUMMARY_HEADER]
-    for s in result.summaries:
+    for s, oracle, budget in zip(result.summaries, result.oracle, result.budget):
         lines.append(
             ",".join(
                 [
-                    result.scenario,
+                    result.config.scenario,
                     str(s.n),
-                    str(s.replications),
+                    str(result.config.replications),
                     _fmt(s.mean_achieved),
-                    _fmt(s.mean_oracle),
+                    _fmt(oracle),
                     _fmt(s.mean_slack_exact),
                     _fmt(s.stderr_slack_exact),
                     _fmt(s.mean_slack_nonexact),
                     _fmt(s.stderr_slack_nonexact),
-                    _fmt(s.mean_budget),
+                    _fmt(budget),
                     _fmt(s.satisfaction_frequency),
                     "true" if s.floored else "false",
                     str(result.floored_count),

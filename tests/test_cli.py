@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 from dataclasses import replace
@@ -152,6 +153,13 @@ def test_every_scenario_byte_identical_across_workers(scenario, tmp_path):
         payloads.append(((out / "rows.csv").read_bytes(), (out / "summary.csv").read_bytes()))
     assert payloads[0] == payloads[1]
     assert payloads[0][0].count(b"\n") > 1
+    # each n has one oracle risk and one budget: summary.csv writes the text that every row of that n holds
+    rows, summary = (list(csv.DictReader(payload.decode().splitlines())) for payload in payloads[0])
+    for line in summary:
+        per_n = [row for row in rows if row["n"] == line["n"]]
+        assert len(per_n) == int(line["replications"])
+        assert {row["oracleRisk"] for row in per_n} == {line["meanOracleRisk"]}
+        assert {row["budget"] for row in per_n} == {line["meanBudget"]}
 
 
 @pytest.mark.parametrize(
@@ -188,9 +196,13 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=SquareLasso", "d=2"], "'betaStar.support'"),
         (["scenario=SquareLasso", "constants.Kd=-1"], "'constants.Kd'"),
         (["scenario=SquareLasso", "constants.c1=-1"], "'constants.c1'"),
+        (["scenario=SquareLasso", "nGrid=[1, 4]"], "'nGrid'"),
+        (["scenario=SquareLasso", "d=1", "betaStar.support=1"], "'d'"),
+        (["scenario=LqRerm", "q=4", 'noise={"kind": "Bounded", "range": 0.5}', "d=1", "betaStar.support=1"], "'d'"),
     ],
     ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d",
-         "SquareLasso-Kd-negative", "SquareLasso-c1-negative"],
+         "SquareLasso-Kd-negative", "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1",
+         "LqRerm-q4-d1"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
     args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]

@@ -179,16 +179,18 @@ class TestOracleReport:
             for config in (finite_gap_config(epsilon=eps), lasso_config(epsilon=eps)):
                 res = run_scenario(config)
                 assert res.achieved.shape == (len(config.n_grid), config.replications)
+                assert res.oracle.shape == res.budget.shape == (len(config.n_grid),)
                 assert np.all(res.oracle > 0)
-                assert np.array_equal(res.slack_exact, res.achieved - res.oracle)
-                np.testing.assert_allclose(res.slack_exact - res.slack_nonexact, 3 * eps * res.oracle,
+                assert np.array_equal(res.slack_exact, res.achieved - res.oracle[:, None])
+                np.testing.assert_allclose(res.slack_exact - res.slack_nonexact,
+                                           np.broadcast_to(3 * eps * res.oracle[:, None], res.achieved.shape),
                                            rtol=1e-12, atol=1e-15)
 
     def test_satisfied_definition(self):
         # a small c0 shrinks the budget until some replications miss it
         res = run_scenario(finite_gap_config(constants={"c0": 1e-3}))
         assert 0 < res.satisfaction_frequency < 1
-        assert np.array_equal(res.satisfied, res.slack_nonexact <= res.budget)
+        assert np.array_equal(res.satisfied, res.slack_nonexact <= res.budget[:, None])
 
 
 class TestDeriveSeed:
@@ -236,26 +238,26 @@ class TestFiniteGap:
         golden = [
             (finite_gap_config(),
              "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee",
-             "7ad822c51c4eed7b87c3223815b061d3bc9a06e0bb56f87fa0d960f1bdc07a93"),
+             "1a24e40112f9f8ac896b5c4dfd17b26653f1c6813cf93e94d29cff98771e243a"),
             (iso_config(),
              "fd19c01236bf831a2d1e022da165da55f98913b0217e06039e94df2ee751c54c",
-             "f78c6228e50e0d681dc77402ccc5e1e0527db6b1c041d98d37e31a45da31305a"),
+             "305597860cc8740e57389d315ab415906f7f592e3e20417ea2e448ed6125e4e5"),
             (lasso_config(),
              "f0a92561d8389cc8765b6012474b0d63d47756774fdaa27408d83b54b6a38608",
-             "0f339d65d201de4017110be24f113ce851488edd979cd941629321b9d05b4ff1"),
+             "08f280d402e45e13917ec771eef7bd8f79b448df367c932f3c0176ac90464e85"),
             (lasso_config(noise=NoiseSpec.exponential(2.0)),
              "b6f7d4ba00c26b3a14677c65a33cb647177d061070ad8503724445701076b943",
-             "6792d138c854d2e22755b5d096632b7c1e7c79b7de31e0b691fe7ead75e274b8"),
+             "4b45c1d6476d7bfd66d59a946d3dc669e12050f503fd323a3457e3fc2bad77c4"),
             (lasso_config(noise=NoiseSpec.bounded(0.5)),
              "d5e1201e1a025aa62efd9dfd7cd6883776639e6389910f74fd796d63c6364460",
-             "7f26a6c83183c805cc17c4699df4c6f70e58de3d038d0558cc3c335c21f40433"),
+             "658718889bc50315244cc752e1acebb5a35ae9454776419da92efb6a6b2e8ed7"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
              "cf264c71c2c1fcdee83939df49502917cd503dc5074e8f8e597dd3aeb9324a31",
-             "9b359309976cb4e3977971b059467996fbdbc8361f435a98319977e915eb324a"),
+             "1913bd6f272fc4b96a02e5b900a4dfb824454f02cf6583943d9e13051cf1bdea"),
         ]
         for config, rows_sha, summary_sha in golden:
             result = run_scenario(config)
-            assert result.scenario == config.scenario
+            assert result.config.scenario == config.scenario
             assert hashlib.sha256(rows_csv_text(result).encode()).hexdigest() == rows_sha, config.scenario
             assert hashlib.sha256(summary_csv_text(result).encode()).hexdigest() == summary_sha, config.scenario
 
@@ -265,10 +267,14 @@ class TestFiniteGap:
         r2 = run_scenario(cfg, workers=3)
         assert rows_csv_text(r1) == rows_csv_text(r2)
 
-    @pytest.mark.parametrize("workers, pool_size", [(64, 3), (2, 2)])
-    def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, pool_size):
+    @pytest.mark.parametrize("workers, cpus, pool_size", [(64, 8, 3), (2, 8, 2), (64, 2, 2), (5000, None, 1)],
+                             ids=["64-3", "2-2", "64-2", "5000-1"])
+    def test_pool_is_no_larger_than_the_chunk_count(self, monkeypatch, workers, cpus, pool_size):
+        # the pool gets at most one process per chunk and per CPU (one if the count is unknown); an inline
+        # pool records the size, so no process is started
         sizes = []
         monkeypatch.setattr(harness, "ProcessPoolExecutor", inline_pool(sizes))
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         cfg = finite_gap_config(n_grid=[64], replications=3)
         result = run_scenario(cfg, workers=workers)
         assert sizes == [pool_size]
@@ -629,7 +635,7 @@ def test_design_table_moments(name):
 class TestRunScenarioAndCsv:
     def test_dispatch(self):
         res = run_scenario(finite_gap_config())
-        assert res.scenario == "FiniteGap"
+        assert res.config.scenario == "FiniteGap"
 
     def test_rows_csv_format(self):
         res = run_scenario(finite_gap_config(n_grid=[64], replications=3))
@@ -647,17 +653,6 @@ class TestRunScenarioAndCsv:
         assert first[8] in ("true", "false")
         # 17 significant digits round-trip
         assert float(first[3]) == res.achieved[0, 0]
-
-    def test_rows_csv_formats_every_value_of_a_row_that_varies(self):
-        # the per-n text of oracle and budget is only a shortcut: rows whose values differ, even as
-        # 0.0 and -0.0, are written value by value
-        res = run_scenario(finite_gap_config(n_grid=[64, 128], replications=4))
-        oracle = np.array([[0.0, -0.0, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25]])
-        budget = np.array([[1.0, 1.0, 1.0, 1.0], [0.1, 0.2, 1 / 3, np.nan]])
-        res = dataclasses.replace(res, oracle=oracle, budget=budget)
-        lines = rows_csv_text(res).strip().split("\n")[1:]
-        assert [line.split(",")[4] for line in lines] == ["0", "-0", "0", "0"] + ["0.25"] * 4
-        assert [line.split(",")[7] for line in lines] == ["1"] * 4 + [f"{v:.17g}" for v in budget[1]]
 
     def test_determinism_of_whole_run(self):
         cfg = finite_gap_config()

@@ -568,6 +568,9 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check(self, _FIELDS)
+        if self.scenario == "Isomorphy" and not self.x > math.log(4.0):
+            # the target frequency 1 - 4 exp(-x) must be positive, or no run can miss it
+            raise InvalidInputError(f"field 'x' must be > log 4 for Isomorphy, got {self.x!r}")
         if self.scenario == "SquareLasso" and self.q != 2:
             raise InvalidInputError(f"field 'q' must be 2 for SquareLasso, got {self.q!r}")
         if self.scenario in ("SquareLasso", "LqRerm"):

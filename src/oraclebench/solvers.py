@@ -8,13 +8,17 @@ Three entry points share one solver loop. ``solve_lq_rerm`` minimizes
 ``solve_lasso`` is the q = 2 risk plus pen * ||beta||_1. The loop is
 accelerated proximal gradient (FISTA, Beck & Teboulle 2009). The prox of
 c * ||beta||_1^p, for p = 1 or q, is soft-thresholding at a threshold found
-from the sorted magnitudes, by the same helper that projects onto l1 balls.
-At q = 2 the step is the fixed 1/L, with L exact from the Gram matrix; for
-q > 2 it is found by backtracking. The momentum restarts from the current
-iterate whenever the new step points against it, (z - cand).(cand - beta) > 0
-for the extrapolated point z (the gradient restart of O'Donoghue & Candes
-2015). The test compares no objective values, so rounding near the minimum
-does not trigger it; the objective may rise between iterates.
+from the sorted magnitudes, by the same helper that projects onto l1 balls;
+above p = 2 the number of active coordinates is found in closed form and
+the threshold by a scalar Newton solve at that count only. At q = 2 the step
+is the fixed 1/L, with L exact from the Gram matrix; for q > 2 it is found
+by backtracking. The momentum restarts from the current iterate whenever the
+new step points against it, (z - cand).(cand - beta) > 0 for the
+extrapolated point z (the gradient restart of O'Donoghue & Candes 2015).
+Neither test compares objective values, so rounding near the minimum does
+not trigger them; the objective may rise between iterates. The loop reads
+gradients only: the risk itself is evaluated for the gap's radius, for the
+lasso's Fenchel gap (through the Gram matrix) and for the returned objective.
 
 The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
@@ -72,19 +76,22 @@ class RermSolution:
             raise InvalidInputError("optimality_gap must be nonnegative")
 
 
-def _soft_threshold(v, thresholds):
+def _soft_threshold(v, threshold, active=None):
     """Soft-threshold v at theta_k for the largest k with u_k > theta_k; zero if there is none.
 
-    u holds the magnitudes of v in decreasing order, and ``thresholds(css, k)``
-    maps their cumulative sums css_k, for k = 1..d active coordinates, to theta_k.
+    u holds the magnitudes of v in decreasing order, and ``threshold(css, k)``
+    maps their cumulative sums css_k, for k = 1..d active coordinates, to
+    theta_k. ``active(u, css, k)``, when given, tests u_k > theta_k for every
+    k at once in another form, so that ``threshold`` is evaluated at one k only.
     """
     absv = np.abs(v)
     u = np.sort(absv)[::-1]
-    theta = thresholds(np.cumsum(u), np.arange(1, u.size + 1))
-    active = np.nonzero(u > theta)[0]
-    if active.size == 0:
+    css, counts = np.cumsum(u), np.arange(1, u.size + 1)
+    found = np.nonzero(active(u, css, counts) if active else u > threshold(css, counts))[0]
+    if found.size == 0:
         return np.zeros_like(v)
-    return np.sign(v) * np.maximum(absv - theta[active[-1]], 0.0)
+    last = found[-1]
+    return np.sign(v) * np.maximum(absv - threshold(css[last], int(last) + 1), 0.0)
 
 
 def project_l1_ball(v, radius):
@@ -112,37 +119,39 @@ def _prox_l1_power(v, c, p):
     At p = 1 this is soft-thresholding at c. Otherwise the minimizer
     soft-thresholds v at theta = c p T^{p-1}, where T is its own l1 norm.
     With the k largest magnitudes active, T solves T + k c p T^{p-1} =
-    (sum of those k magnitudes): in closed form at p = 2, by Newton for
-    every k at once otherwise.
+    css_k, the sum of those k magnitudes. At p = 2 that is closed form for
+    every k. Above it, the left side is increasing in T, so u_k > theta_k
+    holds iff it is larger at S_k = (u_k / (c p))^{1/(p-1)}, where it equals
+    S_k + k u_k, than at T, where it equals css_k; this tests every k in
+    closed form, and Newton solves for T at the largest active k only.
     """
     if c == 0.0:
         return v
     if p == 1.0:
-        return _soft_threshold(v, lambda css, k: np.full(css.shape, c))
+        return _soft_threshold(v, lambda css, k: c)
+    if p == 2.0:
+        return _soft_threshold(v, lambda css, k: c * p * (css / (1.0 + c * p * k)))
 
-    def thresholds(css, k):
-        a = c * p * k
-        if p == 2.0:
-            total = css / (1.0 + a)
-        else:
-            # both terms bound the root from above, so Newton descends to it monotonically
-            total = np.minimum(css, (css / a) ** (1.0 / (p - 1.0)))
-            for _ in range(100):
-                step = (total + a * total ** (p - 1.0) - css) / (1.0 + a * (p - 1.0) * total ** (p - 2.0))
-                total = total - step
-                if np.all(step <= 1e-15 * total):
-                    break
+    def theta(css, k):
+        css, a = float(css), c * p * k
+        # both terms bound the root from above, so Newton descends to it monotonically
+        total = min(css, (css / a) ** (1.0 / (p - 1.0)))
+        for _ in range(100):
+            step = (total + a * total ** (p - 1.0) - css) / (1.0 + a * (p - 1.0) * total ** (p - 2.0))
+            total -= step
+            if step <= 1e-15 * total:
+                break
         return c * p * total ** (p - 1.0)
 
-    return _soft_threshold(v, thresholds)
+    return _soft_threshold(v, theta, lambda u, css, k: (u / (c * p)) ** (1.0 / (p - 1.0)) > css - k * u)
 
 
 class _LqObjective:
     """Smooth part of the penalized objective: mean_i |y_i - <x_i, b>|^q.
 
-    For q = 2 risk and gradient are evaluated through the Gram matrix, which
-    makes iterations O(d^2) instead of O(n d). The gradient of |u|^q is
-    q |u|^{q-1} sign(u), continuous for q >= 2.
+    For q = 2 the gradient is evaluated through the Gram matrix, which makes
+    iterations O(d^2) instead of O(n d). The derivative of |u|^q is
+    q u |u|^{q-2}, continuous for q >= 2; at q = 4 the power is a square.
     """
 
     def __init__(self, sample, q):
@@ -159,16 +168,16 @@ class _LqObjective:
         resid = self.y - self.X @ beta
         return float(np.mean(np.abs(resid) ** self.q))
 
-    def value_and_grad(self, beta):
+    def gram_risk(self, beta):
+        """The q = 2 risk through the Gram matrix, clipped at zero."""
+        value = self.y2m - 2.0 * float(self.xty @ beta) + float(beta @ (self.gram @ beta))
+        return max(value, 0.0)
+
+    def grad(self, beta):
         if self.q == 2.0:
-            gb = self.gram @ beta
-            value = self.y2m - 2.0 * float(self.xty @ beta) + float(beta @ gb)
-            return max(value, 0.0), 2.0 * (gb - self.xty)
+            return 2.0 * (self.gram @ beta - self.xty)
         resid = self.y - self.X @ beta
-        absr = np.abs(resid)
-        value = float(np.mean(absr**self.q))
-        grad = -(self.q / self.n) * (self.X.T @ (np.sign(resid) * absr ** (self.q - 1.0)))
-        return value, grad
+        return -(self.q / self.n) * (self.X.T @ (resid * np.abs(resid) ** (self.q - 2.0)))
 
     def lipschitz_estimate(self, beta):
         """Largest Hessian eigenvalue, exact for q = 2, local probe otherwise."""
@@ -213,7 +222,7 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     l1_ball = pen > 0 and power != 1.0
     radius = (obj.risk_exact(np.zeros(obj.d)) / pen) ** (1.0 / power) if l1_ball else obj.row_space_radius()
 
-    def duality_gap(beta, value, grad):
+    def duality_gap(beta, grad):
         l1 = float(np.abs(beta).sum())
         if not l1_ball:
             # min F >= min risk, so the risk's l2 gap plus the penalty bounds F - min F
@@ -224,7 +233,7 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
             # (gmax - pen) * F(0) / pen, which rounding keeps above tol for small pen; the
             # Fenchel gap in turn stays at rounding level once pen is below the gradient's
             s = pen / max(float(np.abs(grad).max()), pen)
-            return min(s * float(grad @ beta) + pen * l1 + (1.0 - s) ** 2 * value, row_space_gap)
+            return min(s * float(grad @ beta) + pen * l1 + (1.0 - s) ** 2 * obj.gram_risk(beta), row_space_gap)
         gmax = float(np.abs(grad).max())
         t = min(radius, (gmax / (power * pen)) ** (1.0 / (power - 1.0)))
         return float(grad @ beta) + pen * l1**power + gmax * t - pen * t**power
@@ -234,8 +243,8 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         return RermSolution(beta=beta, objective=obj.risk_exact(beta) + pen * l1**power, optimality_gap=max(gap, 0.0))
 
     beta = np.zeros(obj.d)
-    value, grad = obj.value_and_grad(beta)
-    gap = duality_gap(beta, value, grad)
+    grad = obj.grad(beta)
+    gap = duality_gap(beta, grad)
     z, z_grad, momentum = beta, grad, 1.0
     step = 1.0 / max(obj.lipschitz_estimate(beta), 1e-12)
     for _ in range(int(max_iter)):
@@ -243,7 +252,7 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
             return solution(beta, gap)
         while True:
             cand = _prox_l1_power(z - step * z_grad, step * pen, power)
-            cand_value, cand_grad = obj.value_and_grad(cand)
+            cand_grad = obj.grad(cand)
             if q == 2.0 or step < 1e-280:
                 break
             # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
@@ -262,8 +271,8 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
         z = cand + ((momentum - 1.0) / next_momentum) * (cand - beta)
         beta, grad, momentum = cand, cand_grad, next_momentum
-        gap = duality_gap(beta, cand_value, grad)
-        _, z_grad = obj.value_and_grad(z)
+        gap = duality_gap(beta, grad)
+        z_grad = obj.grad(z)
         if q != 2.0:
             step *= 1.25
     raise IterationLimitError("iteration budget exhausted", best=solution(beta, gap))

@@ -199,10 +199,11 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=SquareLasso", "nGrid=[1, 4]"], "'nGrid'"),
         (["scenario=SquareLasso", "d=1", "betaStar.support=1"], "'d'"),
         (["scenario=LqRerm", "q=4", 'noise={"kind": "Bounded", "range": 0.5}', "d=1", "betaStar.support=1"], "'d'"),
+        (["scenario=Isomorphy", "x=1"], "'x'"),
     ],
     ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d",
          "SquareLasso-Kd-negative", "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1",
-         "LqRerm-q4-d1"],
+         "LqRerm-q4-d1", "Isomorphy-x1"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
     args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]

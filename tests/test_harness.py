@@ -252,8 +252,8 @@ class TestFiniteGap:
              "d5e1201e1a025aa62efd9dfd7cd6883776639e6389910f74fd796d63c6364460",
              "658718889bc50315244cc752e1acebb5a35ae9454776419da92efb6a6b2e8ed7"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
-             "cf264c71c2c1fcdee83939df49502917cd503dc5074e8f8e597dd3aeb9324a31",
-             "1913bd6f272fc4b96a02e5b900a4dfb824454f02cf6583943d9e13051cf1bdea"),
+             "305f7e63762dddcaea3342dc34d3c29bc0760da51a1b8359dfad6c17a7c2c0f8",
+             "7943da191b14ed7ca7ad5dc033afd27c750ff0d32dbde28edcfd66421ad8527a"),
         ]
         for config, rows_sha, summary_sha in golden:
             result = run_scenario(config)
@@ -324,6 +324,14 @@ class TestFiniteGap:
 
 
 class TestIsomorphy:
+    def test_target_frequency_is_positive(self):
+        # 1 - 4 exp(-x) is not positive for x <= log 4, a target that no run can miss
+        for x in (1.0, math.log(4.0)):
+            with pytest.raises(InvalidInputError, match="'x'"):
+                iso_config(x=x)
+        config = iso_config(x=math.nextafter(math.log(4.0), math.inf))
+        assert harness._REGISTRY["Isomorphy"].target(config) > 0
+
     def test_deterministic_labels_full_frequency(self):
         res = run_scenario(iso_config(label_flip=0.5))
         assert res.satisfaction_frequency == 1.0
@@ -465,10 +473,8 @@ class TestGaussianFactorSample:
         assert sample.n == (d + 1 if n > d else n)
         raw, factor = _LqObjective(Sample(design=x, response=y), 2), _LqObjective(sample, 2)
         for beta in rng.standard_normal((5, d)):
-            raw_value, raw_grad = raw.value_and_grad(beta)
-            value, grad = factor.value_and_grad(beta)
-            assert abs(value - raw_value) <= 1e-10
-            assert np.abs(grad - raw_grad).max() <= 1e-10
+            assert abs(factor.gram_risk(beta) - raw.gram_risk(beta)) <= 1e-10
+            assert np.abs(factor.grad(beta) - raw.grad(beta)).max() <= 1e-10
             assert abs(factor.risk_exact(beta) - raw.risk_exact(beta)) <= 1e-10
 
     def test_mean_achieved_risk_matches_raw_draws(self):

@@ -1,3 +1,5 @@
+import collections
+import inspect
 import math
 
 import numpy as np
@@ -175,10 +177,11 @@ class TestSolveLqRerm:
         assert np.all(np.isfinite(best.beta))
         assert best.objective <= np.mean(s.response**2) + 1e-12
 
-    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("q", [1.0, 2.0, 2.5, 3.0, 4.0, 6.0])
     def test_prox_matches_brute_force(self, q):
         # the minimizer of |b - v|^2 / 2 + c |b|_1^q is the l1-ball projection of v at its own
-        # l1 norm, so a scan over that norm brackets the minimum from above
+        # l1 norm, so a scan over that norm brackets the minimum from above; the objective is convex
+        # in that norm, so a second scan between the neighbours of the best point refines it
         from oraclebench.solvers import _prox_l1_power
 
         rng = np.random.default_rng(21)
@@ -189,10 +192,78 @@ class TestSolveLqRerm:
             def h(b):
                 return 0.5 * float((b - v) @ (b - v)) + c * float(np.abs(b).sum()) ** q
 
-            brute = min(h(project_l1_ball(v, t)) for t in np.linspace(0.0, np.abs(v).sum(), 1001))
+            grid = np.linspace(0.0, np.abs(v).sum(), 1001)
+            best = int(np.argmin([h(project_l1_ball(v, t)) for t in grid]))
+            fine = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)], 1001)
+            brute = min(h(project_l1_ball(v, t)) for t in fine)
             mine = h(_prox_l1_power(v, c, q))
             assert mine <= brute + 1e-12
             assert brute - mine <= 1e-5 * (1.0 + brute)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    def test_prox_matches_the_all_counts_newton_reference(self, p):
+        # the prox above p = 2 tests every active count in closed form and solves for the l1 norm at
+        # the largest one only; the reference solves it for every count by vectorized Newton
+        from oraclebench.solvers import _prox_l1_power
+
+        def reference(v, c):
+            absv = np.abs(v)
+            u = np.sort(absv)[::-1]
+            css, a = np.cumsum(u), c * p * np.arange(1, u.size + 1)
+            total = np.minimum(css, (css / a) ** (1.0 / (p - 1.0)))
+            for _ in range(100):
+                step = (total + a * total ** (p - 1.0) - css) / (1.0 + a * (p - 1.0) * total ** (p - 2.0))
+                total = total - step
+                if np.all(step <= 1e-15 * total):
+                    break
+            theta = c * p * total ** (p - 1.0)
+            active = np.nonzero(u > theta)[0]
+            if active.size == 0:
+                return np.zeros_like(v)
+            return np.sign(v) * np.maximum(absv - theta[active[-1]], 0.0)
+
+        rng = np.random.default_rng(26)
+        for trial in range(200):
+            d = 1 if trial % 10 == 0 else int(rng.integers(2, 30))
+            v = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 2)
+            if trial % 10 == 1:
+                v = np.zeros(d)
+            elif trial % 10 in (2, 3):
+                # exact ties, with either sign
+                v = rng.choice([-1.0, 1.0], d) * rng.choice(np.abs(v[:3]), d)
+            c = 10.0 ** rng.uniform(-300, 3)
+            ref, mine = reference(v, c), _prox_l1_power(v, c, p)
+            assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max(), (trial, c)
+
+    @pytest.mark.parametrize("pen", [0.05, 0.0])
+    def test_loop_above_q2_evaluates_only_gradients(self, monkeypatch, pen):
+        # the value mean |r|^q is computed twice per solve, for the radius of the gap's ball and for the
+        # returned objective, whatever the instance and the iteration count; every step asks for gradients
+        from oraclebench import solvers
+
+        calls = collections.Counter()
+
+        class Counted(solvers._LqObjective):
+            def __getattribute__(self, name):
+                attr = super().__getattribute__(name)
+                if inspect.ismethod(attr):
+                    calls[name] += 1
+                return attr
+
+        monkeypatch.setattr(solvers, "_LqObjective", Counted)
+        rng = np.random.default_rng(27)
+        for d in (2, 6):
+            s = random_instance(rng, n=40, d=d)
+            for max_iter in (1, 3, 10, 200_000):
+                calls.clear()
+                try:
+                    solve_lq_rerm(s, 4.0, pen, tol=1e-10, max_iter=max_iter)
+                except IterationLimitError:
+                    pass
+                assert calls["risk_exact"] == 2
+                # at zero, at the first candidate and at the first extrapolated point
+                assert calls["grad"] >= 3
+                assert set(calls) <= {"grad", "risk_exact", "lipschitz_estimate", "row_space_radius"}
 
     @pytest.mark.parametrize(
         "q, pen",

@@ -10,8 +10,8 @@ The package has three layers:
 * solvers: l1-power penalized regression with certified optimality gaps and
   the closed-form penalty/residual builders (``solvers``);
 * harness: seeded Monte Carlo scenarios that measure exact and nonexact
-  oracle-inequality slacks and fit their decay rates (``harness``), with a
-  CLI front end (``cli``).
+  oracle-inequality slacks and fit their decay rates (``harness``, with its
+  replication generators in ``seeding``), with a CLI front end (``cli``).
 """
 
 from .complexity import (

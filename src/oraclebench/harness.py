@@ -56,9 +56,15 @@ through it, whether built in Python or by ``config_from_mapping``.
 Every replication draws from a generator seeded by a 64-bit mix of
 (masterSeed, scenario tag, n, replication index), so results are independent
 of scheduling and worker count; the achieved risks are always gathered in
-replication order. Nonpositive per-n mean nonexact slacks cannot enter a
-log-log fit: they are excluded from the fit, counted, and reported in
-summaries as the tiny positive constant ``_FLOOR``.
+replication order. Each generator is bit-identical to
+``np.random.default_rng(seed)``, but a chunk computes its seeds and their
+PCG64 state words at once (``seeding``), with numpy's fixed ``SeedSequence``
+algorithm on uint32 arrays, instead of hashing one seed per row; the tests
+check that copy against numpy, which guards a numpy upgrade. ``seeding``
+loads numpy.random, so only the chunk path imports it, and importing the CLI
+does not load numpy.random. Nonpositive per-n mean nonexact slacks cannot
+enter a log-log fit: they are excluded from the fit, counted, and reported
+in summaries as the tiny positive constant ``_FLOOR``.
 """
 
 from __future__ import annotations
@@ -128,7 +134,10 @@ def derive_seed(master_seed, tag, n, replication):
     that reordering or parallelizing replications cannot change any stream.
     The seed is ``_splitmix64(_stream_prefix(master_seed, tag, n) ^ replication)``:
     the prefix mixes (masterSeed, tag, n), so a run computes it once per
-    chunk and mixes in only the replication per row.
+    chunk and mixes in the replications of the whole chunk at once, with
+    ``_splitmix64`` on a uint64 array. A replication draws from a generator
+    bit-identical to ``np.random.default_rng`` of its seed, built from numpy's
+    fixed ``SeedSequence`` algorithm (``seeding.generators``).
     """
     return _splitmix64(_stream_prefix(master_seed, tag, n) ^ (int(replication) & _MASK64))
 
@@ -720,11 +729,13 @@ class ScenarioResult:
 
 
 def _run_chunk(payload):
+    # imported where replications are drawn: seeding loads numpy.random, which the CLI's start-up does not need
+    from .seeding import generators
+
     config, ctx, n, reps = payload
     spec = _REGISTRY[config.scenario]
     prefix = _stream_prefix(config.master_seed, spec.tag, n)
-    # one generator at a time, as the rows function asks for the next replication's
-    rngs = (np.random.default_rng(_splitmix64(prefix ^ rep)) for rep in reps)
+    rngs = generators(_splitmix64(prefix ^ np.arange(reps.start, reps.stop, dtype=np.uint64)))
     return np.asarray(spec.rows(config, ctx, n, reps, rngs), dtype=float)
 
 

@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -45,6 +48,21 @@ def run_cli(args):
 def _subcommands(parser):
     """The subparsers of ``parser`` by name."""
     return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random loads only where replications are drawn: at import it would add to the start-up time of
+    # every run and to the resident size of a parent process that, at workers > 1, draws nothing; the
+    # modules numpy itself loads are subtracted, since numpy 1.x imports numpy.random eagerly
+    code = ("import sys, numpy; before = set(sys.modules); import oraclebench.cli; "
+            "print(sorted(set(sys.modules) - before))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout
+    assert "oraclebench.cli" in loaded
+    assert "'numpy.random" not in loaded
 
 
 class TestExperiment:

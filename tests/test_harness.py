@@ -211,6 +211,11 @@ class TestDeriveSeed:
     def test_is_the_stream_prefix_composition(self, master_seed, n, replication):
         prefix = harness._stream_prefix(master_seed, "finite-gap", n)
         assert derive_seed(master_seed, "finite-gap", n, replication) == harness._splitmix64(prefix ^ replication)
+        # a chunk mixes its replications in as one uint64 array; array arithmetic wraps without a warning
+        reps = np.array([0, 1, replication, replication ^ 1, 2**63, 2**64 - 1], dtype=np.uint64)
+        seeds = harness._splitmix64(prefix ^ reps)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [derive_seed(master_seed, "finite-gap", n, int(rep)) for rep in reps]
 
 
 class TestFiniteGap:

@@ -46,7 +46,7 @@ iso_result = run_scenario(iso)
 info = iso_result.extras[512]
 print(f"estimated localization level = {info['lambda_star']:.4f} "
       f"(+- {info['lambda_band']:.4f} noise band)")
-print(f"residual budget rho = {info['rho']:.4f}")
+print(f"residual budget rho = {iso_result.budget[0]:.4f}")
 print(f"event frequency = {iso_result.satisfaction_frequency:.4f} "
       f"(guaranteed floor {iso_result.target_frequency:.4f})")
 

@@ -9,9 +9,9 @@ linear in theta, so each g contributes at its largest admissible scaling.
 The fixed point of lam -> E sup over the localized hull, compared against
 (eps/4)*lam, is the level above which empirical and population means are
 equivalent; bisection is valid because E sup / lam is nonincreasing in lam.
-``expected_localized_sup`` draws the class once and returns the map
-lam -> E sup over those fixed draws, so every level the bisection visits
-sees the same sample and the map is pointwise monotone by construction.
+``expected_localized_sup`` maps the population means and the deviations of
+fixed draws to lam -> E sup over those draws: every level the bisection visits
+sees the same sample, so the map is pointwise monotone; nothing here draws.
 
 ``l1_complexity_profile`` gives the same level, with the envelope and
 second-moment constants, in closed form for l1 balls of linear predictors
@@ -62,11 +62,11 @@ class LocalizedSupInput:
 
 
 def _checked_draws(means, deviations, ndim):
-    """Means and deviations as float arrays of ``ndim`` axes, members on the last."""
-    means = np.asarray(means, dtype=float)
-    devs = np.asarray(deviations, dtype=float)
-    if means.ndim != ndim or means.shape[-1] < 1 or devs.shape != means.shape:
-        raise InvalidInputError("means and deviations must be nonempty equal-length vectors")
+    """Checked copies: means as a float vector, deviations as a float array of ``ndim`` axes, members last."""
+    means = np.array(means, dtype=float)
+    devs = np.array(deviations, dtype=float)
+    if means.ndim != 1 or means.size < 1 or devs.ndim != ndim or devs.shape[-1:] != means.shape or devs.size < 1:
+        raise InvalidInputError("means must be a nonempty vector and deviations must hold rows of its length")
     if not (np.all(np.isfinite(means)) and np.all(np.isfinite(devs))):
         raise InvalidInputError("means and deviations must be finite")
     if np.any(means < 0):
@@ -99,34 +99,24 @@ def localized_star_hull_sup(inp):
     return float(_star_hull_sup(inp.means, inp.deviations, inp.level))
 
 
-def expected_localized_sup(class_sampler, replications, seed):
+def expected_localized_sup(means, deviations):
     """Monte Carlo map from a level to the expected localized star-hull supremum.
 
-    ``class_sampler(rng)`` must return a ``(means, deviations)`` pair for a
-    fresh draw. It is called exactly ``replications`` times, here, once on
-    each stream spawned from ``SeedSequence(seed)``; the draws are checked
-    once and kept. The returned ``estimate(level)`` averages the exact
-    localized supremum over those fixed draws and returns a ``RiskEstimate``
-    (mean and ddof-1 standard error). Because every level sees the same
-    draws, ``estimate(level).mean`` is nondecreasing in the level and
-    ``estimate(level).mean / level`` nonincreasing, as fixed-point bisection
-    requires.
+    ``means`` is the (M,) vector of the class's population means and
+    ``deviations`` the (R, M) matrix of its deviations |P g_j - P_n g_j|, one
+    row per independent draw; both are checked once and copied. The returned
+    ``estimate(level)`` averages the exact localized supremum over the R
+    draws as a ``RiskEstimate`` (mean and ddof-1 standard error). Every level
+    sees the same draws, so ``estimate(level).mean`` is nondecreasing in the
+    level and ``estimate(level).mean / level`` nonincreasing, as fixed-point
+    bisection requires.
     """
-    replications = int(replications)
-    if replications < 1:
-        raise InvalidInputError("replications must be >= 1")
-    streams = np.random.SeedSequence(seed).spawn(replications)
-    pairs = [class_sampler(np.random.default_rng(stream)) for stream in streams]
-    try:
-        means, devs = (np.array(column, dtype=float) for column in zip(*pairs))
-    except ValueError as exc:
-        raise InvalidInputError("every draw must give numeric vectors of one common length") from exc
-    means, devs = _checked_draws(means, devs, ndim=2)
+    means, devs = _checked_draws(means, deviations, ndim=2)
 
     def estimate(level):
         _check_level(level)
         values = _star_hull_sup(means, devs, level)
-        stderr = float(values.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
         return RiskEstimate(mean=float(values.mean()), stderr=stderr)
 
     return estimate
@@ -212,9 +202,10 @@ def l1_complexity_profile(n, d, q, kd, epsilon):
         raise InvalidInputError("kd must be positive")
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    h = kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2
 
+    # every power is taken inside a map, so that an overflow reaches rerm_residual's check
     def lambda_star(r):
+        h = kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2
         return (1.0 + r) ** q * h / (n * epsilon**2)
 
     def bn(r):

@@ -23,11 +23,9 @@ Four scenarios are provided:
   does not grow with n. Bounded noise (uniform design), Exponential noise
   and q > 2 draw the n rows.
 * ``LqRerm``: the same with the L_q risk and an l1^q penalty. At q = 4 the
-  achieved risk is exact too: with delta = beta - beta_star, S = m2 ||delta||^2
-  and m4 the design's per-coordinate fourth moment, E (x.delta + noise)^4 =
-  3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 + 6 S E noise^2 + E noise^4. For any
-  other q > 2 it is a Monte Carlo estimate on a fresh test set of
-  ``test_size`` points.
+  achieved risk is exact too, a closed form in the design's second and fourth
+  moments and the noise's (``_rerm_row``). For any other q > 2 it is a Monte
+  Carlo estimate on a fresh test set of ``test_size`` points.
 
 One registry, ``_REGISTRY``, holds per scenario its context builder, rows
 function, seed tag, whether it fits rates, its target frequency and its
@@ -53,16 +51,13 @@ mean of the full (functions, n) loss matrix. One field table, ``_FIELDS``,
 is the config schema: ``ScenarioConfig`` casts and checks every field
 through it, whether built in Python or by ``config_from_mapping``.
 
-Every replication draws from a generator seeded by a 64-bit mix of
-(masterSeed, scenario tag, n, replication index), so results are independent
-of scheduling and worker count; the achieved risks are always gathered in
-replication order. Each generator is bit-identical to
-``np.random.default_rng(seed)``, but a chunk computes its seeds and their
-PCG64 state words at once (``seeding``), with numpy's fixed ``SeedSequence``
-algorithm on uint32 arrays, instead of hashing one seed per row; the tests
-check that copy against numpy, which guards a numpy upgrade. ``seeding``
-loads numpy.random, so only the chunk path imports it, and importing the CLI
-does not load numpy.random. Nonpositive per-n mean nonexact slacks cannot
+Every stream of a run is ``np.random.default_rng(derive_seed(masterSeed,
+tag, n, i))``, so results do not depend on scheduling or worker count, and
+achieved risks are gathered in replication order. ``_generators`` makes the
+replications' and Isomorphy's localization generators a range at a time: it
+runs numpy's fixed ``SeedSequence`` algorithm on uint32 arrays (``seeding``,
+tested against numpy). It alone imports ``seeding``, which loads
+numpy.random, so importing the CLI does not. Nonpositive per-n mean nonexact slacks cannot
 enter a log-log fit: they are excluded from the fit, counted, and reported
 in summaries as the tiny positive constant ``_FLOOR``.
 """
@@ -80,10 +75,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
-from .complexity import expected_localized_sup, fixed_point_lambda
+from .complexity import expected_localized_sup, fixed_point_lambda, l1_complexity_profile
 from .errors import InvalidInputError, IterationLimitError
 from .model import LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
-from .solvers import erm_residual, l1_penalty_level, solve_lq_rerm
+from .solvers import erm_residual, l1_penalty_level, rerm_residual, solve_lq_rerm
 
 __all__ = [
     "NoiseSpec",
@@ -135,11 +130,18 @@ def derive_seed(master_seed, tag, n, replication):
     The seed is ``_splitmix64(_stream_prefix(master_seed, tag, n) ^ replication)``:
     the prefix mixes (masterSeed, tag, n), so a run computes it once per
     chunk and mixes in the replications of the whole chunk at once, with
-    ``_splitmix64`` on a uint64 array. A replication draws from a generator
-    bit-identical to ``np.random.default_rng`` of its seed, built from numpy's
-    fixed ``SeedSequence`` algorithm (``seeding.generators``).
+    ``_splitmix64`` on a uint64 array (``_generators``).
     """
     return _splitmix64(_stream_prefix(master_seed, tag, n) ^ (int(replication) & _MASK64))
+
+
+def _generators(master_seed, tag, n, reps):
+    """The generators of the replications in the range ``reps``, each ``default_rng(derive_seed(...))`` of its own."""
+    # imported where replications are drawn: seeding loads numpy.random, which the CLI's start-up does not need
+    from .seeding import generators
+
+    prefix = _stream_prefix(master_seed, tag, n)
+    return generators(_splitmix64(prefix ^ np.arange(reps.start, reps.stop, dtype=np.uint64)))
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +206,9 @@ def _isomorphy_contexts(config):
 
 
 def _isomorphy_ctx(config, n, true_risks, losses, p_plus):
-    def sampler(rng):
-        return true_risks, np.abs(true_risks - _isomorphy_risks(rng, losses, p_plus, n))
-
-    lam_seed = derive_seed(config.master_seed, "isomorphy/lambda", n, 0)
-    estimate = expected_localized_sup(sampler, config.lambda_replications, lam_seed)
+    rngs = _generators(config.master_seed, "isomorphy/lambda", n, range(config.lambda_replications))
+    emp = np.stack([_isomorphy_risks(rng, losses, p_plus, n) for rng in rngs])
+    estimate = expected_localized_sup(true_risks, np.abs(true_risks - emp))
     lam_star = fixed_point_lambda(lambda lam: estimate(lam).mean, config.epsilon, bracket_hi=1.0, tol=1e-4)
     phi_at = estimate(lam_star)
 
@@ -230,7 +230,6 @@ def _isomorphy_ctx(config, n, true_risks, losses, p_plus):
         "p_plus": p_plus,
         "oracle": 0.0,
         "budget": rho,
-        "rho": rho,
         "lambda_star": lam_star,
         "lambda_band": lam_band,
         "bn": bn,
@@ -244,18 +243,14 @@ def _isomorphy_row(config, ctx, n, rep, rng):
 
 
 def _rerm_ctx(config, n):
-    q = config.q
-    kd = config.constant("Kd")
+    q, kd = config.q, config.constant("Kd")
     lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
-    eta = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c1"))
-    eps2 = config.epsilon**2
-    beta_star = config.beta_star.vector(config.d)
-    budget = eta * (1.0 + config.beta_star.l1_norm() ** q) / (n * eps2)
+    profile = l1_complexity_profile(n, config.d, q, kd, config.epsilon)
     return {
-        "penalty_coef": lam / (n * eps2),
-        "budget": budget,
-        "oracle": config.noise.abs_moment(q),
-        "beta_star": beta_star,
+        "penalty_coef": lam / (n * config.epsilon**2),
+        "budget": rerm_residual(profile, config.beta_star.l1_norm(), config.x, c0=config.constant("c1")),
+        "oracle": config.noise.abs_moment(config.q),
+        "beta_star": config.beta_star.vector(config.d),
     }
 
 
@@ -380,10 +375,9 @@ _REGISTRY = {
     "FiniteGap": _Scenario(_per_n(_finite_gap_ctx), _finite_gap_rows, "finite-gap", True, None, ("delta",)),
     "Isomorphy": _Scenario(_isomorphy_contexts, _each(_isomorphy_row), "isomorphy", False,
                            lambda config: 1.0 - 4.0 * math.exp(-config.x),
-                           ("rho", "lambda_star", "lambda_band", "bn", "big_bn")),
-    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "square-lasso", True, None,
-                             ("penalty_coef", "budget")),
-    "LqRerm": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "lq-rerm", True, None, ("penalty_coef", "budget")),
+                           ("lambda_star", "lambda_band", "bn", "big_bn")),
+    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "square-lasso", True, None, ("penalty_coef",)),
+    "LqRerm": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "lq-rerm", True, None, ("penalty_coef",)),
 }
 
 SCENARIOS = tuple(_REGISTRY)
@@ -550,12 +544,9 @@ class ScenarioConfig:
     ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality);
     ``test_size`` overrides the fresh-test-set size (default 20 * max(nGrid),
     capped at 1e6) and only affects LqRerm with q other than 2 and 4, since
-    the achieved risk is exact at q = 2, m2 ||delta||^2 + E noise^2, and at
-    q = 4, 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 + 6 S E noise^2 + E noise^4
-    with delta = beta - beta_star, S = m2 ||delta||^2 and m2, m4 the design's
-    per-coordinate moments; ``lambda_replications`` drives the localization
-    estimate. The named constants are c0 >= 0, c1 >= 0 and Kd > 0; each
-    defaults to 1.
+    the achieved risk is exact at q = 2 and q = 4 (``_rerm_row``);
+    ``lambda_replications`` drives the localization estimate. The named
+    constants are c0 >= 0, c1 >= 0 and Kd > 0; each defaults to 1.
     """
 
     scenario: str
@@ -591,6 +582,9 @@ class ScenarioConfig:
                 raise InvalidInputError(f"field 'betaStar.support' must be <= d = {self.d}, got {self.beta_star.support}")
             if self.q > 2 and self.noise.kind != NoiseSpec.BOUNDED:
                 raise InvalidInputError(f"field 'noise' must be Bounded at q > 2, got {self.noise.kind}")
+            # the run's closed forms, here so that a q or Kd whose powers overflow fails before any output
+            for n in self.n_grid:
+                _rerm_ctx(self, n)
 
     def constant(self, name):
         return float(self.constants.get(name, 1.0))
@@ -729,13 +723,9 @@ class ScenarioResult:
 
 
 def _run_chunk(payload):
-    # imported where replications are drawn: seeding loads numpy.random, which the CLI's start-up does not need
-    from .seeding import generators
-
     config, ctx, n, reps = payload
     spec = _REGISTRY[config.scenario]
-    prefix = _stream_prefix(config.master_seed, spec.tag, n)
-    rngs = generators(_splitmix64(prefix ^ np.arange(reps.start, reps.stop, dtype=np.uint64)))
+    rngs = _generators(config.master_seed, spec.tag, n, reps)
     return np.asarray(spec.rows(config, ctx, n, reps, rngs), dtype=float)
 
 

@@ -32,11 +32,12 @@ certifies penalties below the rounding level of the gradient.
 
 The closed-form builders at the bottom evaluate penalty levels and the
 residual terms that appear in nonexact oracle inequalities for ERM and RERM,
-each as a float.
+each as a float; a power of q that overflows a float is an InvalidInputError.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -316,6 +317,22 @@ def solve_lasso(sample, lambda1, tol=1e-8, max_iter=200_000):
     return _proximal_descent(sample, 2.0, "lambda1", lambda1, 1.0, tol, max_iter)
 
 
+def _finite(builder):
+    """``builder``, with a float overflow in its powers of q raised as an invalid q or Kd, not a runtime fault."""
+    @functools.wraps(builder)
+    def checked(*args, **kwargs):
+        try:
+            value = builder(*args, **kwargs)
+        except OverflowError:
+            value = math.inf
+        if math.isfinite(value):
+            return value
+        raise InvalidInputError(f"{builder.__name__} overflows a float; lower q or Kd")
+
+    return checked
+
+
+@_finite
 def l1_penalty_level(n, d, x, q, kd, c0=1.0):
     """Theory-driven penalty level for the ||beta||_1^q regularizer.
 
@@ -354,6 +371,7 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
     return float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
 
 
+@_finite
 def rerm_residual(profile, r, x, c0=1.0):
     """Radius-indexed residual for the regularized oracle inequality.
 

@@ -232,6 +232,31 @@ def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_
     assert not (tmp_path / "o").exists()
 
 
+def test_overflowing_budget_exits_2_before_any_output(tmp_path, capsys):
+    # (1 + r)^q with r = ||beta_star||_1 = 3 overflows a float above q = 512, and Kd^q with Kd = 2 above q = 1024
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIGS["LqRerm"], betaStar={"support": 3, "magnitude": 1.0})))
+    for q, kd in ((2000, 2), (600, 1)):
+        overrides = ["--set", f"q={q}", "--set", f"constants.Kd={kd}"]
+        assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", *overrides]) == 2
+        err = capsys.readouterr().err
+        assert "overflows a float; lower q or Kd" in err and "runtime error" not in err
+        assert not (tmp_path / "o").exists()
+
+
+def test_regression_budget_is_compute_rho_b(tmp_path, capsys):
+    # a run's budget is rho-b at r = ||beta_star||_1 with c1 as its constant, to the 12 digits compute prints
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["LqRerm"]))
+    out = tmp_path / "o"
+    assert run_cli(["experiment", "--config", path, "--out", out, "--workers", 1, "--set", "constants.c1=3"]) == 0
+    capsys.readouterr()
+    for line in csv.DictReader((out / "summary.csv").read_text().splitlines()):
+        assert run_cli(["compute", "rho-b", "--n", line["n"], "--d", 3, "--q", 4, "--Kd", 1, "--epsilon", 0.01,
+                        "--r", 1, "--x", 1, "--c0", 3]) == 0
+        assert capsys.readouterr().out.strip() == f"{float(line['meanBudget']):.12g}"
+
+
 def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys):
     solve = harness.solve_lq_rerm
     calls = []
@@ -338,6 +363,13 @@ class TestCompute:
         examples = [line.split()[2] for line in section.splitlines() if line.startswith("oraclebench compute ")]
         examples = sorted(name for name in examples if name != "QUANTITY")
         assert examples == sorted(_subcommands(_subcommands(build_parser())["compute"]))
+
+    @pytest.mark.parametrize("quantity, extra", [("penalty", []), ("rho-b", ["--epsilon", "0.25", "--r", "1"])])
+    def test_overflow_exits_2(self, quantity, extra, capsys):
+        # Kd^q = 2^2000 overflows a float: an input out of range, not a runtime fault
+        args = ["compute", quantity, "--n", "100", "--d", "10", "--x", "1", "--Kd", "2", "--q", "2000", *extra]
+        assert run_cli(args) == 2
+        assert "overflows a float; lower q or Kd" in capsys.readouterr().err
 
     def test_bad_args_exit_2(self, tmp_path):
         assert run_cli(["compute", "penalty", "--n", "1", "--d", "2", "--x", "1", "--Kd", "1"]) == 2

@@ -86,92 +86,74 @@ class TestLocalizedStarHullSup:
 
 
 class TestExpectedLocalizedSup:
-    @staticmethod
-    def _sampler(rng):
-        means = np.array([0.3, 0.6])
-        emp = means + rng.normal(0, 0.1, size=2)
-        return means, np.abs(means - emp)
+    MEANS = np.array([0.3, 0.6])
 
-    @staticmethod
-    def _reference(sampler, level, replications, seed):
-        """Per-level loop over the same spawned streams, one exact sup per draw."""
-        values = []
-        for child in np.random.SeedSequence(seed).spawn(replications):
-            means, devs = sampler(np.random.default_rng(child))
-            values.append(
-                localized_star_hull_sup(LocalizedSupInput(means=means, deviations=devs, level=level))
-            )
-        return float(np.mean(values))
+    @classmethod
+    def _deviations(cls, draws, seed):
+        """|P g - P_n g| of ``draws`` independent draws, one row each."""
+        return np.abs(np.random.default_rng(seed).normal(0, 0.1, size=(draws, cls.MEANS.size)))
 
     def test_single_replication_equals_one_draw(self):
-        est = expected_localized_sup(self._sampler, 1, 42)(1.0)
-        rng = np.random.default_rng(np.random.SeedSequence(42).spawn(1)[0])
-        means, devs = self._sampler(rng)
-        direct = localized_star_hull_sup(
-            LocalizedSupInput(means=means, deviations=devs, level=1.0)
-        )
+        devs = self._deviations(1, 42)
+        est = expected_localized_sup(self.MEANS, devs)(1.0)
+        direct = localized_star_hull_sup(LocalizedSupInput(means=self.MEANS, deviations=devs[0], level=1.0))
         assert est.mean == direct
         assert est.stderr == 0.0
 
     def test_deterministic_data_zero(self):
-        est = expected_localized_sup(lambda rng: (np.array([0.5]), np.array([0.0])), 10, 3)(1.0)
+        est = expected_localized_sup(np.array([0.5]), np.zeros((10, 1)))(1.0)
         assert est.mean == 0.0
-
-    def test_seed_determinism(self):
-        a = expected_localized_sup(self._sampler, 50, 9)
-        b = expected_localized_sup(self._sampler, 50, 9)
-        for level in (0.0, 0.5, 2.0):
-            assert a(level) == b(level)
-
-    def test_draws_once_for_any_number_of_levels(self):
-        calls = []
-
-        def counting(rng):
-            calls.append(1)
-            return self._sampler(rng)
-
-        estimate = expected_localized_sup(counting, 40, 5)
-        assert len(calls) == 40
-        for level in np.linspace(0.0, 1.0, 25):
-            estimate(level)
-        assert len(calls) == 40
+        assert est.stderr == 0.0
 
     def test_matches_per_level_reference_bit_for_bit(self):
-        def sampler(rng):
-            # the last member has mean zero and is never scaled down
-            means = np.array([0.2, 0.5, 0.0])
-            return means, np.abs(rng.normal(0, 0.1, size=3))
-
-        estimate = expected_localized_sup(sampler, 60, 13)
+        # the last member has mean zero and is never scaled down
+        means = np.array([0.2, 0.5, 0.0])
+        devs = np.abs(np.random.default_rng(13).normal(0, 0.1, size=(60, 3)))
+        estimate = expected_localized_sup(means, devs)
         # level 0, between two means, above the max mean
         for level in (0.0, 0.35, 0.9):
-            assert estimate(level).mean == self._reference(sampler, level, 60, 13)
+            values = [localized_star_hull_sup(LocalizedSupInput(means=means, deviations=row, level=level))
+                      for row in devs]
+            assert estimate(level).mean == float(np.mean(values))
+            assert estimate(level).stderr == float(np.std(values, ddof=1) / math.sqrt(60))
+
+    def test_keeps_its_own_copy_of_the_draws(self):
+        # the inputs are checked once, so a later change to the caller's arrays must not reach the map
+        means, devs = self.MEANS.copy(), self._deviations(20, 3)
+        estimate = expected_localized_sup(means, devs)
+        before = estimate(0.4)
+        means[:], devs[:] = -1.0, np.nan
+        assert estimate(0.4) == before
 
     @pytest.mark.parametrize(
-        "draw",
+        "means, deviations",
         [
-            lambda rng: (np.array([-0.1, 0.3]), np.array([0.1, 0.1])),
-            lambda rng: (np.array([0.1, 0.3]), np.array([-0.1, 0.1])),
-            lambda rng: (np.array([0.1, 0.3]), np.array([np.nan, 0.1])),
-            lambda rng: (np.array([0.1, 0.3]), np.array([0.1])),
-            lambda rng: (np.ones(int(rng.integers(2, 5))),) * 2,
+            ([-0.1, 0.3], [[0.1, 0.1]]),
+            ([0.1, 0.3], [[-0.1, 0.1]]),
+            ([0.1, 0.3], [[np.nan, 0.1]]),
+            ([0.1, 0.3], [[0.1]]),
+            ([0.1, 0.3], np.ones((4, 3))),
+            ([0.1, 0.3], [0.1, 0.1]),
+            ([[0.1, 0.3]], [[0.1, 0.1]]),
+            ([], np.zeros((3, 0))),
         ],
-        ids=["negative-mean", "negative-deviation", "nan-deviation", "unequal-pair", "unequal-draws"],
+        ids=["negative-mean", "negative-deviation", "nan-deviation", "unequal-pair", "unequal-draws",
+             "one-draw-as-vector", "means-as-matrix", "empty-class"],
     )
-    def test_bad_draws_rejected_at_construction(self, draw):
+    def test_bad_draws_rejected_at_construction(self, means, deviations):
         with pytest.raises(InvalidInputError):
-            expected_localized_sup(draw, 20, 1)
+            expected_localized_sup(means, deviations)
 
     def test_bad_replications_and_level_rejected(self):
         with pytest.raises(InvalidInputError):
-            expected_localized_sup(self._sampler, 0, 1)
-        estimate = expected_localized_sup(self._sampler, 5, 1)
+            expected_localized_sup(self.MEANS, np.zeros((0, 2)))
+        estimate = expected_localized_sup(self.MEANS, self._deviations(5, 1))
         with pytest.raises(InvalidInputError):
             estimate(-0.1)
 
     def test_monte_carlo_self_consistency(self):
-        small = expected_localized_sup(self._sampler, 2000, 10)(1.0)
-        large = expected_localized_sup(self._sampler, 8000, 11)(1.0)
+        small = expected_localized_sup(self.MEANS, self._deviations(2000, 10))(1.0)
+        large = expected_localized_sup(self.MEANS, self._deviations(8000, 11))(1.0)
         band = 5 * math.hypot(small.stderr, large.stderr)
         assert abs(small.mean - large.mean) <= band
 

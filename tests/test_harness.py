@@ -15,13 +15,18 @@ from hypothesis import strategies as st
 from oraclebench import (
     BetaStarSpec,
     InvalidInputError,
+    LocalizedSupInput,
     LossSpec,
     NoiseSpec,
     Sample,
     ScenarioConfig,
     config_from_mapping,
     derive_seed,
+    fixed_point_lambda,
+    l1_complexity_profile,
+    localized_star_hull_sup,
     rate_fit,
+    rerm_residual,
     risk_estimate,
     run_scenario,
     solve_lq_rerm,
@@ -248,17 +253,17 @@ class TestFiniteGap:
              "fd19c01236bf831a2d1e022da165da55f98913b0217e06039e94df2ee751c54c",
              "305597860cc8740e57389d315ab415906f7f592e3e20417ea2e448ed6125e4e5"),
             (lasso_config(),
-             "f0a92561d8389cc8765b6012474b0d63d47756774fdaa27408d83b54b6a38608",
-             "08f280d402e45e13917ec771eef7bd8f79b448df367c932f3c0176ac90464e85"),
+             "caf779537ddc0ec4e617bdf9f70e5fdb6d5ce1cd609d749d7e4b7286104d1a75",
+             "a3d293352f452bbe6a647bae1f6a8e0026f5ad4512bd2c4383652658a93f48c4"),
             (lasso_config(noise=NoiseSpec.exponential(2.0)),
-             "b6f7d4ba00c26b3a14677c65a33cb647177d061070ad8503724445701076b943",
-             "4b45c1d6476d7bfd66d59a946d3dc669e12050f503fd323a3457e3fc2bad77c4"),
+             "40dde627f166f08e452cc6b1244db147d589b4885edd54bbf3515159c8d79c6c",
+             "8f829d383fdb20061babe16b4de832327c92a1b8c6e50123c3006bd57ffb63c4"),
             (lasso_config(noise=NoiseSpec.bounded(0.5)),
-             "d5e1201e1a025aa62efd9dfd7cd6883776639e6389910f74fd796d63c6364460",
-             "658718889bc50315244cc752e1acebb5a35ae9454776419da92efb6a6b2e8ed7"),
+             "d92250d37fa457903bad5b77c4cfdbbdf26d40a5e4c9adf0b58795c1b7936468",
+             "4c97484023cfe5f2a6e6eb3bd3073ab4b559eefbac31702b09ece2523780ed5e"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
-             "305f7e63762dddcaea3342dc34d3c29bc0760da51a1b8359dfad6c17a7c2c0f8",
-             "7943da191b14ed7ca7ad5dc033afd27c750ff0d32dbde28edcfd66421ad8527a"),
+             "a73571c79bf1f4fd9461c52a5f6ee0ea27fb15cc1ea1550beb16cc82c0c3ab9f",
+             "959deddf483f5613e20b8d1b4c367d8b0536039c0865696c586358be684ef5af"),
         ]
         for config, rows_sha, summary_sha in golden:
             result = run_scenario(config)
@@ -348,25 +353,48 @@ class TestIsomorphy:
     def test_frequency_monotone_in_budget(self):
         res = run_scenario(iso_config())
         margins = res.achieved.ravel()
-        rho = res.extras[256]["rho"]
+        rho = res.budget[0]
         freq = lambda budget: float(np.mean(margins <= budget))
         assert freq(rho / 4) <= freq(rho) <= freq(rho * 4)
         assert freq(margins.max() + 1.0) == 1.0
 
     def test_localization_draws_once_per_n(self, monkeypatch):
-        calls = []
-        original = harness.expected_localized_sup
+        # per n, the harness draws the class lambda_replications times and hands the localization one
+        # (lambda_replications, d) deviation matrix; every other draw is a replication's row
+        shapes, draws = [], []
+        localize, risks = harness.expected_localized_sup, harness._isomorphy_risks
 
-        def counting(sampler, replications, seed):
-            def counted(rng):
-                calls.append(1)
-                return sampler(rng)
+        def recording(means, deviations):
+            shapes.append(np.shape(deviations))
+            return localize(means, deviations)
 
-            return original(counted, replications, seed)
+        def counting(*args):
+            draws.append(1)
+            return risks(*args)
 
-        monkeypatch.setattr(harness, "expected_localized_sup", counting)
+        monkeypatch.setattr(harness, "expected_localized_sup", recording)
+        monkeypatch.setattr(harness, "_isomorphy_risks", counting)
         run_scenario(iso_config(n_grid=[128, 256], replications=20, lambda_replications=50))
-        assert len(calls) == 2 * 50
+        assert shapes == [(50, 8)] * 2
+        assert len(draws) == 2 * (50 + 20)
+
+    def test_localization_draws_follow_the_one_stream_law(self):
+        # draw i at n is default_rng(derive_seed(masterSeed, "isomorphy/lambda", n, i)), the law of every stream
+        config = iso_config(n_grid=[128, 256], lambda_replications=60)
+        res = run_scenario(config)
+        true_risks, losses, p_plus = harness._isomorphy_model(config)
+        for n in config.n_grid:
+            rngs = (np.random.default_rng(derive_seed(config.master_seed, "isomorphy/lambda", n, i)) for i in range(60))
+            devs = [np.abs(true_risks - harness._isomorphy_risks(rng, losses, p_plus, n)) for rng in rngs]
+
+            def phi(lam):
+                # the mean exact localized sup over the draws, one draw at a time
+                sups = [localized_star_hull_sup(LocalizedSupInput(true_risks, dev, lam)) for dev in devs]
+                return float(np.mean(sups))
+
+            lam_star = fixed_point_lambda(phi, config.epsilon, bracket_hi=1.0, tol=1e-4)
+            assert lam_star > 1e-4
+            assert res.extras[n]["lambda_star"] == lam_star
 
     @pytest.mark.parametrize("seed", range(8))
     def test_histogram_draw_matches_the_expanded_draw(self, seed):
@@ -387,10 +415,23 @@ class TestIsomorphy:
         res = run_scenario(iso_config())
         assert res.target_frequency == pytest.approx(1 - 4 * math.exp(-2))
         assert np.all(res.oracle == 0.0)
-        assert set(res.extras[256]) >= {"rho", "lambda_star", "lambda_band"}
+        # the budget is stored once, in res.budget
+        assert set(res.extras[256]) == {"lambda_star", "lambda_band", "bn", "big_bn"}
 
 
 class TestSquareLasso:
+    @pytest.mark.parametrize("config", [lasso_config(constants={"c0": 1e-11, "c1": 3.0, "Kd": 1.5}),
+                                        lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5))],
+                             ids=["SquareLasso", "LqRerm-q4"])
+    def test_budget_is_the_rerm_residual_at_beta_star(self, config):
+        # one budget builder: rerm_residual of the l1 profile at r = ||beta_star||_1, scaled by c1
+        res = run_scenario(config)
+        assert "budget" not in res.extras[config.n_grid[0]]
+        for i, n in enumerate(config.n_grid):
+            profile = l1_complexity_profile(n, config.d, config.q, config.constant("Kd"), config.epsilon)
+            expected = rerm_residual(profile, config.beta_star.l1_norm(), config.x, c0=config.constant("c1"))
+            assert res.budget[i] == expected
+
     def test_noiseless_zero_signal(self):
         cfg = lasso_config(noise=NoiseSpec.gaussian(0.0), beta_star=BetaStarSpec(0, 0.0))
         res = run_scenario(cfg)

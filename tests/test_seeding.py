@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,3 +52,28 @@ def test_one_replication_chunk(seed):
     expected = harness._finite_gap_rows(config, ctx, 64, range(1),
                                         [np.random.default_rng(derive_seed(seed, "finite-gap", 64, 0))])
     np.testing.assert_array_equal(harness._run_chunk((config, ctx, 64, range(1))), expected)
+
+
+def _names(path):
+    """Every name, attribute and imported name that a module's code uses."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update([node.module or ""] + [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_one_stream_law():
+    # every stream is default_rng(derive_seed(...)), so only seeding, which reproduces default_rng's hash,
+    # may name SeedSequence; no module spawns child streams, and complexity draws nothing at all
+    package = Path(seeding.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name != "seeding.py":
+            assert not {"SeedSequence", "spawn"} & _names(path), path.name
+    assert not {"random", "numpy.random", "seeding"} & _names(package / "complexity.py")

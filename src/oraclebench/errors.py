@@ -10,8 +10,9 @@ class BracketError(RuntimeError):
 
 
 class IterationLimitError(RuntimeError):
-    """A solver hit its iteration budget. Carries the last iterate and its certificate."""
+    """A solver hit its iteration budget. Carries the last iterate, its certificate and a stack's first late ``row``."""
 
-    def __init__(self, message, best=None):
+    def __init__(self, message, best=None, row=0):
         super().__init__(message)
         self.best = best
+        self.row = row

@@ -21,10 +21,12 @@ Four scenarios are provided:
   the residual norm by the rotation invariance of the noise. That sample of
   at most d + 1 rows has the raw rows' objective and gradient, and its cost
   does not grow with n. Bounded noise (uniform design), Exponential noise
-  and q > 2 draw the n rows.
+  and q > 2 draw the n rows. A chunk's replications are solved a stack at a
+  time (``_rerm_rows``), each row exactly as alone; a failure names the
+  ``(n, replication)`` of its first row at fault.
 * ``LqRerm``: the same with the L_q risk and an l1^q penalty. At q = 4 the
   achieved risk is exact too, a closed form in the design's second and fourth
-  moments and the noise's (``_rerm_row``). For any other q > 2 it is a Monte
+  moments and the noise's (``_rerm_rows``). For any other q > 2 it is a Monte
   Carlo estimate on a fresh test set of ``test_size`` points.
 
 One registry, ``_REGISTRY``, holds per scenario its context builder, rows
@@ -64,6 +66,7 @@ in summaries as the tiny positive constant ``_FLOOR``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import os
@@ -100,6 +103,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # the positive stand-in that summaries report for a nonpositive mean nonexact slack
 _FLOOR = 1e-12
+# the most bytes of design and Gram matrices that one stack of regression samples holds
+_STACK_BYTES = 448 * 1024
 
 
 def _splitmix64(z):
@@ -246,8 +251,11 @@ def _rerm_ctx(config, n):
     q, kd = config.q, config.constant("Kd")
     lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
     profile = l1_complexity_profile(n, config.d, q, kd, config.epsilon)
+    penalty_coef = lam / (n * config.epsilon**2) if config.epsilon**2 > 0 else math.inf
+    if not math.isfinite(penalty_coef):
+        raise InvalidInputError(f"field 'constants.c0' makes the penalty coefficient overflow a float at n={n}")
     return {
-        "penalty_coef": lam / (n * config.epsilon**2),
+        "penalty_coef": penalty_coef,
         "budget": rerm_residual(profile, config.beta_star.l1_norm(), config.x, c0=config.constant("c1")),
         "oracle": config.noise.abs_moment(config.q),
         "beta_star": config.beta_star.vector(config.d),
@@ -302,57 +310,65 @@ def _gaussian_factor_sample(rng, n, beta_star, noise):
     return _factor_sample(n, r, qty, residual)
 
 
-def _rerm_row(config, ctx, n, rep, rng):
+def _rerm_rows(config, ctx, n, reps, rngs):
+    """The achieved risks of a chunk of replications, solved as many at a time as fit in ``_STACK_BYTES``.
+
+    Each draws from its own generator and solves exactly as alone, so the risks do not depend on the split.
+    """
     beta_star, noise, law = ctx["beta_star"], config.noise, _design_of(config.noise)
-    if config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN:
-        # the square loss reads the sample only through X'X, X'y and y'y, and a Gaussian design
-        # with Gaussian noise is rotation invariant, so the exact law of its QR factor (Bartlett)
-        # is drawn at O(d^2) cost instead of O(n d); the argument needs both to be rotation
-        # invariant, so uniform designs (Bounded noise), Exponential noise and q > 2 draw n raw rows
+    # the square loss reads the sample only through X'X, X'y and y'y, and a Gaussian design
+    # with Gaussian noise is rotation invariant, so the exact law of its QR factor (Bartlett)
+    # is drawn at O(d^2) cost instead of O(n d); the argument needs both to be rotation
+    # invariant, so uniform designs (Bounded noise), Exponential noise and q > 2 draw n raw rows
+    factor = config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN
+
+    def draw(rng, size):
+        design = law.draw(rng, size, config.d)
+        return design, design @ beta_star + noise.draw(rng, size)
+
+    def sample_of(rng):
+        if not factor:
+            return draw(rng, n)
         sample = _gaussian_factor_sample(rng, n, beta_star, noise)
-    else:
-        design = law.draw(rng, n, config.d)
-        sample = Sample(design=design, response=design @ beta_star + noise.draw(rng, n))
-    try:
-        solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
-    except IterationLimitError as exc:
-        raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {rep}: {exc}; "
-                           f"best gap {exc.best.optimality_gap:.3g}") from exc
+        return sample.design, sample.response
 
-    delta = solution.beta - beta_star
-    if config.q == 2:
-        # design coordinates are independent and mean zero, and the noise is
-        # independent of them with mean zero, so the square risk is exact:
-        # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
-        return law.m2 * float(delta @ delta) + ctx["oracle"]
-
-    if config.q == 4:
-        # expanding E (x.delta + xi)^4, the two cross terms with a first power of
-        # x.delta or of xi vanish for the same reason, which leaves
-        # E (x.delta)^4 + 6 E (x.delta)^2 E xi^2 + E xi^4, with
-        # E (x.delta)^4 = 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 and S = m2 ||delta||^2;
-        # the oracle is E xi^4, so beta = beta_star scores the oracle exactly
-        with np.errstate(over="ignore"):
-            square = law.m2 * float(delta @ delta)
-            fourth = float(np.sum(delta**4))
-        risk = (3.0 * square * square + (law.m4 - 3.0 * law.m2**2) * fourth
-                + 6.0 * square * noise.abs_moment(2) + ctx["oracle"])
-        if not math.isfinite(risk):
-            raise RuntimeError(f"{config.scenario} exact risk is not finite at n={n}, replication {rep}")
-        return risk
-
-    def generator(gen_rng, size):
-        x_test = law.draw(gen_rng, size, config.d)
-        return x_test, x_test @ beta_star + noise.draw(gen_rng, size)
-
-    estimate = risk_estimate(
-        lambda x_new: x_new @ solution.beta,
-        generator,
-        LossSpec.lq(config.q),
-        config.resolved_test_size(),
-        derive_seed(config.master_seed, "lq-rerm/test", n, rep),
-    )
-    return float(estimate.mean)
+    # a sample of m rows takes 8 m d bytes of design and its objective 8 d^2 of Gram matrix
+    size = max(1, _STACK_BYTES // (8 * config.d * ((min(n, config.d + 1) if factor else n) + config.d)))
+    rngs, achieved = iter(rngs), []
+    for start in range(0, len(reps), size):
+        stack = reps[start:start + size]
+        try:
+            # the stack's arrays live only as long as its solve
+            solution = solve_lq_rerm(Sample(*zip(*map(sample_of, itertools.islice(rngs, len(stack))))), config.q,
+                                     ctx["penalty_coef"], tol=1e-6)
+        except IterationLimitError as exc:
+            raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {stack[exc.row]}: {exc}; "
+                               f"best gap {exc.best.optimality_gap:.3g}") from exc
+        if config.q not in (2, 4):
+            test_size = config.resolved_test_size()
+            achieved.append([risk_estimate(lambda x_new, b=b: x_new @ b, draw, LossSpec.lq(config.q), test_size,
+                                           derive_seed(config.master_seed, "lq-rerm/test", n, rep)).mean
+                             for rep, b in zip(stack, solution.beta)])
+            continue
+        delta = solution.beta - beta_star
+        with np.errstate(over="ignore", invalid="ignore"):
+            # design coordinates are independent and mean zero, and the noise is
+            # independent of them with mean zero, so the square risk is exact:
+            # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
+            square = law.m2 * (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
+            # expanding E (x.delta + xi)^4, the two cross terms with a first power of
+            # x.delta or of xi vanish for the same reason, which leaves
+            # E (x.delta)^4 + 6 E (x.delta)^2 E xi^2 + E xi^4, with
+            # E (x.delta)^4 = 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 and S = m2 ||delta||^2;
+            # the oracle is E xi^4, so beta = beta_star scores the oracle exactly
+            risk = square if config.q == 2 else (3.0 * square * square + (law.m4 - 3.0 * law.m2**2)
+                                                 * np.sum(delta**4, axis=-1) + 6.0 * square * noise.abs_moment(2))
+            risk = risk + ctx["oracle"]
+        if not np.isfinite(risk).all():
+            raise RuntimeError(f"{config.scenario} exact risk is not finite at n={n}, "
+                               f"replication {stack[int(np.argmin(np.isfinite(risk)))]}")
+        achieved.append(risk)
+    return np.concatenate(achieved)
 
 
 # contexts(config) -> {n: ctx}, each ctx holding that n's "oracle" risk and "budget";
@@ -376,8 +392,8 @@ _REGISTRY = {
     "Isomorphy": _Scenario(_isomorphy_contexts, _each(_isomorphy_row), "isomorphy", False,
                            lambda config: 1.0 - 4.0 * math.exp(-config.x),
                            ("lambda_star", "lambda_band", "bn", "big_bn")),
-    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "square-lasso", True, None, ("penalty_coef",)),
-    "LqRerm": _Scenario(_per_n(_rerm_ctx), _each(_rerm_row), "lq-rerm", True, None, ("penalty_coef",)),
+    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _rerm_rows, "square-lasso", True, None, ("penalty_coef",)),
+    "LqRerm": _Scenario(_per_n(_rerm_ctx), _rerm_rows, "lq-rerm", True, None, ("penalty_coef",)),
 }
 
 SCENARIOS = tuple(_REGISTRY)
@@ -544,7 +560,7 @@ class ScenarioConfig:
     ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality);
     ``test_size`` overrides the fresh-test-set size (default 20 * max(nGrid),
     capped at 1e6) and only affects LqRerm with q other than 2 and 4, since
-    the achieved risk is exact at q = 2 and q = 4 (``_rerm_row``);
+    the achieved risk is exact at q = 2 and q = 4 (``_rerm_rows``);
     ``lambda_replications`` drives the localization estimate. The named
     constants are c0 >= 0, c1 >= 0 and Kd > 0; each defaults to 1.
     """

@@ -32,43 +32,40 @@ __all__ = [
 ]
 
 
-def _as_readonly_float_array(values, name, ndim):
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != ndim:
-        raise InvalidInputError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
+def _as_readonly_float_array(values, name, ndims):
+    arr = np.array(values, dtype=float)
+    if arr.ndim not in ndims:
+        raise InvalidInputError(f"{name} must be {' or '.join(map(str, ndims))}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError(f"{name} contains non-finite entries")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class Sample:
-    """A regression dataset: an n x d design matrix plus n responses."""
+    """A regression dataset: an n x d design matrix plus n responses, or a stack of R of them, (R, n, d) and (R, n)."""
 
     design: np.ndarray
     response: np.ndarray
 
     def __post_init__(self):
-        design = _as_readonly_float_array(self.design, "design", 2)
-        response = _as_readonly_float_array(self.response, "response", 1)
-        if design.shape[0] < 1 or design.shape[1] < 1:
+        design = _as_readonly_float_array(self.design, "design", (2, 3))
+        response = _as_readonly_float_array(self.response, "response", (design.ndim - 1,))
+        if 0 in design.shape:
             raise InvalidInputError("design must have at least one row and one column")
-        if response.shape[0] != design.shape[0]:
-            raise InvalidInputError(
-                f"response length {response.shape[0]} != design rows {design.shape[0]}"
-            )
+        if response.shape != design.shape[:-1]:
+            raise InvalidInputError(f"response shape {response.shape} != design rows {design.shape[:-1]}")
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "response", response)
 
     @property
     def n(self):
-        return self.design.shape[0]
+        return self.design.shape[-2]
 
     @property
     def d(self):
-        return self.design.shape[1]
+        return self.design.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -20,10 +20,17 @@ not trigger them; the objective may rise between iterates. The loop reads
 gradients only: the risk itself is evaluated for the gap's radius, for the
 lasso's Fenchel gap (through the Gram matrix) and for the returned objective.
 
+Every solver also takes a stack of R samples, (R, n, d) and (R, n); one sample
+is a stack of one. Each row keeps its own step, momentum, restart and stop, so
+it takes exactly the iterates of its solo solve; the stack's gap is its largest
+and IterationLimitError names the first row out of iterations. At q = 2 the
+loop keeps only the stacked Gram matrices, X'y and y'y (O(R d^2) memory), and
+takes the risk in that form too.
+
 The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
 minimizer satisfies pen * ||beta||_1^q <= F(0), so it lies in the l1 ball of
-radius R = (F(0) / pen)^{1/q}, and the gap is the largest decrease of the
+radius r = (F(0) / pen)^{1/q}, and the gap is the largest decrease of the
 objective's linearization over that ball. At pen = 0 the ball is replaced
 by an l2 ball around the minimizer in the design's row space. For the lasso
 it is the smaller of the Fenchel gap at the residual scaled into the dual's
@@ -62,37 +69,39 @@ class RermSolution:
 
     ``objective`` is the empirical risk at ``beta`` plus the penalty term,
     and ``optimality_gap`` is a duality gap: a certified upper bound, up to
-    rounding, on how far ``objective`` sits above the minimum.
+    rounding, on how far ``objective`` sits above the minimum. A stack's
+    ``beta`` and ``objective`` hold a row per sample, its gap is the largest.
     """
 
     beta: np.ndarray
-    objective: float
+    objective: float | np.ndarray
     optimality_gap: float
 
     def __post_init__(self):
-        beta = np.asarray(self.beta, dtype=float).copy()
-        beta.setflags(write=False)
-        object.__setattr__(self, "beta", beta)
+        for name in ("beta", "objective"):
+            value = np.asarray(getattr(self, name), dtype=float).copy()
+            value.setflags(write=False)
+            object.__setattr__(self, name, value if value.ndim else float(value))
         if self.optimality_gap < 0:
             raise InvalidInputError("optimality_gap must be nonnegative")
 
 
 def _soft_threshold(v, threshold, active=None):
-    """Soft-threshold v at theta_k for the largest k with u_k > theta_k; zero if there is none.
+    """Soft-threshold each row of v at theta_k for its largest k with u_k > theta_k; zero if there is none.
 
-    u holds the magnitudes of v in decreasing order, and ``threshold(css, k)``
+    u holds a row's magnitudes in decreasing order, and ``threshold(css, k)``
     maps their cumulative sums css_k, for k = 1..d active coordinates, to
     theta_k. ``active(u, css, k)``, when given, tests u_k > theta_k for every
-    k at once in another form, so that ``threshold`` is evaluated at one k only.
+    k at once in another form, so ``threshold`` gets each row's largest k only.
     """
     absv = np.abs(v)
-    u = np.sort(absv)[::-1]
-    css, counts = np.cumsum(u), np.arange(1, u.size + 1)
-    found = np.nonzero(active(u, css, counts) if active else u > threshold(css, counts))[0]
-    if found.size == 0:
-        return np.zeros_like(v)
-    last = found[-1]
-    return np.sign(v) * np.maximum(absv - threshold(css[last], int(last) + 1), 0.0)
+    u = np.sort(absv, axis=-1)[:, ::-1]
+    css, counts = u.cumsum(axis=-1), np.arange(1, u.shape[-1] + 1)
+    thetas = None if active else threshold(css, counts)
+    found = active(u, css, counts) if active else u > thetas
+    rows, last = np.arange(len(v)), u.shape[-1] - 1 - found[:, ::-1].argmax(axis=-1)
+    theta = threshold(css[rows, last], last + 1) if active else thetas[rows, last]
+    return np.where(found.any(axis=-1)[:, None], np.sign(v) * np.maximum(absv - theta[:, None], 0.0), 0.0)
 
 
 def project_l1_ball(v, radius):
@@ -111,11 +120,11 @@ def project_l1_ball(v, radius):
         return v.copy()
     if radius == 0.0:
         return np.zeros_like(v)
-    return _soft_threshold(v, lambda css, k: (css - radius) / k)
+    return _soft_threshold(v[None], lambda css, k: (css - radius) / k)[0]
 
 
 def _prox_l1_power(v, c, p):
-    """argmin_b ||b - v||^2 / 2 + c * ||b||_1^p, for c >= 0 and p = 1 or p >= 2.
+    """argmin_b ||b - v||^2 / 2 + c * ||b||_1^p for each row of v with its own c >= 0, for p = 1 or p >= 2.
 
     At p = 1 this is soft-thresholding at c. Otherwise the minimizer
     soft-thresholds v at theta = c p T^{p-1}, where T is its own l1 norm.
@@ -124,70 +133,95 @@ def _prox_l1_power(v, c, p):
     every k. Above it, the left side is increasing in T, so u_k > theta_k
     holds iff it is larger at S_k = (u_k / (c p))^{1/(p-1)}, where it equals
     S_k + k u_k, than at T, where it equals css_k; this tests every k in
-    closed form, and Newton solves for T at the largest active k only.
+    closed form, and Newton solves for T at the largest active k only, row by row in Python floats.
     """
-    if c == 0.0:
-        return v
+    zero = c == 0.0
+    if np.count_nonzero(zero):
+        # the prox at c = 0 is the identity; 1 stands in for c there so the other rows can go on
+        return v if zero.all() else np.where(zero[:, None], v, _prox_l1_power(v, np.where(zero, 1.0, c), p))
+    cp = c[:, None] * p
     if p == 1.0:
-        return _soft_threshold(v, lambda css, k: c)
+        return _soft_threshold(v, lambda css, k: np.broadcast_to(cp, css.shape))
     if p == 2.0:
-        return _soft_threshold(v, lambda css, k: c * p * (css / (1.0 + c * p * k)))
+        return _soft_threshold(v, lambda css, k: cp * (css / (1.0 + cp * k)))
 
     def theta(css, k):
-        css, a = float(css), c * p * k
-        # both terms bound the root from above, so Newton descends to it monotonically
-        total = min(css, (css / a) ** (1.0 / (p - 1.0)))
-        for _ in range(100):
-            step = (total + a * total ** (p - 1.0) - css) / (1.0 + a * (p - 1.0) * total ** (p - 2.0))
-            total -= step
-            if step <= 1e-15 * total:
-                break
-        return c * p * total ** (p - 1.0)
+        out = np.empty(len(css))
+        for row, (css_k, a) in enumerate(zip(css.tolist(), (cp[:, 0] * k).tolist())):
+            # both terms bound the root from above, so Newton descends to it monotonically
+            total = min(css_k, (css_k / a) ** (1.0 / (p - 1.0)))
+            for _ in range(100):
+                step = (total + a * total ** (p - 1.0) - css_k) / (1.0 + a * (p - 1.0) * total ** (p - 2.0))
+                total -= step
+                if step <= 1e-15 * total:
+                    break
+            out[row] = float(cp[row, 0]) * total ** (p - 1.0)
+        return out
 
-    return _soft_threshold(v, theta, lambda u, css, k: (u / (c * p)) ** (1.0 / (p - 1.0)) > css - k * u)
+    return _soft_threshold(v, theta, lambda u, css, k: (u / cp) ** (1.0 / (p - 1.0)) > css - k * u)
+
+
+def _matvec(a, b):
+    """The product of each matrix of the stack a with the same row of b."""
+    return (a @ b[..., None])[..., 0]
+
+
+def _dot(a, b):
+    """The dot product of each row of a with the same row of b."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
 class _LqObjective:
-    """Smooth part of the penalized objective: mean_i |y_i - <x_i, b>|^q.
+    """Smooth part of the penalized objective, mean_i |y_i - <x_i, b>|^q, one row per sample of a stack.
 
-    For q = 2 the gradient is evaluated through the Gram matrix, which makes
+    At q = 2 values and gradients go through the Gram matrix, which makes
     iterations O(d^2) instead of O(n d). The derivative of |u|^q is
     q u |u|^{q-2}, continuous for q >= 2; at q = 4 the power is a square.
     """
 
     def __init__(self, sample, q):
-        self.X = sample.design
-        self.y = sample.response
-        self.n, self.d = self.X.shape
+        X = sample.design.reshape(-1, *sample.design.shape[-2:])
+        y = sample.response.reshape(X.shape[:2])
+        self.n, self.d = X.shape[1:]
         self.q = float(q)
-        if self.q == 2.0:
-            self.gram = self.X.T @ self.X / self.n
-            self.xty = self.X.T @ self.y / self.n
-            self.y2m = float(self.y @ self.y) / self.n
+        self.gram = X.swapaxes(1, 2) @ X
+        self.gram /= self.n
+        self.xty = _matvec(X.swapaxes(1, 2), y) / self.n
+        self.y2m = _dot(y, y) / self.n
+        if self.q != 2.0:
+            self.X, self.y = X, y
+
+    def take(self, rows):
+        """The objective of the given rows of the stack."""
+        part = object.__new__(type(self))
+        part.__dict__.update((k, v[rows] if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
+        return part
 
     def risk_exact(self, beta):
-        resid = self.y - self.X @ beta
-        return float(np.mean(np.abs(resid) ** self.q))
+        if self.q == 2.0:
+            return self.gram_risk(beta)
+        resid = self.y - _matvec(self.X, beta)
+        return np.mean(np.abs(resid) ** self.q, axis=-1)
 
     def gram_risk(self, beta):
         """The q = 2 risk through the Gram matrix, clipped at zero."""
-        value = self.y2m - 2.0 * float(self.xty @ beta) + float(beta @ (self.gram @ beta))
-        return max(value, 0.0)
+        value = self.y2m - 2.0 * _dot(self.xty, beta) + _dot(beta, _matvec(self.gram, beta))
+        return np.maximum(value, 0.0)
 
     def grad(self, beta):
         if self.q == 2.0:
-            return 2.0 * (self.gram @ beta - self.xty)
-        resid = self.y - self.X @ beta
-        return -(self.q / self.n) * (self.X.T @ (resid * np.abs(resid) ** (self.q - 2.0)))
+            return 2.0 * (_matvec(self.gram, beta) - self.xty)
+        resid = self.y - _matvec(self.X, beta)
+        return -(self.q / self.n) * _matvec(self.X.swapaxes(1, 2), resid * np.abs(resid) ** (self.q - 2.0))
 
     def lipschitz_estimate(self, beta):
         """Largest Hessian eigenvalue, exact for q = 2, local probe otherwise."""
         if self.q == 2.0:
-            return 2.0 * float(np.linalg.eigvalsh(self.gram)[-1])
-        resid = self.y - self.X @ beta
+            return 2.0 * np.linalg.eigvalsh(self.gram)[:, -1]
+        resid = self.y - _matvec(self.X, beta)
         weights = np.abs(resid) ** (self.q - 2.0)
-        hess = (self.q * (self.q - 1.0) / self.n) * (self.X.T @ (self.X * weights[:, None]))
-        return float(np.linalg.eigvalsh(hess)[-1])
+        hess = (self.q * (self.q - 1.0) / self.n) * (self.X.swapaxes(1, 2) @ (self.X * weights[..., None]))
+        return np.linalg.eigvalsh(hess)[:, -1]
 
     def row_space_radius(self):
         """An l2 bound on the minimizer of the risk alone that lies in the design's row space.
@@ -197,18 +231,18 @@ class _LqObjective:
         by the square root of the smallest nonzero Gram eigenvalue bounds
         ||b||_2. Eigenvalues below numpy's rank tolerance count as zero.
         """
-        eigs = np.linalg.eigvalsh(self.X.T @ self.X / self.n)
-        positive = eigs[eigs > eigs[-1] * max(self.n, self.d) * np.finfo(float).eps]
-        if positive.size == 0:
-            return 0.0
-        fit = math.sqrt(float(np.mean(self.y**2))) + self.risk_exact(np.zeros(self.d)) ** (1.0 / self.q)
-        return fit / math.sqrt(float(positive[0]))
+        eigs = np.linalg.eigvalsh(self.gram)
+        cutoff = eigs[:, -1:] * max(self.n, self.d) * np.finfo(float).eps
+        smallest = np.where(eigs > cutoff, eigs, np.inf).min(axis=-1)
+        fit = np.sqrt(self.y2m) + self.risk_exact(np.zeros(self.d)) ** (1.0 / self.q)
+        return fit / np.sqrt(smallest)
 
 
 def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     """FISTA for mean_i |y_i - <x_i, beta>|^q + pen * ||beta||_1^power, with power 1 or q.
 
-    See :func:`solve_lq_rerm`; ``pen_name`` names the penalty in error messages.
+    A row leaves the stack once its gap is at most ``tol``. See
+    :func:`solve_lq_rerm`; ``pen_name`` names the penalty in error messages.
     """
     if not q >= 2:
         raise InvalidInputError("q must be >= 2")
@@ -221,62 +255,81 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     # at power q every minimizer lies in the l1 ball of this radius; otherwise a minimizer of
     # the risk alone lies in this l2 ball
     l1_ball = pen > 0 and power != 1.0
-    radius = (obj.risk_exact(np.zeros(obj.d)) / pen) ** (1.0 / power) if l1_ball else obj.row_space_radius()
+    beta = np.zeros((len(obj.gram), obj.d))
+    radius = (obj.risk_exact(beta) / pen) ** (1.0 / power) if l1_ball else obj.row_space_radius()
 
     def duality_gap(beta, grad):
-        l1 = float(np.abs(beta).sum())
+        l1, slope = np.abs(beta).sum(axis=-1), _dot(grad, beta)
         if not l1_ball:
             # min F >= min risk, so the risk's l2 gap plus the penalty bounds F - min F
-            row_space_gap = float(grad @ beta) + float(np.linalg.norm(grad)) * radius + pen * l1
+            row_space_gap = slope + np.sqrt(_dot(grad, grad)) * radius + pen * l1
             if pen == 0.0:
                 return row_space_gap
             # power 1 comes only with q = 2. Near the minimum the Frank-Wolfe form is about
             # (gmax - pen) * F(0) / pen, which rounding keeps above tol for small pen; the
             # Fenchel gap in turn stays at rounding level once pen is below the gradient's
-            s = pen / max(float(np.abs(grad).max()), pen)
-            return min(s * float(grad @ beta) + pen * l1 + (1.0 - s) ** 2 * obj.gram_risk(beta), row_space_gap)
-        gmax = float(np.abs(grad).max())
-        t = min(radius, (gmax / (power * pen)) ** (1.0 / (power - 1.0)))
-        return float(grad @ beta) + pen * l1**power + gmax * t - pen * t**power
+            s = pen / np.maximum(np.abs(grad).max(axis=-1), pen)
+            return np.minimum(s * slope + pen * l1 + (1.0 - s) ** 2 * obj.gram_risk(beta), row_space_gap)
+        gmax = np.abs(grad).max(axis=-1)
+        t = np.minimum(radius, (gmax / (power * pen)) ** (1.0 / (power - 1.0)))
+        return slope + pen * l1**power + gmax * t - pen * t**power
 
-    def solution(beta, gap):
-        l1 = float(np.abs(beta).sum())
-        return RermSolution(beta=beta, objective=obj.risk_exact(beta) + pen * l1**power, optimality_gap=max(gap, 0.0))
-
-    beta = np.zeros(obj.d)
     grad = obj.grad(beta)
     gap = duality_gap(beta, grad)
-    z, z_grad, momentum = beta, grad, 1.0
-    step = 1.0 / max(obj.lipschitz_estimate(beta), 1e-12)
+    z, z_grad, momentum = beta, grad, np.ones(len(beta))
+    step = 1.0 / np.maximum(obj.lipschitz_estimate(beta), 1e-12)
+    # each row's final iterate, objective and gap by its index in the stack; ids maps the running rows to it
+    final_beta, final_objective, final_gap = np.zeros_like(beta), np.zeros_like(gap), np.zeros_like(gap)
+    ids = np.arange(len(beta))
+
+    def finish(rows):
+        """Record the given running rows as final; the solution so far, without the stack's axis for one sample."""
+        final_beta[ids[rows]], final_gap[ids[rows]] = beta[rows], gap[rows]
+        risk = (obj if rows.all() else obj.take(rows)).risk_exact(beta[rows])
+        final_objective[ids[rows]] = risk + pen * np.abs(beta[rows]).sum(axis=-1) ** power
+        whole = ... if sample.design.ndim == 3 else 0
+        return RermSolution(final_beta[whole], final_objective[whole], float(np.maximum(final_gap, 0.0).max()))
+
+    def accepts(rows):
+        # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
+        # from above, so this test implies sufficient decrease; unlike a difference of
+        # objective values it does not cancel to rounding near the minimum
+        delta = cand[rows] - z[rows]
+        bound = _dot(delta, delta) / (2.0 * step[rows])
+        return (step[rows] < 1e-280) | (_dot(cand_grad[rows] - z_grad[rows], delta) <= bound)
+
     for _ in range(int(max_iter)):
-        if gap <= tol:
-            return solution(beta, gap)
-        while True:
-            cand = _prox_l1_power(z - step * z_grad, step * pen, power)
-            cand_grad = obj.grad(cand)
-            if q == 2.0 or step < 1e-280:
-                break
-            # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
-            # from above, so this test implies sufficient decrease; unlike a difference of
-            # objective values it does not cancel to rounding near the minimum
-            delta = cand - z
-            if float((cand_grad - z_grad) @ delta) <= float(delta @ delta) / (2.0 * step):
-                break
-            step *= 0.5
-        if float((z - cand) @ (cand - beta)) > 0.0:
-            # the step turned against the momentum: restart it from the current iterate. Without
-            # momentum z is beta and the test cannot fire; unlike a rise of the objective it does
-            # not fire on rounding noise near the minimum
-            z, z_grad, momentum = beta, grad, 1.0
-            continue
-        next_momentum = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * momentum**2))
-        z = cand + ((momentum - 1.0) / next_momentum) * (cand - beta)
-        beta, grad, momentum = cand, cand_grad, next_momentum
-        gap = duality_gap(beta, grad)
-        z_grad = obj.grad(z)
+        done = gap <= tol
+        if np.count_nonzero(done):
+            solution = finish(done)
+            if done.all():
+                return solution
+            run = ~done
+            obj, radius, ids, beta, grad, gap = obj.take(run), radius[run], ids[run], beta[run], grad[run], gap[run]
+            z, z_grad, momentum, step = z[run], z_grad[run], momentum[run], step[run]
+        cand = _prox_l1_power(z - step[:, None] * z_grad, step * pen, power)
+        cand_grad = obj.grad(cand)
+        # above q = 2 a row halves its step until its candidate passes the test, or the step underflows
+        trying = np.flatnonzero(~accepts(slice(None))) if q != 2.0 else ()
+        while len(trying):
+            step[trying] *= 0.5
+            cand[trying] = _prox_l1_power(z[trying] - step[trying, None] * z_grad[trying], step[trying] * pen, power)
+            cand_grad[trying] = (obj if len(trying) == len(ids) else obj.take(trying)).grad(cand[trying])
+            trying = trying[~accepts(trying)]
+        # a step that turned against the momentum restarts it from the current iterate. Without
+        # momentum z is beta and the test cannot fire; unlike a rise of the objective it does
+        # not fire on rounding noise near the minimum
+        moves = ~(_dot(z - cand, cand - beta) > 0.0)
+        next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
+        z = np.where(moves[:, None], cand + ((momentum - 1.0) / next_momentum)[:, None] * (cand - beta), beta)
+        beta, grad = np.where(moves[:, None], cand, beta), np.where(moves[:, None], cand_grad, grad)
+        momentum = np.where(moves, next_momentum, 1.0)
+        # a restarted row keeps its iterate, so its gap and the gradient at z = beta come out as before
+        gap, z_grad = duality_gap(beta, grad), obj.grad(z)
         if q != 2.0:
-            step *= 1.25
-    raise IterationLimitError("iteration budget exhausted", best=solution(beta, gap))
+            step = np.where(moves, step * 1.25, step)
+    raise IterationLimitError(f"iteration budget exhausted in row {ids[0]}", best=finish(np.ones(len(ids), bool)),
+                              row=int(ids[0]))
 
 
 def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):

@@ -157,6 +157,12 @@ SMALL_CONFIGS = {
                "replications": 4, "testSize": 1000, "noise": {"kind": "Bounded", "range": 0.5},
                "betaStar": {"support": 2, "magnitude": 0.5},
                "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
+    # a stack holds 2 samples of 2048 x 10 raw rows, so a chunk spans several stacks at workers 1 (32
+    # replications) and at workers 2 (chunks of 4)
+    "LqRerm-stacks": {"scenario": "LqRerm", "nGrid": [2048], "d": 10, "q": 4, "epsilon": 0.01,
+                      "replications": 32, "noise": {"kind": "Bounded", "range": 0.5},
+                      "betaStar": {"support": 2, "magnitude": 0.5},
+                      "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
 }
 
 
@@ -262,31 +268,93 @@ def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys
     calls = []
 
     def failing_at_n128_rep2(sample, *args, **kwargs):
-        # a Gaussian sample solves on its d + 1 row factor, so the replication is found by call
-        # order: at workers 1 the solves follow the grid, six replications per n, and n = 128's
-        # replication 2 is the 9th
-        calls.append(sample.n)
+        # at workers 1 each n's six replications solve as one stack, in grid order: n = 128's stack is the
+        # second call, and its row 2 is replication 2
+        calls.append(len(sample.design))
         solution = solve(sample, *args, **kwargs)
-        if len(calls) == 9:
-            raise IterationLimitError("iteration budget exhausted", best=replace(solution, optimality_gap=0.25))
+        if len(calls) == 2:
+            raise IterationLimitError("iteration budget exhausted in row 2",
+                                      best=replace(solution, optimality_gap=0.25), row=2)
         return solution
 
     monkeypatch.setattr(harness, "solve_lq_rerm", failing_at_n128_rep2)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CONFIGS["SquareLasso"]))
     assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--workers", 1]) == 3
+    assert calls == [6, 6]
     err = capsys.readouterr().err
     assert "SquareLasso solver failed at n=128, replication 2" in err
     assert "best gap 0.25" in err
 
 
+def test_solver_failure_in_a_later_stack_names_its_replication(monkeypatch, tmp_path, capsys):
+    # a sample of the d = 5 config is its 6 x 5 QR factor, 8 * 5 * (6 + 5) bytes of design and Gram matrix,
+    # so stacks hold 4 replications: 0-3 and 4-5 at every n. Row 1 of n = 128's second stack is replication 5
+    monkeypatch.setattr(harness, "_STACK_BYTES", 4 * 8 * 5 * (6 + 5))
+    solve = harness.solve_lq_rerm
+    calls = []
+
+    def failing_in_the_fourth_stack(sample, *args, **kwargs):
+        calls.append(len(sample.design))
+        solution = solve(sample, *args, **kwargs)
+        if len(calls) == 4:
+            raise IterationLimitError("iteration budget exhausted in row 1",
+                                      best=replace(solution, optimality_gap=0.5), row=1)
+        return solution
+
+    monkeypatch.setattr(harness, "solve_lq_rerm", failing_in_the_fourth_stack)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["SquareLasso"]))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--workers", 1]) == 3
+    assert calls == [4, 2, 4, 2]
+    err = capsys.readouterr().err
+    assert "SquareLasso solver failed at n=128, replication 5" in err
+    assert "best gap 0.5" in err
+
+
+def _solution_of_every_row(beta):
+    """A stand-in for ``solve_lq_rerm`` that returns ``beta`` for every sample of the stack it is given."""
+    return lambda sample, *args, **kwargs: SimpleNamespace(beta=np.tile(beta, (len(sample.design), 1)))
+
+
 def test_non_finite_q4_risk_exits_3_naming_replication(monkeypatch, tmp_path, capsys):
-    beta_hat = np.full(3, 1e100)
-    monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+    monkeypatch.setattr(harness, "solve_lq_rerm", _solution_of_every_row(np.full(3, 1e100)))
     path = tmp_path / "config.json"
     path.write_text(json.dumps(SMALL_CONFIGS["LqRerm"]))
     assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--workers", 1]) == 3
     assert "runtime error: LqRerm exact risk is not finite at n=64, replication 0" in capsys.readouterr().err
+
+
+def test_non_finite_q4_risk_in_a_later_stack_names_its_replication(monkeypatch, tmp_path, capsys):
+    # at n = 64 a sample of the d = 3 config takes 8 * 3 * (64 + 3) bytes, so stacks hold 2 of its 4
+    # replications; only row 1 of the second stack, replication 3, gets a coefficient that overflows its risk
+    monkeypatch.setattr(harness, "_STACK_BYTES", 2 * 8 * 3 * (64 + 3))
+    calls = []
+
+    def overflowing_in_the_second_stack(sample, *args, **kwargs):
+        calls.append(len(sample.design))
+        beta = np.zeros((len(sample.design), 3))
+        if len(calls) == 2:
+            beta[1] = 1e100
+        return SimpleNamespace(beta=beta)
+
+    monkeypatch.setattr(harness, "solve_lq_rerm", overflowing_in_the_second_stack)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["LqRerm"]))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--workers", 1]) == 3
+    assert calls == [2, 2]
+    assert "runtime error: LqRerm exact risk is not finite at n=64, replication 3" in capsys.readouterr().err
+
+
+def test_overflowing_penalty_coefficient_exits_2_naming_c0(tmp_path, capsys):
+    # the penalty level itself is finite; dividing it by n epsilon^2 leaves the floats
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "SquareLasso", "nGrid": [256, 512], "replications": 2, "epsilon": 0.002,
+                                "constants": {"c0": 1e304, "c1": 0}}))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "constants.c0" in err and "runtime error" not in err
+    assert not (tmp_path / "o").exists()
 
 
 class TestCompute:

@@ -36,6 +36,11 @@ from oraclebench.harness import rows_csv_text, summary_csv_text
 from oraclebench.solvers import _LqObjective
 
 
+def fixed_solution(beta):
+    """A stand-in for ``solve_lq_rerm`` that returns ``beta`` for every sample of the stack it is given."""
+    return lambda sample, *args, **kwargs: SimpleNamespace(beta=np.tile(beta, (len(sample.design), 1)))
+
+
 def finite_gap_config(**kwargs):
     base = dict(
         scenario="FiniteGap",
@@ -482,7 +487,7 @@ class TestSquareLasso:
         cfg = lasso_config(noise=noise, n_grid=[64], replications=1)
         beta_hat = np.linspace(-0.5, 1.5, cfg.d)
         beta_star = cfg.beta_star.vector(cfg.d)
-        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+        monkeypatch.setattr(harness, "solve_lq_rerm", fixed_solution(beta_hat))
         achieved = run_scenario(cfg).achieved[0, 0]
         exact = design_m2 * float(np.sum((beta_hat - beta_star) ** 2)) + noise.abs_moment(2)
         assert achieved == pytest.approx(exact, rel=1e-12)
@@ -549,13 +554,14 @@ class TestGaussianFactorSample:
 
         def recording(sample, *args, **kwargs):
             solution = solve(sample, *args, **kwargs)
-            gaps.append(solution.optimality_gap)
+            gaps.append((len(sample.design), solution.optimality_gap))
             return solution
 
         monkeypatch.setattr(harness, "solve_lq_rerm", recording)
         result = run_scenario(lasso_config(n_grid=[4, 8, 16], d=8))
-        assert len(gaps) == result.achieved.size
-        assert max(gaps) <= 1e-6
+        # a stack's gap is the largest of its rows
+        assert sum(rows for rows, _ in gaps) == result.achieved.size
+        assert max(gap for _, gap in gaps) <= 1e-6
         assert np.isfinite(result.achieved).all()
 
     @pytest.mark.parametrize(
@@ -573,8 +579,8 @@ class TestGaussianFactorSample:
         rows = []
 
         def recording(sample, *args, **kwargs):
-            rows.append(sample.n)
-            return SimpleNamespace(beta=np.zeros(sample.d))
+            rows.extend([sample.n] * len(sample.design))
+            return SimpleNamespace(beta=np.zeros((len(sample.design), sample.d)))
 
         monkeypatch.setattr(harness, "solve_lq_rerm", recording)
         run_scenario(config)
@@ -625,7 +631,7 @@ class TestLqRerm:
         # a delta of the noise's scale, heaviest on one coordinate: each of the four terms of the
         # exact risk then moves it by more than 4 stderr of the estimate below
         beta_hat = beta_star + np.array([0.6, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
-        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+        monkeypatch.setattr(harness, "solve_lq_rerm", fixed_solution(beta_hat))
         achieved = run_scenario(cfg).achieved[0, 0]
 
         def generator(rng, size):
@@ -639,7 +645,7 @@ class TestLqRerm:
         noise = NoiseSpec.bounded(0.5)
         cfg = lasso_config(scenario="LqRerm", q=4.0, noise=noise, replications=2)
         beta_star = cfg.beta_star.vector(cfg.d)
-        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_star.copy()))
+        monkeypatch.setattr(harness, "solve_lq_rerm", fixed_solution(beta_star))
         res = run_scenario(cfg)
         assert np.all(res.achieved == noise.abs_moment(4))
         assert np.all(res.oracle == noise.abs_moment(4))
@@ -647,7 +653,7 @@ class TestLqRerm:
 
     def test_q4_non_finite_exact_risk_rejected(self, monkeypatch):
         beta_hat = np.full(8, 1e100)
-        monkeypatch.setattr(harness, "solve_lq_rerm", lambda *args, **kwargs: SimpleNamespace(beta=beta_hat))
+        monkeypatch.setattr(harness, "solve_lq_rerm", fixed_solution(beta_hat))
         cfg = lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5), replications=1)
         # a runtime fault of the run, not a malformed input
         with pytest.raises(RuntimeError, match="not finite at n=128, replication 0"):
@@ -673,6 +679,39 @@ class TestLqRerm:
         cfg = lasso_config(scenario="LqRerm", q=3.0, noise=NoiseSpec.bounded(0.5), replications=2, test_size=None)
         res = run_scenario(cfg)
         assert sizes == [cfg.resolved_test_size()] * res.achieved.size
+
+
+@pytest.mark.parametrize(
+    "config",
+    [lasso_config(), lasso_config(noise=NoiseSpec.bounded(0.5)),
+     lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5))],
+    ids=["SquareLasso-gaussian-factor", "SquareLasso-bounded-raw-rows", "LqRerm-q4"],
+)
+def test_regression_rows_do_not_depend_on_the_stacks(monkeypatch, config):
+    # a chunk solved a stack at a time gives the risks of its replications solved one at a time, bit for bit,
+    # whether the chunk fits in one stack or splits into several
+    n, tag = config.n_grid[-1], harness._REGISTRY[config.scenario].tag
+    ctx = harness._rerm_ctx(config, n)
+    reps = range(config.replications)
+
+    def rows(part):
+        return harness._rerm_rows(config, ctx, n, part, harness._generators(config.master_seed, tag, n, part))
+
+    alone = np.concatenate([rows(range(rep, rep + 1)) for rep in reps])
+    stacks, splits, solve = [], [], harness.solve_lq_rerm
+
+    def recording(sample, *args, **kwargs):
+        stacks.append(len(sample.design))
+        return solve(sample, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "solve_lq_rerm", recording)
+    for stack_bytes in (harness._STACK_BYTES, 2**12, 2**16):
+        monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
+        stacks.clear()
+        assert rows(reps).tobytes() == alone.tobytes(), stack_bytes
+        splits.append(tuple(stacks))
+    assert (config.replications,) in splits
+    assert any(len(split) > 1 and max(split) > 1 for split in splits)
 
 
 @pytest.mark.parametrize("name", sorted(harness._DESIGNS))

@@ -196,7 +196,7 @@ class TestSolveLqRerm:
             best = int(np.argmin([h(project_l1_ball(v, t)) for t in grid]))
             fine = np.linspace(grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)], 1001)
             brute = min(h(project_l1_ball(v, t)) for t in fine)
-            mine = h(_prox_l1_power(v, c, q))
+            mine = h(_prox_l1_power(v[None], np.array([c]), q)[0])
             assert mine <= brute + 1e-12
             assert brute - mine <= 1e-5 * (1.0 + brute)
 
@@ -232,7 +232,7 @@ class TestSolveLqRerm:
                 # exact ties, with either sign
                 v = rng.choice([-1.0, 1.0], d) * rng.choice(np.abs(v[:3]), d)
             c = 10.0 ** rng.uniform(-300, 3)
-            ref, mine = reference(v, c), _prox_l1_power(v, c, p)
+            ref, mine = reference(v, c), _prox_l1_power(v[None], np.array([c]), p)[0]
             assert np.abs(mine - ref).max() <= 1e-12 * np.abs(ref).max(), (trial, c)
 
     @pytest.mark.parametrize("pen", [0.05, 0.0])
@@ -320,6 +320,90 @@ def _solve(sample, q, pen, **kwargs):
     if q == 1.0:
         return solve_lasso(sample, pen, **kwargs)
     return solve_lq_rerm(sample, q, pen, **kwargs)
+
+
+def _stack(samples):
+    return Sample(design=np.stack([s.design for s in samples]), response=np.stack([s.response for s in samples]))
+
+
+def _iterations(sample, q, pen, tol):
+    """The fewest proximal iterations after which the solo solve certifies tol; success is monotone in max_iter."""
+    lo, hi = 0, 1
+    while True:
+        try:
+            _solve(sample, q, pen, tol=tol, max_iter=hi)
+            break
+        except IterationLimitError:
+            lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _solve(sample, q, pen, tol=tol, max_iter=mid)
+            hi = mid
+        except IterationLimitError:
+            lo = mid
+    return hi
+
+
+class TestStackedSolve:
+    """A stack of samples solves in one loop, each row taking exactly the iterates of its solo solve."""
+
+    @pytest.mark.parametrize(
+        "q, pen, n, d",
+        [(2.0, 0.05, 30, 5), (3.0, 0.05, 30, 5), (4.0, 0.05, 30, 5), (1.0, 0.05, 30, 5), (1.0, 1e-9, 30, 5),
+         (2.0, 0.0, 15, 40), (4.0, 0.0, 15, 40)],
+        ids=["q2-fixed-step", "q3-backtracking", "q4-backtracking", "lasso-fenchel", "lasso-row-space",
+             "q2-pen0-rank-deficient", "q4-pen0-rank-deficient"],
+    )
+    def test_equals_solo_solves_bit_for_bit(self, q, pen, n, d):
+        rng = np.random.default_rng(31)
+        samples = [random_instance(rng, n=n, d=d, noise=rng.uniform(0.05, 1.0)) for _ in range(6)]
+        tol = 1e-9
+        solo = [_solve(s, q, pen, tol=tol) for s in samples]
+        stacked = _solve(_stack(samples), q, pen, tol=tol)
+        assert stacked.beta.shape == (len(samples), d) and stacked.objective.shape == (len(samples),)
+        assert stacked.beta.tobytes() == np.stack([s.beta for s in solo]).tobytes()
+        assert stacked.objective.tobytes() == np.array([s.objective for s in solo]).tobytes()
+        # the stack's certificate is its largest, and every row's is at most tol
+        assert stacked.optimality_gap == max(s.optimality_gap for s in solo) <= tol
+
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_rows_stop_at_their_own_iteration(self, q):
+        # rows of very different conditioning certify after different iteration counts; a budget that only the
+        # fastest rows meet names the first row that ran out, and the best iterate holds the others' solutions
+        rng = np.random.default_rng(32)
+        samples = []
+        for scale in (1.0, 6.0, 1.0, 3.0):
+            design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
+            samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
+        pen, tol = 0.02, 1e-10
+        counts = [_iterations(s, q, pen, tol) for s in samples]
+        assert len(set(counts)) > 1
+        solo = [_solve(s, q, pen, tol=tol) for s in samples]
+        stacked = _solve(_stack(samples), q, pen, tol=tol)
+        assert stacked.beta.tobytes() == np.stack([s.beta for s in solo]).tobytes()
+        budget = min(counts)
+        with pytest.raises(IterationLimitError) as info:
+            _solve(_stack(samples), q, pen, tol=tol, max_iter=budget)
+        first_late = min(i for i, count in enumerate(counts) if count > budget)
+        assert info.value.row == first_late and f"row {first_late}" in str(info.value)
+        best = info.value.best
+        for i, count in enumerate(counts):
+            if count <= budget:
+                assert best.beta[i].tobytes() == solo[i].beta.tobytes()
+                assert best.objective[i] == solo[i].objective
+        assert best.optimality_gap > tol
+
+    def test_single_sample_is_a_stack_of_one(self):
+        # solve_square_lasso reads n from the stack's shape too; a single sample keeps its own shapes
+        rng = np.random.default_rng(33)
+        s = random_instance(rng)
+        sol = solve_square_lasso(s, 2.0)
+        assert sol.beta.shape == (s.d,) and isinstance(sol.objective, float)
+        stacked = solve_square_lasso(_stack([s, s]), 2.0)
+        assert stacked.beta.shape == (2, s.d) and stacked.objective.shape == (2,)
+        assert stacked.beta.tobytes() == np.stack([sol.beta, sol.beta]).tobytes()
+        assert stacked.objective.tolist() == [sol.objective] * 2
 
 
 @pytest.mark.parametrize(

@@ -44,12 +44,14 @@ the budget once per n, and the achieved risk, both slacks and the satisfied
 flag per replication. FiniteGap and Isomorphy score their finite dictionary
 on the sample's histogram over its distinct labelled points: each context
 holds the loss table at those points, and a replication counts how often
-each point occurs. Isomorphy takes one
-matrix-vector product per replication (``histogram_risks``); FiniteGap
-gathers the two counts of every replication of a chunk and picks all of its
-minimizers with one ``erm_finite`` call on the (2, replications) count
-matrix. The 0-1 losses are integers, so the risks are bit-identical to the
-mean of the full (functions, n) loss matrix. One field table, ``_FIELDS``,
+each point occurs. Isomorphy draws its replications and its localization
+draws a block at a time, as many as fit in ``_STACK_BYTES``, each from its
+own generator exactly as alone, and scores a block with one ``bincount`` and
+one ``histogram_risks`` product over its histograms (``_isomorphy_risks``);
+FiniteGap gathers the two counts of every replication of a chunk and picks
+all of its minimizers with one ``erm_finite`` call on the (2, replications)
+count matrix. The 0-1 losses are integers, so the risks are bit-identical to
+the mean of the full (functions, n) loss matrix. One field table, ``_FIELDS``,
 is the config schema: ``ScenarioConfig`` casts and checks every field
 through it, whether built in Python or by ``config_from_mapping``.
 
@@ -103,7 +105,8 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # the positive stand-in that summaries report for a nonpositive mean nonexact slack
 _FLOOR = 1e-12
-# the most bytes of design and Gram matrices that one stack of regression samples holds
+# the most bytes of design and Gram matrices that one stack of regression samples holds, and of draws and
+# counts that one block of Isomorphy draws holds
 _STACK_BYTES = 448 * 1024
 
 
@@ -192,17 +195,39 @@ def _isomorphy_model(config):
     return err_prob.mean(axis=1), losses, p_plus
 
 
-def _isomorphy_points(rng, p_plus, n):
-    """One fresh draw of n labelled cells, as indices of the distinct points of ``_isomorphy_model``."""
+def _isomorphy_blocks(rngs, p_plus, n):
+    """Fresh draws of n labelled cells, one per generator in order, as (draws, n) blocks of point indices.
+
+    Each generator draws its n cells, then n uniforms that label them, the calls of a draw alone, so every
+    stream is the same whatever the blocks, and a generator may come more than once. A block holds as many
+    draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell (its index and its uniform) and 16 per
+    distinct point (a draw's count of it, as an integer and as a float).
+    """
     k = p_plus.size
-    cells = rng.integers(0, k, size=n)
-    negative = rng.random(n) >= p_plus[cells]
-    return cells + k * negative
+    size = max(1, _STACK_BYTES // (16 * (n + 2 * k)))
+    rngs = iter(rngs)
+    while block := list(itertools.islice(rngs, size)):
+        cells = np.empty((len(block), n), dtype=np.int64)
+        uniforms = np.empty((len(block), n))
+        for row, rng in enumerate(block):
+            cells[row] = rng.integers(0, k, size=n)
+            rng.random(out=uniforms[row])
+        yield cells + k * (uniforms >= p_plus[cells])
 
 
-def _isomorphy_risks(rng, losses, p_plus, n):
-    """Empirical risks of every function on one fresh draw, scored on its histogram."""
-    return histogram_risks(losses, np.bincount(_isomorphy_points(rng, p_plus, n), minlength=losses.shape[1]))
+def _isomorphy_risks(rngs, losses, p_plus, n):
+    """Empirical risks of every function on one fresh draw per generator, a (draws, functions) array.
+
+    A block of draws is scored at once: one ``bincount`` of its points, each row's points offset into a
+    histogram of its own, and one ``histogram_risks`` product over the block's histograms.
+    """
+    points, risks = losses.shape[1], []
+    for block in _isomorphy_blocks(rngs, p_plus, n):
+        draws = len(block)
+        block += points * np.arange(draws)[:, None]
+        counts = np.bincount(block.ravel(), minlength=draws * points).reshape(draws, points)
+        risks.append(histogram_risks(losses, counts.T).T)
+    return np.concatenate(risks)
 
 
 def _isomorphy_contexts(config):
@@ -212,17 +237,18 @@ def _isomorphy_contexts(config):
 
 def _isomorphy_ctx(config, n, true_risks, losses, p_plus):
     rngs = _generators(config.master_seed, "isomorphy/lambda", n, range(config.lambda_replications))
-    emp = np.stack([_isomorphy_risks(rng, losses, p_plus, n) for rng in rngs])
+    emp = _isomorphy_risks(rngs, losses, p_plus, n)
     estimate = expected_localized_sup(true_risks, np.abs(true_risks - emp))
     lam_star = fixed_point_lambda(lambda lam: estimate(lam).mean, config.epsilon, bracket_hi=1.0, tol=1e-4)
     phi_at = estimate(lam_star)
 
     calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
-    # the envelope and psi_1 draws need per-sample losses: the loss table's columns at the drawn points
-    calib = np.vstack([losses[:, _isomorphy_points(calib_rng, p_plus, n)].max(axis=0) for _ in range(64)])
-    bn = envelope_psi1(calib)
-    pooled = [losses[j, _isomorphy_points(calib_rng, p_plus, n)] for j in range(config.d)]
-    diam = max(psi_alpha_norm(sample_losses, alpha=1.0, tol=1e-6) for sample_losses in pooled)
+    # the envelope and psi_1 draws need per-sample losses: 64 draws of the envelope, each point's largest loss,
+    # then one draw of each function's losses, all from the one calibration stream
+    envelope = losses.max(axis=0)
+    bn = envelope_psi1(np.vstack([envelope[block] for block in _isomorphy_blocks([calib_rng] * 64, p_plus, n)]))
+    pooled = np.vstack(list(_isomorphy_blocks([calib_rng] * config.d, p_plus, n)))
+    diam = max(psi_alpha_norm(losses[j, points], alpha=1.0, tol=1e-6) for j, points in enumerate(pooled))
     big_bn = bernstein_from_psi1(diam, n)
     rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
     # crude noise band on the fixed point: the defining slope is epsilon/4
@@ -242,9 +268,10 @@ def _isomorphy_ctx(config, n, true_risks, losses, p_plus):
     }
 
 
-def _isomorphy_row(config, ctx, n, rep, rng):
-    emp = _isomorphy_risks(rng, ctx["losses"], ctx["p_plus"], n)
-    return float(np.max(ctx["true_risks"] - (1.0 + 2.0 * config.epsilon) * emp))
+def _isomorphy_rows(config, ctx, n, reps, rngs):
+    """The worst margin max_f (R(f) - (1 + 2 eps) R_n(f)) of each replication of a chunk."""
+    emp = _isomorphy_risks(rngs, ctx["losses"], ctx["p_plus"], n)
+    return np.max(ctx["true_risks"] - (1.0 + 2.0 * config.epsilon) * emp, axis=1)
 
 
 def _rerm_ctx(config, n):
@@ -382,14 +409,9 @@ def _per_n(ctx_fn):
     return lambda config: {n: ctx_fn(config, n) for n in config.n_grid}
 
 
-def _each(row):
-    """The rows function that scores replication after replication with ``row(config, ctx, n, rep, rng)``."""
-    return lambda config, ctx, n, reps, rngs: [row(config, ctx, n, rep, rng) for rep, rng in zip(reps, rngs)]
-
-
 _REGISTRY = {
     "FiniteGap": _Scenario(_per_n(_finite_gap_ctx), _finite_gap_rows, "finite-gap", True, None, ("delta",)),
-    "Isomorphy": _Scenario(_isomorphy_contexts, _each(_isomorphy_row), "isomorphy", False,
+    "Isomorphy": _Scenario(_isomorphy_contexts, _isomorphy_rows, "isomorphy", False,
                            lambda config: 1.0 - 4.0 * math.exp(-config.x),
                            ("lambda_star", "lambda_band", "bn", "big_bn")),
     "SquareLasso": _Scenario(_per_n(_rerm_ctx), _rerm_rows, "square-lasso", True, None, ("penalty_coef",)),

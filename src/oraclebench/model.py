@@ -188,6 +188,8 @@ def histogram_risks(losses, counts):
     total = counts.sum(axis=0)
     if not (total > 0).all():
         raise InvalidInputError("counts must have a positive total in every sample")
+    # numpy's integer-float product bypasses BLAS; integer counts below 2**53 are exact as floats
+    counts = counts.astype(float, copy=False)
     # 0 * inf and overflow give NaN or inf without a warning; the check below rejects both
     with np.errstate(invalid="ignore", over="ignore"):
         risks = losses @ counts / total

@@ -163,6 +163,10 @@ SMALL_CONFIGS = {
                       "replications": 32, "noise": {"kind": "Bounded", "range": 0.5},
                       "betaStar": {"support": 2, "magnitude": 0.5},
                       "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
+    # a block holds 6 draws of 4096 cells, so a chunk spans several blocks at workers 1 (64 replications)
+    # and at workers 2 (chunks of 8)
+    "Isomorphy-blocks": {"scenario": "Isomorphy", "nGrid": [4096], "d": 4, "cells": 256, "epsilon": 0.25,
+                         "x": 2.0, "replications": 64, "lambdaReplications": 20},
 }
 
 

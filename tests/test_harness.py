@@ -373,9 +373,11 @@ class TestIsomorphy:
             shapes.append(np.shape(deviations))
             return localize(means, deviations)
 
-        def counting(*args):
-            draws.append(1)
-            return risks(*args)
+        def counting(rngs, *args):
+            # each generator consumed is one draw of the class
+            rngs = list(rngs)
+            draws.extend(rngs)
+            return risks(rngs, *args)
 
         monkeypatch.setattr(harness, "expected_localized_sup", recording)
         monkeypatch.setattr(harness, "_isomorphy_risks", counting)
@@ -390,7 +392,7 @@ class TestIsomorphy:
         true_risks, losses, p_plus = harness._isomorphy_model(config)
         for n in config.n_grid:
             rngs = (np.random.default_rng(derive_seed(config.master_seed, "isomorphy/lambda", n, i)) for i in range(60))
-            devs = [np.abs(true_risks - harness._isomorphy_risks(rng, losses, p_plus, n)) for rng in rngs]
+            devs = [np.abs(true_risks - harness._isomorphy_risks([rng], losses, p_plus, n)[0]) for rng in rngs]
 
             def phi(lam):
                 # the mean exact localized sup over the draws, one draw at a time
@@ -413,7 +415,7 @@ class TestIsomorphy:
             cells = old_rng.integers(0, p_plus.size, size=n)
             labels = np.where(old_rng.random(n) < p_plus[cells], 1.0, -1.0)
             expanded = ((patterns[:, cells] * labels) <= 0).mean(axis=1)
-            assert np.array_equal(harness._isomorphy_risks(new_rng, losses, p_plus, n), expanded)
+            assert np.array_equal(harness._isomorphy_risks([new_rng], losses, p_plus, n), [expanded])
             assert new_rng.bit_generator.state == old_rng.bit_generator.state
 
     def test_report_shape(self):
@@ -712,6 +714,37 @@ def test_regression_rows_do_not_depend_on_the_stacks(monkeypatch, config):
         splits.append(tuple(stacks))
     assert (config.replications,) in splits
     assert any(len(split) > 1 and max(split) > 1 for split in splits)
+
+
+@pytest.mark.parametrize("n, cells", [(1, 64), (255, 512), (4096, 16)])
+def test_isomorphy_rows_do_not_depend_on_the_blocks(monkeypatch, n, cells):
+    # a chunk drawn and scored a block at a time gives the margins of its replications drawn one generator at a
+    # time, bit for bit, whether a block holds one draw, several, or the whole chunk
+    config = iso_config(cells=cells, replications=24)
+    true_risks, losses, p_plus = harness._isomorphy_model(config)
+    ctx = {"true_risks": true_risks, "losses": losses, "p_plus": p_plus}
+    reps = range(config.replications)
+
+    def rows(part):
+        rngs = harness._generators(config.master_seed, "isomorphy", n, part)
+        return harness._isomorphy_rows(config, ctx, n, part, rngs)
+
+    alone = np.concatenate([rows(range(rep, rep + 1)) for rep in reps])
+    blocks, splits, score = [], [], harness.histogram_risks
+
+    def recording(table, counts):
+        blocks.append(np.shape(counts)[1])
+        return score(table, counts)
+
+    monkeypatch.setattr(harness, "histogram_risks", recording)
+    for stack_bytes in (harness._STACK_BYTES, 2**12, 2**20):
+        monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
+        blocks.clear()
+        assert rows(reps).tobytes() == alone.tobytes(), stack_bytes
+        splits.append(tuple(blocks))
+    assert all(sum(split) == config.replications for split in splits)
+    assert splits[1] == (1,) * config.replications
+    assert any(max(split) > 1 for split in splits)
 
 
 @pytest.mark.parametrize("name", sorted(harness._DESIGNS))

@@ -224,6 +224,19 @@ class TestHistogramMatrix:
                 assert np.array_equal(risks[:, k], histogram_risks(table, counts[:, k]))
                 assert picks[k] == erm_finite(table, counts[:, k])
 
+    def test_integer_and_float_counts_give_the_same_bits(self):
+        # integer counts are scored as floats, which takes the BLAS product; both equal numpy's exact
+        # integer-float product, since every dot product of 0-1 losses with counts is an integer below 2**53
+        rng = np.random.default_rng(2014)
+        patterns = rng.choice([-1.0, 1.0], size=(8, 256))
+        table = LossSpec.zero_one().per_sample(np.hstack([patterns, patterns]), np.repeat([1.0, -1.0], 256))
+        counts = np.stack([np.bincount(rng.integers(0, 512, size=n), minlength=512)
+                           for n in rng.integers(1, 4097, size=256)], axis=1)
+        assert counts.shape == (512, 256) and counts.dtype.kind == "i"
+        risks = histogram_risks(table, counts)
+        assert risks.tobytes() == histogram_risks(table, counts.astype(float)).tobytes()
+        assert risks.tobytes() == (table @ counts / counts.sum(axis=0)).tobytes()
+
     @pytest.mark.parametrize("counts", [
         np.array([[3, 0], [1, 0]]),
         np.array([[3.0, 0.0], [1.0, 0.0]]),

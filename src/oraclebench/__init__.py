@@ -5,21 +5,19 @@ The package has three layers:
 * primitives: empirical risk and ERM over finite dictionaries, each given by
   its (functions, points) loss table (``model``), empirical Orlicz-norm and
   concentration evaluators that return floats (``concentration``), star-hull
-  localization, its fixed point and the l1-ball complexity profile
-  (``complexity``);
+  localization and its fixed point (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
-  the closed-form penalty/residual builders (``solvers``);
+  the closed-form penalty/residual builders, whose RERM residual is the ERM
+  residual at the l1 ball's complexity profile (``solvers``);
 * harness: seeded Monte Carlo scenarios that measure exact and nonexact
   oracle-inequality slacks and fit their decay rates (``harness``, with its
   replication generators in ``seeding``), with a CLI front end (``cli``).
 """
 
 from .complexity import (
-    ComplexityProfile,
     LocalizedSupInput,
     expected_localized_sup,
     fixed_point_lambda,
-    l1_complexity_profile,
     localized_star_hull_sup,
 )
 from .concentration import (
@@ -68,7 +66,6 @@ __all__ = [
     "__version__",
     "BetaStarSpec",
     "BracketError",
-    "ComplexityProfile",
     "InvalidInputError",
     "IterationLimitError",
     "LocalizedSupInput",
@@ -91,7 +88,6 @@ __all__ = [
     "expected_localized_sup",
     "fixed_point_lambda",
     "histogram_risks",
-    "l1_complexity_profile",
     "l1_penalty_level",
     "localized_star_hull_sup",
     "project_l1_ball",

@@ -28,7 +28,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .complexity import fixed_point_lambda, l1_complexity_profile
+from .complexity import fixed_point_lambda
 from .concentration import psi_alpha_norm
 from .errors import BracketError, InvalidInputError
 from .harness import config_from_mapping, run_scenario, write_rows_csv, write_summary_csv
@@ -151,8 +151,13 @@ def _cmd_experiment(args):
         print("configuration error: --workers must be >= 1", file=sys.stderr)
         return EXIT_USAGE
 
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"configuration error: --out must name a directory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     started = datetime.now(timezone.utc).isoformat()
-    os.makedirs(args.out, exist_ok=True)
     result = run_scenario(config, workers=args.workers)
     write_rows_csv(result, os.path.join(args.out, "rows.csv"))
     write_summary_csv(result, os.path.join(args.out, "summary.csv"))
@@ -184,12 +189,13 @@ def _compute_value(args):
     if args.quantity == "rho-a":
         return erm_residual(args.lambda_star, args.bn, args.Bn, args.epsilon, args.x, args.n, args.c0)
     if args.quantity == "rho-b":
-        profile = l1_complexity_profile(args.n, args.d, args.q, args.Kd, args.epsilon)
-        return rerm_residual(profile, args.r, args.x, args.c0)
+        return rerm_residual(args.n, args.d, args.q, args.Kd, args.epsilon, args.r, args.x, args.c0)
     if args.quantity == "fixed-point":
         table = np.atleast_2d(np.loadtxt(args.table, ndmin=2))
         if table.shape[1] != 2:
-            raise InvalidInputError("fixed-point table must have two columns")
+            raise InvalidInputError("--table must have two columns")
+        if not (np.all(np.isfinite(table)) and np.all(table >= 0)):
+            raise InvalidInputError("--table must hold finite, nonnegative levels and suprema")
         grid, values = table[:, 0], table[:, 1]
         order = np.argsort(grid)
         grid, values = grid[order], values[order]

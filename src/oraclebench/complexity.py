@@ -1,4 +1,4 @@
-"""Localized empirical process suprema, their fixed point, and l1-ball profiles.
+"""Localized empirical process suprema and their fixed point.
 
 The star hull of a class of nonnegative-mean functions is the set of all
 down-scalings theta*g with theta in [0,1]; localizing at level lam keeps the
@@ -12,17 +12,14 @@ equivalent; bisection is valid because E sup / lam is nonincreasing in lam.
 ``expected_localized_sup`` maps the population means and the deviations of
 fixed draws to lam -> E sup over those draws: every level the bisection visits
 sees the same sample, so the map is pointwise monotone; nothing here draws.
-
-``l1_complexity_profile`` gives the same level, with the envelope and
-second-moment constants, in closed form for l1 balls of linear predictors
-under the L_q loss, as maps of the ball's radius.
+The closed-form level of l1 balls lives with the residual it enters,
+``solvers.rerm_residual``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -31,11 +28,9 @@ from .model import RiskEstimate
 
 __all__ = [
     "LocalizedSupInput",
-    "ComplexityProfile",
     "localized_star_hull_sup",
     "expected_localized_sup",
     "fixed_point_lambda",
-    "l1_complexity_profile",
 ]
 
 _DOUBLINGS = 60
@@ -158,60 +153,3 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
         else:
             lo = mid
     return float(hi)
-
-
-@dataclass(frozen=True)
-class ComplexityProfile:
-    """Radius-indexed complexity maps for a family of nested models.
-
-    ``lambda_star(r)`` is the isomorphic level of the radius-r model,
-    ``bn(r)`` its second-moment control constant, and ``phi_n(r)`` its
-    envelope psi_1 bound; all three are nondecreasing in r. The profile is
-    tied to a sample size n and a localization epsilon in (0, 1/2).
-    """
-
-    n: float
-    epsilon: float
-    lambda_star: Callable[[float], float]
-    bn: Callable[[float], float]
-    phi_n: Callable[[float], float]
-
-    def __post_init__(self):
-        if not 0 < self.epsilon < 0.5:
-            raise InvalidInputError("epsilon must lie in (0, 1/2)")
-        if not self.n >= 1:
-            raise InvalidInputError("n must be >= 1")
-
-
-def l1_complexity_profile(n, d, q, kd, epsilon):
-    """Closed-form complexity profile for l1 balls under the L_q loss.
-
-    With h(n,d) = kd^q (log n)^{(4q-2)/q} (log d)^2, the maps are
-
-        lambda_star(r) = (1+r)^q * h(n,d) / (n epsilon^2),
-        bn(r)          = (2 kd)^q * (1+r)^q * log(e n),
-        phi_n(r)       = kd^q * (log n) * (1+r)^q.
-
-    All three are nondecreasing in r and homogeneous of degree q in kd.
-    """
-    if not (n >= 2 and d >= 2):
-        raise InvalidInputError("n and d must be >= 2")
-    if not q >= 2:
-        raise InvalidInputError("q must be >= 2")
-    if not kd > 0:
-        raise InvalidInputError("kd must be positive")
-    if not 0 < epsilon < 0.5:
-        raise InvalidInputError("epsilon must lie in (0, 1/2)")
-
-    # every power is taken inside a map, so that an overflow reaches rerm_residual's check
-    def lambda_star(r):
-        h = kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2
-        return (1.0 + r) ** q * h / (n * epsilon**2)
-
-    def bn(r):
-        return (2.0 * kd) ** q * (1.0 + r) ** q * math.log(math.e * n)
-
-    def phi_n(r):
-        return kd**q * math.log(n) * (1.0 + r) ** q
-
-    return ComplexityProfile(n=float(n), epsilon=float(epsilon), lambda_star=lambda_star, bn=bn, phi_n=phi_n)

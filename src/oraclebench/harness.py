@@ -80,7 +80,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
-from .complexity import expected_localized_sup, fixed_point_lambda, l1_complexity_profile
+from .complexity import expected_localized_sup, fixed_point_lambda
 from .errors import InvalidInputError, IterationLimitError
 from .model import LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
 from .solvers import erm_residual, l1_penalty_level, rerm_residual, solve_lq_rerm
@@ -277,13 +277,14 @@ def _isomorphy_rows(config, ctx, n, reps, rngs):
 def _rerm_ctx(config, n):
     q, kd = config.q, config.constant("Kd")
     lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
-    profile = l1_complexity_profile(n, config.d, q, kd, config.epsilon)
     penalty_coef = lam / (n * config.epsilon**2) if config.epsilon**2 > 0 else math.inf
     if not math.isfinite(penalty_coef):
         raise InvalidInputError(f"field 'constants.c0' makes the penalty coefficient overflow a float at n={n}")
     return {
         "penalty_coef": penalty_coef,
-        "budget": rerm_residual(profile, config.beta_star.l1_norm(), config.x, c0=config.constant("c1")),
+        "budget": rerm_residual(
+            n, config.d, q, kd, config.epsilon, config.beta_star.l1_norm(), config.x, c0=config.constant("c1")
+        ),
         "oracle": config.noise.abs_moment(config.q),
         "beta_star": config.beta_star.vector(config.d),
     }

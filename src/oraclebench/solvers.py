@@ -425,19 +425,35 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
 
 
 @_finite
-def rerm_residual(profile, r, x, c0=1.0):
-    """Radius-indexed residual for the regularized oracle inequality.
+def rerm_residual(n, d, q, kd, epsilon, r, x, c0=1.0):
+    """Radius-indexed residual for the regularized oracle inequality over l1 balls.
 
-    Evaluates max(lambda_star(r), c0 * (phi_n(r) + bn(r)/eps) * (x+1) /
-    (n * eps)) from a complexity profile; nondecreasing in r and in x.
+    The l1 ball of radius r under the L_q loss has, with
+    h(n,d) = kd^q (log n)^{(4q-2)/q} (log d)^2, the complexity profile
+
+        lambda_star(r) = (1+r)^q * h(n,d) / (n epsilon^2),
+        phi_n(r)       = kd^q * (log n) * (1+r)^q,
+        bn(r)          = (2 kd)^q * (1+r)^q * log(e n),
+
+    and the residual is :func:`erm_residual` with lambda_star(r) as its level,
+    phi_n(r) as its envelope bound ``bn``, bn(r) as its second-moment constant
+    ``big_bn``, and x + 1 in place of x. It is nondecreasing in r and in x,
+    and homogeneous of degree q in kd.
     """
+    if not 0 < epsilon < 0.5:
+        raise InvalidInputError("epsilon must lie in (0, 1/2)")
+    if not (n >= 2 and d >= 2):
+        raise InvalidInputError("n and d must be >= 2")
+    if not q >= 2:
+        raise InvalidInputError("q must be >= 2")
+    if not kd > 0:
+        raise InvalidInputError("kd must be positive")
     if not r >= 0:
         raise InvalidInputError("r must be nonnegative")
     if not x > 0:
         raise InvalidInputError("x must be positive")
-    if not 0 <= c0 < math.inf:
-        raise InvalidInputError("c0 must be finite and nonnegative")
-    eps = profile.epsilon
-    deviation = c0 * (profile.phi_n(r) + profile.bn(r) / eps) * (x + 1.0) / (profile.n * eps)
-    return float(max(profile.lambda_star(r), deviation))
-
+    h = kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2
+    lambda_star = (1.0 + r) ** q * h / (n * epsilon**2)
+    phi_n = kd**q * math.log(n) * (1.0 + r) ** q
+    bn = (2.0 * kd) ** q * (1.0 + r) ** q * math.log(math.e * n)
+    return erm_residual(lambda_star, phi_n, bn, epsilon, x + 1.0, n, c0=c0)

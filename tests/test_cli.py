@@ -15,7 +15,6 @@ import pytest
 from oraclebench import (
     IterationLimitError,
     harness,
-    l1_complexity_profile,
     l1_penalty_level,
     psi_alpha_norm,
     rerm_residual,
@@ -137,6 +136,17 @@ class TestExperiment:
 
     def test_missing_config_file_exits_2(self, tmp_path):
         assert run_cli(["experiment", "--config", tmp_path / "nope.json", "--out", tmp_path / "o"]) == 2
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    def test_out_naming_a_file_exits_2_naming_out(self, under, finite_gap_config, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep")
+        out = blocker / "sub" if under else blocker
+        assert run_cli(["experiment", "--config", finite_gap_config, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert "--out" in err and "runtime error" not in err
+        assert blocker.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
     def test_bad_cli_usage_exits_2(self):
         assert run_cli(["experiment"]) == 2
@@ -394,6 +404,19 @@ class TestCompute:
         value = float(capsys.readouterr().out.strip())
         assert value == pytest.approx(100.0, abs=0.1)
 
+    @pytest.mark.parametrize(
+        "table",
+        ["0.1 nan\n0.5 0.2\n1.0 0.3\n", "0.1 -5\n", "0.1 inf\n0.5 0.2\n", "-0.1 0.01\n0.5 0.2\n"],
+        ids=["nan-sup", "negative-sup", "inf-sup", "negative-level"],
+    )
+    def test_fixed_point_malformed_table_exits_2_naming_table(self, table, tmp_path, capsys):
+        path = tmp_path / "table.txt"
+        path.write_text(table)
+        assert run_cli(["compute", "fixed-point", "--table", path, "--epsilon", "0.25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--table" in captured.err
+
     def test_rho_a_and_rho_b(self, capsys):
         assert run_cli(
             ["compute", "rho-a", "--lambda-star", "0.7", "--bn", "0", "--Bn", "0",
@@ -404,7 +427,7 @@ class TestCompute:
             ["compute", "rho-b", "--n", "256", "--d", "20", "--q", "2", "--Kd", "1",
              "--epsilon", "0.25", "--r", "1", "--x", "1"]
         ) == 0
-        expected = rerm_residual(l1_complexity_profile(256, 20, 2, 1, 0.25), 1, 1)
+        expected = rerm_residual(256, 20, 2, 1, 0.25, 1, 1)
         assert capsys.readouterr().out.strip() == f"{expected:.12g}"
 
     def test_penalty_matches_library(self, capsys):

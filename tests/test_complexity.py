@@ -12,7 +12,6 @@ from oraclebench import (
     erm_residual,
     expected_localized_sup,
     fixed_point_lambda,
-    l1_complexity_profile,
     l1_penalty_level,
     localized_star_hull_sup,
     psi_alpha_norm,
@@ -193,42 +192,39 @@ class TestFixedPointLambda:
 
 
 class TestL1ComplexityProfile:
+    """The l1 ball's closed-form constants, seen through rerm_residual; at c0 = 0 it is lambda_star(r)."""
+
     def test_plug_in_unit_constants(self):
         eps = 0.3
-        profile = l1_complexity_profile(math.e, math.e, 2.0, 1.0, eps)
-        assert profile.lambda_star(0.0) == pytest.approx(1.0 / (math.e * eps**2), rel=1e-12)
+        assert rerm_residual(math.e, math.e, 2.0, 1.0, eps, 0.0, 1.0, c0=0.0) == pytest.approx(
+            1.0 / (math.e * eps**2), rel=1e-12
+        )
 
     def test_homogeneity_in_scale(self):
         for q in (2.0, 3.0):
-            p1 = l1_complexity_profile(100, 50, q, 1.0, 0.2)
-            p2 = l1_complexity_profile(100, 50, q, 2.0, 0.2)
-            for r in (0.0, 1.0, 3.7):
-                assert p2.lambda_star(r) == pytest.approx(2**q * p1.lambda_star(r), rel=1e-12)
-                assert p2.bn(r) == pytest.approx(2**q * p1.bn(r), rel=1e-12)
-                assert p2.phi_n(r) == pytest.approx(2**q * p1.phi_n(r), rel=1e-12)
+            for c0 in (0.0, 1.0):
+                for r in (0.0, 1.0, 3.7):
+                    small, large = (rerm_residual(100, 50, q, kd, 0.2, r, 1.0, c0=c0) for kd in (1.0, 2.0))
+                    assert large == pytest.approx(2**q * small, rel=1e-12)
 
     def test_lambda_scaling_in_radius(self):
-        profile = l1_complexity_profile(100, 50, 2.0, 1.0, 0.2)
-        assert profile.lambda_star(1.0) == pytest.approx(4 * profile.lambda_star(0.0), rel=1e-12)
+        at_zero = rerm_residual(100, 50, 2.0, 1.0, 0.2, 0.0, 1.0, c0=0.0)
+        assert rerm_residual(100, 50, 2.0, 1.0, 0.2, 1.0, 1.0, c0=0.0) == pytest.approx(4 * at_zero, rel=1e-12)
 
     def test_maps_nondecreasing_in_r(self):
-        profile = l1_complexity_profile(200, 30, 3.0, 1.5, 0.1)
-        grid = np.linspace(0, 5, 40)
-        for fn in (profile.lambda_star, profile.bn, profile.phi_n):
-            values = [fn(r) for r in grid]
+        for c0 in (0.0, 1.0, 1e6):
+            values = [rerm_residual(200, 30, 3.0, 1.5, 0.1, r, 1.0, c0=c0) for r in np.linspace(0, 5, 40)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_n_monotonicity_directions(self):
-        # lambda_star falls with n (for n past e^3), bn and phi_n grow
-        p_small = l1_complexity_profile(64, 30, 2.0, 1.0, 0.2)
-        p_large = l1_complexity_profile(128, 30, 2.0, 1.0, 0.2)
-        assert p_large.lambda_star(1.0) < p_small.lambda_star(1.0)
-        assert p_large.bn(1.0) > p_small.bn(1.0)
-        assert p_large.phi_n(1.0) > p_small.phi_n(1.0)
+        # lambda_star falls with n (for n past e^3)
+        small, large = (rerm_residual(n, 30, 2.0, 1.0, 0.2, 1.0, 1.0, c0=0.0) for n in (64, 128))
+        assert large < small
 
     def test_epsilon_domain(self):
-        with pytest.raises(InvalidInputError):
-            l1_complexity_profile(100, 50, 2.0, 1.0, 0.6)
+        for eps in (0.0, 0.5, 0.6, -0.1):
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                rerm_residual(100, 50, 2.0, 1.0, eps, 1.0, 1.0)
 
 
 @pytest.mark.parametrize(
@@ -237,10 +233,11 @@ class TestL1ComplexityProfile:
         (lambda: psi_alpha_norm(np.random.default_rng(0).exponential(size=500), 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.01 * math.sqrt(lam), 0.25, 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.nan), "bracket_hi"),
-        (lambda: l1_complexity_profile(math.nan, 50, 2.0, 1.0, 0.25), "n"),
-        (lambda: l1_complexity_profile(100, math.nan, 2.0, 1.0, 0.25), "d"),
-        (lambda: l1_complexity_profile(100, 50, math.nan, 1.0, 0.25), "q"),
-        (lambda: l1_complexity_profile(100, 50, 2.0, math.nan, 0.25), "kd"),
+        (lambda: rerm_residual(math.nan, 50, 2.0, 1.0, 0.25, 1.0, 1.0), "n"),
+        (lambda: rerm_residual(100, math.nan, 2.0, 1.0, 0.25, 1.0, 1.0), "d"),
+        (lambda: rerm_residual(100, 50, math.nan, 1.0, 0.25, 1.0, 1.0), "q"),
+        (lambda: rerm_residual(100, 50, 2.0, math.nan, 0.25, 1.0, 1.0), "kd"),
+        (lambda: rerm_residual(100, 50, 2.0, 1.0, math.nan, 1.0, 1.0), "epsilon"),
         (lambda: psi_alpha_norm(np.ones(5), math.nan), "alpha"),
         (lambda: bernstein_from_psi1(math.nan, 10), "psi1"),
         (lambda: bernstein_from_psi1(1.0, math.nan), "n"),
@@ -256,17 +253,17 @@ class TestL1ComplexityProfile:
         (lambda: erm_residual(0.0, 1.0, math.nan, 0.25, 1.0, 100), "big_bn"),
         (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, math.nan, 100), "x"),
         (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, math.nan), "n"),
-        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), math.nan, 1.0), "r"),
-        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, math.nan), "x"),
+        (lambda: rerm_residual(100, 50, 2.0, 1.0, 0.25, math.nan, 1.0), "r"),
+        (lambda: rerm_residual(100, 50, 2.0, 1.0, 0.25, 1.0, math.nan), "x"),
         (lambda: l1_penalty_level(100, 50, 1.0, 2.0, 1.0, c0=math.nan), "c0"),
         (lambda: l1_penalty_level(100, 50, 1.0, 2.0, 1.0, c0=-1.0), "c0"),
         (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, 100, c0=math.nan), "c0"),
         (lambda: erm_residual(0.0, 1.0, 1.0, 0.25, 1.0, 100, c0=-1.0), "c0"),
-        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=math.nan), "c0"),
-        (lambda: rerm_residual(l1_complexity_profile(100, 50, 2.0, 1.0, 0.25), 1.0, 1.0, c0=-1.0), "c0"),
+        (lambda: rerm_residual(100, 50, 2.0, 1.0, 0.25, 1.0, 1.0, c0=math.nan), "c0"),
+        (lambda: rerm_residual(100, 50, 2.0, 1.0, 0.25, 1.0, 1.0, c0=-1.0), "c0"),
     ],
     ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "profile-n", "profile-d", "profile-q",
-         "profile-kd", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
+         "profile-kd", "profile-epsilon", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
          "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star", "rho-a-bn",
          "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x",
          "penalty-c0-nan", "penalty-c0-negative", "rho-a-c0-nan", "rho-a-c0-negative", "rho-b-c0-nan",

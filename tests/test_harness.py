@@ -23,7 +23,6 @@ from oraclebench import (
     config_from_mapping,
     derive_seed,
     fixed_point_lambda,
-    l1_complexity_profile,
     localized_star_hull_sup,
     rate_fit,
     rerm_residual,
@@ -431,12 +430,12 @@ class TestSquareLasso:
                                         lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5))],
                              ids=["SquareLasso", "LqRerm-q4"])
     def test_budget_is_the_rerm_residual_at_beta_star(self, config):
-        # one budget builder: rerm_residual of the l1 profile at r = ||beta_star||_1, scaled by c1
+        # one budget builder: rerm_residual of the l1 ball at r = ||beta_star||_1, scaled by c1
         res = run_scenario(config)
         assert "budget" not in res.extras[config.n_grid[0]]
+        kd, r = config.constant("Kd"), config.beta_star.l1_norm()
         for i, n in enumerate(config.n_grid):
-            profile = l1_complexity_profile(n, config.d, config.q, config.constant("Kd"), config.epsilon)
-            expected = rerm_residual(profile, config.beta_star.l1_norm(), config.x, c0=config.constant("c1"))
+            expected = rerm_residual(n, config.d, config.q, kd, config.epsilon, r, config.x, c0=config.constant("c1"))
             assert res.budget[i] == expected
 
     def test_noiseless_zero_signal(self):

@@ -11,7 +11,6 @@ from oraclebench import (
     Sample,
     empirical_risk,
     erm_residual,
-    l1_complexity_profile,
     l1_penalty_level,
     project_l1_ball,
     rerm_residual,
@@ -568,29 +567,17 @@ class TestErmResidual:
 
 
 class TestRermResidual:
-    @staticmethod
-    def degenerate_profile():
-        from oraclebench import ComplexityProfile
-
-        zero = lambda r: 0.0
-        return ComplexityProfile(n=100, epsilon=0.25, lambda_star=zero, bn=zero, phi_n=zero)
-
-    def test_degenerate_profile(self):
-        assert rerm_residual(self.degenerate_profile(), 1.0, 1.0) == 0.0
-
     def test_monotone_in_r_and_x(self):
-        profile = l1_complexity_profile(256, 20, 2.0, 1.0, 0.25)
-        base = rerm_residual(profile, 1.0, 1.0)
-        assert rerm_residual(profile, 2.0, 1.0) >= base
-        assert rerm_residual(profile, 1.0, 2.0) >= base
+        base = rerm_residual(256, 20, 2.0, 1.0, 0.25, 1.0, 1.0)
+        assert rerm_residual(256, 20, 2.0, 1.0, 0.25, 2.0, 1.0) >= base
+        assert rerm_residual(256, 20, 2.0, 1.0, 0.25, 1.0, 2.0) >= base
 
     def test_closed_form_cross_check(self):
-        n, d, q, kd, eps = 256, 20, 2.0, 1.0, 0.25
-        profile = l1_complexity_profile(n, d, q, kd, eps)
-        r, x = 1.5, 2.0
-        expected = max(
-            profile.lambda_star(r),
-            (profile.phi_n(r) + profile.bn(r) / eps) * (x + 1) / (n * eps),
-        )
-        assert rerm_residual(profile, r, x) == pytest.approx(expected, rel=1e-12)
+        n, d, q, kd, eps, r, x = 256, 20, 3.0, 1.5, 0.25, 1.5, 2.0
+        lambda_star = (1 + r) ** q * kd**q * math.log(n) ** ((4 * q - 2) / q) * math.log(d) ** 2 / (n * eps**2)
+        phi_n = kd**q * math.log(n) * (1 + r) ** q
+        bn = (2 * kd) ** q * (1 + r) ** q * math.log(math.e * n)
+        for c0 in (1.0, 100.0):
+            expected = max(lambda_star, c0 * (phi_n + bn / eps) * (x + 1) / (n * eps))
+            assert rerm_residual(n, d, q, kd, eps, r, x, c0=c0) == pytest.approx(expected, rel=1e-12)
 

@@ -204,7 +204,10 @@ def _compute_value(args):
         def phi(lam):
             return float(np.interp(lam, grid, values))
 
-        return fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
+        value = fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
+        if value > grid[-1]:
+            raise InvalidInputError(f"--table ends at level {grid[-1]:g}, below the fixed point; extend it")
+        return value
     raise InvalidInputError(f"unknown quantity {args.quantity!r}")
 
 

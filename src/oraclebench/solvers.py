@@ -22,10 +22,11 @@ lasso's Fenchel gap (through the Gram matrix) and for the returned objective.
 
 Every solver also takes a stack of R samples, (R, n, d) and (R, n); one sample
 is a stack of one. Each row keeps its own step, momentum, restart and stop, so
-it takes exactly the iterates of its solo solve; the stack's gap is its largest
-and IterationLimitError names the first row out of iterations. At q = 2 the
-loop keeps only the stacked Gram matrices, X'y and y'y (O(R d^2) memory), and
-takes the risk in that form too.
+it takes exactly the iterates of its solo solve; a certified row stays in the
+stack and no longer moves. The stack's gap is its largest, and
+IterationLimitError names the first row still running when iterations run out.
+At q = 2 the loop keeps only the stacked Gram matrices, X'y and y'y (O(R d^2)
+memory), and takes the risk in that form too.
 
 The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
@@ -114,6 +115,8 @@ def project_l1_ball(v, radius):
     if not radius >= 0:
         raise InvalidInputError("radius must be nonnegative")
     v = np.asarray(v, dtype=float)
+    if v.ndim != 1:
+        raise InvalidInputError(f"v must be a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise InvalidInputError("vector contains non-finite values")
     if np.abs(v).sum() <= radius:
@@ -192,7 +195,7 @@ class _LqObjective:
             self.X, self.y = X, y
 
     def take(self, rows):
-        """The objective of the given rows of the stack."""
+        """The objective of the given rows of the stack, for backtracking's gradients at those rows."""
         part = object.__new__(type(self))
         part.__dict__.update((k, v[rows] if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
         return part
@@ -241,15 +244,17 @@ class _LqObjective:
 def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     """FISTA for mean_i |y_i - <x_i, beta>|^q + pen * ||beta||_1^power, with power 1 or q.
 
-    A row leaves the stack once its gap is at most ``tol``. See
+    A row whose gap is at most ``tol`` stays in the stack and no longer moves. See
     :func:`solve_lq_rerm`; ``pen_name`` names the penalty in error messages.
     """
-    if not q >= 2:
-        raise InvalidInputError("q must be >= 2")
+    if not 2 <= q < math.inf:
+        raise InvalidInputError("q must be finite and >= 2")
     if not 0 <= pen < math.inf:
         raise InvalidInputError(f"{pen_name} must be finite and nonnegative")
     if not 0 < tol < math.inf:
         raise InvalidInputError("tol must be finite and positive")
+    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+        raise InvalidInputError("max_iter must be an integer >= 1")
     obj = _LqObjective(sample, q)
     q, pen, power = obj.q, float(pen), float(power)
     # at power q every minimizer lies in the l1 ball of this radius; otherwise a minimizer of
@@ -278,17 +283,12 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     gap = duality_gap(beta, grad)
     z, z_grad, momentum = beta, grad, np.ones(len(beta))
     step = 1.0 / np.maximum(obj.lipschitz_estimate(beta), 1e-12)
-    # each row's final iterate, objective and gap by its index in the stack; ids maps the running rows to it
-    final_beta, final_objective, final_gap = np.zeros_like(beta), np.zeros_like(gap), np.zeros_like(gap)
-    ids = np.arange(len(beta))
 
-    def finish(rows):
-        """Record the given running rows as final; the solution so far, without the stack's axis for one sample."""
-        final_beta[ids[rows]], final_gap[ids[rows]] = beta[rows], gap[rows]
-        risk = (obj if rows.all() else obj.take(rows)).risk_exact(beta[rows])
-        final_objective[ids[rows]] = risk + pen * np.abs(beta[rows]).sum(axis=-1) ** power
+    def solution():
+        """The stack's current iterates, without the stack's axis for one sample."""
+        objective = obj.risk_exact(beta) + pen * np.abs(beta).sum(axis=-1) ** power
         whole = ... if sample.design.ndim == 3 else 0
-        return RermSolution(final_beta[whole], final_objective[whole], float(np.maximum(final_gap, 0.0).max()))
+        return RermSolution(beta[whole], objective[whole], float(np.maximum(gap, 0.0).max()))
 
     def accepts(rows):
         # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
@@ -298,38 +298,33 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         bound = _dot(delta, delta) / (2.0 * step[rows])
         return (step[rows] < 1e-280) | (_dot(cand_grad[rows] - z_grad[rows], delta) <= bound)
 
-    for _ in range(int(max_iter)):
-        done = gap <= tol
-        if np.count_nonzero(done):
-            solution = finish(done)
-            if done.all():
-                return solution
-            run = ~done
-            obj, radius, ids, beta, grad, gap = obj.take(run), radius[run], ids[run], beta[run], grad[run], gap[run]
-            z, z_grad, momentum, step = z[run], z_grad[run], momentum[run], step[run]
+    for _ in range(max_iter):
+        running = ~(gap <= tol)  # a NaN gap never certifies
+        if not running.any():
+            return solution()
         cand = _prox_l1_power(z - step[:, None] * z_grad, step * pen, power)
         cand_grad = obj.grad(cand)
-        # above q = 2 a row halves its step until its candidate passes the test, or the step underflows
-        trying = np.flatnonzero(~accepts(slice(None))) if q != 2.0 else ()
+        # above q = 2 a running row halves its step until its candidate passes the test, or the step underflows
+        trying = np.flatnonzero(running & ~accepts(slice(None))) if q != 2.0 else ()
         while len(trying):
             step[trying] *= 0.5
             cand[trying] = _prox_l1_power(z[trying] - step[trying, None] * z_grad[trying], step[trying] * pen, power)
-            cand_grad[trying] = (obj if len(trying) == len(ids) else obj.take(trying)).grad(cand[trying])
+            cand_grad[trying] = (obj if len(trying) == len(beta) else obj.take(trying)).grad(cand[trying])
             trying = trying[~accepts(trying)]
         # a step that turned against the momentum restarts it from the current iterate. Without
         # momentum z is beta and the test cannot fire; unlike a rise of the objective it does
-        # not fire on rounding noise near the minimum
-        moves = ~(_dot(z - cand, cand - beta) > 0.0)
+        # not fire on rounding noise near the minimum. A finished row does not move either
+        moves = running & ~(_dot(z - cand, cand - beta) > 0.0)
         next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
         z = np.where(moves[:, None], cand + ((momentum - 1.0) / next_momentum)[:, None] * (cand - beta), beta)
         beta, grad = np.where(moves[:, None], cand, beta), np.where(moves[:, None], cand_grad, grad)
         momentum = np.where(moves, next_momentum, 1.0)
-        # a restarted row keeps its iterate, so its gap and the gradient at z = beta come out as before
+        # a row that does not move keeps its iterate, so its gap and the gradient at z = beta come out as before
         gap, z_grad = duality_gap(beta, grad), obj.grad(z)
         if q != 2.0:
             step = np.where(moves, step * 1.25, step)
-    raise IterationLimitError(f"iteration budget exhausted in row {ids[0]}", best=finish(np.ones(len(ids), bool)),
-                              row=int(ids[0]))
+    row = int(np.flatnonzero(running)[0])
+    raise IterationLimitError(f"iteration budget exhausted in row {row}", best=solution(), row=row)
 
 
 def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):

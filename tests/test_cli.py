@@ -406,8 +406,10 @@ class TestCompute:
 
     @pytest.mark.parametrize(
         "table",
-        ["0.1 nan\n0.5 0.2\n1.0 0.3\n", "0.1 -5\n", "0.1 inf\n0.5 0.2\n", "-0.1 0.01\n0.5 0.2\n"],
-        ids=["nan-sup", "negative-sup", "inf-sup", "negative-level"],
+        ["0.1 nan\n0.5 0.2\n1.0 0.3\n", "0.1 -5\n", "0.1 inf\n0.5 0.2\n", "-0.1 0.01\n0.5 0.2\n",
+         # phi(1) = 0.5 > (0.25 / 4) * 1, so the fixed point lies past the last level, where interpolation is flat
+         "0.1 0.1\n0.5 0.3\n1.0 0.5\n"],
+        ids=["nan-sup", "negative-sup", "inf-sup", "negative-level", "fixed-point-beyond-last-level"],
     )
     def test_fixed_point_malformed_table_exits_2_naming_table(self, table, tmp_path, capsys):
         path = tmp_path / "table.txt"

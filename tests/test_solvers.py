@@ -84,6 +84,11 @@ class TestProjectL1Ball:
     def test_zero_radius(self):
         assert np.array_equal(project_l1_ball(np.array([1.0, -2.0]), 0.0), [0.0, 0.0])
 
+    @pytest.mark.parametrize("v", [np.ones((2, 2)), np.full((2, 3), 0.1), np.array(2.0)], ids=["2d", "2d-inside", "0d"])
+    def test_non_vector_is_rejected(self, v):
+        with pytest.raises(InvalidInputError, match="vector"):
+            project_l1_ball(v, 1.0)
+
     def test_negative_radius(self):
         for radius in (-0.5, float("nan")):
             with pytest.raises(InvalidInputError):
@@ -393,6 +398,35 @@ class TestStackedSolve:
                 assert best.objective[i] == solo[i].objective
         assert best.optimality_gap > tol
 
+    @pytest.mark.parametrize("q", [2.0, 4.0])
+    def test_finished_rows_stay_in_the_stack(self, q, monkeypatch):
+        # the rows of test_rows_stop_at_their_own_iteration, which certify at different iterations. A certified row
+        # stays in place, so the objective is never cut down to the running rows; only backtracking, above
+        # q = 2, takes a strict subset of the whole stack's rows for their gradients
+        from oraclebench import solvers
+
+        taken = []
+        take = solvers._LqObjective.take
+
+        def recording(obj, rows):
+            taken.append((len(obj.gram), np.asarray(rows)))
+            return take(obj, rows)
+
+        monkeypatch.setattr(solvers._LqObjective, "take", recording)
+        rng = np.random.default_rng(32)
+        samples = []
+        for scale in (1.0, 6.0, 1.0, 3.0):
+            design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
+            samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
+        _solve(_stack(samples), q, 0.02, tol=1e-10)
+        if q == 2.0:
+            assert taken == []
+            return
+        assert taken
+        for stack_rows, rows in taken:
+            assert stack_rows == len(samples)
+            assert rows.dtype.kind == "i" and len(set(rows.tolist())) == len(rows) < len(samples)
+
     def test_single_sample_is_a_stack_of_one(self):
         # solve_square_lasso reads n from the stack's shape too; a single sample keeps its own shapes
         rng = np.random.default_rng(33)
@@ -418,6 +452,11 @@ class TestStackedSolve:
         (solve_lasso, {"lambda1": float("nan")}, "lambda1"),
         (solve_lasso, {"lambda1": float("inf")}, "lambda1"),
         (solve_lasso, {"lambda1": 0.1, "tol": float("inf")}, "tol"),
+        (solve_lq_rerm, {"q": float("inf"), "penalty_coef": 0.1}, "q"),
+        (solve_lq_rerm, {"q": 4.0, "penalty_coef": 0.1, "max_iter": 0}, "max_iter"),
+        (solve_lq_rerm, {"q": 2.0, "penalty_coef": 0.1, "max_iter": -3}, "max_iter"),
+        (solve_square_lasso, {"kappa": 1.0, "max_iter": 2.5}, "max_iter"),
+        (solve_lasso, {"lambda1": 0.1, "max_iter": float("nan")}, "max_iter"),
     ],
 )
 def test_solvers_reject_non_finite_arguments(solve, kwargs, name):

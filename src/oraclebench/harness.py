@@ -15,19 +15,20 @@ Four scenarios are provided:
   beta = beta_star with a matching budget. The achieved risk is the exact
   population square risk m2 ||beta - beta_star||^2 + E noise^2, where m2 is
   the design's per-coordinate second moment; no test set is drawn. The
-  square loss reads a sample only through X'X, X'y and y'y, so with Gaussian
-  noise, whose design is Gaussian too, a replication draws the QR factor of
-  its n rows instead of the rows: R by the Bartlett decomposition, Q'y and
-  the residual norm by the rotation invariance of the noise. That sample of
-  at most d + 1 rows has the raw rows' objective and gradient, and its cost
-  does not grow with n. Bounded noise (uniform design), Exponential noise
-  and q > 2 draw the n rows. A chunk's replications are solved a stack at a
-  time (``_rerm_rows``), each row exactly as alone; a failure names the
+  square loss reads a sample only through its moments X'X/n, X'y/n and y'y/n,
+  so a replication is reduced to them as soon as it is drawn, d^2 floats for
+  any n. With Gaussian noise, whose design is Gaussian too, it draws the QR
+  factor of its n rows instead: R by the Bartlett decomposition, Q'y and the
+  residual norm by the rotation invariance of the noise, at a cost that does
+  not grow with n; Bounded noise (uniform design) and Exponential noise draw
+  the n rows. A chunk's replications are solved a stack at a time
+  (``_rerm_rows``), each row exactly as alone; a failure names the
   ``(n, replication)`` of its first row at fault.
-* ``LqRerm``: the same with the L_q risk and an l1^q penalty. At q = 4 the
-  achieved risk is exact too, a closed form in the design's second and fourth
-  moments and the noise's (``_rerm_rows``). For any other q > 2 it is a Monte
-  Carlo estimate on a fresh test set of ``test_size`` points.
+* ``LqRerm``: the same with the L_q risk and an l1^q penalty, on raw rows
+  above q = 2. At q = 4 the achieved risk is exact too, a closed form in the
+  design's second and fourth moments and the noise's (``_rerm_rows``). For
+  any other q > 2 it is a Monte Carlo estimate on a fresh test set of
+  ``test_size`` points.
 
 One registry, ``_REGISTRY``, holds per scenario its context builder, rows
 function, seed tag, whether it fits rates, its target frequency and its
@@ -83,7 +84,7 @@ from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
 from .complexity import expected_localized_sup, fixed_point_lambda
 from .errors import InvalidInputError, IterationLimitError
 from .model import LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
-from .solvers import erm_residual, l1_penalty_level, rerm_residual, solve_lq_rerm
+from .solvers import Moments, erm_residual, l1_penalty_level, moments, rerm_residual, solve_lq_rerm
 
 __all__ = [
     "NoiseSpec",
@@ -105,7 +106,7 @@ __all__ = [
 _MASK64 = (1 << 64) - 1
 # the positive stand-in that summaries report for a nonpositive mean nonexact slack
 _FLOOR = 1e-12
-# the most bytes of design and Gram matrices that one stack of regression samples holds, and of draws and
+# the most bytes of Gram matrices and, above q = 2, designs that one stack of regression samples holds, and of draws and
 # counts that one block of Isomorphy draws holds
 _STACK_BYTES = 448 * 1024
 
@@ -304,38 +305,28 @@ def _design_of(noise):
     return _DESIGNS["Uniform" if noise.kind == NoiseSpec.BOUNDED else "Gaussian"]
 
 
-def _factor_sample(n, r, qty, residual):
-    """The sample of at most d + 1 rows with the mean square loss and gradient of n rows X = QR, y.
-
-    ``r`` is the (min(n, d), d) factor R, ``qty`` is Q'y and ``residual`` is
-    ||y - QQ'y||. Since ||y - X b||^2 = ||Q'y - R b||^2 + residual^2, the m
-    rows [R; 0], [Q'y; residual] scaled by sqrt(m / n) score every b as the n
-    rows do; for n <= d the residual is 0 and its row is left out.
-    """
-    if n > r.shape[1]:
-        r, qty = np.vstack([r, np.zeros(r.shape[1])]), np.append(qty, residual)
-    scale = math.sqrt(qty.size / n)
-    return Sample(design=scale * r, response=scale * qty)
-
-
-def _gaussian_factor_sample(rng, n, beta_star, noise):
-    """An exact draw of ``_factor_sample`` for n standard Gaussian rows with Gaussian noise, at O(d^2) cost.
+def _gaussian_factor_moments(rng, n, beta_star, noise):
+    """An exact draw of the Moments of n standard Gaussian rows X, y with Gaussian noise, at O(d^2) cost.
 
     With X = QR, k = min(n, d), R has independent entries: chi_{n-i} at
     (i, i) and N(0, 1) above the diagonal (Bartlett), and Q is independent of
     R. The noise is rotation invariant and independent of X, so Q'y = R
-    beta_star + k fresh noise draws, and for n > d the residual has squared
-    norm sd^2 chi^2_{n-d}, independent of both. Drawn in that order: R, Q'y,
-    the residual.
+    beta_star + k fresh noise draws, and for n > d the residual y - QQ'y has
+    squared norm sd^2 chi^2_{n-d}, independent of both. Drawn in that order:
+    R, Q'y, the residual. Since ||y - X b||^2 = ||Q'y - R b||^2 + ||y - QQ'y||^2,
+    the m <= d + 1 rows [R; 0], [Q'y; ||y - QQ'y||] scaled by sqrt(m / n) have
+    the n rows' moments; for n <= d the residual is 0 and its row is left out.
     """
     d = beta_star.size
     k = min(n, d)
     r = np.triu(rng.standard_normal((k, d)), 1)
     r[np.arange(k), np.arange(k)] = np.sqrt(rng.chisquare(n - np.arange(k)))
     qty = r @ beta_star + noise.draw(rng, k)
-    # chisquare(0) raises, and at n <= d there is no residual
-    residual = noise.param * math.sqrt(rng.chisquare(n - d)) if n > d else 0.0
-    return _factor_sample(n, r, qty, residual)
+    if n > d:
+        # chisquare(0) raises
+        r, qty = np.vstack([r, np.zeros(d)]), np.append(qty, noise.param * math.sqrt(rng.chisquare(n - d)))
+    scale = math.sqrt(qty.size / n)
+    return moments(scale * r, scale * qty)._replace(n=n)
 
 
 def _rerm_rows(config, ctx, n, reps, rngs):
@@ -344,31 +335,28 @@ def _rerm_rows(config, ctx, n, reps, rngs):
     Each draws from its own generator and solves exactly as alone, so the risks do not depend on the split.
     """
     beta_star, noise, law = ctx["beta_star"], config.noise, _design_of(config.noise)
-    # the square loss reads the sample only through X'X, X'y and y'y, and a Gaussian design
-    # with Gaussian noise is rotation invariant, so the exact law of its QR factor (Bartlett)
-    # is drawn at O(d^2) cost instead of O(n d); the argument needs both to be rotation
-    # invariant, so uniform designs (Bounded noise), Exponential noise and q > 2 draw n raw rows
-    factor = config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN
 
     def draw(rng, size):
         design = law.draw(rng, size, config.d)
         return design, design @ beta_star + noise.draw(rng, size)
 
     def sample_of(rng):
-        if not factor:
-            return draw(rng, n)
-        sample = _gaussian_factor_sample(rng, n, beta_star, noise)
-        return sample.design, sample.response
+        # a Gaussian design with Gaussian noise is rotation invariant, so its QR factor's exact law (Bartlett) is
+        # drawn at O(d^2) cost instead of O(n d); uniform designs (Bounded noise) and Exponential noise draw n rows
+        if config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN:
+            return _gaussian_factor_moments(rng, n, beta_star, noise)
+        return moments(*draw(rng, n)) if config.q == 2 else draw(rng, n)
 
-    # a sample of m rows takes 8 m d bytes of design and its objective 8 d^2 of Gram matrix
-    size = max(1, _STACK_BYTES // (8 * config.d * ((min(n, config.d + 1) if factor else n) + config.d)))
+    # a sample's objective takes 8 d^2 bytes of Gram matrix, and above q = 2 its n rows 8 n d of design
+    size = max(1, _STACK_BYTES // (8 * config.d * ((n if config.q != 2 else 0) + config.d)))
     rngs, achieved = iter(rngs), []
     for start in range(0, len(reps), size):
         stack = reps[start:start + size]
+        # a lazy map: each replication's arrays live only until they are stacked, the stack only as long as its solve
+        parts = map(sample_of, itertools.islice(rngs, len(stack)))
         try:
-            # the stack's arrays live only as long as its solve
-            solution = solve_lq_rerm(Sample(*zip(*map(sample_of, itertools.islice(rngs, len(stack))))), config.q,
-                                     ctx["penalty_coef"], tol=1e-6)
+            solution = solve_lq_rerm(Moments(n, *map(np.stack, list(zip(*parts))[1:])) if config.q == 2
+                                     else Sample(*zip(*parts)), config.q, ctx["penalty_coef"], tol=1e-6)
         except IterationLimitError as exc:
             raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {stack[exc.row]}: {exc}; "
                                f"best gap {exc.best.optimality_gap:.3g}") from exc

@@ -25,8 +25,8 @@ is a stack of one. Each row keeps its own step, momentum, restart and stop, so
 it takes exactly the iterates of its solo solve; a certified row stays in the
 stack and no longer moves. The stack's gap is its largest, and
 IterationLimitError names the first row still running when iterations run out.
-At q = 2 the loop keeps only the stacked Gram matrices, X'y and y'y (O(R d^2)
-memory), and takes the risk in that form too.
+At q = 2 the loop reads a sample only through its Moments X'X/n, X'y/n and
+y'y/n (O(R d^2) memory), which every solver also takes in place of its rows.
 
 The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,25 +175,37 @@ def _dot(a, b):
     return (a[..., None, :] @ b[..., None])[..., 0, 0]
 
 
+Moments = namedtuple("Moments", "n gram xty y2m")
+
+
+def moments(design, response):
+    """All the q = 2 objective reads of n rows X, y: Moments(n, X'X/n, X'y/n, y'y/n), per sample of a stack."""
+    n = design.shape[-2]
+    gram = design.swapaxes(-1, -2) @ design
+    gram /= n
+    return Moments(n, gram, _matvec(design.swapaxes(-1, -2), response) / n, _dot(response, response) / n)
+
+
 class _LqObjective:
     """Smooth part of the penalized objective, mean_i |y_i - <x_i, b>|^q, one row per sample of a stack.
 
-    At q = 2 values and gradients go through the Gram matrix, which makes
-    iterations O(d^2) instead of O(n d). The derivative of |u|^q is
-    q u |u|^{q-2}, continuous for q >= 2; at q = 4 the power is a square.
+    It takes a Sample or, at q = 2 only, its Moments. At q = 2 values and
+    gradients go through the Gram matrix, which makes iterations O(d^2)
+    instead of O(n d). The derivative of |u|^q is q u |u|^{q-2}, continuous
+    for q >= 2; at q = 4 the power is a square.
     """
 
     def __init__(self, sample, q):
-        X = sample.design.reshape(-1, *sample.design.shape[-2:])
-        y = sample.response.reshape(X.shape[:2])
-        self.n, self.d = X.shape[1:]
         self.q = float(q)
-        self.gram = X.swapaxes(1, 2) @ X
-        self.gram /= self.n
-        self.xty = _matvec(X.swapaxes(1, 2), y) / self.n
-        self.y2m = _dot(y, y) / self.n
-        if self.q != 2.0:
-            self.X, self.y = X, y
+        if not isinstance(sample, Moments):
+            if self.q != 2.0:
+                self.X = sample.design.reshape(-1, *sample.design.shape[-2:])
+                self.y = sample.response.reshape(self.X.shape[:2])
+            sample = moments(sample.design, sample.response)
+        elif self.q != 2.0:
+            raise InvalidInputError(f"moments hold a sample's q = 2 objective only, not its q = {q:g} one")
+        self.n, self.d, self.stacked = sample.n, sample.gram.shape[-1], sample.gram.ndim == 3
+        self.gram, self.xty, self.y2m = (m if self.stacked else m[None] for m in sample[1:])
 
     def take(self, rows):
         """The objective of the given rows of the stack, for backtracking's gradients at those rows."""
@@ -201,15 +214,11 @@ class _LqObjective:
         return part
 
     def risk_exact(self, beta):
+        """The risk of each row; at q = 2 through the Gram matrix, clipped at zero."""
         if self.q == 2.0:
-            return self.gram_risk(beta)
+            return np.maximum(self.y2m - 2.0 * _dot(self.xty, beta) + _dot(beta, _matvec(self.gram, beta)), 0.0)
         resid = self.y - _matvec(self.X, beta)
         return np.mean(np.abs(resid) ** self.q, axis=-1)
-
-    def gram_risk(self, beta):
-        """The q = 2 risk through the Gram matrix, clipped at zero."""
-        value = self.y2m - 2.0 * _dot(self.xty, beta) + _dot(beta, _matvec(self.gram, beta))
-        return np.maximum(value, 0.0)
 
     def grad(self, beta):
         if self.q == 2.0:
@@ -247,16 +256,17 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     A row whose gap is at most ``tol`` stays in the stack and no longer moves. See
     :func:`solve_lq_rerm`; ``pen_name`` names the penalty in error messages.
     """
+    # a non-scalar argument becomes NaN, so the check below names it
+    q, pen, tol, power = (float(value) if np.ndim(value) == 0 else math.nan for value in (q, pen, tol, power))
     if not 2 <= q < math.inf:
         raise InvalidInputError("q must be finite and >= 2")
     if not 0 <= pen < math.inf:
-        raise InvalidInputError(f"{pen_name} must be finite and nonnegative")
+        raise InvalidInputError(f"{pen_name} must be a finite nonnegative scalar")
     if not 0 < tol < math.inf:
         raise InvalidInputError("tol must be finite and positive")
-    if not (isinstance(max_iter, (int, np.integer)) and max_iter >= 1):
+    if not (isinstance(max_iter, (int, np.integer)) and not isinstance(max_iter, bool) and max_iter >= 1):
         raise InvalidInputError("max_iter must be an integer >= 1")
     obj = _LqObjective(sample, q)
-    q, pen, power = obj.q, float(pen), float(power)
     # at power q every minimizer lies in the l1 ball of this radius; otherwise a minimizer of
     # the risk alone lies in this l2 ball
     l1_ball = pen > 0 and power != 1.0
@@ -274,7 +284,7 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
             # (gmax - pen) * F(0) / pen, which rounding keeps above tol for small pen; the
             # Fenchel gap in turn stays at rounding level once pen is below the gradient's
             s = pen / np.maximum(np.abs(grad).max(axis=-1), pen)
-            return np.minimum(s * slope + pen * l1 + (1.0 - s) ** 2 * obj.gram_risk(beta), row_space_gap)
+            return np.minimum(s * slope + pen * l1 + (1.0 - s) ** 2 * obj.risk_exact(beta), row_space_gap)
         gmax = np.abs(grad).max(axis=-1)
         t = np.minimum(radius, (gmax / (power * pen)) ** (1.0 / (power - 1.0)))
         return slope + pen * l1**power + gmax * t - pen * t**power
@@ -287,7 +297,7 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     def solution():
         """The stack's current iterates, without the stack's axis for one sample."""
         objective = obj.risk_exact(beta) + pen * np.abs(beta).sum(axis=-1) ** power
-        whole = ... if sample.design.ndim == 3 else 0
+        whole = ... if obj.stacked else 0
         return RermSolution(beta[whole], objective[whole], float(np.maximum(gap, 0.0).max()))
 
     def accepts(rows):
@@ -340,6 +350,7 @@ def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
     norm. Running ``max_iter`` proximal iterations without reaching ``tol``
     raises IterationLimitError carrying the last iterate and its gap; the
     objective is not monotone, so that iterate need not be the best seen.
+    At q = 2 ``sample`` may also be its ``moments``, solved to the same bits.
     """
     return _proximal_descent(sample, q, "penalty_coef", penalty_coef, q, tol, max_iter)
 

@@ -20,6 +20,12 @@ from oraclebench import (
     rerm_residual,
 )
 from oraclebench.cli import build_parser, main
+from oraclebench.solvers import Moments
+
+
+def stack_size(sample):
+    """The number of samples in a stack given to ``solve_lq_rerm``, as rows (a Sample) or as q = 2 Moments."""
+    return len(sample.gram if isinstance(sample, Moments) else sample.design)
 
 
 @pytest.fixture
@@ -173,6 +179,12 @@ SMALL_CONFIGS = {
                       "replications": 32, "noise": {"kind": "Bounded", "range": 0.5},
                       "betaStar": {"support": 2, "magnitude": 0.5},
                       "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
+    # a stack holds 5 samples of moments, 8 * 100 * 100 bytes each whatever their n, so the raw rows of Exponential
+    # noise make a chunk span several stacks at workers 1 (80 replications) and at workers 2 (chunks of 10)
+    "SquareLasso-raw-stacks": {"scenario": "SquareLasso", "nGrid": [512], "d": 100, "epsilon": 0.01,
+                               "replications": 80, "noise": {"kind": "Exponential", "rate": 2.0},
+                               "betaStar": {"support": 2, "magnitude": 1.0},
+                               "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
     # a block holds 6 draws of 4096 cells, so a chunk spans several blocks at workers 1 (64 replications)
     # and at workers 2 (chunks of 8)
     "Isomorphy-blocks": {"scenario": "Isomorphy", "nGrid": [4096], "d": 4, "cells": 256, "epsilon": 0.25,
@@ -284,7 +296,7 @@ def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys
     def failing_at_n128_rep2(sample, *args, **kwargs):
         # at workers 1 each n's six replications solve as one stack, in grid order: n = 128's stack is the
         # second call, and its row 2 is replication 2
-        calls.append(len(sample.design))
+        calls.append(stack_size(sample))
         solution = solve(sample, *args, **kwargs)
         if len(calls) == 2:
             raise IterationLimitError("iteration budget exhausted in row 2",
@@ -302,14 +314,14 @@ def test_solver_failure_exits_3_naming_replication(monkeypatch, tmp_path, capsys
 
 
 def test_solver_failure_in_a_later_stack_names_its_replication(monkeypatch, tmp_path, capsys):
-    # a sample of the d = 5 config is its 6 x 5 QR factor, 8 * 5 * (6 + 5) bytes of design and Gram matrix,
-    # so stacks hold 4 replications: 0-3 and 4-5 at every n. Row 1 of n = 128's second stack is replication 5
-    monkeypatch.setattr(harness, "_STACK_BYTES", 4 * 8 * 5 * (6 + 5))
+    # a sample of the d = 5 config is its moments, 8 * 5 * 5 bytes of Gram matrix, so stacks hold 4
+    # replications: 0-3 and 4-5 at every n. Row 1 of n = 128's second stack is replication 5
+    monkeypatch.setattr(harness, "_STACK_BYTES", 4 * 8 * 5 * 5)
     solve = harness.solve_lq_rerm
     calls = []
 
     def failing_in_the_fourth_stack(sample, *args, **kwargs):
-        calls.append(len(sample.design))
+        calls.append(stack_size(sample))
         solution = solve(sample, *args, **kwargs)
         if len(calls) == 4:
             raise IterationLimitError("iteration budget exhausted in row 1",

@@ -32,12 +32,17 @@ from oraclebench import (
 )
 from oraclebench import harness
 from oraclebench.harness import rows_csv_text, summary_csv_text
-from oraclebench.solvers import _LqObjective
+from oraclebench.solvers import Moments, _LqObjective, moments
+
+
+def stack_size(sample):
+    """The number of samples in a stack given to ``solve_lq_rerm``, as rows (a Sample) or as q = 2 Moments."""
+    return len(sample.gram if isinstance(sample, Moments) else sample.design)
 
 
 def fixed_solution(beta):
     """A stand-in for ``solve_lq_rerm`` that returns ``beta`` for every sample of the stack it is given."""
-    return lambda sample, *args, **kwargs: SimpleNamespace(beta=np.tile(beta, (len(sample.design), 1)))
+    return lambda sample, *args, **kwargs: SimpleNamespace(beta=np.tile(beta, (stack_size(sample), 1)))
 
 
 def finite_gap_config(**kwargs):
@@ -511,7 +516,7 @@ class TestSquareLasso:
 
 
 class TestGaussianFactorSample:
-    """Gaussian SquareLasso rows solve on the QR factor of their sample, not on its n rows."""
+    """Gaussian SquareLasso rows solve on the moments of the QR factor of their sample, not on its n rows."""
 
     @pytest.mark.parametrize("n", [40, 8, 5], ids=["n>d", "n=d", "n<d"])
     def test_factor_sample_has_the_raw_objective(self, n):
@@ -520,12 +525,20 @@ class TestGaussianFactorSample:
         x = rng.standard_normal((n, d))
         y = x @ rng.standard_normal(d) + rng.standard_normal(n)
         q, r = np.linalg.qr(x)
+        # the QR factor with a positive diagonal, whose law the draw samples
+        signs = np.sign(np.diag(r))
+        q, r = q * signs, r * signs[:, None]
         qty = q.T @ y
-        sample = harness._factor_sample(n, r, qty, float(np.linalg.norm(y - q @ qty)))
-        assert sample.n == (d + 1 if n > d else n)
+        # the draw's generator calls, in order, answered with the pieces of x, y: R's upper triangle, its squared
+        # diagonal, Q'y as the noise at beta_star = 0 and sd = 1, and the residual's squared norm
+        answers = [r, np.diag(r) ** 2, qty, float(np.sum((y - q @ qty) ** 2))]
+        replay = SimpleNamespace(standard_normal=lambda size: answers.pop(0), chisquare=lambda df: answers.pop(0))
+        sample = harness._gaussian_factor_moments(replay, n, np.zeros(d), NoiseSpec.gaussian(1.0))
+        # at n <= d there is no residual to draw
+        assert len(answers) == (0 if n > d else 1)
+        assert isinstance(sample, Moments) and sample.n == n
         raw, factor = _LqObjective(Sample(design=x, response=y), 2), _LqObjective(sample, 2)
         for beta in rng.standard_normal((5, d)):
-            assert abs(factor.gram_risk(beta) - raw.gram_risk(beta)) <= 1e-10
             assert np.abs(factor.grad(beta) - raw.grad(beta)).max() <= 1e-10
             assert abs(factor.risk_exact(beta) - raw.risk_exact(beta)) <= 1e-10
 
@@ -555,7 +568,7 @@ class TestGaussianFactorSample:
 
         def recording(sample, *args, **kwargs):
             solution = solve(sample, *args, **kwargs)
-            gaps.append((len(sample.design), solution.optimality_gap))
+            gaps.append((stack_size(sample), solution.optimality_gap))
             return solution
 
         monkeypatch.setattr(harness, "solve_lq_rerm", recording)
@@ -577,16 +590,26 @@ class TestGaussianFactorSample:
         ids=["gaussian", "lq-rerm-q2-gaussian", "exponential", "bounded", "lq-rerm-q4-bounded"],
     )
     def test_only_gaussian_square_loss_solves_on_the_factor(self, monkeypatch, config, factor):
-        rows = []
+        # every q = 2 stack is Moments with the true n, whether drawn as a factor or as raw rows; a q = 4 stack
+        # holds n rows per sample
+        stacks, draws, draw = [], [], harness._gaussian_factor_moments
 
         def recording(sample, *args, **kwargs):
-            rows.extend([sample.n] * len(sample.design))
-            return SimpleNamespace(beta=np.zeros((len(sample.design), sample.d)))
+            stacks.append(sample)
+            return SimpleNamespace(beta=np.zeros((stack_size(sample), config.d)))
+
+        def counting(rng, n, *args):
+            draws.append(n)
+            return draw(rng, n, *args)
 
         monkeypatch.setattr(harness, "solve_lq_rerm", recording)
+        monkeypatch.setattr(harness, "_gaussian_factor_moments", counting)
         run_scenario(config)
-        expected = [config.d + 1 if factor else n for n in config.n_grid for _ in range(config.replications)]
-        assert rows == expected
+        expected = [n for n in config.n_grid for _ in range(config.replications)]
+        assert [sample.n for sample in stacks for _ in range(stack_size(sample))] == expected
+        assert all(isinstance(sample, Moments) == (config.q == 2) for sample in stacks)
+        assert all(sample.design.shape[1:] == (sample.n, config.d) for sample in stacks if config.q != 2)
+        assert draws == (expected if factor else [])
 
 
 class TestLqRerm:
@@ -685,12 +708,14 @@ class TestLqRerm:
 @pytest.mark.parametrize(
     "config",
     [lasso_config(), lasso_config(noise=NoiseSpec.bounded(0.5)),
+     lasso_config(noise=NoiseSpec.exponential(2.0), n_grid=[4096], replications=20),
      lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5))],
-    ids=["SquareLasso-gaussian-factor", "SquareLasso-bounded-raw-rows", "LqRerm-q4"],
+    ids=["SquareLasso-gaussian-factor", "SquareLasso-bounded-raw-rows", "SquareLasso-exponential-n4096", "LqRerm-q4"],
 )
 def test_regression_rows_do_not_depend_on_the_stacks(monkeypatch, config):
     # a chunk solved a stack at a time gives the risks of its replications solved one at a time, bit for bit,
-    # whether the chunk fits in one stack or splits into several
+    # whether the chunk fits in one stack or splits into several. At q = 2 a sample takes 8 d^2 bytes whatever
+    # its n, so n = 4096 raw rows stack too
     n, tag = config.n_grid[-1], harness._REGISTRY[config.scenario].tag
     ctx = harness._rerm_ctx(config, n)
     reps = range(config.replications)
@@ -702,11 +727,11 @@ def test_regression_rows_do_not_depend_on_the_stacks(monkeypatch, config):
     stacks, splits, solve = [], [], harness.solve_lq_rerm
 
     def recording(sample, *args, **kwargs):
-        stacks.append(len(sample.design))
+        stacks.append(stack_size(sample))
         return solve(sample, *args, **kwargs)
 
     monkeypatch.setattr(harness, "solve_lq_rerm", recording)
-    for stack_bytes in (harness._STACK_BYTES, 2**12, 2**16):
+    for stack_bytes in (harness._STACK_BYTES, 2**10, 2**12, 2**16):
         monkeypatch.setattr(harness, "_STACK_BYTES", stack_bytes)
         stacks.clear()
         assert rows(reps).tobytes() == alone.tobytes(), stack_bytes

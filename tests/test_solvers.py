@@ -18,6 +18,7 @@ from oraclebench import (
     solve_lq_rerm,
     solve_square_lasso,
 )
+from oraclebench.solvers import moments
 
 
 def sort_threshold_projection(v, radius):
@@ -457,12 +458,47 @@ class TestStackedSolve:
         (solve_lq_rerm, {"q": 2.0, "penalty_coef": 0.1, "max_iter": -3}, "max_iter"),
         (solve_square_lasso, {"kappa": 1.0, "max_iter": 2.5}, "max_iter"),
         (solve_lasso, {"lambda1": 0.1, "max_iter": float("nan")}, "max_iter"),
+        (solve_lq_rerm, {"q": 2.0, "penalty_coef": 0.1, "max_iter": True}, "max_iter"),
+        (solve_lq_rerm, {"q": 2.0, "penalty_coef": np.array([0.1, 0.2])}, "penalty_coef"),
     ],
 )
 def test_solvers_reject_non_finite_arguments(solve, kwargs, name):
     s = random_instance(np.random.default_rng(25))
     with pytest.raises(InvalidInputError, match=name):
         solve(s, **kwargs)
+
+
+class TestMoments:
+    """At q = 2 a sample's Moments solve exactly as its rows do."""
+
+    @pytest.mark.parametrize("pen", [0.05, 0.0], ids=["pen>0", "pen=0"])
+    @pytest.mark.parametrize("solver", ["lq_rerm", "square_lasso", "lasso"])
+    def test_moments_solve_as_the_rows_bit_for_bit(self, solver, pen):
+        rng = np.random.default_rng(34)
+        samples = [random_instance(rng, n=30, d=5, noise=rng.uniform(0.05, 1.0)) for _ in range(3)]
+        solve = {"lq_rerm": lambda s: solve_lq_rerm(s, 2.0, pen, tol=1e-9),
+                 "square_lasso": lambda s: solve_square_lasso(s, 30 * pen, tol=1e-9),
+                 "lasso": lambda s: solve_lasso(s, pen, tol=1e-9)}[solver]
+        for sample in (samples[0], _stack(samples)):
+            rows, reduced = solve(sample), solve(moments(sample.design, sample.response))
+            assert rows.beta.shape == reduced.beta.shape
+            assert rows.beta.tobytes() == reduced.beta.tobytes()
+            assert np.asarray(rows.objective).tobytes() == np.asarray(reduced.objective).tobytes()
+            assert rows.optimality_gap == reduced.optimality_gap
+
+    def test_stack_of_moments_is_the_moments_of_the_stack(self):
+        rng = np.random.default_rng(35)
+        samples = [random_instance(rng, n=40, d=6) for _ in range(3)]
+        parts = [moments(s.design, s.response) for s in samples]
+        whole = moments(_stack(samples).design, _stack(samples).response)
+        assert whole.n == 40 and whole.gram.shape == (3, 6, 6) and whole.y2m.shape == (3,)
+        for name in ("gram", "xty", "y2m"):
+            assert getattr(whole, name).tobytes() == np.stack([getattr(m, name) for m in parts]).tobytes()
+
+    def test_moments_above_q2_are_rejected(self):
+        s = random_instance(np.random.default_rng(36))
+        with pytest.raises(InvalidInputError, match="q = 2"):
+            solve_lq_rerm(moments(s.design, s.response), 4.0, 0.1)
 
 
 def _constrained_value(sample, radius, max_iter=50_000):

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from datetime import datetime, timezone
 
 import numpy as np
@@ -175,15 +176,19 @@ def _cmd_experiment(args):
     return EXIT_OK
 
 
-def _load_vector(path):
-    data = np.loadtxt(path, ndmin=1)
-    return np.asarray(data, dtype=float).ravel()
+def _load(path, flag, ndmin):
+    """The numbers in a text file; a file without any is an error naming ``flag``, not numpy's warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, ndmin=ndmin)
+    if data.size == 0:
+        raise InvalidInputError(f"{flag} holds no data")
+    return data
 
 
 def _compute_value(args):
     if args.quantity == "psi-norm":
-        samples = _load_vector(args.file)
-        return psi_alpha_norm(samples, args.alpha, args.tol)
+        return psi_alpha_norm(_load(args.file, "--file", 1).ravel(), args.alpha, args.tol)
     if args.quantity == "penalty":
         return l1_penalty_level(args.n, args.d, args.x, args.q, args.Kd, args.c0)
     if args.quantity == "rho-a":
@@ -191,7 +196,7 @@ def _compute_value(args):
     if args.quantity == "rho-b":
         return rerm_residual(args.n, args.d, args.q, args.Kd, args.epsilon, args.r, args.x, args.c0)
     if args.quantity == "fixed-point":
-        table = np.atleast_2d(np.loadtxt(args.table, ndmin=2))
+        table = _load(args.table, "--table", 2)
         if table.shape[1] != 2:
             raise InvalidInputError("--table must have two columns")
         if not (np.all(np.isfinite(table)) and np.all(table >= 0)):

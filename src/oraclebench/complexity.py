@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concentration import bisect_threshold
 from .errors import BracketError, InvalidInputError
 from .model import RiskEstimate
 
@@ -32,8 +33,6 @@ __all__ = [
     "expected_localized_sup",
     "fixed_point_lambda",
 ]
-
-_DOUBLINGS = 60
 
 
 @dataclass(frozen=True)
@@ -123,33 +122,23 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
     ``phi`` evaluates the expected localized supremum at a level; since
     phi(lam)/lam is nonincreasing, the sign of phi(lam) - (epsilon/4)*lam
     changes once and bisection applies. The upper bracket is doubled up to
-    60 times before a BracketError is raised; the lower bracket is tol.
+    60 times, and not past the largest float, before a BracketError is
+    raised; the lower bracket is tol. See :func:`concentration.bisect_threshold`.
     """
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
-    if not tol > 0:
-        raise InvalidInputError("tol must be positive")
-    if not bracket_hi > 0:
-        raise InvalidInputError("bracket_hi must be positive")
+    if not 0 < tol < math.inf:
+        raise InvalidInputError("tol must be finite and positive")
+    if not 0 < bracket_hi < math.inf:
+        raise InvalidInputError("bracket_hi must be finite and positive")
     slope = epsilon / 4.0
 
-    hi = float(bracket_hi)
-    for _ in range(_DOUBLINGS + 1):
-        if phi(hi) <= slope * hi:
-            break
-        hi *= 2.0
-    else:
-        raise BracketError(
-            f"phi exceeds (epsilon/4)*lam up to lam={hi:g}; enlarge bracket_hi"
-        )
+    def holds(lam):
+        return phi(lam) <= slope * lam
 
-    lo = min(tol, hi)
-    if phi(lo) <= slope * lo:
-        return float(lo)
-    while hi - lo > tol:
-        mid = 0.5 * (hi + lo)
-        if phi(mid) <= slope * mid:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    def lower(hi):
+        lo = min(tol, hi)
+        return (lo, lo) if holds(lo) else (lo, hi)
+
+    return float(bisect_threshold(holds, float(bracket_hi), 61, lower, tol,
+                                  lambda hi: BracketError(f"phi exceeds (epsilon/4)*lam up to lam={hi:g}")))

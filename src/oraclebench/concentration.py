@@ -31,18 +31,41 @@ def _empirical_exp_moment(absx, alpha, c):
         return float(np.mean(np.exp((absx / c) ** alpha)))
 
 
+def bisect_threshold(holds, hi, checks, lower, tol, fail):
+    """The upper end of a bracket, at most ``tol`` wide, of the point where ``holds`` turns from false to true.
+
+    The upper end starts at ``hi`` and doubles until ``holds`` there; after ``checks`` failed checks, or where
+    doubling would overflow to inf, it raises ``fail(hi)`` at the last end checked. ``lower(hi)`` then gives the
+    bracket to bisect: a lower end where ``holds`` is false and hi, or an answer x as (x, x). Bisection stops once
+    the bracket is at most ``tol`` wide or its midpoint rounds to one of its ends.
+    """
+    while not holds(hi):
+        checks -= 1
+        if checks == 0 or hi * 2.0 == math.inf:
+            raise fail(hi)
+        hi *= 2.0
+    lo, hi = lower(hi)
+    while hi - lo > tol and lo < (mid := 0.5 * (hi + lo)) < hi:
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def psi_alpha_norm(samples, alpha, tol=1e-9):
     """Empirical psi_alpha norm of a sample by bisection.
 
     The map c -> mean(exp(|x_i|^alpha / c^alpha)) is strictly decreasing, so
     the smallest c with moment <= 2 is found by growing an upper bracket
-    geometrically from max|x_i| and bisecting down to ``tol``; returns the
-    upper end of the final bracket. A sample of all zeros has norm 0.
+    geometrically from max|x_i| and bisecting down to ``tol``
+    (:func:`bisect_threshold`); returns the upper end of the final bracket.
+    A sample of all zeros has norm 0.
     """
-    if not alpha >= 1:
-        raise InvalidInputError("alpha must be >= 1")
-    if not tol > 0:
-        raise InvalidInputError("tol must be positive")
+    if not 1 <= alpha < math.inf:
+        raise InvalidInputError("alpha must be finite and >= 1")
+    if not 0 < tol < math.inf:
+        raise InvalidInputError("tol must be finite and positive")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInputError("samples must be a nonempty vector")
@@ -53,26 +76,19 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
     if top == 0.0:
         return 0.0
 
-    hi = top
-    for _ in range(_GROWTH_LIMIT):
-        if _empirical_exp_moment(absx, alpha, hi) <= 2.0:
-            break
-        hi *= 2.0
-    else:
-        raise InvalidInputError("failed to bracket the psi norm from above")
-    lo = hi / 2.0
-    while _empirical_exp_moment(absx, alpha, lo) <= 2.0:
-        lo /= 2.0
-        if lo < np.finfo(float).tiny:
-            lo = 0.0
-            break
-    while hi - lo > tol:
-        mid = 0.5 * (hi + lo)
-        if _empirical_exp_moment(absx, alpha, mid) <= 2.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    def holds(c):
+        return _empirical_exp_moment(absx, alpha, c) <= 2.0
+
+    def lower(hi):
+        lo = hi / 2.0
+        while holds(lo):
+            lo /= 2.0
+            if lo < np.finfo(float).tiny:
+                return 0.0, hi
+        return lo, hi
+
+    return float(bisect_threshold(holds, top, _GROWTH_LIMIT, lower, tol,
+                                  lambda hi: InvalidInputError("failed to bracket the psi norm from above")))
 
 
 def envelope_psi1(class_values):

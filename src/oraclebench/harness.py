@@ -30,12 +30,14 @@ Four scenarios are provided:
   any other q > 2 it is a Monte Carlo estimate on a fresh test set of
   ``test_size`` points.
 
-One registry, ``_REGISTRY``, holds per scenario its context builder, rows
-function, seed tag, whether it fits rates, its target frequency and its
-per-n extras. Each per-n context holds that n's oracle risk and residual
-budget, and a rows function scores one chunk of replications at one n: it
-gets their indices and their generators, made one at a time, and returns
-their achieved risks in replication order. ``run_scenario`` is the one entry
+One registry, ``_REGISTRY``, holds per scenario its per-n context builder
+``context(config, n)``, rows function, seed tag, target frequency (a
+scenario without one fits rates) and per-n extras. Each context holds that
+n's oracle risk and residual budget; Isomorphy's draws its dictionary from
+the fixed ``isomorphy/model`` stream, so every n gets the same one. A rows
+function scores one chunk of replications at one n: it gets their indices
+and their generators, made one at a time, and returns their achieved risks
+in replication order. ``run_scenario`` is the one entry
 point and holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso,
 so both give identical output for identical configurations. It also holds
 the one slack definition: exact slack = achieved - oracle, nonexact slack =
@@ -180,8 +182,9 @@ def _isomorphy_model(config):
     """Population risks and 0-1 loss table of a finite sign dictionary over equiprobable cells.
 
     Labels are +1 with probability 0.5 + label_flip on even cells and
-    0.5 - label_flip on odd cells; predictor sign patterns are drawn once
-    from a seed derived from the master seed, so population risks are exact.
+    0.5 - label_flip on odd cells; predictor sign patterns are drawn from a
+    fixed stream of the master seed, so every n gets the same dictionary and
+    population risks are exact.
     The distinct points are the (cell, label) pairs: point c is cell c with
     label +1 and point cells + c is cell c with label -1, so the loss table
     scores the patterns twice over. Returns (true_risks, losses, p_plus).
@@ -231,12 +234,8 @@ def _isomorphy_risks(rngs, losses, p_plus, n):
     return np.concatenate(risks)
 
 
-def _isomorphy_contexts(config):
+def _isomorphy_ctx(config, n):
     true_risks, losses, p_plus = _isomorphy_model(config)
-    return {n: _isomorphy_ctx(config, n, true_risks, losses, p_plus) for n in config.n_grid}
-
-
-def _isomorphy_ctx(config, n, true_risks, losses, p_plus):
     rngs = _generators(config.master_seed, "isomorphy/lambda", n, range(config.lambda_replications))
     emp = _isomorphy_risks(rngs, losses, p_plus, n)
     estimate = expected_localized_sup(true_risks, np.abs(true_risks - emp))
@@ -387,24 +386,17 @@ def _rerm_rows(config, ctx, n, reps, rngs):
     return np.concatenate(achieved)
 
 
-# contexts(config) -> {n: ctx}, each ctx holding that n's "oracle" risk and "budget";
-# rows(config, ctx, n, reps, rngs) -> the achieved risk of each replication in the range reps,
-# rngs yielding their generators in order; target(config) -> target frequency;
-# extras: the ctx keys reported per n
-_Scenario = namedtuple("_Scenario", "contexts rows tag fits target extras")
-
-
-def _per_n(ctx_fn):
-    return lambda config: {n: ctx_fn(config, n) for n in config.n_grid}
-
+# context(config, n) -> that n's ctx, holding its "oracle" risk and "budget"; rows(config, ctx, n, reps, rngs) ->
+# the achieved risk of each replication in the range reps, rngs yielding their generators in order;
+# target(config) -> target frequency, or None where the scenario fits rates; extras: the ctx keys reported per n
+_Scenario = namedtuple("_Scenario", "context rows tag target extras")
 
 _REGISTRY = {
-    "FiniteGap": _Scenario(_per_n(_finite_gap_ctx), _finite_gap_rows, "finite-gap", True, None, ("delta",)),
-    "Isomorphy": _Scenario(_isomorphy_contexts, _isomorphy_rows, "isomorphy", False,
-                           lambda config: 1.0 - 4.0 * math.exp(-config.x),
+    "FiniteGap": _Scenario(_finite_gap_ctx, _finite_gap_rows, "finite-gap", None, ("delta",)),
+    "Isomorphy": _Scenario(_isomorphy_ctx, _isomorphy_rows, "isomorphy", lambda config: 1.0 - 4.0 * math.exp(-config.x),
                            ("lambda_star", "lambda_band", "bn", "big_bn")),
-    "SquareLasso": _Scenario(_per_n(_rerm_ctx), _rerm_rows, "square-lasso", True, None, ("penalty_coef",)),
-    "LqRerm": _Scenario(_per_n(_rerm_ctx), _rerm_rows, "lq-rerm", True, None, ("penalty_coef",)),
+    "SquareLasso": _Scenario(_rerm_ctx, _rerm_rows, "square-lasso", None, ("penalty_coef",)),
+    "LqRerm": _Scenario(_rerm_ctx, _rerm_rows, "lq-rerm", None, ("penalty_coef",)),
 }
 
 SCENARIOS = tuple(_REGISTRY)
@@ -797,7 +789,7 @@ def run_scenario(config, workers=1):
     if config.scenario == "LqRerm" and config.q == 2:
         config = replace(config, scenario="SquareLasso")
     spec = _REGISTRY[config.scenario]
-    contexts = spec.contexts(config)
+    contexts = {n: spec.context(config, n) for n in config.n_grid}
     achieved = _run_rows(config, contexts, workers)
     oracle, budget = (np.array([contexts[n][key] for n in config.n_grid], dtype=float) for key in ("oracle", "budget"))
     # the one definition of the two slacks and of a satisfied replication
@@ -832,8 +824,8 @@ def run_scenario(config, workers=1):
         slack_nonexact=slack_nonexact,
         satisfied=satisfied,
         summaries=summaries,
-        fit_exact=_try_fit(zip(config.n_grid, mean_exact)) if spec.fits else None,
-        fit_nonexact=_try_fit(zip(config.n_grid, mean_nonexact)) if spec.fits else None,
+        fit_exact=None if spec.target else _try_fit(zip(config.n_grid, mean_exact)),
+        fit_nonexact=None if spec.target else _try_fit(zip(config.n_grid, mean_nonexact)),
         satisfaction_frequency=float(satisfied.mean()),
         target_frequency=spec.target(config) if spec.target else None,
         floored_count=sum(floored),

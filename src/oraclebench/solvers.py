@@ -23,10 +23,13 @@ lasso's Fenchel gap (through the Gram matrix) and for the returned objective.
 Every solver also takes a stack of R samples, (R, n, d) and (R, n); one sample
 is a stack of one. Each row keeps its own step, momentum, restart and stop, so
 it takes exactly the iterates of its solo solve; a certified row stays in the
-stack and no longer moves. The stack's gap is its largest, and
-IterationLimitError names the first row still running when iterations run out.
-At q = 2 the loop reads a sample only through its Moments X'X/n, X'y/n and
-y'y/n (O(R d^2) memory), which every solver also takes in place of its rows.
+stack and no longer moves. Backtracking steps the whole stack too: each round
+recomputes every row's candidate at its own step, and only running rows that
+fail the test halve it, so a row that kept its step gets the same bits. The
+stack's gap is its largest, and IterationLimitError names the first row still
+running when iterations run out. At q = 2 the loop reads a sample only through
+its Moments X'X/n, X'y/n and y'y/n (O(R d^2) memory), which every solver also
+takes in place of its rows.
 
 The loop stops on a certified duality gap, which bounds F(beta) - min F
 from above. For p = q it is the Frank-Wolfe gap (Jaggi 2013): every
@@ -207,12 +210,6 @@ class _LqObjective:
         self.n, self.d, self.stacked = sample.n, sample.gram.shape[-1], sample.gram.ndim == 3
         self.gram, self.xty, self.y2m = (m if self.stacked else m[None] for m in sample[1:])
 
-    def take(self, rows):
-        """The objective of the given rows of the stack, for backtracking's gradients at those rows."""
-        part = object.__new__(type(self))
-        part.__dict__.update((k, v[rows] if isinstance(v, np.ndarray) else v) for k, v in vars(self).items())
-        return part
-
     def risk_exact(self, beta):
         """The risk of each row; at q = 2 through the Gram matrix, clipped at zero."""
         if self.q == 2.0:
@@ -300,27 +297,26 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         whole = ... if obj.stacked else 0
         return RermSolution(beta[whole], objective[whole], float(np.maximum(gap, 0.0).max()))
 
-    def accepts(rows):
+    def accepts():
         # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
         # from above, so this test implies sufficient decrease; unlike a difference of
         # objective values it does not cancel to rounding near the minimum
-        delta = cand[rows] - z[rows]
-        bound = _dot(delta, delta) / (2.0 * step[rows])
-        return (step[rows] < 1e-280) | (_dot(cand_grad[rows] - z_grad[rows], delta) <= bound)
+        delta = cand - z
+        return (step < 1e-280) | (_dot(cand_grad - z_grad, delta) <= _dot(delta, delta) / (2.0 * step))
 
     for _ in range(max_iter):
         running = ~(gap <= tol)  # a NaN gap never certifies
         if not running.any():
             return solution()
-        cand = _prox_l1_power(z - step[:, None] * z_grad, step * pen, power)
-        cand_grad = obj.grad(cand)
-        # above q = 2 a running row halves its step until its candidate passes the test, or the step underflows
-        trying = np.flatnonzero(running & ~accepts(slice(None))) if q != 2.0 else ()
-        while len(trying):
-            step[trying] *= 0.5
-            cand[trying] = _prox_l1_power(z[trying] - step[trying, None] * z_grad[trying], step[trying] * pen, power)
-            cand_grad[trying] = (obj if len(trying) == len(beta) else obj.take(trying)).grad(cand[trying])
-            trying = trying[~accepts(trying)]
+        while True:
+            cand = _prox_l1_power(z - step[:, None] * z_grad, step * pen, power)
+            cand_grad = obj.grad(cand)
+            # above q = 2 a running row halves its step until its candidate passes the test, or the step
+            # underflows; each round steps the whole stack, and a row that kept its step gets the same candidate
+            fails = running & ~accepts() if q != 2.0 else ()
+            if not np.any(fails):
+                break
+            step = np.where(fails, 0.5 * step, step)
         # a step that turned against the momentum restarts it from the current iterate. Without
         # momentum z is beta and the test cannot fire; unlike a rise of the objective it does
         # not fire on rounding noise near the minimum. A finished row does not move either

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -479,6 +480,37 @@ class TestCompute:
         args = ["compute", quantity, "--n", "100", "--d", "10", "--x", "1", "--Kd", "2", "--q", "2000", *extra]
         assert run_cli(args) == 2
         assert "overflows a float; lower q or Kd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["", "# levels and suprema\n"], ids=["empty", "comment-only"])
+    @pytest.mark.parametrize("args, flag",
+                             [(["psi-norm"], "--file"), (["fixed-point", "--epsilon", "0.25"], "--table")])
+    def test_file_without_data_exits_2_naming_flag(self, text, args, flag, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            # numpy's "input contained no data" warning is not the report
+            warnings.simplefilter("error")
+            assert run_cli(["compute", *args, flag, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"compute error: {flag} holds no data\n"
+
+    @pytest.mark.parametrize(
+        "args, code, out",
+        [(["psi-norm", "--file", "1e7\n1e7\n"], 0, "14426950.4089\n"),
+         (["psi-norm", "--file", "1e308\n"], 2, ""),
+         (["fixed-point", "--epsilon", "0.25", "--bracket-hi", "1e308", "--table", "0 0\n1 1e308\n"], 2, "")],
+        ids=["psi-norm-float-spacing", "psi-norm-overflow", "fixed-point-overflow"],
+    )
+    def test_bisection_ends(self, args, code, out, tmp_path):
+        # each of these once bisected forever, so they run in a process of their own with a timeout
+        path = tmp_path / "data.txt"
+        path.write_text(args[-1])
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "oraclebench.cli", "compute", *args[:-1], str(path)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
 
     def test_bad_args_exit_2(self, tmp_path):
         assert run_cli(["compute", "penalty", "--n", "1", "--d", "2", "--x", "1", "--Kd", "1"]) == 2

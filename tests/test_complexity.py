@@ -190,6 +190,30 @@ class TestFixedPointLambda:
         with pytest.raises(InvalidInputError):
             fixed_point_lambda(lambda lam: 0.0, 0.5, 1.0)
 
+    @staticmethod
+    def _bounded(phi):
+        # a bisection that cannot end fails here instead of hanging the suite
+        calls = []
+
+        def counted(lam):
+            calls.append(lam)
+            if len(calls) > 10_000:
+                raise RuntimeError("the bisection does not end")
+            return phi(lam)
+
+        return counted
+
+    def test_ends_where_float_spacing_exceeds_tol(self):
+        # the fixed point is 1.6e8, where floats lie 3e-8 apart, far wider than tol
+        phi = lambda lam: 0.1 * min(lam, 1e8)
+        star = fixed_point_lambda(self._bounded(phi), 0.25, 1e7, tol=1e-9)
+        assert star == pytest.approx(1.6e8, rel=1e-15) and phi(star) <= 0.0625 * star
+
+    def test_bracket_that_overflows_is_an_error(self):
+        # phi stays above (eps/4) lam up to the largest float, and doubling past it would reach inf
+        with pytest.raises(BracketError):
+            fixed_point_lambda(self._bounded(lambda lam: min(lam, 1e308)), 0.25, 1e308)
+
 
 class TestL1ComplexityProfile:
     """The l1 ball's closed-form constants, seen through rerm_residual; at c0 = 0 it is lambda_star(r)."""
@@ -233,6 +257,11 @@ class TestL1ComplexityProfile:
         (lambda: psi_alpha_norm(np.random.default_rng(0).exponential(size=500), 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.01 * math.sqrt(lam), 0.25, 1.0, tol=math.nan), "tol"),
         (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.nan), "bracket_hi"),
+        # tol = inf returned the upper bracket itself, 4.0 here where the fixed point is 2.56
+        (lambda: fixed_point_lambda(lambda lam: 0.1 * math.sqrt(lam), 0.25, 1.0, tol=math.inf), "tol"),
+        (lambda: fixed_point_lambda(lambda lam: 0.0, 0.25, math.inf), "bracket_hi"),
+        (lambda: psi_alpha_norm(np.ones(5), 1.0, tol=math.inf), "tol"),
+        (lambda: psi_alpha_norm(np.ones(5), math.inf), "alpha"),
         (lambda: rerm_residual(math.nan, 50, 2.0, 1.0, 0.25, 1.0, 1.0), "n"),
         (lambda: rerm_residual(100, math.nan, 2.0, 1.0, 0.25, 1.0, 1.0), "d"),
         (lambda: rerm_residual(100, 50, math.nan, 1.0, 0.25, 1.0, 1.0), "q"),
@@ -262,7 +291,8 @@ class TestL1ComplexityProfile:
         (lambda: rerm_residual(100, 50, 2.0, 1.0, 0.25, 1.0, 1.0, c0=math.nan), "c0"),
         (lambda: rerm_residual(100, 50, 2.0, 1.0, 0.25, 1.0, 1.0, c0=-1.0), "c0"),
     ],
-    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "profile-n", "profile-d", "profile-q",
+    ids=["psi-norm-tol", "fixed-point-tol", "fixed-point-bracket", "fixed-point-tol-inf", "fixed-point-bracket-inf",
+         "psi-norm-tol-inf", "psi-norm-alpha-inf", "profile-n", "profile-d", "profile-q",
          "profile-kd", "profile-epsilon", "psi-norm-alpha", "bernstein-psi1", "bernstein-n", "verify-psi1", "verify-z",
          "penalty-n", "penalty-d", "penalty-x", "penalty-q", "penalty-kd", "rho-a-lambda-star", "rho-a-bn",
          "rho-a-big-bn", "rho-a-x", "rho-a-n", "rho-b-r", "rho-b-x",
@@ -270,6 +300,7 @@ class TestL1ComplexityProfile:
          "rho-b-c0-negative"],
 )
 def test_nan_numerical_argument_rejected_naming_it(call, name):
-    # a NaN fails every comparison, so a "<= 0" check or a max() lets it through to a wrong answer
+    # a NaN fails every comparison, so a "<= 0" check or a max() lets it through to a wrong answer; an
+    # infinity passes a check with no upper end
     with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
         call()

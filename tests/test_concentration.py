@@ -56,6 +56,30 @@ class TestPsiAlphaNorm:
         with pytest.raises(InvalidInputError):
             psi_alpha_norm([1.0], 0.5)
 
+    @pytest.fixture
+    def bounded_moments(self, monkeypatch):
+        # a bisection that cannot end fails here instead of hanging the suite
+        from oraclebench import concentration
+
+        moment, calls = concentration._empirical_exp_moment, []
+
+        def counted(*args):
+            calls.append(None)
+            if len(calls) > 10_000:
+                raise RuntimeError("the bisection does not end")
+            return moment(*args)
+
+        monkeypatch.setattr(concentration, "_empirical_exp_moment", counted)
+
+    def test_ends_where_float_spacing_exceeds_tol(self, bounded_moments):
+        # near 1.4e7 floats lie 1.9e-9 apart, so the bracket never gets within the default tol of 1e-9
+        assert psi_alpha_norm([1e7, 1e7], 1.0) == pytest.approx(1e7 * LOG2_INV, rel=1e-15)
+
+    def test_bracket_that_overflows_is_an_error(self, bounded_moments):
+        # exp(1) > 2 at c = 1e308, and doubling c overflows to inf
+        with pytest.raises(InvalidInputError, match="bracket"):
+            psi_alpha_norm([1e308], 1.0)
+
 
 class TestEnvelopePsi1:
     def test_all_zero_class(self):

@@ -812,6 +812,28 @@ class TestRunScenarioAndCsv:
         assert text.startswith("scenario,n,replications,")
         assert len(text.strip().split("\n")) == 5
 
+    @pytest.mark.parametrize(
+        "config, keys",
+        [(finite_gap_config(), ("delta",)),
+         (iso_config(n_grid=[128, 256, 512], replications=20, lambda_replications=20),
+          ("lambda_star", "lambda_band", "bn", "big_bn")),
+         (lasso_config(n_grid=[64, 128, 256]), ("penalty_coef",)),
+         (lasso_config(scenario="LqRerm", q=4.0, n_grid=[64, 128, 256], noise=NoiseSpec.bounded(0.5)),
+          ("penalty_coef",))],
+        ids=["FiniteGap", "Isomorphy", "SquareLasso", "LqRerm"],
+    )
+    def test_extras_hold_the_registry_keys_per_n(self, config, keys):
+        # one entry per n of the scenario's registry keys, each a finite float; a scenario fits rates
+        # exactly when it has no target frequency
+        res = run_scenario(config)
+        assert keys == harness._REGISTRY[config.scenario].extras
+        assert list(res.extras) == list(config.n_grid)
+        for entry in res.extras.values():
+            assert tuple(entry) == keys
+            assert all(isinstance(value, float) and math.isfinite(value) for value in entry.values())
+        fits = res.target_frequency is None
+        assert (res.fit_exact is not None) == fits and (res.fit_nonexact is not None) == fits
+
 
 class TestConfigParsing:
     def test_minimal_mapping(self):
@@ -913,8 +935,8 @@ def test_finite_dictionary_contexts_hold_no_array_that_grows_with_n(config):
             return [size for f in dataclasses.fields(value) for size in array_sizes(getattr(value, f.name))]
         return []
 
-    contexts = harness._REGISTRY[config.scenario].contexts(dataclasses.replace(config, n_grid=(64, 4096)))
-    small, large = (array_sizes(contexts[n]) for n in (64, 4096))
+    config = dataclasses.replace(config, n_grid=(64, 4096))
+    small, large = (array_sizes(harness._REGISTRY[config.scenario].context(config, n)) for n in config.n_grid)
     assert small and small == large
 
 

@@ -48,7 +48,7 @@ def test_one_replication_chunk(seed):
         np.testing.assert_array_equal(got, want)
     # the chunk path from the replication index on, at the same master seed
     config = harness.ScenarioConfig(scenario="FiniteGap", n_grid=(64,), replications=1, master_seed=seed)
-    ctx = harness._REGISTRY["FiniteGap"].contexts(config)[64]
+    ctx = harness._REGISTRY["FiniteGap"].context(config, 64)
     expected = harness._finite_gap_rows(config, ctx, 64, range(1),
                                         [np.random.default_rng(derive_seed(seed, "finite-gap", 64, 0))])
     np.testing.assert_array_equal(harness._run_chunk((config, ctx, 64, range(1))), expected)

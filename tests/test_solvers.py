@@ -402,31 +402,31 @@ class TestStackedSolve:
     @pytest.mark.parametrize("q", [2.0, 4.0])
     def test_finished_rows_stay_in_the_stack(self, q, monkeypatch):
         # the rows of test_rows_stop_at_their_own_iteration, which certify at different iterations. A certified row
-        # stays in place, so the objective is never cut down to the running rows; only backtracking, above
-        # q = 2, takes a strict subset of the whole stack's rows for their gradients
+        # stays in place, and backtracking, above q = 2, steps the whole stack too: every gradient is of all rows
         from oraclebench import solvers
 
-        taken = []
-        take = solvers._LqObjective.take
-
-        def recording(obj, rows):
-            taken.append((len(obj.gram), np.asarray(rows)))
-            return take(obj, rows)
-
-        monkeypatch.setattr(solvers._LqObjective, "take", recording)
         rng = np.random.default_rng(32)
         samples = []
         for scale in (1.0, 6.0, 1.0, 3.0):
             design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
             samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
-        _solve(_stack(samples), q, 0.02, tol=1e-10)
-        if q == 2.0:
-            assert taken == []
-            return
-        assert taken
-        for stack_rows, rows in taken:
-            assert stack_rows == len(samples)
-            assert rows.dtype.kind == "i" and len(set(rows.tolist())) == len(rows) < len(samples)
+        pen, tol = 0.02, 1e-10
+        counts = [_iterations(s, q, pen, tol) for s in samples]
+        assert len(set(counts)) > 1
+        rows = []
+        grad = solvers._LqObjective.grad
+
+        def recording(obj, beta):
+            rows.append(len(beta))
+            return grad(obj, beta)
+
+        monkeypatch.setattr(solvers._LqObjective, "grad", recording)
+        _solve(_stack(samples), q, pen, tol=tol)
+        assert set(rows) == {len(samples)}
+        # one gradient at zero, then per step one at z and one per candidate; the last row certifies at the top of
+        # iteration max(counts), after max(counts) - 1 steps. Above q = 2 some steps backtrack
+        plain = 1 + 2 * (max(counts) - 1)
+        assert len(rows) == plain if q == 2.0 else len(rows) > plain
 
     def test_single_sample_is_a_stack_of_one(self):
         # solve_square_lasso reads n from the stack's shape too; a single sample keeps its own shapes

@@ -76,7 +76,7 @@ def build_parser():
     comp_sub = comp.add_subparsers(dest="quantity", required=True)
 
     psi = comp_sub.add_parser("psi-norm", help="empirical psi_alpha norm of a sample file")
-    psi.add_argument("--file", required=True)
+    psi.add_argument("--file", required=True, help="file of samples, one number per line")
     _reals(psi, "--alpha", default=1.0)
     _reals(psi, "--tol", default=1e-9)
 
@@ -188,7 +188,10 @@ def _load(path, flag, ndmin):
 
 def _compute_value(args):
     if args.quantity == "psi-norm":
-        return psi_alpha_norm(_load(args.file, "--file", 1).ravel(), args.alpha, args.tol)
+        samples = _load(args.file, "--file", 2)
+        if samples.shape[1] != 1:
+            raise InvalidInputError("--file must hold one number per line")
+        return psi_alpha_norm(samples[:, 0], args.alpha, args.tol)
     if args.quantity == "penalty":
         return l1_penalty_level(args.n, args.d, args.x, args.q, args.Kd, args.c0)
     if args.quantity == "rho-a":

@@ -12,23 +12,21 @@ Four scenarios are provided:
   budget on fresh draws.
 * ``SquareLasso``: sparse linear data, least squares with a squared-l1
   penalty at the theory-driven level, slack measured against the probe
-  beta = beta_star with a matching budget. The achieved risk is the exact
-  population square risk m2 ||beta - beta_star||^2 + E noise^2, where m2 is
-  the design's per-coordinate second moment; no test set is drawn. The
-  square loss reads a sample only through its moments X'X/n, X'y/n and y'y/n,
-  so a replication is reduced to them as soon as it is drawn, d^2 floats for
-  any n. With Gaussian noise, whose design is Gaussian too, it draws the QR
-  factor of its n rows instead: R by the Bartlett decomposition, Q'y and the
-  residual norm by the rotation invariance of the noise, at a cost that does
-  not grow with n; Bounded noise (uniform design) and Exponential noise draw
-  the n rows. A chunk's replications are solved a stack at a time
-  (``_rerm_rows``), each row exactly as alone; a failure names the
-  ``(n, replication)`` of its first row at fault.
+  beta = beta_star with a matching budget. The square loss reads a sample
+  only through its moments X'X/n, X'y/n and y'y/n, so a replication is
+  reduced to them as soon as it is drawn, d^2 floats for any n. With
+  Gaussian noise, whose design is Gaussian too, it draws the QR factor of
+  its n rows instead: R by the Bartlett decomposition, Q'y and the residual
+  norm by the rotation invariance of the noise, at a cost that does not grow
+  with n; Bounded noise (uniform design) and Exponential noise draw the n
+  rows. A chunk's replications are solved a stack at a time (``_rerm_rows``),
+  each row exactly as alone; a failure names the ``(n, replication)`` of its
+  first row at fault.
 * ``LqRerm``: the same with the L_q risk and an l1^q penalty, on raw rows
-  above q = 2. At q = 4 the achieved risk is exact too, a closed form in the
-  design's second and fourth moments and the noise's (``_rerm_rows``). For
-  any other q > 2 it is a Monte Carlo estimate on a fresh test set of
-  ``test_size`` points.
+  above q = 2. Both score a replication by its exact population risk
+  (``_exact_risk``), with no test set, and each n's oracle is that risk at
+  beta = beta_star: at every q with Gaussian noise, at q = 2 and q = 4 with
+  Bounded noise, and at q = 2 with Exponential noise.
 
 One registry, ``_REGISTRY``, holds per scenario its per-n context builder
 ``context(config, n)``, rows function, seed tag, target frequency (a
@@ -85,7 +83,9 @@ import numpy as np
 from .concentration import bernstein_from_psi1, envelope_psi1, psi_alpha_norm
 from .complexity import expected_localized_sup, fixed_point_lambda
 from .errors import InvalidInputError, IterationLimitError
-from .model import LossSpec, Sample, erm_finite, histogram_risks, risk_estimate
+from .model import LossSpec, Sample, erm_finite, histogram_risks
+# unused here: perfbench/probe.py patches harness.risk_estimate to time a layer, and its patch targets must resolve
+from .model import risk_estimate  # noqa: F401
 from .solvers import Moments, erm_residual, l1_penalty_level, moments, rerm_residual, solve_lq_rerm
 
 __all__ = [
@@ -280,12 +280,19 @@ def _rerm_ctx(config, n):
     penalty_coef = lam / (n * config.epsilon**2) if config.epsilon**2 > 0 else math.inf
     if not math.isfinite(penalty_coef):
         raise InvalidInputError(f"field 'constants.c0' makes the penalty coefficient overflow a float at n={n}")
+    budget = rerm_residual(n, config.d, q, kd, config.epsilon, config.beta_star.l1_norm(), config.x,
+                           c0=config.constant("c1"))
+    try:
+        # the oracle is the risk at beta = beta_star, so beta_star scores it exactly
+        oracle = float(_exact_risk(config, np.zeros((1, config.d)))[0])
+    except ArithmeticError:  # a Python float power or gamma past the floats, or 1 / rate^2 at a rate^2 of 0
+        oracle = math.inf
+    if not math.isfinite(oracle):
+        raise InvalidInputError("fields 'q' and 'noise' make the oracle risk overflow a float; lower either")
     return {
         "penalty_coef": penalty_coef,
-        "budget": rerm_residual(
-            n, config.d, q, kd, config.epsilon, config.beta_star.l1_norm(), config.x, c0=config.constant("c1")
-        ),
-        "oracle": config.noise.abs_moment(config.q),
+        "budget": budget,
+        "oracle": oracle,
         "beta_star": config.beta_star.vector(config.d),
     }
 
@@ -302,6 +309,37 @@ _DESIGNS = {
 def _design_of(noise):
     """The design a run draws: uniform[-1, 1] with Bounded noise, standard Gaussian otherwise."""
     return _DESIGNS["Uniform" if noise.kind == NoiseSpec.BOUNDED else "Gaussian"]
+
+
+def _gaussian_abs_moment(q, var):
+    """E |N(0, var)|^q = c_q var^(q/2), c_q = 2^(q/2) Gamma((q + 1)/2) / sqrt(pi); var itself at q = 2, where the
+    gamma function would round c_2 to 1.0000000000000002. A c_q past the floats raises OverflowError."""
+    if q == 2:
+        return var
+    return 2.0 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi) * var ** (q / 2)
+
+
+def _exact_risk(config, delta):
+    """The exact L_q risk E |x.delta + xi|^q of each row of the (R, d) array ``delta`` = beta - beta_star.
+
+    The design's coordinates and the noise are independent, each with mean zero. With Gaussian noise the design is
+    Gaussian too, so x.delta + xi ~ N(0, m2 ||delta||^2 + sd^2) at every q. Otherwise the q = 2 risk is
+    S + E xi^2 with S = m2 ||delta||^2, and the q = 4 risk E (x.delta)^4 + 6 S E xi^2 + E xi^4 loses the terms odd
+    in x.delta or in xi, with E (x.delta)^4 = 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4. Other pairs raise, naming a field.
+    """
+    q, noise, law = config.q, config.noise, _design_of(config.noise)
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = law.m2 * (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
+        if noise.kind == NoiseSpec.GAUSSIAN:
+            return _gaussian_abs_moment(q, square + noise.param**2)
+        if q == 2:
+            return square + noise.abs_moment(2)
+        if q == 4 and noise.kind == NoiseSpec.BOUNDED:
+            return (3.0 * square * square + (law.m4 - 3.0 * law.m2**2) * np.sum(delta**4, axis=-1)
+                    + 6.0 * square * noise.abs_moment(2) + noise.abs_moment(4))
+    if noise.kind == NoiseSpec.EXPONENTIAL:
+        raise InvalidInputError(f"field 'noise' must be Gaussian or Bounded at q > 2, got {noise.kind}")
+    raise InvalidInputError(f"field 'q' must be 2 or 4 with Bounded noise, got {q!r}")
 
 
 def _gaussian_factor_moments(rng, n, beta_star, noise):
@@ -335,16 +373,14 @@ def _rerm_rows(config, ctx, n, reps, rngs):
     """
     beta_star, noise, law = ctx["beta_star"], config.noise, _design_of(config.noise)
 
-    def draw(rng, size):
-        design = law.draw(rng, size, config.d)
-        return design, design @ beta_star + noise.draw(rng, size)
-
     def sample_of(rng):
         # a Gaussian design with Gaussian noise is rotation invariant, so its QR factor's exact law (Bartlett) is
         # drawn at O(d^2) cost instead of O(n d); uniform designs (Bounded noise) and Exponential noise draw n rows
         if config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN:
             return _gaussian_factor_moments(rng, n, beta_star, noise)
-        return moments(*draw(rng, n)) if config.q == 2 else draw(rng, n)
+        design = law.draw(rng, n, config.d)
+        rows = design, design @ beta_star + noise.draw(rng, n)
+        return moments(*rows) if config.q == 2 else rows
 
     # a sample's objective takes 8 d^2 bytes of Gram matrix, and above q = 2 its n rows 8 n d of design
     size = max(1, _STACK_BYTES // (8 * config.d * ((n if config.q != 2 else 0) + config.d)))
@@ -359,26 +395,7 @@ def _rerm_rows(config, ctx, n, reps, rngs):
         except IterationLimitError as exc:
             raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {stack[exc.row]}: {exc}; "
                                f"best gap {exc.best.optimality_gap:.3g}") from exc
-        if config.q not in (2, 4):
-            test_size = config.resolved_test_size()
-            achieved.append([risk_estimate(lambda x_new, b=b: x_new @ b, draw, LossSpec.lq(config.q), test_size,
-                                           derive_seed(config.master_seed, "lq-rerm/test", n, rep)).mean
-                             for rep, b in zip(stack, solution.beta)])
-            continue
-        delta = solution.beta - beta_star
-        with np.errstate(over="ignore", invalid="ignore"):
-            # design coordinates are independent and mean zero, and the noise is
-            # independent of them with mean zero, so the square risk is exact:
-            # E (x.beta_star + xi - x.beta)^2 = m2 ||beta - beta_star||^2 + E xi^2
-            square = law.m2 * (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
-            # expanding E (x.delta + xi)^4, the two cross terms with a first power of
-            # x.delta or of xi vanish for the same reason, which leaves
-            # E (x.delta)^4 + 6 E (x.delta)^2 E xi^2 + E xi^4, with
-            # E (x.delta)^4 = 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4 and S = m2 ||delta||^2;
-            # the oracle is E xi^4, so beta = beta_star scores the oracle exactly
-            risk = square if config.q == 2 else (3.0 * square * square + (law.m4 - 3.0 * law.m2**2)
-                                                 * np.sum(delta**4, axis=-1) + 6.0 * square * noise.abs_moment(2))
-            risk = risk + ctx["oracle"]
+        risk = _exact_risk(config, solution.beta - beta_star)
         if not np.isfinite(risk).all():
             raise RuntimeError(f"{config.scenario} exact risk is not finite at n={n}, "
                                f"replication {stack[int(np.argmin(np.isfinite(risk)))]}")
@@ -474,9 +491,8 @@ class NoiseSpec:
     centered to mean zero, and its subexponential tail is the paper's
     unbounded setting. Every kind has mean zero, so each serves the q = 2
     scenarios, whose risk is exact. Above q = 2, ``abs_moment`` has a closed
-    form for Bounded noise only, so only Bounded noise runs there. The exact
-    q = 4 risk reads both E noise^2 and E noise^4 from ``abs_moment``; the
-    Monte Carlo risk of any other q > 2 uses ``draw``.
+    form for Gaussian and Bounded noise; the exact risk (``_exact_risk``)
+    reads E noise^2 from it, and E noise^4 at q = 4 with Bounded noise.
     """
 
     kind: str
@@ -519,11 +535,9 @@ class NoiseSpec:
         return rng.exponential(scale, size) - scale
 
     def abs_moment(self, q):
-        """E |noise|^q in closed form for the families the scenarios allow."""
+        """E |noise|^q in closed form: Gaussian and Bounded noise at every q, Exponential noise at q = 2."""
         if self.kind == self.GAUSSIAN:
-            if q != 2:
-                raise InvalidInputError("Gaussian noise is only used with q = 2")
-            return self.param**2
+            return _gaussian_abs_moment(q, self.param**2)
         if self.kind == self.BOUNDED:
             return self.param**q / (q + 1.0)
         if q != 2:
@@ -561,10 +575,10 @@ class ScenarioConfig:
     masterSeed, noise, betaStar, constants). Scenario-specific knobs:
     ``gamma`` scales the FiniteGap risk gap gamma/sqrt(n); ``label_flip`` and
     ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality);
-    ``test_size`` overrides the fresh-test-set size (default 20 * max(nGrid),
-    capped at 1e6) and only affects LqRerm with q other than 2 and 4, since
-    the achieved risk is exact at q = 2 and q = 4 (``_rerm_rows``);
-    ``lambda_replications`` drives the localization estimate. The named
+    ``lambda_replications`` drives the localization estimate. SquareLasso and
+    LqRerm score every replication by its exact risk (``_exact_risk``), so
+    Gaussian noise runs at every q, Bounded noise at q = 2 and q = 4, and
+    Exponential noise at q = 2 only; any other pair is rejected. The named
     constants are c0 >= 0, c1 >= 0 and Kd > 0; each defaults to 1.
     """
 
@@ -580,7 +594,6 @@ class ScenarioConfig:
     beta_star: BetaStarSpec = field(default_factory=BetaStarSpec)
     constants: dict = field(default_factory=dict)
     gamma: float = 1.0
-    test_size: int | None = None
     lambda_replications: int = 500
     label_flip: float = 0.3
     cells: int = 16
@@ -599,17 +612,13 @@ class ScenarioConfig:
                     raise InvalidInputError(f"field {key!r} must be >= 2 for {self.scenario}, got {smallest}")
             if self.beta_star.support > self.d:
                 raise InvalidInputError(f"field 'betaStar.support' must be <= d = {self.d}, got {self.beta_star.support}")
-            if self.q > 2 and self.noise.kind != NoiseSpec.BOUNDED:
-                raise InvalidInputError(f"field 'noise' must be Bounded at q > 2, got {self.noise.kind}")
-            # the run's closed forms, here so that a q or Kd whose powers overflow fails before any output
+            # the run's closed forms, here so that a (noise, q) without an exact risk, or a q, Kd or noise whose
+            # powers overflow, fails before any output
             for n in self.n_grid:
                 _rerm_ctx(self, n)
 
     def constant(self, name):
         return float(self.constants.get(name, 1.0))
-
-    def resolved_test_size(self):
-        return self.test_size if self.test_size is not None else min(20 * max(self.n_grid), 10**6)
 
 
 # (run-file key, attribute, cast, predicate or None, requirement the predicate states)
@@ -627,8 +636,6 @@ _FIELDS = (
     ("betaStar", "beta_star", _as_instance(BetaStarSpec), None, None),
     ("constants", "constants", _as_constants, None, None),
     ("gamma", "gamma", _as_real, lambda v: v >= 0, "be >= 0"),
-    ("testSize", "test_size", lambda key, v: v if v is None else _as_int(key, v), lambda v: v is None or v >= 2,
-     "be >= 2"),
     ("lambdaReplications", "lambda_replications", _as_int, lambda v: v >= 1, "be >= 1"),
     ("labelFlip", "label_flip", _as_real, lambda v: 0 <= v <= 0.5, "lie in [0, 1/2]"),
     ("cells", "cells", _as_int, lambda v: v >= 2, "be >= 2"),
@@ -870,36 +877,15 @@ def rows_csv_text(result):
 
 def summary_csv_text(result):
     """Per-n means, standard errors, and the fitted slopes."""
-    fit_e = result.fit_exact
-    fit_ne = result.fit_nonexact
-    lines = [SUMMARY_HEADER]
+    config, lines = result.config, [SUMMARY_HEADER]
+    fits = [_fmt_opt(getattr(fit, key) if fit else None)
+            for fit in (result.fit_exact, result.fit_nonexact) for key in ("slope", "intercept", "r_squared")]
     for s, oracle, budget in zip(result.summaries, result.oracle, result.budget):
-        lines.append(
-            ",".join(
-                [
-                    result.config.scenario,
-                    str(s.n),
-                    str(result.config.replications),
-                    _fmt(s.mean_achieved),
-                    _fmt(oracle),
-                    _fmt(s.mean_slack_exact),
-                    _fmt(s.stderr_slack_exact),
-                    _fmt(s.mean_slack_nonexact),
-                    _fmt(s.stderr_slack_nonexact),
-                    _fmt(budget),
-                    _fmt(s.satisfaction_frequency),
-                    "true" if s.floored else "false",
-                    str(result.floored_count),
-                    _fmt_opt(result.target_frequency),
-                    _fmt_opt(fit_e.slope if fit_e else None),
-                    _fmt_opt(fit_e.intercept if fit_e else None),
-                    _fmt_opt(fit_e.r_squared if fit_e else None),
-                    _fmt_opt(fit_ne.slope if fit_ne else None),
-                    _fmt_opt(fit_ne.intercept if fit_ne else None),
-                    _fmt_opt(fit_ne.r_squared if fit_ne else None),
-                ]
-            )
-        )
+        means = (s.mean_achieved, oracle, s.mean_slack_exact, s.stderr_slack_exact, s.mean_slack_nonexact,
+                 s.stderr_slack_nonexact, budget, s.satisfaction_frequency)
+        lines.append(",".join([config.scenario, str(s.n), str(config.replications), *map(_fmt, means),
+                               "true" if s.floored else "false", str(result.floored_count),
+                               _fmt_opt(result.target_frequency), *fits]))
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 UNREACHED_BY_DESIGN = {
     "LocalizedSupInput": "input type of localized_star_hull_sup",
     "localized_star_hull_sup": "the reference expected_localized_sup is tested against bit for bit",
+    "risk_estimate": "the Monte Carlo reference the exact L_q risks are tested against",
 }
 
 

@@ -171,9 +171,13 @@ SMALL_CONFIGS = {
                     "betaStar": {"support": 2, "magnitude": 1.0},
                     "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
     "LqRerm": {"scenario": "LqRerm", "nGrid": [64, 128, 256], "d": 3, "q": 4, "epsilon": 0.01,
-               "replications": 4, "testSize": 1000, "noise": {"kind": "Bounded", "range": 0.5},
+               "replications": 4, "noise": {"kind": "Bounded", "range": 0.5},
                "betaStar": {"support": 2, "magnitude": 0.5},
                "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
+    "LqRerm-q3-Gaussian": {"scenario": "LqRerm", "nGrid": [64, 128, 256], "d": 3, "q": 3, "epsilon": 0.01,
+                           "replications": 4, "noise": {"kind": "Gaussian", "sd": 0.5},
+                           "betaStar": {"support": 2, "magnitude": 0.5},
+                           "constants": {"c0": 1e-11, "c1": 1.0, "Kd": 1.0}},
     # a stack holds 2 samples of 2048 x 10 raw rows, so a chunk spans several stacks at workers 1 (32
     # replications) and at workers 2 (chunks of 4)
     "LqRerm-stacks": {"scenario": "LqRerm", "nGrid": [2048], "d": 10, "q": 4, "epsilon": 0.01,
@@ -227,6 +231,7 @@ def test_every_scenario_byte_identical_across_workers(scenario, tmp_path):
         ("floor=NaN", "floor"),
         ("d=2.7", "'d'"),
         ("d=true", "'d'"),
+        # a field that no longer exists is rejected by name
         ("testSize=2.5", "testSize"),
         ("replications=3.9", "replications"),
         ("gamma=-1", "gamma"),
@@ -243,7 +248,12 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
     [
         (["scenario=SquareLasso", "q=3"], "'q'"),
         (["scenario=LqRerm", "q=4", 'noise={"kind": "Exponential", "rate": 1}'], "'noise'"),
-        (["scenario=LqRerm", "q=4"], "'noise'"),
+        (["scenario=LqRerm", "q=3", 'noise={"kind": "Bounded", "range": 0.5}'], "'q'"),
+        # c_q = E |N(0, 1)|^q overflows a float from about q = 300, though the budget at betaStar.support = 0 does not
+        (["scenario=LqRerm", "q=400", "betaStar.support=0"], "'q'"),
+        # E noise^2 past the floats: sd^2, or 1 / rate^2 where rate^2 rounds to 0
+        (["scenario=SquareLasso", 'noise={"kind": "Gaussian", "sd": 1e200}'], "'noise'"),
+        (["scenario=SquareLasso", 'noise={"kind": "Exponential", "rate": 1e-200}'], "'noise'"),
         (["scenario=SquareLasso", "d=2"], "'betaStar.support'"),
         (["scenario=SquareLasso", "constants.Kd=-1"], "'constants.Kd'"),
         (["scenario=SquareLasso", "constants.c1=-1"], "'constants.c1'"),
@@ -252,7 +262,8 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=LqRerm", "q=4", 'noise={"kind": "Bounded", "range": 0.5}', "d=1", "betaStar.support=1"], "'d'"),
         (["scenario=Isomorphy", "x=1"], "'x'"),
     ],
-    ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q4-Gaussian", "SquareLasso-support-above-d",
+    ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q3-Bounded", "LqRerm-q400-Gaussian-overflow",
+         "SquareLasso-Gaussian-sd-overflow", "SquareLasso-Exponential-rate-underflow", "SquareLasso-support-above-d",
          "SquareLasso-Kd-negative", "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1",
          "LqRerm-q4-d1", "Isomorphy-x1"],
 )
@@ -480,6 +491,16 @@ class TestCompute:
         args = ["compute", quantity, "--n", "100", "--d", "10", "--x", "1", "--Kd", "2", "--q", "2000", *extra]
         assert run_cli(args) == 2
         assert "overflows a float; lower q or Kd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1 2\n3 4\n", "1 2 3\n"], ids=["table", "one-line"])
+    def test_psi_norm_file_of_several_columns_exits_2_naming_file(self, text, tmp_path, capsys):
+        # a sample file holds one number per line, so a table given by mistake is not read as one long sample
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        assert run_cli(["compute", "psi-norm", "--file", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "compute error: --file must hold one number per line\n"
 
     @pytest.mark.parametrize("text", ["", "# levels and suprema\n"], ids=["empty", "comment-only"])
     @pytest.mark.parametrize("args, flag",

@@ -71,7 +71,6 @@ def lasso_config(**kwargs):
         noise=NoiseSpec.gaussian(0.5),
         beta_star=BetaStarSpec(2, 1.0),
         constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
-        test_size=4000,
     )
     base.update(kwargs)
     return ScenarioConfig(**base)
@@ -135,7 +134,6 @@ def _config_mappings():
             "replications": st.integers(1, 100),
             "masterSeed": st.integers(0, 2**64 - 1),
             "gamma": st.floats(0, 5),
-            "testSize": st.integers(2, 10**5),
             "lambdaReplications": st.integers(1, 500),
             "labelFlip": st.floats(0, 0.5),
             "cells": st.integers(2, 64),
@@ -154,7 +152,7 @@ def _config_mappings():
         st.fixed_dictionaries({"nGrid": st.lists(junk, max_size=3)}),
     )
     keys = ["scenario", "nGrid", "d", "q", "epsilon", "x", "replications", "masterSeed", "gamma",
-            "testSize", "lambdaReplications", "labelFlip", "cells", "noise", "betaStar",
+            "lambdaReplications", "labelFlip", "cells", "noise", "betaStar",
             "constants", "bogus"]
     broken = st.dictionaries(st.sampled_from(keys), junk, max_size=2) | broken_nested
     return st.builds(lambda base, bad: {**base, **bad}, valid, st.just({}) | broken)
@@ -505,15 +503,6 @@ class TestSquareLasso:
         estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(2), 200_000, 5)
         assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
 
-    def test_q2_never_draws_a_test_set(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("risk_estimate called for q = 2")
-
-        monkeypatch.setattr(harness, "risk_estimate", forbidden)
-        res_sq = run_scenario(lasso_config(noise=NoiseSpec.bounded(0.5)))
-        res_lq = run_scenario(lasso_config(scenario="LqRerm"))
-        assert res_sq.achieved.size == res_lq.achieved.size == 12
-
 
 class TestGaussianFactorSample:
     """Gaussian SquareLasso rows solve on the moments of the QR factor of their sample, not on its n rows."""
@@ -639,14 +628,28 @@ class TestLqRerm:
             noise=NoiseSpec.bounded(0.5),
             beta_star=BetaStarSpec(2, 0.5),
             replications=10,
-            test_size=4000,
         )
         res = run_scenario(cfg)
         assert res.satisfaction_frequency >= 0.9
 
-    def test_q4_gaussian_rejected(self):
-        with pytest.raises(InvalidInputError):
-            run_scenario(lasso_config(scenario="LqRerm", q=4.0))
+    def test_q3_bounded_rejected(self):
+        # Bounded noise has an exact risk at q = 2 and q = 4 only
+        with pytest.raises(InvalidInputError, match="field 'q' must be 2 or 4 with Bounded noise"):
+            lasso_config(scenario="LqRerm", q=3.0, noise=NoiseSpec.bounded(0.5))
+
+    @pytest.mark.parametrize(
+        "noise, q",
+        [(NoiseSpec.gaussian(0.5), 2.0), (NoiseSpec.gaussian(0.5), 3.0), (NoiseSpec.gaussian(0.5), 4.0),
+         (NoiseSpec.gaussian(0.5), 6.5), (NoiseSpec.bounded(0.5), 2.0), (NoiseSpec.bounded(0.5), 4.0),
+         (NoiseSpec.exponential(2.0), 2.0)],
+        ids=["gaussian-q2", "gaussian-q3", "gaussian-q4", "gaussian-q6.5", "bounded-q2", "bounded-q4",
+             "exponential-q2"],
+    )
+    def test_every_allowed_noise_and_q_runs(self, noise, q):
+        # the exact risk grows with ||beta - beta_star|| for every allowed pair, so no exact slack is negative
+        res = run_scenario(lasso_config(scenario="LqRerm", q=q, noise=noise))
+        assert res.achieved.shape == (2, 6)
+        assert np.all(res.slack_exact >= 0.0)
 
     def test_q4_exact_risk_matches_monte_carlo(self, monkeypatch):
         noise = NoiseSpec.bounded(0.5)
@@ -683,26 +686,46 @@ class TestLqRerm:
         with pytest.raises(RuntimeError, match="not finite at n=128, replication 0"):
             run_scenario(cfg)
 
-    def test_q4_never_draws_a_test_set(self, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("risk_estimate called for q = 4")
+    def test_q3_gaussian_exact_risk_matches_monte_carlo(self, monkeypatch):
+        noise = NoiseSpec.gaussian(0.5)
+        cfg = lasso_config(scenario="LqRerm", q=3.0, noise=noise, n_grid=[64], replications=1)
+        beta_star = cfg.beta_star.vector(cfg.d)
+        beta_hat = beta_star + np.array([0.6, 0.3, -0.2, 0.1, 0.0, 0.0, 0.0, 0.0])
+        monkeypatch.setattr(harness, "solve_lq_rerm", fixed_solution(beta_hat))
+        achieved = run_scenario(cfg).achieved[0, 0]
 
-        monkeypatch.setattr(harness, "risk_estimate", forbidden)
-        res = run_scenario(lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)))
-        assert res.achieved.size == 12
+        def generator(rng, size):
+            design = harness._design_of(noise).draw(rng, size, cfg.d)
+            return design, design @ beta_star + noise.draw(rng, size)
 
-    def test_q3_scores_on_a_test_set(self, monkeypatch):
-        sizes = []
-        original = harness.risk_estimate
+        estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(3), 200_000, 5)
+        assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
 
-        def recording(predictor, generator, loss, test_size, rng):
-            sizes.append(test_size)
-            return original(predictor, generator, loss, test_size, rng)
-
-        monkeypatch.setattr(harness, "risk_estimate", recording)
-        cfg = lasso_config(scenario="LqRerm", q=3.0, noise=NoiseSpec.bounded(0.5), replications=2, test_size=None)
+    def test_q3_gaussian_exact_slack_is_zero_at_beta_star(self, monkeypatch):
+        cfg = lasso_config(scenario="LqRerm", q=3.0, noise=NoiseSpec.gaussian(0.3), replications=2)
+        monkeypatch.setattr(harness, "solve_lq_rerm", fixed_solution(cfg.beta_star.vector(cfg.d)))
         res = run_scenario(cfg)
-        assert sizes == [cfg.resolved_test_size()] * res.achieved.size
+        # E |N(0, 0.09)|^3 = 2^(3/2) Gamma(2) / sqrt(pi) * 0.027
+        assert res.oracle == pytest.approx([math.sqrt(8.0 / math.pi) * 0.027] * 2, rel=1e-14)
+        assert np.all(res.achieved == res.oracle[:, None])
+        assert np.all(res.slack_exact == 0.0)
+
+    def test_q3_gaussian_exact_slack_decays_like_1_over_n(self):
+        # a gate fixed before its first run: the exact slack of the L_3 estimator is a 1/n control, whose
+        # n * mean tends to the delta-method limit (q/2) d c_q c_{2q-2} sd^q / ((q - 1)^2 c_{q-2}^2), with
+        # c_p = E |N(0, 1)|^p; every per-n value must lie within a factor of 2 of that limit
+        q, sd = 3.0, 0.5
+        cfg = ScenarioConfig(scenario="LqRerm", n_grid=[256, 512, 1024, 2048], d=10, q=q, epsilon=0.002, x=1.0,
+                             replications=30, master_seed=31, noise=NoiseSpec.gaussian(sd),
+                             beta_star=BetaStarSpec(3, 1.0), constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0})
+        res = run_scenario(cfg)
+        assert res.fit_exact.slope <= -0.8
+        assert res.fit_exact.r_squared >= 0.9
+        c = [harness._gaussian_abs_moment(p, 1.0) for p in (q, 2 * q - 2, q - 2)]
+        limit = (q / 2) * cfg.d * c[0] * c[1] * sd**q / ((q - 1) ** 2 * c[2] ** 2)
+        assert limit == pytest.approx(3.53, abs=0.01)
+        for s in res.summaries:
+            assert limit / 2 <= s.n * s.mean_slack_exact <= 2 * limit, s.n
 
 
 @pytest.mark.parametrize(
@@ -908,9 +931,12 @@ class TestConfigParsing:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(mapping=_config_mappings())
     def test_fuzzed_mapping_gives_config_or_invalid_input(self, mapping):
+        # any other exception would exit 3; a rejection names the field at fault, a schema key or the unknown key
         try:
             config = config_from_mapping(mapping)
-        except InvalidInputError:
+        except InvalidInputError as exc:
+            names = "|".join(re.escape(key) for key in [*(key for key, *_ in harness._FIELDS), "bogus"])
+            assert re.search(rf"\b({names})\b", str(exc)), str(exc)
             return
         assert isinstance(config, ScenarioConfig)
 

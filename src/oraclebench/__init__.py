@@ -2,8 +2,8 @@
 
 The package has three layers:
 
-* primitives: empirical risk and ERM over finite dictionaries, each given by
-  its (functions, points) loss table (``model``), empirical Orlicz-norm and
+* primitives: exact ERM over finite dictionaries given by their loss tables
+  and a Monte Carlo L_q risk (``model``), empirical Orlicz-norm and
   concentration evaluators that return floats (``concentration``), star-hull
   localization and its fixed point (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
@@ -41,10 +41,8 @@ from .harness import (
     write_summary_csv,
 )
 from .model import (
-    LossSpec,
     RiskEstimate,
     Sample,
-    empirical_risk,
     erm_finite,
     histogram_risks,
     risk_estimate,
@@ -69,7 +67,6 @@ __all__ = [
     "InvalidInputError",
     "IterationLimitError",
     "LocalizedSupInput",
-    "LossSpec",
     "NoiseSpec",
     "RateFit",
     "RermSolution",
@@ -81,7 +78,6 @@ __all__ = [
     "bernstein_verify",
     "config_from_mapping",
     "derive_seed",
-    "empirical_risk",
     "envelope_psi1",
     "erm_finite",
     "erm_residual",

@@ -1,4 +1,4 @@
-"""Data containers, loss evaluation, and exact ERM over finite dictionaries.
+"""Data containers, exact ERM over finite dictionaries, and a Monte Carlo L_q risk reference.
 
 Conventions used throughout the package:
 
@@ -8,7 +8,6 @@ Conventions used throughout the package:
   table times the count of each point, and many samples at once as one
   table-matrix product over their histograms; a caller that knows the data
   distribution keeps the population risks beside the table,
-* binary labels live in {-1, +1} and a sign mismatch costs 1,
 * every container is immutable after construction, so all operations here
   are pure functions and safe to call concurrently.
 """
@@ -23,9 +22,7 @@ from .errors import InvalidInputError
 
 __all__ = [
     "Sample",
-    "LossSpec",
     "RiskEstimate",
-    "empirical_risk",
     "erm_finite",
     "histogram_risks",
     "risk_estimate",
@@ -69,68 +66,6 @@ class Sample:
 
 
 @dataclass(frozen=True)
-class LossSpec:
-    """Loss family: L_q with exponent q >= 2, or the 0-1 sign loss.
-
-    For the 0-1 loss, responses must lie in {-1, +1} and predictions are
-    sign-valued; the loss is 1 exactly when the signs differ.
-    """
-
-    kind: str
-    q: float | None = None
-
-    _LQ = "lq"
-    _ZERO_ONE = "zero_one"
-
-    def __post_init__(self):
-        if self.kind == self._LQ:
-            if self.q is None or not np.isfinite(self.q) or self.q < 2:
-                raise InvalidInputError(f"L_q loss requires q >= 2, got {self.q}")
-        elif self.kind == self._ZERO_ONE:
-            if self.q is not None:
-                raise InvalidInputError("zero-one loss takes no exponent")
-        else:
-            raise InvalidInputError(f"unknown loss kind {self.kind!r}")
-
-    @classmethod
-    def lq(cls, q):
-        return cls(kind=cls._LQ, q=float(q))
-
-    @classmethod
-    def zero_one(cls):
-        return cls(kind=cls._ZERO_ONE)
-
-    @property
-    def is_zero_one(self):
-        return self.kind == self._ZERO_ONE
-
-    def per_sample(self, predictions, responses):
-        """Per-sample losses of predictions against responses.
-
-        ``responses`` is at least 1-dimensional and its shape equals the
-        trailing shape of ``predictions``; numpy broadcasts it, so an (M, n)
-        prediction matrix against n responses gives the (M, n) losses of every
-        row. Each input is checked once, at its own size. An ``|r|^q`` that
-        overflows comes back as ``inf`` without a warning; ``empirical_risk``
-        and ``histogram_risks`` reject it.
-        """
-        predictions = np.asarray(predictions, dtype=float)
-        responses = np.asarray(responses, dtype=float)
-        if responses.ndim < 1 or predictions.shape[predictions.ndim - responses.ndim:] != responses.shape:
-            raise InvalidInputError(
-                f"responses shape {responses.shape} must equal the trailing shape of predictions {predictions.shape}"
-            )
-        if not np.isfinite(predictions).all() or not np.isfinite(responses).all():
-            raise InvalidInputError("non-finite prediction or response")
-        if self.is_zero_one:
-            if not (np.abs(responses) == 1.0).all():
-                raise InvalidInputError("zero-one loss requires responses in {-1,+1}")
-            return (predictions * responses <= 0).astype(float)
-        with np.errstate(over="ignore"):
-            return np.abs(responses - predictions) ** self.q
-
-
-@dataclass(frozen=True)
 class RiskEstimate:
     """Monte Carlo risk estimate: sample mean and its standard error."""
 
@@ -140,21 +75,6 @@ class RiskEstimate:
     def __post_init__(self):
         if self.stderr < 0:
             raise InvalidInputError("stderr must be nonnegative")
-
-
-def empirical_risk(losses):
-    """Arithmetic mean of per-sample losses.
-
-    Raises on empty, non-finite, or negative inputs.
-    """
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 1 or losses.size < 1:
-        raise InvalidInputError("losses must be a nonempty vector")
-    if not np.all(np.isfinite(losses)):
-        raise InvalidInputError("losses contain non-finite values")
-    if np.any(losses < 0):
-        raise InvalidInputError("losses must be nonnegative")
-    return float(np.mean(losses))
 
 
 def histogram_risks(losses, counts):
@@ -211,19 +131,21 @@ def erm_finite(losses, counts):
     return int(picks) if picks.ndim == 0 else picks
 
 
-def risk_estimate(predictor, generator, loss, test_size, rng):
-    """Estimate a predictor's population risk on a fresh sample.
-
-    ``generator(rng, size)`` must return a pair ``(X, y)`` of fresh draws;
-    ``predictor(X)`` returns per-point predictions. The result is the sample
-    mean of the losses with its standard error (ddof=1).
-    """
+def risk_estimate(predictor, generator, q, test_size, rng):
+    """Monte Carlo L_q risk E |y - predictor(X)|^q, with its standard error (ddof=1), on the ``test_size`` fresh
+    draws ``(X, y) = generator(rng, test_size)``. Rejects a q outside [2, inf), predictions or responses not of
+    shape (test_size,), which numpy would broadcast, and a non-finite loss, an overflowing one included."""
+    if not 2.0 <= q < np.inf:
+        raise InvalidInputError(f"q must be finite and >= 2, got {q!r}")
     test_size = int(test_size)
     if test_size < 2:
         raise InvalidInputError("test_size must be >= 2")
-    rng = np.random.default_rng(rng)
-    design, responses = generator(rng, test_size)
-    losses = loss.per_sample(np.asarray(predictor(design), dtype=float), responses)
-    mean = empirical_risk(losses)
-    stderr = float(np.std(losses, ddof=1) / np.sqrt(test_size))
-    return RiskEstimate(mean=mean, stderr=stderr)
+    design, responses = generator(np.random.default_rng(rng), test_size)
+    predictions, responses = np.asarray(predictor(design), dtype=float), np.asarray(responses, dtype=float)
+    if not predictions.shape == responses.shape == (test_size,):
+        raise InvalidInputError(f"predictions {predictions.shape}, responses {responses.shape} must be ({test_size},)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        losses = np.abs(responses - predictions) ** q
+    if not np.isfinite(losses).all():
+        raise InvalidInputError("non-finite loss: an input is not finite, or |y - prediction|^q overflows")
+    return RiskEstimate(mean=float(np.mean(losses)), stderr=float(np.std(losses, ddof=1) / np.sqrt(test_size)))

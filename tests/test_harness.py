@@ -16,7 +16,6 @@ from oraclebench import (
     BetaStarSpec,
     InvalidInputError,
     LocalizedSupInput,
-    LossSpec,
     NoiseSpec,
     Sample,
     ScenarioConfig,
@@ -500,7 +499,7 @@ class TestSquareLasso:
             design = harness._design_of(noise).draw(rng, size, cfg.d)
             return design, design @ beta_star + noise.draw(rng, size)
 
-        estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(2), 200_000, 5)
+        estimate = risk_estimate(lambda x: x @ beta_hat, generator, 2, 200_000, 5)
         assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
 
 
@@ -665,7 +664,7 @@ class TestLqRerm:
             design = harness._design_of(noise).draw(rng, size, cfg.d)
             return design, design @ beta_star + noise.draw(rng, size)
 
-        estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(4), 200_000, 5)
+        estimate = risk_estimate(lambda x: x @ beta_hat, generator, 4, 200_000, 5)
         assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
 
     def test_q4_exact_slack_is_zero_at_beta_star(self, monkeypatch):
@@ -698,7 +697,7 @@ class TestLqRerm:
             design = harness._design_of(noise).draw(rng, size, cfg.d)
             return design, design @ beta_star + noise.draw(rng, size)
 
-        estimate = risk_estimate(lambda x: x @ beta_hat, generator, LossSpec.lq(3), 200_000, 5)
+        estimate = risk_estimate(lambda x: x @ beta_hat, generator, 3, 200_000, 5)
         assert abs(achieved - estimate.mean) <= 4.0 * estimate.stderr
 
     def test_q3_gaussian_exact_slack_is_zero_at_beta_star(self, monkeypatch):
@@ -909,6 +908,21 @@ class TestConfigParsing:
         assert NoiseSpec.bounded(1.0).abs_moment(4) == pytest.approx(0.2)
 
     @pytest.mark.parametrize(
+        "noise, q, name",
+        [
+            (NoiseSpec.exponential(1e-200), 2, "noise.rate"),
+            (NoiseSpec.gaussian(1.0), 400, "q"),
+            (NoiseSpec.bounded(1e200), 4, "noise.range"),
+            (NoiseSpec.bounded(2.0), float("nan"), "q"),
+        ],
+        ids=["Exponential-rate-underflow", "Gaussian-q400-overflow", "Bounded-range-overflow", "Bounded-q-nan"],
+    )
+    def test_abs_moment_out_of_range_rejected_naming_the_cause(self, noise, q, name):
+        # 1 / rate^2 at a rate^2 of 0, E |N(0, 1)|^400, range^4, and a moment at q = NaN
+        with pytest.raises(InvalidInputError, match=rf"\b{re.escape(name)}\b"):
+            noise.abs_moment(q)
+
+    @pytest.mark.parametrize(
         "build, field_name",
         [
             (lambda: finite_gap_config(x=float("nan")), "'x'"),
@@ -964,6 +978,26 @@ def test_finite_dictionary_contexts_hold_no_array_that_grows_with_n(config):
     config = dataclasses.replace(config, n_grid=(64, 4096))
     small, large = (array_sizes(harness._REGISTRY[config.scenario].context(config, n)) for n in config.n_grid)
     assert small and small == large
+
+
+@pytest.mark.parametrize("config", [finite_gap_config(), iso_config(cells=16), iso_config(cells=5)],
+                         ids=["FiniteGap", "Isomorphy-16-cells", "Isomorphy-5-cells"])
+def test_loss_tables_cost_1_exactly_where_the_sign_differs_from_the_label(config):
+    # point i < cells is cell i with label +1, point cells + i is cell i with label -1; FiniteGap has one cell
+    # and the constant predictors +1 and -1, Isomorphy the sign patterns drawn from its model stream
+    if config.scenario == "FiniteGap":
+        patterns = np.array([[1.0], [-1.0]])
+    else:
+        rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/model", 0, 0))
+        patterns = rng.choice([-1.0, 1.0], size=(config.d, config.cells))
+    functions, cells = patterns.shape
+    expected = np.empty((functions, 2 * cells))
+    for j in range(functions):
+        for cell in range(cells):
+            for point, label in ((cell, 1.0), (cells + cell, -1.0)):
+                expected[j, point] = 1.0 if np.sign(patterns[j, cell]) != label else 0.0
+    losses = harness._REGISTRY[config.scenario].context(config, config.n_grid[0])["losses"]
+    assert losses.dtype == float and np.array_equal(losses, expected)
 
 
 def test_readme_config_table_lists_the_schema_fields_in_order():

@@ -14,87 +14,16 @@ The package has three layers:
   replication generators in ``seeding``), with a CLI front end (``cli``).
 """
 
-from .complexity import (
-    LocalizedSupInput,
-    expected_localized_sup,
-    fixed_point_lambda,
-    localized_star_hull_sup,
-)
-from .concentration import (
-    bernstein_from_psi1,
-    bernstein_verify,
-    envelope_psi1,
-    psi_alpha_norm,
-)
-from .errors import BracketError, InvalidInputError, IterationLimitError
-from .harness import (
-    BetaStarSpec,
-    NoiseSpec,
-    RateFit,
-    ScenarioConfig,
-    ScenarioResult,
-    config_from_mapping,
-    derive_seed,
-    rate_fit,
-    run_scenario,
-    write_rows_csv,
-    write_summary_csv,
-)
-from .model import (
-    RiskEstimate,
-    Sample,
-    erm_finite,
-    histogram_risks,
-    risk_estimate,
-)
-from .solvers import (
-    RermSolution,
-    erm_residual,
-    l1_penalty_level,
-    project_l1_ball,
-    rerm_residual,
-    solve_lasso,
-    solve_lq_rerm,
-    solve_square_lasso,
-)
+from . import complexity, concentration, errors, harness, model, solvers
+from .complexity import *
+from .concentration import *
+from .errors import *
+from .harness import *
+from .model import *
+from .solvers import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BetaStarSpec",
-    "BracketError",
-    "InvalidInputError",
-    "IterationLimitError",
-    "LocalizedSupInput",
-    "NoiseSpec",
-    "RateFit",
-    "RermSolution",
-    "RiskEstimate",
-    "Sample",
-    "ScenarioConfig",
-    "ScenarioResult",
-    "bernstein_from_psi1",
-    "bernstein_verify",
-    "config_from_mapping",
-    "derive_seed",
-    "envelope_psi1",
-    "erm_finite",
-    "erm_residual",
-    "expected_localized_sup",
-    "fixed_point_lambda",
-    "histogram_risks",
-    "l1_penalty_level",
-    "localized_star_hull_sup",
-    "project_l1_ball",
-    "psi_alpha_norm",
-    "rate_fit",
-    "rerm_residual",
-    "risk_estimate",
-    "run_scenario",
-    "solve_lasso",
-    "solve_lq_rerm",
-    "solve_square_lasso",
-    "write_rows_csv",
-    "write_summary_csv",
+__all__ = ["__version__"] + [
+    name for module in (complexity, concentration, errors, harness, model, solvers) for name in module.__all__
 ]

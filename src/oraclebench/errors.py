@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InvalidInputError", "BracketError", "IterationLimitError"]
+
 
 class InvalidInputError(ValueError):
     """An argument violates a documented precondition."""

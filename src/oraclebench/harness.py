@@ -94,13 +94,10 @@ __all__ = [
     "ScenarioConfig",
     "config_from_mapping",
     "RateFit",
-    "SummaryRow",
     "ScenarioResult",
     "derive_seed",
     "rate_fit",
     "run_scenario",
-    "rows_csv_text",
-    "summary_csv_text",
     "write_rows_csv",
     "write_summary_csv",
 ]

@@ -85,10 +85,10 @@ def histogram_risks(losses, counts):
     the i-th point occurs, or a (points, samples) matrix with one histogram
     per column. The risks are ``losses @ counts / counts.sum(axis=0)``, of
     shape (functions,) or (functions, samples). Counts must be nonnegative
-    integers and every histogram must have a positive total; the risks must
-    come out finite and nonnegative. For integer-valued losses, such as the
-    0-1 loss, every dot product is an exact integer below 2**53 in any
-    summation order, so the risks equal the mean of the expanded
+    integers and every histogram must have a positive total; every loss must
+    be nonnegative and the risks must come out finite. For integer-valued
+    losses, such as the 0-1 loss, every dot product is an exact integer below
+    2**53 in any summation order, so the risks equal the mean of the expanded
     (functions, n) loss matrix bit for bit, and each column of a matrix call
     equals the call on that column alone.
     """
@@ -100,6 +100,9 @@ def histogram_risks(losses, counts):
             "losses must be (functions, points) and counts (points,) or (points, samples) with at least "
             f"one sample, got shapes {losses.shape} and {counts.shape}"
         )
+    # NaN fails the comparison
+    if not (losses >= 0).all():
+        raise InvalidInputError("losses must be nonnegative")
     integral = counts.dtype.kind in "iu" or (
         counts.dtype.kind == "f" and np.isfinite(counts).all() and (counts == np.floor(counts)).all()
     )
@@ -113,9 +116,8 @@ def histogram_risks(losses, counts):
     # 0 * inf and overflow give NaN or inf without a warning; the check below rejects both
     with np.errstate(invalid="ignore", over="ignore"):
         risks = losses @ counts / total
-    # NaN fails both comparisons
-    if not ((risks >= 0) & (risks < np.inf)).all():
-        raise InvalidInputError("risks must be finite and nonnegative")
+    if not np.isfinite(risks).all():
+        raise InvalidInputError("risks must be finite")
     return risks
 
 

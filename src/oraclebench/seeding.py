@@ -8,8 +8,8 @@ through numpy's ``ISeedSequence`` interface, so every generator draws exactly
 the stream of ``default_rng`` of its seed. The hash is numpy's fixed
 algorithm (``numpy/random/bit_generator.pyx``): its constants do not depend on
 the data. The tests compare it with ``SeedSequence`` and ``default_rng``, which
-guards a numpy upgrade; it is tested on numpy 2.4, and numpy 1.x is
-untested.
+guards a numpy upgrade; it is tested on numpy 2.4, and the package requires
+numpy 2.
 
 This module loads numpy.random, so it is imported only where replications
 are drawn (``harness._run_chunk``): importing the CLI does not need it.

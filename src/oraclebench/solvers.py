@@ -148,7 +148,7 @@ def _prox_l1_power(v, c, p):
         return v if zero.all() else np.where(zero[:, None], v, _prox_l1_power(v, np.where(zero, 1.0, c), p))
     cp = c[:, None] * p
     if p == 1.0:
-        return _soft_threshold(v, lambda css, k: np.broadcast_to(cp, css.shape))
+        return np.sign(v) * np.maximum(np.abs(v) - cp, 0.0)
     if p == 2.0:
         return _soft_threshold(v, lambda css, k: cp * (css / (1.0 + cp * k)))
 

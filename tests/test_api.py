@@ -3,6 +3,7 @@ import inspect
 from pathlib import Path
 
 import oraclebench
+from oraclebench import complexity, concentration, errors, harness, model, solvers
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -38,6 +39,16 @@ def _reached_names():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     return used
+
+
+def test_exports_are_the_modules_all_lists():
+    # each public name is declared once, in its module's __all__; the package adds only __version__
+    exported = oraclebench.__all__
+    assert len(exported) == len(set(exported)), f"exported twice: {sorted({n for n in exported if exported.count(n) > 1})}"
+    modules = (complexity, concentration, errors, harness, model, solvers)
+    assert exported == ["__version__"] + [name for module in modules for name in module.__all__]
+    missing = [name for name in exported if not hasattr(oraclebench, name)]
+    assert not missing, f"exported but not defined on the package: {missing}"
 
 
 def test_every_export_is_reached():

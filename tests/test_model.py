@@ -32,7 +32,7 @@ class TestEmpiricalRisk:
             histogram_risks([[1.0, np.nan]], [1, 1])
 
     def test_rejects_negative_and_empty(self):
-        # the risks, not each loss, must be nonnegative
+        # a negative loss is rejected, as is a table with no points
         with pytest.raises(InvalidInputError):
             histogram_risks([[-1.0, 0.5]], [1, 1])
         with pytest.raises(InvalidInputError):
@@ -123,9 +123,11 @@ class TestErmFinite:
         (np.zeros((2, 3)), np.zeros(3, dtype=int)),
         (np.array([[0.0, np.nan], [1.0, 1.0]]), np.ones(2)),
         (np.array([[-1.0, 0.0], [1.0, 1.0]]), np.ones(2)),
+        (np.array([[-0.1, 1.0]]), [1, 1]),
     ], ids=["counts-too-short", "counts-too-long", "counts-2d", "losses-1d", "losses-3d", "no-functions",
             "negative-float-count", "negative-int-count", "non-integer-count", "nan-count", "inf-count",
-            "all-zero-float-counts", "all-zero-int-counts", "nan-loss", "negative-loss"])
+            "all-zero-float-counts", "all-zero-int-counts", "nan-loss", "negative-loss",
+            "negative-loss-nonnegative-risk"])
     def test_bad_shapes_counts_and_losses_rejected(self, losses, counts):
         with pytest.raises(InvalidInputError):
             erm_finite(losses, counts)

@@ -13,7 +13,10 @@ ORACLEBENCH_SEED overrides the file's masterSeed; ``--set`` overrides
 (dotted keys, JSON-parsed values) take precedence over both.
 
 ``compute`` prints a single value with 12 significant digits. Exit codes:
-0 success, 2 usage or validation error, 3 runtime error.
+0 success; 2 a bad input, reported as ``configuration error:`` or ``compute
+error:`` naming the flag, variable or field at fault (or argparse's usage
+message); 3 a runtime fault, as ``runtime error:``. ``main`` alone maps an
+exception to a code: InvalidInputError exits 2, any other exception 3.
 """
 
 from __future__ import annotations
@@ -124,39 +127,27 @@ def _cmd_experiment(args):
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             mapping = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except (OSError, ValueError) as exc:  # ValueError: a file that is not UTF-8 JSON
+        raise InvalidInputError(f"--config: {exc}") from exc
     if not isinstance(mapping, dict):
-        print("configuration error: root must be an object", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInputError("--config must hold a JSON object")
     env_seed = os.environ.get("ORACLEBENCH_SEED")
     if env_seed is not None:
         try:
             mapping["masterSeed"] = int(env_seed)
         except ValueError:
-            print("configuration error: ORACLEBENCH_SEED must be an integer", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidInputError("ORACLEBENCH_SEED must be an integer") from None
     for override in args.overrides:
         if "=" not in override:
-            print(f"configuration error: --set expects KEY=VALUE, got {override!r}", file=sys.stderr)
-            return EXIT_USAGE
-        key, raw = override.split("=", 1)
-        _apply_override(mapping, key, raw)
-    try:
-        config = config_from_mapping(mapping)
-    except InvalidInputError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+            raise InvalidInputError(f"--set expects KEY=VALUE, got {override!r}")
+        _apply_override(mapping, *override.split("=", 1))
+    config = config_from_mapping(mapping)
     if args.workers < 1:
-        print("configuration error: --workers must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-
+        raise InvalidInputError("--workers must be >= 1")
     try:
         os.makedirs(args.out, exist_ok=True)
     except OSError as exc:
-        print(f"configuration error: --out must name a directory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInputError(f"--out must name a directory: {exc}") from exc
 
     started = datetime.now(timezone.utc).isoformat()
     result = run_scenario(config, workers=args.workers)
@@ -176,11 +167,14 @@ def _cmd_experiment(args):
     return EXIT_OK
 
 
-def _load(path, flag, ndmin):
-    """The numbers in a text file; a file without any is an error naming ``flag``, not numpy's warning."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        data = np.loadtxt(path, ndmin=ndmin)
+def _load(path, flag):
+    """The numbers in a text file as rows; an unreadable file, or one without any number, is an error naming ``flag``."""
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(path, ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InvalidInputError(f"{flag}: {exc}") from exc
     if data.size == 0:
         raise InvalidInputError(f"{flag} holds no data")
     return data
@@ -188,7 +182,7 @@ def _load(path, flag, ndmin):
 
 def _compute_value(args):
     if args.quantity == "psi-norm":
-        samples = _load(args.file, "--file", 2)
+        samples = _load(args.file, "--file")
         if samples.shape[1] != 1:
             raise InvalidInputError("--file must hold one number per line")
         return psi_alpha_norm(samples[:, 0], args.alpha, args.tol)
@@ -198,38 +192,30 @@ def _compute_value(args):
         return erm_residual(args.lambda_star, args.bn, args.Bn, args.epsilon, args.x, args.n, args.c0)
     if args.quantity == "rho-b":
         return rerm_residual(args.n, args.d, args.q, args.Kd, args.epsilon, args.r, args.x, args.c0)
-    if args.quantity == "fixed-point":
-        table = _load(args.table, "--table", 2)
-        if table.shape[1] != 2:
-            raise InvalidInputError("--table must have two columns")
-        if not (np.all(np.isfinite(table)) and np.all(table >= 0)):
-            raise InvalidInputError("--table must hold finite, nonnegative levels and suprema")
-        grid, values = table[:, 0], table[:, 1]
-        order = np.argsort(grid)
-        grid, values = grid[order], values[order]
-        bracket_hi = args.bracket_hi if args.bracket_hi is not None else float(grid[-1])
+    table = _load(args.table, "--table")  # fixed-point, the last quantity
+    if table.shape[1] != 2:
+        raise InvalidInputError("--table must have two columns")
+    if not (np.all(np.isfinite(table)) and np.all(table >= 0)):
+        raise InvalidInputError("--table must hold finite, nonnegative levels and suprema")
+    grid, values = table[:, 0], table[:, 1]
+    order = np.argsort(grid)
+    grid, values = grid[order], values[order]
+    bracket_hi = args.bracket_hi if args.bracket_hi is not None else float(grid[-1])
 
-        def phi(lam):
-            return float(np.interp(lam, grid, values))
+    def phi(lam):
+        return float(np.interp(lam, grid, values))
 
-        value = fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
-        if value > grid[-1]:
-            raise InvalidInputError(f"--table ends at level {grid[-1]:g}, below the fixed point; extend it")
-        return value
-    raise InvalidInputError(f"unknown quantity {args.quantity!r}")
-
-
-def _cmd_compute(args):
     try:
-        value = _compute_value(args)
-    except (InvalidInputError, BracketError, OSError, ValueError) as exc:
-        print(f"compute error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    print(f"{value:.12g}")
-    return EXIT_OK
+        value = fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
+    except BracketError as exc:
+        raise InvalidInputError(f"--table: {exc}") from exc
+    if value > grid[-1]:
+        raise InvalidInputError(f"--table ends at level {grid[-1]:g}, below the fixed point; extend it")
+    return value
 
 
 def main(argv=None):
+    """Run one subcommand and return its exit code; the only place an error becomes one."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -238,9 +224,10 @@ def main(argv=None):
     try:
         if args.command == "experiment":
             return _cmd_experiment(args)
-        return _cmd_compute(args)
+        print(f"{_compute_value(args):.12g}")
+        return EXIT_OK
     except InvalidInputError as exc:
-        print(f"validation error: {exc}", file=sys.stderr)
+        print(f"{'configuration' if args.command == 'experiment' else 'compute'} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI must not panic to the shell
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -157,14 +157,25 @@ def _generators(master_seed, tag, n, reps):
 # ---------------------------------------------------------------------------
 
 
+def _budget_overflow(n):
+    """The error of a FiniteGap or Isomorphy budget past the floats, naming the fields that scale it."""
+    return InvalidInputError(f"fields 'x' and 'constants.c0' make the budget overflow a float at n={n}; lower either")
+
+
+def _finite_gap_budget(config, n):
+    budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
+    if not math.isfinite(budget):
+        raise _budget_overflow(n)
+    return budget
+
+
 def _finite_gap_ctx(config, n):
     delta = min(config.gamma / math.sqrt(n), 1.0 - 1e-12)
     p_plus = 0.5 + delta / 2.0
     true_risks = np.array([1.0 - p_plus, p_plus])
     losses = np.array([[0.0, 1.0], [1.0, 0.0]])  # 0-1 losses of the constant predictors +1 and -1 at labels +1 and -1
-    budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
     return {"true_risks": true_risks, "losses": losses, "p_plus": p_plus, "delta": delta,
-            "oracle": float(true_risks.min()), "budget": budget}
+            "oracle": float(true_risks.min()), "budget": _finite_gap_budget(config, n)}
 
 
 def _finite_gap_rows(config, ctx, n, reps, rngs):
@@ -246,7 +257,10 @@ def _isomorphy_ctx(config, n):
     pooled = np.vstack(list(_isomorphy_blocks([calib_rng] * config.d, p_plus, n)))
     diam = max(psi_alpha_norm(losses[j, points], alpha=1.0, tol=1e-6) for j, points in enumerate(pooled))
     big_bn = bernstein_from_psi1(diam, n)
-    rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
+    try:
+        rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
+    except InvalidInputError as exc:  # its inputs are valid here, so the budget is past the floats
+        raise _budget_overflow(n) from exc
     # crude noise band on the fixed point: the defining slope is epsilon/4
     lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
     # the achieved risk is the worst margin and the oracle risk is 0, so both
@@ -309,10 +323,14 @@ def _design_of(noise):
 
 def _gaussian_abs_moment(q, var):
     """E |N(0, var)|^q = c_q var^(q/2), c_q = 2^(q/2) Gamma((q + 1)/2) / sqrt(pi); var itself at q = 2, where the
-    gamma function would round c_2 to 1.0000000000000002. A c_q past the floats raises OverflowError."""
+    gamma function would round c_2 to 1.0000000000000002. A c_q past the floats (from about q = 340) raises
+    OverflowError, unless var^(q/2) is 0 everywhere, which is then the moment."""
     if q == 2:
         return var
-    return 2.0 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi) * var ** (q / 2)
+    power = var ** (q / 2)
+    if not np.any(power):
+        return power
+    return 2.0 ** (q / 2) * math.gamma((q + 1) / 2) / math.sqrt(math.pi) * power
 
 
 def _exact_risk(config, delta):
@@ -611,6 +629,8 @@ class ScenarioConfig:
         if self.scenario == "Isomorphy" and not self.x > math.log(4.0):
             # the target frequency 1 - 4 exp(-x) must be positive, or no run can miss it
             raise InvalidInputError(f"field 'x' must be > log 4 for Isomorphy, got {self.x!r}")
+        if self.scenario == "FiniteGap":
+            _finite_gap_budget(self, self.n_grid[0])  # the largest budget, at the smallest n, fails before any output
         if self.scenario == "SquareLasso" and self.q != 2:
             raise InvalidInputError(f"field 'q' must be 2 for SquareLasso, got {self.q!r}")
         if self.scenario in ("SquareLasso", "LqRerm"):

@@ -43,7 +43,8 @@ certifies penalties below the rounding level of the gradient.
 
 The closed-form builders at the bottom evaluate penalty levels and the
 residual terms that appear in nonexact oracle inequalities for ERM and RERM,
-each as a float; a power of q that overflows a float is an InvalidInputError.
+each as a float; a value past the floats is an InvalidInputError naming the
+inputs to lower.
 """
 
 from __future__ import annotations
@@ -387,6 +388,15 @@ def _finite(builder):
     return checked
 
 
+def _log_power(n, q):
+    """(log n)^((4q - 2)/q), the factor of log n in both l1 builders. An exponent past the floats (4q overflows
+    from q of about 4.5e307) raises OverflowError, where the power would round to 0 or inf."""
+    exponent = (4.0 * q - 2.0) / q
+    if not math.isfinite(exponent):
+        raise OverflowError("(4q - 2)/q overflows a float")
+    return math.log(n) ** exponent
+
+
 @_finite
 def l1_penalty_level(n, d, x, q, kd, c0=1.0):
     """Theory-driven penalty level for the ||beta||_1^q regularizer.
@@ -404,7 +414,7 @@ def l1_penalty_level(n, d, x, q, kd, c0=1.0):
         raise InvalidInputError("kd must be positive")
     if not 0 <= c0 < math.inf:
         raise InvalidInputError("c0 must be finite and nonnegative")
-    return c0 * kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2 * (x + math.log(n))
+    return c0 * kd**q * _log_power(n, q) * math.log(d) ** 2 * (x + math.log(n))
 
 
 def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
@@ -412,7 +422,8 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
 
     Returns max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon))
     as a float, with ``bn`` the psi_1 envelope bound and ``big_bn`` the
-    second-moment control constant.
+    second-moment control constant. A value past the floats is an
+    InvalidInputError.
     """
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
@@ -423,7 +434,10 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
         raise InvalidInputError("n must be >= 1")
     if not 0 <= c0 < math.inf:
         raise InvalidInputError("c0 must be finite and nonnegative")
-    return float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
+    value = float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
+    if not math.isfinite(value):
+        raise InvalidInputError("erm_residual overflows a float; lower lambda_star, bn, big_bn, x or c0")
+    return value
 
 
 @_finite
@@ -454,7 +468,7 @@ def rerm_residual(n, d, q, kd, epsilon, r, x, c0=1.0):
         raise InvalidInputError("r must be nonnegative")
     if not x > 0:
         raise InvalidInputError("x must be positive")
-    h = kd**q * math.log(n) ** ((4.0 * q - 2.0) / q) * math.log(d) ** 2
+    h = kd**q * _log_power(n, q) * math.log(d) ** 2
     lambda_star = (1.0 + r) ** q * h / (n * epsilon**2)
     phi_n = kd**q * math.log(n) * (1.0 + r) ** q
     bn = (2.0 * kd) ** q * (1.0 + r) ** q * math.log(math.e * n)

@@ -155,6 +155,33 @@ class TestExperiment:
         assert blocker.read_text() == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "config.json"]
 
+    @pytest.mark.parametrize(
+        "spoil, env_seed, extra, named",
+        [
+            (lambda path: path.write_text("[1, 2]"), None, [], "--config must hold a JSON object"),
+            (lambda path: path.write_text("{not json"), None, [], "--config: "),
+            (lambda path: path.write_bytes(b"\xff{}"), None, [], "--config: "),
+            (lambda path: path.unlink(), None, [], "--config: "),
+            (None, "abc", [], "ORACLEBENCH_SEED"),
+            (None, None, ["--set", "foo"], "--set"),
+            (None, None, ["--workers", 0], "--workers"),
+        ],
+        ids=["config-list", "config-not-json", "config-not-utf8", "config-missing", "env-seed-not-integer",
+             "set-without-equals", "workers-0"],
+    )
+    def test_usage_error_exits_2_naming_flag(self, spoil, env_seed, extra, named, finite_gap_config, tmp_path,
+                                             monkeypatch, capsys):
+        if spoil is not None:
+            spoil(finite_gap_config)
+        if env_seed is None:
+            monkeypatch.delenv("ORACLEBENCH_SEED", raising=False)
+        else:
+            monkeypatch.setenv("ORACLEBENCH_SEED", env_seed)
+        out = tmp_path / "o"
+        assert run_cli(["experiment", "--config", finite_gap_config, "--out", out, *extra]) == 2
+        assert capsys.readouterr().err.startswith(f"configuration error: {named}")
+        assert not out.exists()
+
     def test_bad_cli_usage_exits_2(self):
         assert run_cli(["experiment"]) == 2
         assert run_cli([]) == 2
@@ -261,11 +288,13 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=SquareLasso", "d=1", "betaStar.support=1"], "'d'"),
         (["scenario=LqRerm", "q=4", 'noise={"kind": "Bounded", "range": 0.5}', "d=1", "betaStar.support=1"], "'d'"),
         (["scenario=Isomorphy", "x=1"], "'x'"),
+        # c0 (x + log 2) / (epsilon n) past the floats
+        (["x=1e308", "constants.c0=10"], "'x'"),
     ],
     ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q3-Bounded", "LqRerm-q400-Gaussian-overflow",
          "SquareLasso-Gaussian-sd-overflow", "SquareLasso-Exponential-rate-underflow", "SquareLasso-support-above-d",
          "SquareLasso-Kd-negative", "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1",
-         "LqRerm-q4-d1", "Isomorphy-x1"],
+         "LqRerm-q4-d1", "Isomorphy-x1", "FiniteGap-budget-overflow"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
     args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]
@@ -286,6 +315,16 @@ def test_overflowing_budget_exits_2_before_any_output(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "overflows a float; lower q or Kd" in err and "runtime error" not in err
         assert not (tmp_path / "o").exists()
+
+
+def test_isomorphy_budget_past_the_floats_exits_2_naming_x(tmp_path, capsys):
+    # the budget needs the estimated fixed point, so it is checked as the run starts, before any CSV is written
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(dict(SMALL_CONFIGS["Isomorphy"], x=1e308)))
+    out = tmp_path / "o"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: fields 'x' and 'constants.c0'")
+    assert not (out / "rows.csv").exists()
 
 
 def test_regression_budget_is_compute_rho_b(tmp_path, capsys):
@@ -491,6 +530,38 @@ class TestCompute:
         args = ["compute", quantity, "--n", "100", "--d", "10", "--x", "1", "--Kd", "2", "--q", "2000", *extra]
         assert run_cli(args) == 2
         assert "overflows a float; lower q or Kd" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, lower",
+        [
+            (["rho-a", "--lambda-star", "0", "--bn", "1e308", "--Bn", "1e308", "--epsilon", "0.25", "--x", "1e308",
+              "--n", "1"], "lambda_star, bn, big_bn, x or c0"),
+            (["penalty", "--n", "2", "--d", "2", "--x", "1", "--Kd", "1", "--q", "1e308"], "q or Kd"),
+            (["rho-b", "--n", "2", "--d", "2", "--q", "1e308", "--Kd", "0.5", "--epsilon", "0.25", "--r", "0",
+              "--x", "1"], "q or Kd"),
+        ],
+        ids=["rho-a", "penalty-q1e308", "rho-b-q1e308"],
+    )
+    def test_value_past_the_floats_exits_2(self, args, lower, capsys):
+        # rho-a once printed inf; at q = 1e308 the exponent (4q - 2)/q is inf, and log(2)^inf rounded to 0
+        assert run_cli(["compute", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"overflows a float; lower {lower}" in captured.err
+
+    @pytest.mark.parametrize(
+        "args, flag, text",
+        [(["psi-norm"], "--file", None), (["fixed-point", "--epsilon", "0.25"], "--table", "level sup\n0 0\n")],
+        ids=["missing-file", "non-numeric-table"],
+    )
+    def test_unreadable_file_exits_2_naming_flag(self, args, flag, text, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        if text is not None:
+            path.write_text(text)
+        assert run_cli(["compute", *args, flag, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"compute error: {flag}: ")
 
     @pytest.mark.parametrize("text", ["1 2\n3 4\n", "1 2 3\n"], ids=["table", "one-line"])
     def test_psi_norm_file_of_several_columns_exits_2_naming_file(self, text, tmp_path, capsys):

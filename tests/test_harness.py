@@ -906,6 +906,8 @@ class TestConfigParsing:
             NoiseSpec("Gaussian", -1.0)
         assert NoiseSpec.gaussian(2.0).abs_moment(2) == 4.0
         assert NoiseSpec.bounded(1.0).abs_moment(4) == pytest.approx(0.2)
+        # c_q is past the floats at q = 400, but the moment at sd = 0 is 0
+        assert NoiseSpec.gaussian(0.0).abs_moment(400) == 0.0
 
     @pytest.mark.parametrize(
         "noise, q, name",

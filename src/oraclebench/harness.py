@@ -289,7 +289,8 @@ def _rerm_ctx(config, n):
     lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
     penalty_coef = lam / (n * config.epsilon**2) if config.epsilon**2 > 0 else math.inf
     if not math.isfinite(penalty_coef):
-        raise InvalidInputError(f"field 'constants.c0' makes the penalty coefficient overflow a float at n={n}")
+        raise InvalidInputError(f"fields 'constants.c0' and 'epsilon' make the penalty coefficient overflow a float "
+                                f"at n={n}; lower c0 or raise epsilon")
     budget = rerm_residual(n, config.d, q, kd, config.epsilon, config.beta_star.l1_norm(), config.x,
                            c0=config.constant("c1"))
     try:

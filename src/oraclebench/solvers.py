@@ -11,10 +11,13 @@ c * ||beta||_1^p, for p = 1 or q, is soft-thresholding at a threshold found
 from the sorted magnitudes, by the same helper that projects onto l1 balls;
 above p = 2 the number of active coordinates is found in closed form and
 the threshold by a scalar Newton solve at that count only. At q = 2 the step
-is the fixed 1/L, with L exact from the Gram matrix; for q > 2 it is found
-by backtracking. The momentum restarts from the current iterate whenever the
-new step points against it, (z - cand).(cand - beta) > 0 for the
-extrapolated point z (the gradient restart of O'Donoghue & Candes 2015).
+is the fixed 1/L, with L exact from the Gram matrix, and the loop starts at
+zero. For q > 2 it starts at the minimum-norm least-squares fit
+pinv(X'X/n) X'y/n, and the step is found by backtracking: after a move it
+grows by 1.25 only where the accepted candidate would also have passed the
+test at the grown step. The momentum restarts from the current iterate
+whenever the new step points against it, (z - cand).(cand - beta) > 0 for
+the extrapolated point z (the gradient restart of O'Donoghue & Candes 2015).
 Neither test compares objective values, so rounding near the minimum does
 not trigger them; the objective may rise between iterates. The loop reads
 gradients only: the risk itself is evaluated for the gap's radius, for the
@@ -270,6 +273,11 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     l1_ball = pen > 0 and power != 1.0
     beta = np.zeros((len(obj.gram), obj.d))
     radius = (obj.risk_exact(beta) / pen) ** (1.0 / power) if l1_ball else obj.row_space_radius()
+    if q != 2.0:
+        # above q = 2 each row starts at its minimum-norm least-squares fit pinv(X'X/n) X'y/n, which lies in
+        # the design's row space; Gram eigenvalues below numpy's rank tolerance count as zero
+        cutoff = max(obj.n, obj.d) * np.finfo(float).eps
+        beta = _matvec(np.linalg.pinv(obj.gram, rcond=cutoff, hermitian=True), obj.xty)
 
     def duality_gap(beta, grad):
         l1, slope = np.abs(beta).sum(axis=-1), _dot(grad, beta)
@@ -298,12 +306,12 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         whole = ... if obj.stacked else 0
         return RermSolution(beta[whole], objective[whole], float(np.maximum(gap, 0.0).max()))
 
-    def accepts():
+    def accepts(growth=1.0):
         # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
         # from above, so this test implies sufficient decrease; unlike a difference of
         # objective values it does not cancel to rounding near the minimum
         delta = cand - z
-        return (step < 1e-280) | (_dot(cand_grad - z_grad, delta) <= _dot(delta, delta) / (2.0 * step))
+        return (step < 1e-280) | (_dot(cand_grad - z_grad, delta) <= _dot(delta, delta) / (2.0 * growth * step))
 
     for _ in range(max_iter):
         running = ~(gap <= tol)  # a NaN gap never certifies
@@ -322,14 +330,15 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         # momentum z is beta and the test cannot fire; unlike a rise of the objective it does
         # not fire on rounding noise near the minimum. A finished row does not move either
         moves = running & ~(_dot(z - cand, cand - beta) > 0.0)
+        if q != 2.0:
+            # a moving row grows its step only where its accepted pair would also pass the test at 1.25 * step
+            step = np.where(moves & accepts(1.25), step * 1.25, step)
         next_momentum = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum**2))
         z = np.where(moves[:, None], cand + ((momentum - 1.0) / next_momentum)[:, None] * (cand - beta), beta)
         beta, grad = np.where(moves[:, None], cand, beta), np.where(moves[:, None], cand_grad, grad)
         momentum = np.where(moves, next_momentum, 1.0)
         # a row that does not move keeps its iterate, so its gap and the gradient at z = beta come out as before
         gap, z_grad = duality_gap(beta, grad), obj.grad(z)
-        if q != 2.0:
-            step = np.where(moves, step * 1.25, step)
     row = int(np.flatnonzero(running)[0])
     raise IterationLimitError(f"iteration budget exhausted in row {row}", best=solution(), row=row)
 
@@ -337,11 +346,14 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
 def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
     """Minimize the L_q empirical risk plus ``penalty_coef * ||beta||_1^q``.
 
-    FISTA from zero, with the prox of the l1-power penalty, a fixed step at
-    q = 2 and backtracking for q > 2, restarting the momentum whenever the
-    new step points against it. It stops once the Frank-Wolfe gap of the
-    current iterate is at most ``tol``; that gap is the returned
-    ``optimality_gap`` and bounds the objective's excess over the minimum.
+    FISTA with the prox of the l1-power penalty, restarting the momentum
+    whenever the new step points against it. At q = 2 it starts from zero
+    with a fixed step. For q > 2 it starts from the minimum-norm
+    least-squares fit and backtracks; after a move the step grows by 1.25
+    only where the accepted candidate would also pass at the grown step.
+    It stops once the Frank-Wolfe gap of the current iterate is at most
+    ``tol``; that gap is the returned ``optimality_gap`` and bounds the
+    objective's excess over the minimum.
     At penalty 0 on a rank-deficient design the iterates stay in the
     design's row space, so the reported minimizer is the one of least l2
     norm. Running ``max_iter`` proximal iterations without reaching ``tol``
@@ -373,19 +385,23 @@ def solve_lasso(sample, lambda1, tol=1e-8, max_iter=200_000):
     return _proximal_descent(sample, 2.0, "lambda1", lambda1, 1.0, tol, max_iter)
 
 
-def _finite(builder):
-    """``builder``, with a float overflow in its powers of q raised as an invalid q or Kd, not a runtime fault."""
-    @functools.wraps(builder)
-    def checked(*args, **kwargs):
-        try:
-            value = builder(*args, **kwargs)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            return value
-        raise InvalidInputError(f"{builder.__name__} overflows a float; lower q or Kd")
+def _finite(remedy):
+    """A decorator: a value of the builder past the floats, an OverflowError in its powers or a division by a
+    square that underflowed to 0 is an InvalidInputError that gives ``remedy``, not a runtime fault."""
+    def wrap(builder):
+        @functools.wraps(builder)
+        def checked(*args, **kwargs):
+            try:
+                value = builder(*args, **kwargs)
+            except (OverflowError, ZeroDivisionError):
+                value = math.inf
+            if math.isfinite(value):
+                return value
+            raise InvalidInputError(f"{builder.__name__} overflows a float; {remedy}")
 
-    return checked
+        return checked
+
+    return wrap
 
 
 def _log_power(n, q):
@@ -397,7 +413,7 @@ def _log_power(n, q):
     return math.log(n) ** exponent
 
 
-@_finite
+@_finite("lower q or Kd, x or c0")
 def l1_penalty_level(n, d, x, q, kd, c0=1.0):
     """Theory-driven penalty level for the ||beta||_1^q regularizer.
 
@@ -417,6 +433,7 @@ def l1_penalty_level(n, d, x, q, kd, c0=1.0):
     return c0 * kd**q * _log_power(n, q) * math.log(d) ** 2 * (x + math.log(n))
 
 
+@_finite("lower lambda_star, bn, big_bn, x or c0, or raise epsilon")
 def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
     """Residual budget for the nonexact ERM oracle inequality.
 
@@ -434,13 +451,10 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
         raise InvalidInputError("n must be >= 1")
     if not 0 <= c0 < math.inf:
         raise InvalidInputError("c0 must be finite and nonnegative")
-    value = float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
-    if not math.isfinite(value):
-        raise InvalidInputError("erm_residual overflows a float; lower lambda_star, bn, big_bn, x or c0")
-    return value
+    return float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
 
 
-@_finite
+@_finite("lower q or Kd, r, x or c0, or raise epsilon")
 def rerm_residual(n, d, q, kd, epsilon, r, x, c0=1.0):
     """Radius-indexed residual for the regularized oracle inequality over l1 balls.
 
@@ -472,4 +486,5 @@ def rerm_residual(n, d, q, kd, epsilon, r, x, c0=1.0):
     lambda_star = (1.0 + r) ** q * h / (n * epsilon**2)
     phi_n = kd**q * math.log(n) * (1.0 + r) ** q
     bn = (2.0 * kd) ** q * (1.0 + r) ** q * math.log(math.e * n)
-    return erm_residual(lambda_star, phi_n, bn, epsilon, x + 1.0, n, c0=c0)
+    # the unchecked builder, so that a value past the floats is reported by this function's own inputs
+    return erm_residual.__wrapped__(lambda_star, phi_n, bn, epsilon, x + 1.0, n, c0=c0)

@@ -43,3 +43,20 @@ def test_workload_meets_its_gate_at_seed_777(name, tmp_path):
     write_summary_csv(result, summary)
     failed = [label for label, ok in workload.gate(RUN._summary_stats(summary)) if not ok]
     assert not failed, f"{name}: {failed}"
+
+
+def test_lq_rerm_q4_solves_in_few_gradients(monkeypatch):
+    # each q = 4 solve starts at its least-squares fit and grows its step only where the grown step would pass the
+    # backtracking test: 5183 row-gradients on this config, where starting from zero and growing on every move took 8753
+    from oraclebench import solvers
+
+    rows = []
+    grad = solvers._LqObjective.grad
+
+    def counting(obj, beta):
+        rows.append(len(beta))
+        return grad(obj, beta)
+
+    monkeypatch.setattr(solvers._LqObjective, "grad", counting)
+    run_scenario(config_from_mapping(dict(RUN.WORKLOADS["lq_rerm_q4"].config, masterSeed=777)))
+    assert sum(rows) <= 6000

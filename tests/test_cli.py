@@ -434,6 +434,18 @@ def test_overflowing_penalty_coefficient_exits_2_naming_c0(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("epsilon", [1e-200, 1e-160], ids=["square-underflows", "square-subnormal"])
+def test_tiny_epsilon_penalty_coefficient_exits_2_naming_epsilon(epsilon, tmp_path, capsys):
+    # at the default c0 the coefficient leaves the floats because epsilon^2 rounds to 0 or to a subnormal
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "LqRerm", "q": 4, "noise": {"kind": "Bounded", "range": 0.5},
+                                "nGrid": [64, 128], "d": 3, "replications": 2, "epsilon": epsilon}))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert "'epsilon'" in err and "raise epsilon" in err and "runtime error" not in err
+    assert not (tmp_path / "o").exists()
+
+
 class TestCompute:
     def test_penalty_unit_inputs_prints_1(self, capsys):
         e = repr(math.e)
@@ -548,6 +560,19 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"overflows a float; lower {lower}" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--x", "1e308"), ("--r", "1e308"), ("--c0", "1e308"), ("--epsilon", "1e-200")]
+    )
+    def test_rho_b_past_the_floats_names_its_own_inputs(self, flag, value, capsys):
+        # the residual is erm_residual's at derived inputs, which rho-b does not take; at epsilon = 1e-200 its square
+        # underflows to 0 and the level divides by it
+        args = {"--n": "2", "--d": "2", "--q": "2", "--Kd": "1", "--epsilon": "0.25", "--r": "0", "--x": "1"}
+        args[flag] = value
+        assert run_cli(["compute", "rho-b", *(item for pair in args.items() for item in pair)]) == 2
+        err = capsys.readouterr().err
+        assert "rerm_residual overflows a float; lower q or Kd, r, x or c0, or raise epsilon" in err
+        assert "lambda_star" not in err and "runtime error" not in err
 
     @pytest.mark.parametrize(
         "args, flag, text",

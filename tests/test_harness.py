@@ -268,8 +268,8 @@ class TestFiniteGap:
              "d92250d37fa457903bad5b77c4cfdbbdf26d40a5e4c9adf0b58795c1b7936468",
              "4c97484023cfe5f2a6e6eb3bd3073ab4b559eefbac31702b09ece2523780ed5e"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
-             "a73571c79bf1f4fd9461c52a5f6ee0ea27fb15cc1ea1550beb16cc82c0c3ab9f",
-             "959deddf483f5613e20b8d1b4c367d8b0536039c0865696c586358be684ef5af"),
+             "615e8bee094b92138ac0ed7750c1b095c45a6781803f84d5e02b17fda15a9100",
+             "72e1d99977c861825a2991c8d7cbf4e1b2e1491b3dbd7395dab95c53abb34caa"),
         ]
         for config, rows_sha, summary_sha in golden:
             result = run_scenario(config)

@@ -277,19 +277,41 @@ class TestSolveLqRerm:
         rng = np.random.default_rng(22)
         s = random_instance(rng, n=30, d=5)
         f_ref = _solve(s, q, pen, tol=1e-12).objective
-        excesses = []
+        excesses, gaps = [], []
         for max_iter in (1, 2, 4, 8, 16, 32):
             try:
                 sol = _solve(s, q, pen, tol=1e-12, max_iter=max_iter)
             except IterationLimitError as exc:
                 sol = exc.best
             excesses.append(sol.objective - f_ref)
+            gaps.append(sol.optimality_gap)
             assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
-        assert excesses[0] > 1e-2
+        # the first iterate must be uncertified, or the bound is not exercised. Above q = 2 it is the least-squares
+        # start, which already sits near the minimum (an excess of 2e-4 at q = 4, pen = 0), so there the premise
+        # asks only for an excess and a gap well above rounding
+        if q > 2.0:
+            assert excesses[0] > 1e-6 and gaps[0] > 1e-6
+        else:
+            assert excesses[0] > 1e-2
         for tol in (1e-2, 1e-4, 1e-6):
             sol = _solve(s, q, pen, tol=tol)
             assert sol.optimality_gap <= tol
             assert sol.objective - f_ref <= sol.optimality_gap + 1e-12
+
+    @pytest.mark.parametrize("q", [3.0, 4.0])
+    @pytest.mark.parametrize("n, d", [(40, 6), (12, 30)], ids=["n>d", "n<d"])
+    def test_noise_free_fit_certifies_at_the_start(self, q, n, d):
+        # above q = 2 the solve starts at the minimum-norm least-squares fit, which for y = X b is a minimizer of
+        # every unpenalized risk, so a single iteration certifies it; at n < d it is the interpolant of least l2
+        # norm and lies in the design's row space
+        rng = np.random.default_rng(28)
+        design = rng.standard_normal((n, d))
+        s = Sample(design=design, response=design @ rng.uniform(-1, 1, d))
+        sol = solve_lq_rerm(s, q, 0.0, tol=1e-8, max_iter=1)
+        assert sol.optimality_gap <= 1e-8
+        assert np.allclose(sol.beta, np.linalg.pinv(design) @ s.response, rtol=0, atol=1e-10)
+        _, _, vt = np.linalg.svd(design)
+        assert np.abs(vt[min(n, d):] @ sol.beta).max(initial=0.0) <= 1e-12
 
     @pytest.mark.parametrize("q", [2.0, 4.0])
     def test_rank_deficient_design_converges(self, q):

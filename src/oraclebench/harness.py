@@ -29,13 +29,13 @@ Four scenarios are provided:
   Bounded noise, and at q = 2 with Exponential noise.
 
 One registry, ``_REGISTRY``, holds per scenario its per-n context builder
-``context(config, n)``, rows function, seed tag, target frequency (a
-scenario without one fits rates) and per-n extras. Each context holds that
-n's oracle risk and residual budget; Isomorphy's draws its dictionary from
-the fixed ``isomorphy/model`` stream, so every n gets the same one. A rows
-function scores one chunk of replications at one n: it gets their indices
-and their generators, made one at a time, and returns their achieved risks
-in replication order. ``run_scenario`` is the one entry
+``context(config, n)``, rows function, config check ``check(config)``, seed
+tag, target frequency (a scenario without one fits rates) and per-n extras.
+Each context holds that n's oracle risk and residual budget; Isomorphy's
+draws its dictionary from the fixed ``isomorphy/model`` stream, so every n
+gets the same one. A rows function scores one chunk of replications at one
+n: it gets their indices and their generators, made one at a time, and
+returns their achieved risks in replication order. ``run_scenario`` is the one entry
 point and holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso,
 so both give identical output for identical configurations. It also holds
 the one slack definition: exact slack = achieved - oracle, nonexact slack =
@@ -53,8 +53,11 @@ FiniteGap gathers the two counts of every replication of a chunk and picks
 all of its minimizers with one ``erm_finite`` call on the (2, replications)
 count matrix. The 0-1 losses are integers, so the risks are bit-identical to
 the mean of the full (functions, n) loss matrix. One field table, ``_FIELDS``,
-is the config schema: ``ScenarioConfig`` casts and checks every field
-through it, whether built in Python or by ``config_from_mapping``.
+is the config schema: each row casts and checks a field, whether built in
+Python or by ``config_from_mapping``, and names the scenarios that read it. A
+key or a constant its scenario does not read is rejected (``_check_read``).
+One law table, ``_LAWS``, holds each noise kind's parameter key, draw and
+moments; a design coordinate is the unit law of a kind (``_design_of``).
 
 Every stream of a run is ``np.random.default_rng(derive_seed(masterSeed,
 tag, n, i))``, so results do not depend on scheduling or worker count, and
@@ -157,9 +160,16 @@ def _generators(master_seed, tag, n, reps):
 # ---------------------------------------------------------------------------
 
 
+def _require(holds, key, requirement, value):
+    """Unless ``holds``, reject field ``key``: it must ``requirement``, got ``value``."""
+    if not holds:
+        raise InvalidInputError(f"field {key!r} must {requirement}, got {value!r}")
+
+
 def _budget_overflow(n):
     """The error of a FiniteGap or Isomorphy budget past the floats, naming the fields that scale it."""
-    return InvalidInputError(f"fields 'x' and 'constants.c0' make the budget overflow a float at n={n}; lower either")
+    return InvalidInputError(f"fields 'x', 'constants.c0' and 'epsilon' make the budget overflow a float at n={n}; "
+                             f"lower x or c0, or raise epsilon")
 
 
 def _finite_gap_budget(config, n):
@@ -308,18 +318,9 @@ def _rerm_ctx(config, n):
     }
 
 
-# design laws of independent mean-zero coordinates: draw(rng, size, d) -> (size, d) matrix,
-# m2 = E x_j^2 and m4 = E x_j^4
-_Design = namedtuple("_Design", "draw m2 m4")
-_DESIGNS = {
-    "Gaussian": _Design(lambda rng, size, d: rng.standard_normal((size, d)), 1.0, 3.0),
-    "Uniform": _Design(lambda rng, size, d: rng.uniform(-1.0, 1.0, size=(size, d)), 1.0 / 3.0, 1.0 / 5.0),
-}
-
-
 def _design_of(noise):
-    """The design a run draws: uniform[-1, 1] with Bounded noise, standard Gaussian otherwise."""
-    return _DESIGNS["Uniform" if noise.kind == NoiseSpec.BOUNDED else "Gaussian"]
+    """Each design coordinate's law, the unit law of a kind: U[-1, 1] with Bounded noise, N(0, 1) otherwise."""
+    return NoiseSpec("Bounded" if noise.kind == "Bounded" else "Gaussian", 1.0)
 
 
 def _gaussian_abs_moment(q, var):
@@ -342,17 +343,18 @@ def _exact_risk(config, delta):
     S + E xi^2 with S = m2 ||delta||^2, and the q = 4 risk E (x.delta)^4 + 6 S E xi^2 + E xi^4 loses the terms odd
     in x.delta or in xi, with E (x.delta)^4 = 3 S^2 + (m4 - 3 m2^2) sum_j delta_j^4. Other pairs raise, naming a field.
     """
-    q, noise, law = config.q, config.noise, _design_of(config.noise)
+    q, noise, design = config.q, config.noise, _design_of(config.noise)
+    m2 = design._moment(2)
     with np.errstate(over="ignore", invalid="ignore"):
-        square = law.m2 * (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
-        if noise.kind == NoiseSpec.GAUSSIAN:
+        square = m2 * (delta[:, None, :] @ delta[:, :, None])[:, 0, 0]
+        if noise.kind == "Gaussian":
             return _gaussian_abs_moment(q, square + noise.param**2)
         if q == 2:
             return square + noise._moment(2)
-        if q == 4 and noise.kind == NoiseSpec.BOUNDED:
-            return (3.0 * square * square + (law.m4 - 3.0 * law.m2**2) * np.sum(delta**4, axis=-1)
+        if q == 4 and noise.kind == "Bounded":
+            return (3.0 * square * square + (design._moment(4) - 3.0 * m2**2) * np.sum(delta**4, axis=-1)
                     + 6.0 * square * noise._moment(2) + noise._moment(4))
-    if noise.kind == NoiseSpec.EXPONENTIAL:
+    if noise.kind == "Exponential":
         raise InvalidInputError(f"field 'noise' must be Gaussian or Bounded at q > 2, got {noise.kind}")
     raise InvalidInputError(f"field 'q' must be 2 or 4 with Bounded noise, got {q!r}")
 
@@ -386,14 +388,14 @@ def _rerm_rows(config, ctx, n, reps, rngs):
 
     Each draws from its own generator and solves exactly as alone, so the risks do not depend on the split.
     """
-    beta_star, noise, law = ctx["beta_star"], config.noise, _design_of(config.noise)
+    beta_star, noise, design_law = ctx["beta_star"], config.noise, _design_of(config.noise)
 
     def sample_of(rng):
         # a Gaussian design with Gaussian noise is rotation invariant, so its QR factor's exact law (Bartlett) is
         # drawn at O(d^2) cost instead of O(n d); uniform designs (Bounded noise) and Exponential noise draw n rows
-        if config.q == 2 and noise.kind == NoiseSpec.GAUSSIAN:
+        if config.q == 2 and noise.kind == "Gaussian":
             return _gaussian_factor_moments(rng, n, beta_star, noise)
-        design = law.draw(rng, n, config.d)
+        design = design_law.draw(rng, (n, config.d))
         rows = design, design @ beta_star + noise.draw(rng, n)
         return moments(*rows) if config.q == 2 else rows
 
@@ -418,17 +420,38 @@ def _rerm_rows(config, ctx, n, reps, rngs):
     return np.concatenate(achieved)
 
 
+def _rerm_check(config):
+    # the penalty level takes log n and log d, so the smallest n and d must be >= 2
+    for key, smallest in (("nGrid", config.n_grid[0]), ("d", config.d)):
+        _require(smallest >= 2, key, f"be >= 2 for {config.scenario}", smallest)
+    # the run's closed forms, here so that a betaStar.support above d, a (noise, q) without an exact risk, or a q, Kd
+    # or noise whose powers overflow, fails before any output
+    for n in config.n_grid:
+        _rerm_ctx(config, n)
+
+
+def _square_lasso_check(config):
+    _require(config.q == 2, "q", "be 2 for SquareLasso", config.q)
+    _rerm_check(config)
+
+
 # context(config, n) -> that n's ctx, holding its "oracle" risk and "budget"; rows(config, ctx, n, reps, rngs) ->
-# the achieved risk of each replication in the range reps, rngs yielding their generators in order;
-# target(config) -> target frequency, or None where the scenario fits rates; extras: the ctx keys reported per n
-_Scenario = namedtuple("_Scenario", "context rows tag target extras")
+# the achieved risk of each replication in the range reps, rngs yielding their generators in order; check(config)
+# raises InvalidInputError naming a field the scenario cannot run with; target(config) -> target frequency, or None
+# where the scenario fits rates; extras: the ctx keys reported per n
+_Scenario = namedtuple("_Scenario", "context rows check tag target extras")
 
 _REGISTRY = {
-    "FiniteGap": _Scenario(_finite_gap_ctx, _finite_gap_rows, "finite-gap", None, ("delta",)),
-    "Isomorphy": _Scenario(_isomorphy_ctx, _isomorphy_rows, "isomorphy", lambda config: 1.0 - 4.0 * math.exp(-config.x),
+    # FiniteGap checks its largest budget, at the smallest n, so that an overflow fails before any output
+    "FiniteGap": _Scenario(_finite_gap_ctx, _finite_gap_rows,
+                           lambda config: _finite_gap_budget(config, config.n_grid[0]), "finite-gap", None, ("delta",)),
+    # Isomorphy's target frequency 1 - 4 exp(-x) must be positive, or no run can miss it
+    "Isomorphy": _Scenario(_isomorphy_ctx, _isomorphy_rows,
+                           lambda config: _require(config.x > math.log(4.0), "x", "be > log 4 for Isomorphy", config.x),
+                           "isomorphy", lambda config: 1.0 - 4.0 * math.exp(-config.x),
                            ("lambda_star", "lambda_band", "bn", "big_bn")),
-    "SquareLasso": _Scenario(_rerm_ctx, _rerm_rows, "square-lasso", None, ("penalty_coef",)),
-    "LqRerm": _Scenario(_rerm_ctx, _rerm_rows, "lq-rerm", None, ("penalty_coef",)),
+    "SquareLasso": _Scenario(_rerm_ctx, _rerm_rows, _square_lasso_check, "square-lasso", None, ("penalty_coef",)),
+    "LqRerm": _Scenario(_rerm_ctx, _rerm_rows, _rerm_check, "lq-rerm", None, ("penalty_coef",)),
 }
 
 SCENARIOS = tuple(_REGISTRY)
@@ -438,69 +461,89 @@ SCENARIOS = tuple(_REGISTRY)
 # configuration schema
 # ---------------------------------------------------------------------------
 
-# each named constant with its domain: c0 and c1 scale budgets and penalties, Kd is raised to the power q
-_CONSTANTS = {"c0": (lambda v: v >= 0, "be >= 0"), "c1": (lambda v: v >= 0, "be >= 0"),
-              "Kd": (lambda v: v > 0, "be positive")}
+def _as_int(value):
+    """``value`` as an int, or None for a bool, a non-number or a non-integral real."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return int(value) if integral or isinstance(value, float) and value.is_integer() else None
 
 
-def _as_int(key, value):
-    """An integer-valued field; bools, non-numbers and non-integral reals are rejected."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise InvalidInputError(f"field {key!r} must be an integer, got {value!r}")
+def _as_real(value):
+    """``value`` as a float, or None for a bool, a non-number, NaN, an infinity or an int too large for a float."""
+    # the comparison is False for NaN and for ints too large for a float
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    return float(value) if real else None
 
 
-def _as_real(key, value):
-    """A finite real field; bools, non-numbers, NaN and infinities are rejected."""
-    # the comparison is False for NaN and also rejects ints too large for a float
-    if isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max:
-        return float(value)
-    raise InvalidInputError(f"field {key!r} must be a finite real, got {value!r}")
-
-
-def _as_grid(key, value):
-    if not isinstance(value, (list, tuple)):
-        raise InvalidInputError(f"field {key!r} must be a list of sample sizes, got {value!r}")
-    return tuple(_as_int(key, n) for n in value)
-
-
-def _as_constants(key, value):
-    if not isinstance(value, dict):
-        raise InvalidInputError(f"field {key!r} must be a map of names to reals, got {value!r}")
-    constants = {}
-    for name, raw in value.items():
-        if name not in _CONSTANTS:
-            raise InvalidInputError(f"field '{key}.{name}' is not a known constant; use {'/'.join(_CONSTANTS)}")
-        holds, requirement = _CONSTANTS[name]
-        constants[name] = _as_real(f"{key}.{name}", raw)
-        if not holds(constants[name]):
-            raise InvalidInputError(f"field '{key}.{name}' must {requirement}, got {constants[name]!r}")
-    return constants
+def _as_grid(value):
+    """``value`` as a tuple of ints, or None if it is not a list or an entry is not an integer."""
+    grid = tuple(map(_as_int, value)) if isinstance(value, (list, tuple)) else None
+    return None if grid is None or None in grid else grid
 
 
 def _as_instance(cls):
-    def cast(key, value):
-        if isinstance(value, cls):
-            return value
-        raise InvalidInputError(f"field {key!r} must be a {cls.__name__}, got {value!r}")
-
-    return cast
+    return lambda value: value if isinstance(value, cls) else None
 
 
-def _check(obj, fields):
-    """Cast and check the (key, attr, cast, predicate, requirement) fields of a frozen dataclass."""
-    for key, attr, cast, holds, requirement in fields:
-        value = cast(key, getattr(obj, attr))
-        if holds is not None and not holds(value):
-            raise InvalidInputError(f"field {key!r} must {requirement}, got {value!r}")
-        object.__setattr__(obj, attr, value)
+# a checked field: its run-file key, attribute, cast (which returns None for a value of the wrong type), predicate
+# or None, the requirement that both state, and the scenarios that read it (None for a field of a field)
+_Field = namedtuple("_Field", "key attr cast holds requirement readers", defaults=(None,))
+
+
+def _checked(row, raw):
+    """``raw`` cast and checked by its ``_Field`` row."""
+    value = row.cast(raw)
+    _require(value is not None and (row.holds is None or row.holds(value)), row.key, row.requirement, raw)
+    return value
+
+
+def _check(obj, rows):
+    """Cast and check the fields of a frozen dataclass."""
+    for row in rows:
+        object.__setattr__(obj, row.attr, _checked(row, getattr(obj, row.attr)))
+
+
+def _check_read(scenario, key, row):
+    """Reject ``key`` unless its ``_Field`` row names ``scenario``; a key with no row is read by no scenario."""
+    if row is None or scenario not in row.readers:
+        raise InvalidInputError(f"field {key!r} is not read by {scenario}")
+
+
+_REGRESSION = ("SquareLasso", "LqRerm")
+# each named constant's row: c0 and c1 scale budgets and penalties, Kd is raised to the power q
+_CONSTANTS = {
+    "c0": _Field("constants.c0", "c0", _as_real, lambda v: v >= 0, "be a finite real >= 0", SCENARIOS),
+    "c1": _Field("constants.c1", "c1", _as_real, lambda v: v >= 0, "be a finite real >= 0", _REGRESSION),
+    "Kd": _Field("constants.Kd", "Kd", _as_real, lambda v: v > 0, "be a finite real > 0", _REGRESSION),
+}
+
+
+def _as_constants(value):
+    """``value`` as a dict of constants, each cast and checked by its row, or None if it is not a dict. A name with no
+    row is kept as it is, for ``ScenarioConfig`` to reject as read by no scenario."""
+    if isinstance(value, dict):
+        return {name: _checked(_CONSTANTS[name], raw) if name in _CONSTANTS else raw for name, raw in value.items()}
+    return None
+
+
+def _exponential_draw(rng, size, rate):
+    scale = 1.0 / rate if rate > 0 else 0.0
+    return rng.exponential(scale, size) - scale
+
+
+# each noise kind's law, with its parameter p: the run-file key of p, draw(rng, size, p) -> an array of that size,
+# and moment(q, p) = E |xi|^q, unchecked and NaN where the package has no closed form (Exponential noise above q = 2)
+_Law = namedtuple("_Law", "key draw moment")
+_LAWS = {
+    "Gaussian": _Law("sd", lambda rng, size, p: rng.standard_normal(size) * p,
+                     lambda q, p: _gaussian_abs_moment(q, p**2)),
+    "Bounded": _Law("range", lambda rng, size, p: rng.uniform(-p, p, size), lambda q, p: p**q / (q + 1.0)),
+    "Exponential": _Law("rate", _exponential_draw, lambda q, p: (1.0 / p**2 if p > 0 else 0.0) if q == 2 else math.nan),
+}
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive noise family: Gaussian(sd), Bounded(range), or Exponential(rate).
+    """Additive noise family: Gaussian(sd), Bounded(range), or Exponential(rate), each one row of ``_LAWS``.
 
     Bounded noise is uniform on [-range, range]; exponential noise is
     centered to mean zero, and its subexponential tail is the paper's
@@ -514,41 +557,31 @@ class NoiseSpec:
     kind: str
     param: float
 
-    GAUSSIAN = "Gaussian"
-    BOUNDED = "Bounded"
-    EXPONENTIAL = "Exponential"
-
     def __post_init__(self):
         key = f"noise.{self.param_key(self.kind)}"
-        _check(self, ((key, "param", _as_real, lambda v: v >= 0, "be >= 0"),))
+        _check(self, (_Field(key, "param", _as_real, lambda v: v >= 0, "be a finite real >= 0"),))
 
-    @classmethod
-    def param_key(cls, kind):
+    @staticmethod
+    def param_key(kind):
         """The run-file name of the parameter of noise ``kind``; other kinds are rejected."""
-        keys = {cls.GAUSSIAN: "sd", cls.BOUNDED: "range", cls.EXPONENTIAL: "rate"}
-        if not isinstance(kind, str) or kind not in keys:
-            raise InvalidInputError(f"field 'noise.kind' must be one of {'/'.join(keys)}, got {kind!r}")
-        return keys[kind]
+        if not isinstance(kind, str) or kind not in _LAWS:
+            raise InvalidInputError(f"field 'noise.kind' must be one of {'/'.join(_LAWS)}, got {kind!r}")
+        return _LAWS[kind].key
 
     @classmethod
     def gaussian(cls, sd):
-        return cls(cls.GAUSSIAN, sd)
+        return cls("Gaussian", sd)
 
     @classmethod
     def bounded(cls, half_range):
-        return cls(cls.BOUNDED, half_range)
+        return cls("Bounded", half_range)
 
     @classmethod
     def exponential(cls, rate):
-        return cls(cls.EXPONENTIAL, rate)
+        return cls("Exponential", rate)
 
     def draw(self, rng, size):
-        if self.kind == self.GAUSSIAN:
-            return rng.standard_normal(size) * self.param
-        if self.kind == self.BOUNDED:
-            return rng.uniform(-self.param, self.param, size)
-        scale = 1.0 / self.param if self.param > 0 else 0.0
-        return rng.exponential(scale, size) - scale
+        return _LAWS[self.kind].draw(rng, size, self.param)
 
     def abs_moment(self, q):
         """E |noise|^q in closed form: Gaussian and Bounded noise at every finite q >= 0, Exponential noise at q = 2.
@@ -563,13 +596,7 @@ class NoiseSpec:
         return moment
 
     def _moment(self, q):
-        if self.kind == self.GAUSSIAN:
-            return _gaussian_abs_moment(q, self.param**2)
-        if self.kind == self.BOUNDED:
-            return self.param**q / (q + 1.0)
-        if q != 2:
-            raise InvalidInputError("Exponential noise is only used with q = 2")
-        return (1.0 / self.param**2) if self.param > 0 else 0.0
+        return _LAWS[self.kind].moment(q, self.param)
 
 
 @dataclass(frozen=True)
@@ -580,12 +607,11 @@ class BetaStarSpec:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        _check(self, (("betaStar.support", "support", _as_int, lambda v: v >= 0, "be >= 0"),
-                      ("betaStar.magnitude", "magnitude", _as_real, None, None)))
+        _check(self, (_Field("betaStar.support", "support", _as_int, lambda v: v >= 0, "be an integer >= 0"),
+                      _Field("betaStar.magnitude", "magnitude", _as_real, None, "be a finite real")))
 
     def vector(self, d):
-        if self.support > d:
-            raise InvalidInputError("betaStar.support exceeds d")
+        _require(self.support <= d, "betaStar.support", f"be <= d = {d}", self.support)
         beta = np.zeros(d)
         beta[: self.support] = self.magnitude
         return beta
@@ -598,15 +624,13 @@ class BetaStarSpec:
 class ScenarioConfig:
     """Full description of one Monte Carlo experiment.
 
-    Core fields follow the run schema (nGrid, epsilon, x, replications,
-    masterSeed, noise, betaStar, constants). Scenario-specific knobs:
-    ``gamma`` scales the FiniteGap risk gap gamma/sqrt(n); ``label_flip`` and
-    ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality);
-    ``lambda_replications`` drives the localization estimate. SquareLasso and
-    LqRerm score every replication by its exact risk (``_exact_risk``), so
-    Gaussian noise runs at every q, Bounded noise at q = 2 and q = 4, and
-    Exponential noise at q = 2 only; any other pair is rejected. The named
-    constants are c0 >= 0, c1 >= 0 and Kd > 0; each defaults to 1.
+    Fields follow the run schema, ``_FIELDS``, which casts and checks each one and names the scenarios that read it;
+    then the scenario's own ``check`` runs (``_REGISTRY``), which for SquareLasso and LqRerm rejects a (noise, q) pair
+    without an exact risk (``_exact_risk``). ``gamma`` scales the FiniteGap risk gap gamma/sqrt(n); ``label_flip`` and
+    ``cells`` shape the Isomorphy dictionary (d doubles as its cardinality); ``lambda_replications`` drives the
+    localization estimate. The named constants c0, c1 and Kd each default to 1. A constant the scenario does not read
+    is rejected; any other field it does not read keeps its default silently here, since a set value and a default
+    cannot be told apart, and ``config_from_mapping`` rejects it.
     """
 
     scenario: str
@@ -627,77 +651,61 @@ class ScenarioConfig:
 
     def __post_init__(self):
         _check(self, _FIELDS)
-        if self.scenario == "Isomorphy" and not self.x > math.log(4.0):
-            # the target frequency 1 - 4 exp(-x) must be positive, or no run can miss it
-            raise InvalidInputError(f"field 'x' must be > log 4 for Isomorphy, got {self.x!r}")
-        if self.scenario == "FiniteGap":
-            _finite_gap_budget(self, self.n_grid[0])  # the largest budget, at the smallest n, fails before any output
-        if self.scenario == "SquareLasso" and self.q != 2:
-            raise InvalidInputError(f"field 'q' must be 2 for SquareLasso, got {self.q!r}")
-        if self.scenario in ("SquareLasso", "LqRerm"):
-            # the penalty level takes log n and log d, so the smallest n and d must be >= 2
-            for key, smallest in (("nGrid", self.n_grid[0]), ("d", self.d)):
-                if smallest < 2:
-                    raise InvalidInputError(f"field {key!r} must be >= 2 for {self.scenario}, got {smallest}")
-            if self.beta_star.support > self.d:
-                raise InvalidInputError(f"field 'betaStar.support' must be <= d = {self.d}, got {self.beta_star.support}")
-            # the run's closed forms, here so that a (noise, q) without an exact risk, or a q, Kd or noise whose
-            # powers overflow, fails before any output
-            for n in self.n_grid:
-                _rerm_ctx(self, n)
+        for name in self.constants:
+            _check_read(self.scenario, f"constants.{name}", _CONSTANTS.get(name))
+        _REGISTRY[self.scenario].check(self)
 
     def constant(self, name):
         return float(self.constants.get(name, 1.0))
 
 
-# (run-file key, attribute, cast, predicate or None, requirement the predicate states)
 _FIELDS = (
-    ("scenario", "scenario", _as_instance(str), lambda v: v in SCENARIOS, f"be one of {'/'.join(SCENARIOS)}"),
-    ("nGrid", "n_grid", _as_grid, lambda g: len(g) > 0 and g[0] >= 1 and all(a < b for a, b in zip(g, g[1:])),
-     "be a nonempty strictly increasing list of positive integers"),
-    ("d", "d", _as_int, lambda v: v >= 1, "be >= 1"),
-    ("q", "q", _as_real, lambda v: v >= 2, "be >= 2"),
-    ("epsilon", "epsilon", _as_real, lambda v: 0 < v < 0.5, "lie in (0, 1/2)"),
-    ("x", "x", _as_real, lambda v: v > 0, "be positive"),
-    ("replications", "replications", _as_int, lambda v: v >= 1, "be >= 1"),
-    ("masterSeed", "master_seed", _as_int, lambda v: 0 <= v <= _MASK64, "fit in 64 unsigned bits"),
-    ("noise", "noise", _as_instance(NoiseSpec), None, None),
-    ("betaStar", "beta_star", _as_instance(BetaStarSpec), None, None),
-    ("constants", "constants", _as_constants, None, None),
-    ("gamma", "gamma", _as_real, lambda v: v >= 0, "be >= 0"),
-    ("lambdaReplications", "lambda_replications", _as_int, lambda v: v >= 1, "be >= 1"),
-    ("labelFlip", "label_flip", _as_real, lambda v: 0 <= v <= 0.5, "lie in [0, 1/2]"),
-    ("cells", "cells", _as_int, lambda v: v >= 2, "be >= 2"),
+    _Field("scenario", "scenario", _as_instance(str), lambda v: v in SCENARIOS, f"be one of {'/'.join(SCENARIOS)}",
+           SCENARIOS),
+    _Field("nGrid", "n_grid", _as_grid, lambda g: len(g) > 0 and g[0] >= 1 and all(a < b for a, b in zip(g, g[1:])),
+           "be a nonempty strictly increasing list of positive integers", SCENARIOS),
+    _Field("d", "d", _as_int, lambda v: v >= 1, "be an integer >= 1", ("Isomorphy", *_REGRESSION)),
+    _Field("q", "q", _as_real, lambda v: v >= 2, "be a finite real >= 2", _REGRESSION),
+    _Field("epsilon", "epsilon", _as_real, lambda v: 0 < v < 0.5, "be a real in (0, 1/2)", SCENARIOS),
+    _Field("x", "x", _as_real, lambda v: v > 0, "be a finite real > 0", SCENARIOS),
+    _Field("replications", "replications", _as_int, lambda v: v >= 1, "be an integer >= 1", SCENARIOS),
+    _Field("masterSeed", "master_seed", _as_int, lambda v: 0 <= v <= _MASK64, "be an integer in [0, 2^64)", SCENARIOS),
+    _Field("noise", "noise", _as_instance(NoiseSpec), None, "be a NoiseSpec", _REGRESSION),
+    _Field("betaStar", "beta_star", _as_instance(BetaStarSpec), None, "be a BetaStarSpec", _REGRESSION),
+    _Field("constants", "constants", _as_constants, None, "be a map of names to reals", SCENARIOS),
+    _Field("gamma", "gamma", _as_real, lambda v: v >= 0, "be a finite real >= 0", ("FiniteGap",)),
+    _Field("lambdaReplications", "lambda_replications", _as_int, lambda v: v >= 1, "be an integer >= 1",
+           ("Isomorphy",)),
+    _Field("labelFlip", "label_flip", _as_real, lambda v: 0 <= v <= 0.5, "be a real in [0, 1/2]", ("Isomorphy",)),
+    _Field("cells", "cells", _as_int, lambda v: v >= 2, "be an integer >= 2", ("Isomorphy",)),
 )
-
-
-def _noise_from_mapping(mapping):
-    if not isinstance(mapping, dict) or "kind" not in mapping:
-        raise InvalidInputError("noise must be an object with a 'kind' field")
-    param_key = NoiseSpec.param_key(mapping["kind"])
-    if set(mapping) != {"kind", param_key}:
-        raise InvalidInputError(f"field 'noise' must hold 'kind' and {param_key!r} for this kind, got {list(mapping)}")
-    return NoiseSpec(mapping["kind"], mapping[param_key])
 
 
 def config_from_mapping(mapping):
     """Build a ScenarioConfig from a parsed key/value tree.
 
     Keys follow the run-file schema (nGrid, masterSeed, betaStar, ...);
-    validation failures raise InvalidInputError naming the offending field.
+    validation failures raise InvalidInputError naming the offending field,
+    and so does a key that the scenario does not read.
     """
     if not isinstance(mapping, dict):
         raise InvalidInputError("configuration root must be a key/value object")
-    attrs = {key: attr for key, attr, *_ in _FIELDS}
-    unknown = set(mapping) - set(attrs)
-    if unknown:
-        raise InvalidInputError(f"unknown configuration field {sorted(unknown)[0]!r}")
     for required in ("scenario", "nGrid"):
         if required not in mapping:
             raise InvalidInputError(f"missing required field {required!r}")
-    kwargs = {attrs[key]: value for key, value in mapping.items()}
+    rows = {row.key: row for row in _FIELDS}
+    scenario = _checked(rows["scenario"], mapping["scenario"])
+    for key in mapping:
+        _check_read(scenario, key, rows.get(key))
+    kwargs = {rows[key].attr: value for key, value in mapping.items()}
     if "noise" in mapping:
-        kwargs["noise"] = _noise_from_mapping(mapping["noise"])
+        spec = mapping["noise"]
+        if not isinstance(spec, dict) or "kind" not in spec:
+            raise InvalidInputError("noise must be an object with a 'kind' field")
+        param_key = NoiseSpec.param_key(spec["kind"])
+        if set(spec) != {"kind", param_key}:
+            raise InvalidInputError(f"field 'noise' must hold 'kind' and {param_key!r} for this kind, got {list(spec)}")
+        kwargs["noise"] = NoiseSpec(spec["kind"], spec[param_key])
     if "betaStar" in mapping:
         spec = mapping["betaStar"]
         if not isinstance(spec, dict) or set(spec) - {"support", "magnitude"}:

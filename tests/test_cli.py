@@ -244,28 +244,33 @@ def test_every_scenario_byte_identical_across_workers(scenario, tmp_path):
         assert {row["budget"] for row in per_n} == {line["meanBudget"]}
 
 
-@pytest.mark.parametrize(
-    "override, field_name",
-    [
-        ('nGrid=["a"]', "nGrid"),
-        ("nGrid=[1.5, 2.5, 3.5]", "nGrid"),
-        ('betaStar.support="a"', "betaStar.support"),
-        ('constants.c0="abc"', "constants.c0"),
-        ("constants.C0=5", "constants.C0"),
-        ('noise={"kind": "Gaussian", "sd": "abc"}', "noise.sd"),
-        ("x=NaN", "'x'"),
-        ("x=Infinity", "'x'"),
-        ("floor=NaN", "floor"),
-        ("d=2.7", "'d'"),
-        ("d=true", "'d'"),
-        # a field that no longer exists is rejected by name
-        ("testSize=2.5", "testSize"),
-        ("replications=3.9", "replications"),
-        ("gamma=-1", "gamma"),
-    ],
-)
-def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_config, tmp_path, capsys):
-    code = run_cli(["experiment", "--config", finite_gap_config, "--out", tmp_path / "o", "--set", override])
+MALFORMED = [
+    ('nGrid=["a"]', "nGrid", "FiniteGap"),
+    ("nGrid=[1.5, 2.5, 3.5]", "nGrid", "FiniteGap"),
+    ('betaStar.support="a"', "betaStar.support", "SquareLasso"),
+    ('constants.c0="abc"', "constants.c0", "FiniteGap"),
+    ("constants.C0=5", "constants.C0", "FiniteGap"),
+    ('noise={"kind": "Gaussian", "sd": "abc"}', "noise.sd", "SquareLasso"),
+    ("x=NaN", "'x'", "FiniteGap"),
+    ("x=Infinity", "'x'", "FiniteGap"),
+    ("floor=NaN", "floor", "FiniteGap"),
+    ("d=2.7", "'d'", "SquareLasso"),
+    ("d=true", "'d'", "SquareLasso"),
+    # a field that no longer exists is rejected by name
+    ("testSize=2.5", "testSize", "FiniteGap"),
+    ("replications=3.9", "replications", "FiniteGap"),
+    ("gamma=-1", "gamma", "FiniteGap"),
+]
+
+
+# each field is set on a scenario that reads it, so that it is rejected for its value and not as a key the scenario
+# does not read
+@pytest.mark.parametrize("override, field_name, scenario", [pytest.param(*case, id=f"{case[0]}-{case[1]}")
+                                                            for case in MALFORMED])
+def test_malformed_config_exits_2_naming_field(override, field_name, scenario, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS[scenario]))
+    code = run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--set", override])
     assert code == 2
     assert field_name in capsys.readouterr().err
 
@@ -288,16 +293,22 @@ def test_malformed_config_exits_2_naming_field(override, field_name, finite_gap_
         (["scenario=SquareLasso", "d=1", "betaStar.support=1"], "'d'"),
         (["scenario=LqRerm", "q=4", 'noise={"kind": "Bounded", "range": 0.5}', "d=1", "betaStar.support=1"], "'d'"),
         (["scenario=Isomorphy", "x=1"], "'x'"),
-        # c0 (x + log 2) / (epsilon n) past the floats
+        # c0 (x + log 2) / (epsilon n) past the floats, by a large x or by a small epsilon
         (["x=1e308", "constants.c0=10"], "'x'"),
+        (["epsilon=1e-310"], "'epsilon'"),
     ],
     ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q3-Bounded", "LqRerm-q400-Gaussian-overflow",
          "SquareLasso-Gaussian-sd-overflow", "SquareLasso-Exponential-rate-underflow", "SquareLasso-support-above-d",
          "SquareLasso-Kd-negative", "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1",
-         "LqRerm-q4-d1", "Isomorphy-x1", "FiniteGap-budget-overflow"],
+         "LqRerm-q4-d1", "Isomorphy-x1", "FiniteGap-budget-overflow", "FiniteGap-epsilon-budget-overflow"],
 )
-def test_incompatible_config_exits_2_naming_field(overrides, field_name, finite_gap_config, tmp_path, capsys):
-    args = ["experiment", "--config", finite_gap_config, "--out", tmp_path / "o"]
+def test_incompatible_config_exits_2_naming_field(overrides, field_name, tmp_path, capsys):
+    # a FiniteGap base that sets only keys every scenario reads, so a case that switches the scenario is rejected
+    # for its own field
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "FiniteGap", "nGrid": [64, 128], "epsilon": 0.0019, "replications": 20,
+                                "masterSeed": 777}))
+    args = ["experiment", "--config", path, "--out", tmp_path / "o"]
     for override in overrides:
         args += ["--set", override]
     assert run_cli(args) == 2
@@ -323,8 +334,45 @@ def test_isomorphy_budget_past_the_floats_exits_2_naming_x(tmp_path, capsys):
     path.write_text(json.dumps(dict(SMALL_CONFIGS["Isomorphy"], x=1e308)))
     out = tmp_path / "o"
     assert run_cli(["experiment", "--config", path, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("configuration error: fields 'x' and 'constants.c0'")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: fields ")
+    assert all(name in err for name in ("'x'", "'constants.c0'", "'epsilon'"))
     assert not (out / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "mapping, field_name",
+    [
+        ({"scenario": "FiniteGap", "nGrid": [64], "d": 4}, "'d'"),
+        ({"scenario": "FiniteGap", "nGrid": [64], "constants": {"c0": 1.0, "c1": 1.0}}, "'constants.c1'"),
+        ({"scenario": "Isomorphy", "nGrid": [64], "x": 2.0, "gamma": 0.5}, "'gamma'"),
+        ({"scenario": "Isomorphy", "nGrid": [64], "x": 2.0, "constants": {"Kd": 2.0}}, "'constants.Kd'"),
+        ({"scenario": "SquareLasso", "nGrid": [64], "cells": 4}, "'cells'"),
+        ({"scenario": "LqRerm", "nGrid": [64], "q": 4, "noise": {"kind": "Bounded", "range": 0.5},
+          "labelFlip": 0.1}, "'labelFlip'"),
+        # a FiniteGap file that sets the regression's fields, some past what a regression accepts
+        ({"scenario": "FiniteGap", "nGrid": [64, 128], "d": 1, "q": 7, "noise": {"kind": "Bounded", "range": 3},
+          "betaStar": {"support": 30}, "cells": 3, "replications": 5}, "'d'"),
+        ({"scenario": "SquareLasso", "nGrid": [64, 128], "cells": 3, "gamma": 1.0, "labelFlip": 0.2,
+          "lambdaReplications": 10}, "'cells'"),
+    ],
+    ids=["FiniteGap-d", "FiniteGap-c1", "Isomorphy-gamma", "Isomorphy-Kd", "SquareLasso-cells", "LqRerm-labelFlip",
+         "FiniteGap-regression-fields", "SquareLasso-isomorphy-fields"],
+)
+def test_key_the_scenario_does_not_read_exits_2_naming_it(mapping, field_name, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(mapping))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: field {field_name} is not read by {mapping['scenario']}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_scenario_exits_2_before_its_keys_are_checked(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "Nope", "nGrid": [4], "bogus": 1}))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: field 'scenario' must be one of ")
 
 
 def test_regression_budget_is_compute_rho_b(tmp_path, capsys):

@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib
+import json
 import math
 import re
 from pathlib import Path
@@ -110,7 +111,8 @@ def inline_pool(sizes):
 
 
 def _config_mappings():
-    """Valid run-file mappings with up to two fields replaced by arbitrary JSON values."""
+    """Valid run-file mappings, each setting only keys its scenario reads, with up to two fields replaced by arbitrary
+    JSON values or keys that the scenario may not read."""
     scalar = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
     junk = st.recursive(
         scalar,
@@ -120,27 +122,39 @@ def _config_mappings():
     kinds = st.sampled_from(["Gaussian", "Bounded", "Exponential"])
     param_keys = {"Gaussian": "sd", "Bounded": "range", "Exponential": "rate"}
     noise = kinds.flatmap(lambda kind: st.fixed_dictionaries({"kind": st.just(kind), param_keys[kind]: st.floats(0, 5)}))
-    valid = st.fixed_dictionaries(
-        {
-            "scenario": st.sampled_from(["FiniteGap", "Isomorphy", "SquareLasso", "LqRerm"]),
-            "nGrid": st.lists(st.integers(1, 10**4), min_size=1, max_size=4, unique=True).map(sorted),
-        },
-        optional={
-            "d": st.integers(1, 50),
-            "q": st.floats(2, 8),
-            "epsilon": st.floats(0.001, 0.49),
-            "x": st.floats(0.1, 5),
-            "replications": st.integers(1, 100),
-            "masterSeed": st.integers(0, 2**64 - 1),
-            "gamma": st.floats(0, 5),
-            "lambdaReplications": st.integers(1, 500),
-            "labelFlip": st.floats(0, 0.5),
-            "cells": st.integers(2, 64),
-            "noise": noise,
-            "betaStar": st.fixed_dictionaries({"support": st.integers(0, 5), "magnitude": st.floats(-2, 2)}),
-            "constants": st.dictionaries(st.sampled_from(["c0", "c1", "Kd"]), st.floats(0, 2), max_size=3),
-        },
-    )
+    optional = {
+        "d": st.integers(1, 50),
+        "q": st.floats(2, 8),
+        "epsilon": st.floats(0.001, 0.49),
+        "x": st.floats(0.1, 5),
+        "replications": st.integers(1, 100),
+        "masterSeed": st.integers(0, 2**64 - 1),
+        "gamma": st.floats(0, 5),
+        "lambdaReplications": st.integers(1, 500),
+        "labelFlip": st.floats(0, 0.5),
+        "cells": st.integers(2, 64),
+        "noise": noise,
+        "betaStar": st.fixed_dictionaries({"support": st.integers(0, 5), "magnitude": st.floats(-2, 2)}),
+    }
+    reads = {row.key: row.readers for row in harness._FIELDS}
+
+    def valid_for(scenario):
+        # the keys the scenario reads, at values its own check accepts: a regression runs from n = 2, and Isomorphy
+        # needs x > log 4, which its default does not meet
+        smallest_n = 2 if scenario in ("SquareLasso", "LqRerm") else 1
+        required = {
+            "scenario": st.just(scenario),
+            "nGrid": st.lists(st.integers(smallest_n, 10**4), min_size=1, max_size=4, unique=True).map(sorted),
+        }
+        if scenario == "Isomorphy":
+            required["x"] = st.floats(1.4, 5)
+        constants = [name for name, row in harness._CONSTANTS.items() if scenario in row.readers]
+        return st.fixed_dictionaries(required, optional={
+            **{key: strategy for key, strategy in optional.items() if scenario in reads[key] and key not in required},
+            "constants": st.dictionaries(st.sampled_from(constants), st.floats(0, 2), max_size=3),
+        })
+
+    valid = st.sampled_from(["FiniteGap", "Isomorphy", "SquareLasso", "LqRerm"]).flatmap(valid_for)
     broken_noise = kinds.flatmap(
         lambda kind: st.fixed_dictionaries({"kind": st.just(kind)}, optional={param_keys[kind]: junk})
     )
@@ -496,7 +510,7 @@ class TestSquareLasso:
         assert achieved == pytest.approx(exact, rel=1e-12)
 
         def generator(rng, size):
-            design = harness._design_of(noise).draw(rng, size, cfg.d)
+            design = harness._design_of(noise).draw(rng, (size, cfg.d))
             return design, design @ beta_star + noise.draw(rng, size)
 
         estimate = risk_estimate(lambda x: x @ beta_hat, generator, 2, 200_000, 5)
@@ -661,7 +675,7 @@ class TestLqRerm:
         achieved = run_scenario(cfg).achieved[0, 0]
 
         def generator(rng, size):
-            design = harness._design_of(noise).draw(rng, size, cfg.d)
+            design = harness._design_of(noise).draw(rng, (size, cfg.d))
             return design, design @ beta_star + noise.draw(rng, size)
 
         estimate = risk_estimate(lambda x: x @ beta_hat, generator, 4, 200_000, 5)
@@ -694,7 +708,7 @@ class TestLqRerm:
         achieved = run_scenario(cfg).achieved[0, 0]
 
         def generator(rng, size):
-            design = harness._design_of(noise).draw(rng, size, cfg.d)
+            design = harness._design_of(noise).draw(rng, (size, cfg.d))
             return design, design @ beta_star + noise.draw(rng, size)
 
         estimate = risk_estimate(lambda x: x @ beta_hat, generator, 3, 200_000, 5)
@@ -793,13 +807,33 @@ def test_isomorphy_rows_do_not_depend_on_the_blocks(monkeypatch, n, cells):
     assert any(max(split) > 1 for split in splits)
 
 
-@pytest.mark.parametrize("name", sorted(harness._DESIGNS))
-def test_design_table_moments(name):
-    law = harness._DESIGNS[name]
-    x = law.draw(np.random.default_rng(3), 200_000, 1)[:, 0]
-    for power, moment in ((1, 0.0), (2, law.m2), (4, law.m4)):
+@pytest.mark.parametrize("kind", sorted(harness._LAWS))
+def test_law_table_moments(kind):
+    # each row at a non-unit parameter: its draws have mean 0, the row's E xi^2 and, where the row has one, its E xi^4
+    law, param = harness._LAWS[kind], 0.7
+    x = law.draw(np.random.default_rng(3), 200_000, param)
+    assert x.shape == (200_000,)
+    moments = [(1, 0.0), (2, law.moment(2, param)), (4, law.moment(4, param))]
+    assert not math.isnan(moments[1][1])
+    for power, moment in moments:
+        if math.isnan(moment):
+            continue
         values = x**power
         assert abs(values.mean() - moment) <= 4.0 * values.std(ddof=1) / math.sqrt(values.size), power
+
+
+@pytest.mark.parametrize("noise, design", [
+    (NoiseSpec.gaussian(0.5), NoiseSpec.gaussian(1.0)),
+    (NoiseSpec.bounded(3.0), NoiseSpec.bounded(1.0)),
+    (NoiseSpec.exponential(2.0), NoiseSpec.gaussian(1.0)),
+], ids=["Gaussian", "Bounded", "Exponential"])
+def test_design_is_the_unit_law_of_a_kind(noise, design):
+    # a design coordinate is N(0, 1) (Gaussian, sd 1), or U[-1, 1] (Bounded, range 1) with Bounded noise, and the
+    # moments the exact risks read come out exactly
+    assert harness._design_of(noise) == design
+    m2, m4 = (1.0 / 3.0, 1.0 / 5.0) if design.kind == "Bounded" else (1.0, None)
+    assert design._moment(2) == m2
+    assert m4 is None or design._moment(4) == m4
 
 
 class TestRunScenarioAndCsv:
@@ -895,7 +929,7 @@ class TestConfigParsing:
 
     def test_bad_noise_named(self):
         with pytest.raises(InvalidInputError, match="noise"):
-            config_from_mapping({"scenario": "FiniteGap", "nGrid": [4], "noise": {"kind": "Laplace", "sd": 1}})
+            config_from_mapping({"scenario": "SquareLasso", "nGrid": [4], "noise": {"kind": "Laplace", "sd": 1}})
 
     def test_grid_must_increase(self):
         with pytest.raises(InvalidInputError, match="nGrid"):
@@ -941,7 +975,7 @@ class TestConfigParsing:
             build()
 
     def test_integral_reals_accepted_as_integers(self):
-        cfg = config_from_mapping({"scenario": "FiniteGap", "nGrid": [4.0, 8], "d": 3.0})
+        cfg = config_from_mapping({"scenario": "SquareLasso", "nGrid": [4.0, 8], "d": 3.0})
         assert cfg.n_grid == (4, 8) and cfg.d == 3
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -1002,11 +1036,47 @@ def test_loss_tables_cost_1_exactly_where_the_sign_differs_from_the_label(config
     assert losses.dtype == float and np.array_equal(losses, expected)
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def readme_config_table():
+    table = readme_text().split("| key | default | constraint | read by |\n|---|---|---|---|\n", 1)[1]
+    return table.split("\n\n", 1)[0]
+
+
 def test_readme_config_table_lists_the_schema_fields_in_order():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    table = readme.split("| key | default | constraint | read by |\n|---|---|---|---|\n", 1)[1].split("\n\n", 1)[0]
-    keys = [line.split("`", 2)[1] for line in table.splitlines()]
+    keys = [line.split("`", 2)[1] for line in readme_config_table().splitlines()]
     assert keys == [key for key, *_ in harness._FIELDS]
+
+
+def test_readme_read_by_column_is_the_schema_read_sets():
+    read_by = {line.split("`", 2)[1]: line.rstrip(" |").rsplit(" | ", 1)[1].split(", ")
+               for line in readme_config_table().splitlines()}
+    assert read_by == {row.key: list(row.readers) for row in harness._FIELDS}
+
+
+def test_readme_example_configuration_is_accepted():
+    example = readme_text().split("Example configuration:\n\n```json\n", 1)[1].split("```", 1)[0]
+    config = config_from_mapping(json.loads(example))
+    assert config.scenario == "SquareLasso" and config.n_grid == (256, 512, 1024, 2048, 4096)
+
+
+@pytest.mark.parametrize("build, name", [
+    (lambda: finite_gap_config(constants={"c1": 1.0}), "constants.c1"),
+    (lambda: iso_config(constants={"c0": 2.0, "Kd": 1.0}), "constants.Kd"),
+    (lambda: config_from_mapping({"scenario": "FiniteGap", "nGrid": [4], "constants": {"c1": 1.0}}), "constants.c1"),
+], ids=["FiniteGap-c1", "Isomorphy-Kd", "FiniteGap-c1-mapping"])
+def test_constant_the_scenario_does_not_read_is_rejected_on_both_paths(build, name):
+    with pytest.raises(InvalidInputError, match=rf"^field '{re.escape(name)}' is not read by "):
+        build()
+
+
+def test_python_config_keeps_the_defaults_of_fields_its_scenario_does_not_read():
+    # a set value and a default cannot be told apart on a built config, so only the mapping path rejects a key
+    assert finite_gap_config(d=3, cells=4).d == 3
+    with pytest.raises(InvalidInputError, match="field 'd' is not read by FiniteGap"):
+        config_from_mapping({"scenario": "FiniteGap", "nGrid": [4], "d": 3})
 
 
 def test_benchmark_probe_patch_targets_exist():

@@ -905,10 +905,14 @@ def rows_csv_text(result):
     columns = (result.achieved, result.slack_exact, result.slack_nonexact, result.satisfied)
     for i, n in enumerate(result.config.n_grid):
         oracle, budget = _fmt(result.oracle[i]), _fmt(result.budget[i])
-        fields = zip(*(column[i].tolist() for column in columns))
-        for rep, (achieved, exact, nonexact, satisfied) in enumerate(fields):
-            lines.append(f"{scenario},{n},{rep},{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},"
-                         f"{'true' if satisfied else 'false'}")
+        # each distinct row is formatted once (FiniteGap has two per n). Within an n, satisfied follows from the
+        # nonexact slack, so the bit patterns of the three floats key a row; unlike their values they tell 0.0
+        # from -0.0
+        bits = np.stack([column[i] for column in columns[:3]], axis=-1).view(np.int64)
+        _, first, which = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        texts = [f"{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},{'true' if ok else 'false'}"
+                 for achieved, exact, nonexact, ok in zip(*(column[i][first].tolist() for column in columns))]
+        lines += [f"{scenario},{n},{rep},{texts[row]}" for rep, row in enumerate(which.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -12,10 +12,13 @@ from the sorted magnitudes, by the same helper that projects onto l1 balls;
 above p = 2 the number of active coordinates is found in closed form and
 the threshold by a scalar Newton solve at that count only. At q = 2 the step
 is the fixed 1/L, with L exact from the Gram matrix, and the loop starts at
-zero. For q > 2 it starts at the minimum-norm least-squares fit
+zero, or, with a penalty and n > d, at each row's sign-fixed KKT point: the
+minimizer on the sign pattern of the least-squares fit, pruned once. For
+q > 2 it starts at the minimum-norm least-squares fit
 pinv(X'X/n) X'y/n, and the step is found by backtracking: after a move it
 grows by 1.25 only where the accepted candidate would also have passed the
-test at the grown step. The momentum restarts from the current iterate
+test at the grown step. A stack whose every start certifies computes no
+step. The momentum restarts from the current iterate
 whenever the new step points against it, (z - cand).(cand - beta) > 0 for
 the extrapolated point z (the gradient restart of O'Donoghue & Candes 2015).
 Neither test compares objective values, so rounding near the minimum does
@@ -251,6 +254,33 @@ class _LqObjective:
         return fit / np.sqrt(smallest)
 
 
+def _sign_fixed_start(gram, xty, pen):
+    """Each row's q = 2 minimizer on sign pattern s, where the objective is quadratic: (G + pen s s') b = X'y/n.
+
+    s is the least-squares fit's signs, less those the first solve flips; a singular or non-finite row gets zero.
+    """
+    system, diagonal = np.empty_like(gram), np.arange(gram.shape[-1])
+    try:
+        signs = np.sign(np.linalg.solve(gram, xty[..., None])[..., 0])
+        for drop in (True, False):
+            # G + pen s s' on the active coordinates, and identity rows and columns with a zero right side elsewhere
+            active = signs != 0.0
+            np.multiply(signs[:, :, None], pen * signs[:, None, :], out=system)
+            system += gram
+            system *= active[:, :, None]
+            system *= active[:, None, :]
+            system[:, diagonal, diagonal] += ~active
+            beta = np.linalg.solve(system, np.where(active, xty, 0.0)[..., None])[..., 0]
+            if drop:
+                signs = np.where(np.sign(beta) == signs, signs, 0.0)
+    except np.linalg.LinAlgError:
+        # LAPACK solves each matrix of a stack alone, so a row solved alone gets the same bits as in its stack
+        if len(gram) == 1:
+            return np.zeros_like(xty)
+        return np.concatenate([_sign_fixed_start(g[None], c[None], pen) for g, c in zip(gram, xty)])
+    return np.where(np.isfinite(beta).all(axis=-1)[:, None], beta, 0.0)
+
+
 def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     """FISTA for mean_i |y_i - <x_i, beta>|^q + pen * ||beta||_1^power, with power 1 or q.
 
@@ -278,6 +308,10 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         # the design's row space; Gram eigenvalues below numpy's rank tolerance count as zero
         cutoff = max(obj.n, obj.d) * np.finfo(float).eps
         beta = _matvec(np.linalg.pinv(obj.gram, rcond=cutoff, hermitian=True), obj.xty)
+    elif l1_ball and obj.n > obj.d:
+        # at q = 2 with a penalty and more points than coordinates each row starts at its sign-fixed KKT point. At
+        # n <= d the Gram matrix is singular, and at pen = 0 the iterates must stay in the row space: both start at 0
+        beta = _sign_fixed_start(obj.gram, obj.xty, pen)
 
     def duality_gap(beta, grad):
         l1, slope = np.abs(beta).sum(axis=-1), _dot(grad, beta)
@@ -298,7 +332,8 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     grad = obj.grad(beta)
     gap = duality_gap(beta, grad)
     z, z_grad, momentum = beta, grad, np.ones(len(beta))
-    step = 1.0 / np.maximum(obj.lipschitz_estimate(beta), 1e-12)
+    # a stack whose every row certifies at its start never steps, so it skips the Hessian's eigenvalues
+    step = None if (gap <= tol).all() else 1.0 / np.maximum(obj.lipschitz_estimate(beta), 1e-12)
 
     def solution():
         """The stack's current iterates, without the stack's axis for one sample."""
@@ -310,8 +345,7 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         # for convex f, <grad f(cand) - grad f(z), delta> bounds f(cand) - f(z) - <grad f(z), delta>
         # from above, so this test implies sufficient decrease; unlike a difference of
         # objective values it does not cancel to rounding near the minimum
-        delta = cand - z
-        return (step < 1e-280) | (_dot(cand_grad - z_grad, delta) <= _dot(delta, delta) / (2.0 * growth * step))
+        return (step < 1e-280) | (curvature <= spread / (2.0 * growth * step))
 
     for _ in range(max_iter):
         running = ~(gap <= tol)  # a NaN gap never certifies
@@ -320,10 +354,14 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
         while True:
             cand = _prox_l1_power(z - step[:, None] * z_grad, step * pen, power)
             cand_grad = obj.grad(cand)
+            if q == 2.0:
+                break
             # above q = 2 a running row halves its step until its candidate passes the test, or the step
             # underflows; each round steps the whole stack, and a row that kept its step gets the same candidate
-            fails = running & ~accepts() if q != 2.0 else ()
-            if not np.any(fails):
+            delta = cand - z
+            curvature, spread = _dot(cand_grad - z_grad, delta), _dot(delta, delta)
+            fails = running & ~accepts()
+            if not fails.any():
                 break
             step = np.where(fails, 0.5 * step, step)
         # a step that turned against the momentum restarts it from the current iterate. Without
@@ -347,10 +385,12 @@ def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
     """Minimize the L_q empirical risk plus ``penalty_coef * ||beta||_1^q``.
 
     FISTA with the prox of the l1-power penalty, restarting the momentum
-    whenever the new step points against it. At q = 2 it starts from zero
-    with a fixed step. For q > 2 it starts from the minimum-norm
-    least-squares fit and backtracks; after a move the step grows by 1.25
-    only where the accepted candidate would also pass at the grown step.
+    whenever the new step points against it. At q = 2 it takes a fixed step
+    and starts from zero, or, at a positive penalty with n > d, from the
+    minimizer on the sign pattern of the least-squares fit, pruned once. For
+    q > 2 it starts from the minimum-norm least-squares fit and backtracks;
+    after a move the step grows by 1.25 only where the accepted candidate
+    would also pass at the grown step.
     It stops once the Frank-Wolfe gap of the current iterate is at most
     ``tol``; that gap is the returned ``optimality_gap`` and bounds the
     objective's excess over the minimum.
@@ -368,7 +408,7 @@ def solve_square_lasso(sample, kappa, tol=1e-8, max_iter=200_000):
     """Least squares penalized by ``kappa * ||beta||_1^2 / n``.
 
     The q = 2 case of :func:`solve_lq_rerm` with penalty coefficient
-    kappa / n, with the same optimality contract.
+    kappa / n, with the same start and optimality contract.
     """
     return _proximal_descent(sample, 2.0, "kappa", kappa / sample.n, 2.0, tol, max_iter)
 

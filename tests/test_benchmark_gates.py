@@ -60,3 +60,20 @@ def test_lq_rerm_q4_solves_in_few_gradients(monkeypatch):
     monkeypatch.setattr(solvers._LqObjective, "grad", counting)
     run_scenario(config_from_mapping(dict(RUN.WORKLOADS["lq_rerm_q4"].config, masterSeed=777)))
     assert sum(rows) <= 6000
+
+
+def test_square_lasso_starts_where_few_prox_steps_remain(monkeypatch):
+    # each q = 2 solve of a full-rank design starts at its sign-fixed KKT point, which certifies every replication
+    # of this config at seed 777 without a step; starting from zero took 2842 row-steps
+    from oraclebench import solvers
+
+    rows = []
+    prox = solvers._prox_l1_power
+
+    def counting(v, c, p):
+        rows.append(len(v))
+        return prox(v, c, p)
+
+    monkeypatch.setattr(solvers, "_prox_l1_power", counting)
+    run_scenario(config_from_mapping(dict(RUN.WORKLOADS["square_lasso"].config, masterSeed=777)))
+    assert sum(rows) <= 300

@@ -273,14 +273,14 @@ class TestFiniteGap:
              "fd19c01236bf831a2d1e022da165da55f98913b0217e06039e94df2ee751c54c",
              "305597860cc8740e57389d315ab415906f7f592e3e20417ea2e448ed6125e4e5"),
             (lasso_config(),
-             "caf779537ddc0ec4e617bdf9f70e5fdb6d5ce1cd609d749d7e4b7286104d1a75",
-             "a3d293352f452bbe6a647bae1f6a8e0026f5ad4512bd2c4383652658a93f48c4"),
+             "d6be49b6f8ab110d0eba59a69ed0e53cca89172eb3d2298ee6313f8214ce9916",
+             "339a448c7a39d2e1cdd8badf9cc3624d8cda7bca5eff5331c77e825b5880b47c"),
             (lasso_config(noise=NoiseSpec.exponential(2.0)),
-             "40dde627f166f08e452cc6b1244db147d589b4885edd54bbf3515159c8d79c6c",
-             "8f829d383fdb20061babe16b4de832327c92a1b8c6e50123c3006bd57ffb63c4"),
+             "5ce909d96c710e0aac50d83e5d069f2b2e4134bccf95294b44a4f34cec476794",
+             "04131473442a5c7cf7b3ec1061f8d420b784cc60e0836ea0c21ba3ca42508532"),
             (lasso_config(noise=NoiseSpec.bounded(0.5)),
-             "d92250d37fa457903bad5b77c4cfdbbdf26d40a5e4c9adf0b58795c1b7936468",
-             "4c97484023cfe5f2a6e6eb3bd3073ab4b559eefbac31702b09ece2523780ed5e"),
+             "85ba66ad0862d0c03eead14fb62d0a4f4527cd63f2eecc10b87f260cd5954109",
+             "209c8c52eb9e59870bbb35df3b590c778f826d50cfc0feda8e81c1633ec6544d"),
             (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
              "615e8bee094b92138ac0ed7750c1b095c45a6781803f84d5e02b17fda15a9100",
              "72e1d99977c861825a2991c8d7cbf4e1b2e1491b3dbd7395dab95c53abb34caa"),

@@ -172,8 +172,9 @@ class TestSolveLqRerm:
             solve_lq_rerm(s, 2.0, -0.1)
 
     def test_iteration_limit_carries_best_iterate(self):
+        # more coordinates than points, so the q = 2 solve starts at zero and iterates
         rng = np.random.default_rng(20)
-        s = random_instance(rng)
+        s = random_instance(rng, n=10, d=20)
         with pytest.raises(IterationLimitError) as info:
             solve_lq_rerm(s, 2.0, 0.05, tol=1e-12, max_iter=2)
         best = info.value.best
@@ -274,8 +275,10 @@ class TestSolveLqRerm:
         [(2.0, 0.05), (3.0, 0.05), (4.0, 0.05), (2.0, 0.0), (4.0, 0.0), (1.0, 0.05), (1.0, 1e-8), (1.0, 0.0)],
     )
     def test_gap_bounds_excess_over_reference(self, q, pen):
+        # at q = 2 and pen > 0 a design of full column rank starts at its sign-fixed KKT point, which certifies at
+        # once, so that case runs with more coordinates than points, where the solve starts at zero and iterates
         rng = np.random.default_rng(22)
-        s = random_instance(rng, n=30, d=5)
+        s = random_instance(rng, n=12, d=20) if (q, pen) == (2.0, 0.05) else random_instance(rng, n=30, d=5)
         f_ref = _solve(s, q, pen, tol=1e-12).objective
         excesses, gaps = [], []
         for max_iter in (1, 2, 4, 8, 16, 32):
@@ -402,7 +405,9 @@ class TestStackedSolve:
         for scale in (1.0, 6.0, 1.0, 3.0):
             design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
             samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
-        pen, tol = 0.02, 1e-10
+        # at q = 2 a penalized full-rank row starts at its sign-fixed KKT point and certifies at once; unpenalized,
+        # it starts at zero and iterates
+        pen, tol = 0.02 if q != 2.0 else 0.0, 1e-10
         counts = [_iterations(s, q, pen, tol) for s in samples]
         assert len(set(counts)) > 1
         solo = [_solve(s, q, pen, tol=tol) for s in samples]
@@ -431,7 +436,7 @@ class TestStackedSolve:
         for scale in (1.0, 6.0, 1.0, 3.0):
             design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
             samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
-        pen, tol = 0.02, 1e-10
+        pen, tol = 0.02 if q != 2.0 else 0.0, 1e-10
         counts = [_iterations(s, q, pen, tol) for s in samples]
         assert len(set(counts)) > 1
         rows = []
@@ -459,6 +464,82 @@ class TestStackedSolve:
         assert stacked.beta.shape == (2, s.d) and stacked.objective.shape == (2,)
         assert stacked.beta.tobytes() == np.stack([sol.beta, sol.beta]).tobytes()
         assert stacked.objective.tolist() == [sol.objective] * 2
+
+
+def _with_zero_column(sample, column):
+    design = sample.design.copy()
+    design[:, column] = 0.0
+    return Sample(design=design, response=sample.response)
+
+
+class TestSignFixedStart:
+    """At q = 2 with pen > 0 and n > d a row starts at its sign-fixed KKT point; elsewhere it starts at zero."""
+
+    def test_full_rank_penalized_sample_certifies_without_a_step(self, monkeypatch):
+        # the sign-fixed KKT point is the minimizer once its signs are right, so the first gap certifies it and the
+        # step, which needs the Hessian's largest eigenvalue, is never computed
+        from oraclebench import solvers
+
+        def unexpected(obj, beta):
+            raise AssertionError("lipschitz_estimate was called")
+
+        monkeypatch.setattr(solvers._LqObjective, "lipschitz_estimate", unexpected)
+        rng = np.random.default_rng(36)
+        for _ in range(5):
+            s = random_instance(rng, n=40, d=6)
+            assert solve_lq_rerm(s, 2.0, 0.05, tol=1e-9, max_iter=1).optimality_gap <= 1e-9
+            assert solve_square_lasso(s, 2.0, tol=1e-9, max_iter=1).optimality_gap <= 1e-9
+
+    @pytest.mark.parametrize(
+        "n, d, pen, zero_column",
+        [(8, 8, 0.05, False), (40, 6, 0.05, True), (10, 20, 0.0, False)],
+        ids=["n=d", "zero-column", "pen0-n<d"],
+    )
+    def test_other_inputs_start_at_zero_and_certify(self, monkeypatch, n, d, pen, zero_column):
+        # at n <= d the start is not taken; a zero column makes the system singular, so the solve falls back to
+        # zero instead of raising LinAlgError; at pen = 0 the iterates stay in the design's row space
+        from oraclebench import solvers
+
+        points = []
+        grad = solvers._LqObjective.grad
+
+        def recording(obj, beta):
+            points.append(beta.copy())
+            return grad(obj, beta)
+
+        monkeypatch.setattr(solvers._LqObjective, "grad", recording)
+        s = random_instance(np.random.default_rng(37), n=n, d=d)
+        if zero_column:
+            s = _with_zero_column(s, 2)
+        sol = solve_lq_rerm(s, 2.0, pen, tol=1e-8)
+        assert not points[0].any()
+        assert sol.optimality_gap <= 1e-8
+        if pen == 0.0:
+            # the minimizer of least l2 norm, the interpolant pinv(X) y
+            assert np.allclose(sol.beta, np.linalg.pinv(s.design) @ s.response, rtol=0, atol=1e-4)
+            _, _, vt = np.linalg.svd(s.design)
+            assert np.abs(vt[n:] @ sol.beta).max() <= 1e-12
+
+    def test_stack_of_started_and_iterating_rows_equals_solo_solves(self):
+        # at this penalty some rows certify at their sign-fixed start and some iterate from it; a row with a zero
+        # column has a singular system and starts at zero alone, not the rest of its stack with it
+        rng = np.random.default_rng(35)
+        samples = [random_instance(rng, n=30, d=8, noise=rng.uniform(0.05, 1.0)) for _ in range(6)]
+        samples[3] = _with_zero_column(samples[3], 5)
+        pen, tol = 0.2, 1e-9
+        at_start = []
+        for s in samples:
+            try:
+                solve_lq_rerm(s, 2.0, pen, tol=tol, max_iter=1)
+                at_start.append(True)
+            except IterationLimitError:
+                at_start.append(False)
+        assert any(at_start) and not all(at_start) and not at_start[3]
+        solo = [solve_lq_rerm(s, 2.0, pen, tol=tol) for s in samples]
+        stacked = solve_lq_rerm(_stack(samples), 2.0, pen, tol=tol)
+        assert stacked.beta.tobytes() == np.stack([s.beta for s in solo]).tobytes()
+        assert stacked.objective.tobytes() == np.array([s.objective for s in solo]).tobytes()
+        assert stacked.optimality_gap == max(s.optimality_gap for s in solo) <= tol
 
 
 @pytest.mark.parametrize(

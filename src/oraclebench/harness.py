@@ -406,9 +406,16 @@ def _rerm_rows(config, ctx, n, reps, rngs):
         stack = reps[start:start + size]
         # a lazy map: each replication's arrays live only until they are stacked, the stack only as long as its solve
         parts = map(sample_of, itertools.islice(rngs, len(stack)))
+        if config.q == 2:
+            sample = Moments(n, *map(np.stack, list(zip(*parts))[1:]))
+        else:
+            # each replication's rows go into their slices of one stack, which the Sample takes over without a copy
+            design, response = np.empty((len(stack), n, config.d)), np.empty((len(stack), n))
+            for i, rows in enumerate(parts):
+                design[i], response[i] = rows
+            sample = Sample(design, response)
         try:
-            solution = solve_lq_rerm(Moments(n, *map(np.stack, list(zip(*parts))[1:])) if config.q == 2
-                                     else Sample(*zip(*parts)), config.q, ctx["penalty_coef"], tol=1e-6)
+            solution = solve_lq_rerm(sample, config.q, ctx["penalty_coef"], tol=1e-6)
         except IterationLimitError as exc:
             raise RuntimeError(f"{config.scenario} solver failed at n={n}, replication {stack[exc.row]}: {exc}; "
                                f"best gap {exc.best.optimality_gap:.3g}") from exc

@@ -30,7 +30,9 @@ __all__ = [
 
 
 def _as_readonly_float_array(values, name, ndims):
-    arr = np.array(values, dtype=float)
+    # an array of floats that owns its memory is taken over, not copied; it turns read-only below
+    owned = type(values) is np.ndarray and values.dtype == np.float64 and values.flags.owndata
+    arr = values if owned else np.array(values, dtype=float)
     if arr.ndim not in ndims:
         raise InvalidInputError(f"{name} must be {' or '.join(map(str, ndims))}-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -41,7 +43,11 @@ def _as_readonly_float_array(values, name, ndims):
 
 @dataclass(frozen=True)
 class Sample:
-    """A regression dataset: an n x d design matrix plus n responses, or a stack of R of them, (R, n, d) and (R, n)."""
+    """A regression dataset: an n x d design matrix plus n responses, or a stack of R of them, (R, n, d) and (R, n).
+
+    Each array is copied, unless it is a float64 array that owns its memory: that one is taken over and made
+    read-only in place.
+    """
 
     design: np.ndarray
     response: np.ndarray

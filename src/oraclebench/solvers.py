@@ -11,14 +11,17 @@ c * ||beta||_1^p, for p = 1 or q, is soft-thresholding at a threshold found
 from the sorted magnitudes, by the same helper that projects onto l1 balls;
 above p = 2 the number of active coordinates is found in closed form and
 the threshold by a scalar Newton solve at that count only. At q = 2 the step
-is the fixed 1/L, with L exact from the Gram matrix, and the loop starts at
-zero, or, with a penalty and n > d, at each row's sign-fixed KKT point: the
-minimizer on the sign pattern of the least-squares fit, pruned once. For
-q > 2 it starts at the minimum-norm least-squares fit
-pinv(X'X/n) X'y/n, and the step is found by backtracking: after a move it
-grows by 1.25 only where the accepted candidate would also have passed the
-test at the grown step. A stack whose every start certifies computes no
-step. The momentum restarts from the current iterate
+is the fixed 1/L, with L exact from the Gram matrix; for q > 2 it is found by
+backtracking: after a move it grows by 1.25 only where the accepted candidate
+would also have passed the test at the grown step. With a penalty at power q
+and n > d each row starts on the sign pattern of its least-squares fit, where
+the penalty is smooth: at q = 2 at the pattern's KKT point, pruned once, and
+above at the end of Newton steps with a d x d Hessian per row, each trusted
+step pruning the coordinates whose sign flips, until the pattern holds
+(Lee, Sun & Saunders 2014 take such steps inside a proximal Newton method).
+Otherwise the loop starts at zero (q = 2) or at the minimum-norm
+least-squares fit pinv(X'X/n) X'y/n (q > 2). A stack whose every start
+certifies computes no step. The momentum restarts from the current iterate
 whenever the new step points against it, (z - cand).(cand - beta) > 0 for
 the extrapolated point z (the gradient restart of O'Donoghue & Candes 2015).
 Neither test compares objective values, so rounding near the minimum does
@@ -55,6 +58,7 @@ inputs to lower.
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from collections import namedtuple
@@ -230,14 +234,28 @@ class _LqObjective:
         resid = self.y - _matvec(self.X, beta)
         return -(self.q / self.n) * _matvec(self.X.swapaxes(1, 2), resid * np.abs(resid) ** (self.q - 2.0))
 
+    def hessian(self, beta):
+        """The risk's Hessian q (q - 1) / n X' diag|r|^{q-2} X of each row above q = 2, one product per row."""
+        weights = np.abs(self.y - _matvec(self.X, beta)) ** (self.q - 2.0)
+        hess = np.empty((len(self.X), self.d, self.d))
+        for x, w, out in zip(self.X, weights, hess):
+            np.matmul(x.T, x * w[:, None], out=out)
+        hess *= self.q * (self.q - 1.0) / self.n
+        return hess
+
     def lipschitz_estimate(self, beta):
         """Largest Hessian eigenvalue, exact for q = 2, local probe otherwise."""
         if self.q == 2.0:
             return 2.0 * np.linalg.eigvalsh(self.gram)[:, -1]
-        resid = self.y - _matvec(self.X, beta)
-        weights = np.abs(resid) ** (self.q - 2.0)
-        hess = (self.q * (self.q - 1.0) / self.n) * (self.X.swapaxes(1, 2) @ (self.X * weights[..., None]))
-        return np.linalg.eigvalsh(hess)[:, -1]
+        return np.linalg.eigvalsh(self.hessian(beta))[:, -1]
+
+    def row(self, i):
+        """The objective of row i alone, a stack of one that shares this stack's arrays."""
+        one = copy.copy(self)
+        for name in ("X", "y", "gram", "xty", "y2m"):
+            if hasattr(self, name):
+                setattr(one, name, getattr(self, name)[i:i + 1])
+        return one
 
     def row_space_radius(self):
         """An l2 bound on the minimizer of the risk alone that lies in the design's row space.
@@ -254,31 +272,72 @@ class _LqObjective:
         return fit / np.sqrt(smallest)
 
 
-def _sign_fixed_start(gram, xty, pen):
-    """Each row's q = 2 minimizer on sign pattern s, where the objective is quadratic: (G + pen s s') b = X'y/n.
+# the most Newton steps a q > 2 start takes
+_NEWTON_STEPS = 30
 
-    s is the least-squares fit's signs, less those the first solve flips; a singular or non-finite row gets zero.
+
+def _plain_start(obj):
+    """Each row's start without a sign pattern: zero at q = 2, and above its minimum-norm least-squares fit
+    pinv(X'X/n) X'y/n, which lies in the design's row space; Gram eigenvalues below numpy's rank tolerance count
+    as zero."""
+    if obj.q == 2.0:
+        return np.zeros(obj.xty.shape)
+    cutoff = max(obj.n, obj.d) * np.finfo(float).eps
+    return _matvec(np.linalg.pinv(obj.gram, rcond=cutoff, hermitian=True), obj.xty)
+
+
+def _sign_fixed_start(obj, pen):
+    """Each row's minimizer of the objective on a sign pattern s, where pen * ||b||_1^q is pen * (s'b)^q and smooth.
+
+    s is the signs of the least-squares fit G^{-1} X'y/n. Each round solves a d x d system on the active
+    coordinates s != 0, with identity rows and columns and a zero right side elsewhere. At q = 2 the objective is
+    quadratic there, and the system (G + pen s s') b = X'y/n gives the minimizer exactly. Above q = 2 each round
+    is a Newton step from the current point beta, starting at the least-squares fit: H b = H beta - g for the
+    Hessian H and gradient g of the pattern's objective at beta; its solution is trusted once the step moves no
+    coordinate by more than 1e-2 of the largest. Each coordinate whose trusted solution has the wrong sign leaves
+    the pattern. A row stops after a round that flips no sign and moves no coordinate by more than 1e-6 of the
+    largest, after two rounds at q = 2 (it prunes once) and after _NEWTON_STEPS rounds above. A row whose system
+    is singular, or whose solution is not finite, takes its :func:`_plain_start`.
     """
-    system, diagonal = np.empty_like(gram), np.arange(gram.shape[-1])
+    q, rows, diagonal = obj.q, len(obj.xty), np.arange(obj.d)
+    # every round builds its system in this one buffer, the size of the stack's Gram matrices
+    system, done, failed = np.empty_like(obj.gram), np.zeros(rows, dtype=bool), np.zeros(rows, dtype=bool)
     try:
-        signs = np.sign(np.linalg.solve(gram, xty[..., None])[..., 0])
-        for drop in (True, False):
-            # G + pen s s' on the active coordinates, and identity rows and columns with a zero right side elsewhere
+        beta = np.linalg.solve(obj.gram, obj.xty[..., None])[..., 0]
+        signs = np.sign(beta)
+        for _ in range(2 if q == 2.0 else _NEWTON_STEPS):
+            np.multiply(signs[:, :, None], signs[:, None, :], out=system)
+            if q == 2.0:
+                system *= pen
+                system += obj.gram
+                rhs = obj.xty
+            else:
+                total = _dot(signs, beta)
+                system *= (pen * q * (q - 1.0) * total ** (q - 2.0))[:, None, None]
+                system += obj.hessian(beta)
+                rhs = _matvec(system, beta) - obj.grad(beta) - (pen * q * total ** (q - 1.0))[:, None] * signs
             active = signs != 0.0
-            np.multiply(signs[:, :, None], pen * signs[:, None, :], out=system)
-            system += gram
             system *= active[:, :, None]
             system *= active[:, None, :]
             system[:, diagonal, diagonal] += ~active
-            beta = np.linalg.solve(system, np.where(active, xty, 0.0)[..., None])[..., 0]
-            if drop:
-                signs = np.where(np.sign(beta) == signs, signs, 0.0)
+            solved = np.linalg.solve(system, np.where(active, rhs, 0.0)[..., None])[..., 0]
+            running, finite = ~done, np.isfinite(solved).all(axis=-1)
+            # a q = 2 solution is exact; a Newton step is measured against the largest coordinate
+            step = np.abs(solved - beta).max(axis=-1) if q != 2.0 else 0.0
+            largest = np.abs(solved).max(axis=-1)
+            beta = np.where((running & finite)[:, None], solved, beta)
+            flips = (running & (step <= 1e-2 * largest))[:, None] & (np.sign(beta) != signs)
+            signs = np.where(flips, 0.0, signs)
+            failed |= running & ~finite
+            done |= running & (~finite | (step <= 1e-6 * largest) & ~flips.any(axis=-1))
+            if done.all():
+                break
     except np.linalg.LinAlgError:
         # LAPACK solves each matrix of a stack alone, so a row solved alone gets the same bits as in its stack
-        if len(gram) == 1:
-            return np.zeros_like(xty)
-        return np.concatenate([_sign_fixed_start(g[None], c[None], pen) for g, c in zip(gram, xty)])
-    return np.where(np.isfinite(beta).all(axis=-1)[:, None], beta, 0.0)
+        if rows == 1:
+            return _plain_start(obj)
+        return np.concatenate([_sign_fixed_start(obj.row(i), pen) for i in range(rows)])
+    return np.where(failed[:, None], _plain_start(obj), beta) if failed.any() else beta
 
 
 def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
@@ -303,15 +362,13 @@ def _proximal_descent(sample, q, pen_name, pen, power, tol, max_iter):
     l1_ball = pen > 0 and power != 1.0
     beta = np.zeros((len(obj.gram), obj.d))
     radius = (obj.risk_exact(beta) / pen) ** (1.0 / power) if l1_ball else obj.row_space_radius()
-    if q != 2.0:
-        # above q = 2 each row starts at its minimum-norm least-squares fit pinv(X'X/n) X'y/n, which lies in
-        # the design's row space; Gram eigenvalues below numpy's rank tolerance count as zero
-        cutoff = max(obj.n, obj.d) * np.finfo(float).eps
-        beta = _matvec(np.linalg.pinv(obj.gram, rcond=cutoff, hermitian=True), obj.xty)
-    elif l1_ball and obj.n > obj.d:
-        # at q = 2 with a penalty and more points than coordinates each row starts at its sign-fixed KKT point. At
-        # n <= d the Gram matrix is singular, and at pen = 0 the iterates must stay in the row space: both start at 0
-        beta = _sign_fixed_start(obj.gram, obj.xty, pen)
+    if l1_ball and obj.n > obj.d:
+        # with a penalty at power q and more points than coordinates each row starts at its minimizer on the sign
+        # pattern of the least-squares fit: the KKT point at q = 2, Newton steps above. At n <= d the Gram matrix is
+        # singular, and at pen = 0 the iterates must stay in the row space: both take the plain start
+        beta = _sign_fixed_start(obj, pen)
+    elif q != 2.0:
+        beta = _plain_start(obj)
 
     def duality_gap(beta, grad):
         l1, slope = np.abs(beta).sum(axis=-1), _dot(grad, beta)
@@ -385,12 +442,15 @@ def solve_lq_rerm(sample, q, penalty_coef, tol=1e-8, max_iter=200_000):
     """Minimize the L_q empirical risk plus ``penalty_coef * ||beta||_1^q``.
 
     FISTA with the prox of the l1-power penalty, restarting the momentum
-    whenever the new step points against it. At q = 2 it takes a fixed step
-    and starts from zero, or, at a positive penalty with n > d, from the
-    minimizer on the sign pattern of the least-squares fit, pruned once. For
-    q > 2 it starts from the minimum-norm least-squares fit and backtracks;
-    after a move the step grows by 1.25 only where the accepted candidate
-    would also pass at the grown step.
+    whenever the new step points against it. At q = 2 it takes a fixed step;
+    for q > 2 it backtracks, and after a move the step grows by 1.25 only
+    where the accepted candidate would also pass at the grown step. At a
+    positive penalty with n > d it starts from the minimizer on the sign
+    pattern of the least-squares fit: in closed form at q = 2, with the
+    pattern pruned once, and by Newton steps above, pruning every coordinate
+    whose sign flips until the pattern holds. A row whose system there is
+    singular, and every other input, starts from zero at q = 2 and from the
+    minimum-norm least-squares fit above.
     It stops once the Frank-Wolfe gap of the current iterate is at most
     ``tol``; that gap is the returned ``optimality_gap`` and bounds the
     objective's excess over the minimum.

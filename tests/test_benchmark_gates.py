@@ -46,8 +46,9 @@ def test_workload_meets_its_gate_at_seed_777(name, tmp_path):
 
 
 def test_lq_rerm_q4_solves_in_few_gradients(monkeypatch):
-    # each q = 4 solve starts at its least-squares fit and grows its step only where the grown step would pass the
-    # backtracking test: 5183 row-gradients on this config, where starting from zero and growing on every move took 8753
+    # each q = 4 solve moves from its least-squares fit by Newton steps on its sign pattern, one row-gradient per
+    # step, and certifies there: 847 row-gradients on this config, where iterating from the least-squares fit took
+    # 5183 and starting from zero and growing the step on every move 8753
     from oraclebench import solvers
 
     rows = []
@@ -76,4 +77,22 @@ def test_square_lasso_starts_where_few_prox_steps_remain(monkeypatch):
 
     monkeypatch.setattr(solvers, "_prox_l1_power", counting)
     run_scenario(config_from_mapping(dict(RUN.WORKLOADS["square_lasso"].config, masterSeed=777)))
+    assert sum(rows) <= 300
+
+
+def test_lq_rerm_q4_starts_where_few_prox_steps_remain(monkeypatch):
+    # each q = 4 solve of a full-rank design starts at its Newton point on the sign pattern of its least-squares fit,
+    # which certifies every replication of this config at seed 777 without a step; iterating from the least-squares
+    # fit took 2914 row-steps
+    from oraclebench import solvers
+
+    rows = []
+    prox = solvers._prox_l1_power
+
+    def counting(v, c, p):
+        rows.append(len(v))
+        return prox(v, c, p)
+
+    monkeypatch.setattr(solvers, "_prox_l1_power", counting)
+    run_scenario(config_from_mapping(dict(RUN.WORKLOADS["lq_rerm_q4"].config, masterSeed=777)))
     assert sum(rows) <= 300

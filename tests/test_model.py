@@ -311,3 +311,14 @@ class TestContainers:
         s = Sample(design=np.ones((2, 2)), response=np.ones(2))
         with pytest.raises(ValueError):
             s.design[0, 0] = 7.0
+
+    def test_sample_takes_over_an_owned_float_array(self):
+        # a float64 array that owns its memory is not copied but made read-only in place; a view, or an array of
+        # another dtype, is copied and left as it was
+        design, response = np.ones((3, 2)), np.ones(3)
+        s = Sample(design=design, response=response)
+        assert np.shares_memory(s.design, design) and not design.flags.writeable
+        view, counts = np.ones((4, 2))[1:], np.arange(3)
+        s = Sample(design=view, response=counts)
+        assert not np.shares_memory(s.design, view) and view.flags.writeable and counts.flags.writeable
+        assert s.response.dtype == np.float64 and not s.response.flags.writeable

@@ -243,7 +243,9 @@ class TestSolveLqRerm:
     @pytest.mark.parametrize("pen", [0.05, 0.0])
     def test_loop_above_q2_evaluates_only_gradients(self, monkeypatch, pen):
         # the value mean |r|^q is computed twice per solve, for the radius of the gap's ball and for the
-        # returned objective, whatever the instance and the iteration count; every step asks for gradients
+        # returned objective, whatever the instance and the iteration count; every step asks for gradients. A
+        # penalized design with more points than coordinates starts at its Newton point and may certify there, so
+        # the penalized case has as many coordinates as points and starts at its least-squares fit
         from oraclebench import solvers
 
         calls = collections.Counter()
@@ -258,7 +260,7 @@ class TestSolveLqRerm:
         monkeypatch.setattr(solvers, "_LqObjective", Counted)
         rng = np.random.default_rng(27)
         for d in (2, 6):
-            s = random_instance(rng, n=40, d=d)
+            s = random_instance(rng, n=40 if pen == 0.0 else d, d=d)
             for max_iter in (1, 3, 10, 200_000):
                 calls.clear()
                 try:
@@ -268,17 +270,18 @@ class TestSolveLqRerm:
                 assert calls["risk_exact"] == 2
                 # at zero, at the first candidate and at the first extrapolated point
                 assert calls["grad"] >= 3
-                assert set(calls) <= {"grad", "risk_exact", "lipschitz_estimate", "row_space_radius"}
+                assert set(calls) <= {"grad", "risk_exact", "lipschitz_estimate", "hessian", "row_space_radius"}
 
     @pytest.mark.parametrize(
         "q, pen",
         [(2.0, 0.05), (3.0, 0.05), (4.0, 0.05), (2.0, 0.0), (4.0, 0.0), (1.0, 0.05), (1.0, 1e-8), (1.0, 0.0)],
     )
     def test_gap_bounds_excess_over_reference(self, q, pen):
-        # at q = 2 and pen > 0 a design of full column rank starts at its sign-fixed KKT point, which certifies at
-        # once, so that case runs with more coordinates than points, where the solve starts at zero and iterates
+        # with pen > 0 a design of full column rank starts at its sign-fixed KKT point (q = 2) or its Newton point
+        # (q > 2), which certifies at once, so those cases run with more coordinates than points, where the solve
+        # starts at zero or at the least-squares fit and iterates
         rng = np.random.default_rng(22)
-        s = random_instance(rng, n=12, d=20) if (q, pen) == (2.0, 0.05) else random_instance(rng, n=30, d=5)
+        s = random_instance(rng, n=12, d=20) if pen == 0.05 and q >= 2.0 else random_instance(rng, n=30, d=5)
         f_ref = _solve(s, q, pen, tol=1e-12).objective
         excesses, gaps = [], []
         for max_iter in (1, 2, 4, 8, 16, 32):
@@ -405,9 +408,9 @@ class TestStackedSolve:
         for scale in (1.0, 6.0, 1.0, 3.0):
             design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
             samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
-        # at q = 2 a penalized full-rank row starts at its sign-fixed KKT point and certifies at once; unpenalized,
-        # it starts at zero and iterates
-        pen, tol = 0.02 if q != 2.0 else 0.0, 1e-10
+        # a penalized full-rank row starts at its sign-fixed KKT point (q = 2) or its Newton point (q > 2) and
+        # certifies at once; unpenalized, it starts at zero or at its least-squares fit and iterates
+        pen, tol = 0.0, 1e-10
         counts = [_iterations(s, q, pen, tol) for s in samples]
         assert len(set(counts)) > 1
         solo = [_solve(s, q, pen, tol=tol) for s in samples]
@@ -436,7 +439,7 @@ class TestStackedSolve:
         for scale in (1.0, 6.0, 1.0, 3.0):
             design = rng.standard_normal((25, 4)) * np.array([1.0, 1.0, 1.0, scale])
             samples.append(Sample(design=design, response=design @ rng.uniform(-1, 1, 4) + rng.standard_normal(25)))
-        pen, tol = 0.02 if q != 2.0 else 0.0, 1e-10
+        pen, tol = 0.0, 1e-10
         counts = [_iterations(s, q, pen, tol) for s in samples]
         assert len(set(counts)) > 1
         rows = []
@@ -537,6 +540,83 @@ class TestSignFixedStart:
         assert any(at_start) and not all(at_start) and not at_start[3]
         solo = [solve_lq_rerm(s, 2.0, pen, tol=tol) for s in samples]
         stacked = solve_lq_rerm(_stack(samples), 2.0, pen, tol=tol)
+        assert stacked.beta.tobytes() == np.stack([s.beta for s in solo]).tobytes()
+        assert stacked.objective.tobytes() == np.array([s.objective for s in solo]).tobytes()
+        assert stacked.optimality_gap == max(s.optimality_gap for s in solo) <= tol
+
+
+def _noise_free(rng, n, d):
+    design = rng.standard_normal((n, d))
+    return Sample(design=design, response=design @ rng.uniform(-1, 1, d))
+
+
+class TestNewtonStart:
+    """Above q = 2 with pen > 0 and n > d a row moves from its least-squares fit by Newton steps on its sign pattern."""
+
+    @pytest.mark.parametrize("q", [3.0, 4.0])
+    def test_full_rank_penalized_sample_certifies_without_a_prox_step(self, monkeypatch, q):
+        # on the sign pattern of the minimizer the objective is smooth, and a few Newton steps land where the
+        # Frank-Wolfe gap certifies, so the loop never calls the prox
+        from oraclebench import solvers
+
+        def unexpected(v, c, p):
+            raise AssertionError("_prox_l1_power was called")
+
+        monkeypatch.setattr(solvers, "_prox_l1_power", unexpected)
+        rng = np.random.default_rng(38)
+        for _ in range(5):
+            s = random_instance(rng, n=40, d=6)
+            assert solve_lq_rerm(s, q, 0.05, tol=1e-9, max_iter=1).optimality_gap <= 1e-9
+
+    def test_noise_free_fit_keeps_its_least_squares_start(self, monkeypatch):
+        # for y = X b the least-squares fit leaves residuals at rounding level, so at q = 4 the risk's Hessian, weighted
+        # by their squares, rounds away next to the penalty's rank-one term: the system is singular, and the row
+        # starts at its least-squares fit and iterates from there
+        from oraclebench import solvers
+
+        points = []
+        grad = solvers._LqObjective.grad
+
+        def recording(obj, beta):
+            points.append(beta.copy())
+            return grad(obj, beta)
+
+        s = _noise_free(np.random.default_rng(39), 40, 6)
+        monkeypatch.setattr(solvers._LqObjective, "grad", recording)
+        sol = solve_lq_rerm(s, 4.0, 0.05, tol=1e-8)
+        assert np.allclose(points[0], np.linalg.pinv(s.design) @ s.response, rtol=0, atol=1e-10)
+        assert sol.optimality_gap <= 1e-8
+
+    def test_hessian_is_the_stacked_product_bit_for_bit(self):
+        # the Hessian is built one row at a time, without a weighted copy of the whole stack's design; each row's
+        # product is the BLAS call of one stacked matmul, so lipschitz_estimate keeps its bits
+        from oraclebench import solvers
+
+        rng = np.random.default_rng(41)
+        obj = solvers._LqObjective(_stack([random_instance(rng, n=30, d=5) for _ in range(4)]), 4.0)
+        beta = rng.standard_normal((4, 5))
+        weights = np.abs(obj.y - (obj.X @ beta[..., None])[..., 0]) ** 2.0
+        reference = (4.0 * 3.0 / 30) * (obj.X.swapaxes(1, 2) @ (obj.X * weights[..., None]))
+        assert obj.hessian(beta).tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("q", [2.5, 3.0, 4.0])
+    def test_stack_of_started_and_iterating_rows_equals_solo_solves(self, q):
+        # at this penalty some rows certify at their Newton point and some iterate from it; the noise-free row's
+        # system is singular at q = 4, so that stack is solved row by row and only that row keeps its start
+        rng = np.random.default_rng(67)
+        samples = [random_instance(rng, n=30, d=8, noise=rng.uniform(0.05, 1.0)) for _ in range(6)]
+        samples[3] = _noise_free(rng, 30, 8)
+        pen, tol = 0.2, 1e-9
+        at_start = []
+        for s in samples:
+            try:
+                solve_lq_rerm(s, q, pen, tol=tol, max_iter=1)
+                at_start.append(True)
+            except IterationLimitError:
+                at_start.append(False)
+        assert any(at_start) and not all(at_start)
+        solo = [solve_lq_rerm(s, q, pen, tol=tol) for s in samples]
+        stacked = solve_lq_rerm(_stack(samples), q, pen, tol=tol)
         assert stacked.beta.tobytes() == np.stack([s.beta for s in solo]).tobytes()
         assert stacked.objective.tobytes() == np.array([s.objective for s in solo]).tobytes()
         assert stacked.optimality_gap == max(s.optimality_gap for s in solo) <= tol

@@ -272,6 +272,10 @@ class TestFiniteGap:
             (iso_config(),
              "fd19c01236bf831a2d1e022da165da55f98913b0217e06039e94df2ee751c54c",
              "305597860cc8740e57389d315ab415906f7f592e3e20417ea2e448ed6125e4e5"),
+            # odd n at a cell count that is not a power of two: each draw leaves half a word buffered
+            (iso_config(n_grid=[255, 1023], cells=17),
+             "724c391eac21c58b30041a795e2659a29d4fca5e2ff93a542966addcb659723c",
+             "745e5e91a5f306e458a082783270668585c724c7872152cd50fb17822d3b5b40"),
             (lasso_config(),
              "d6be49b6f8ab110d0eba59a69ed0e53cca89172eb3d2298ee6313f8214ce9916",
              "339a448c7a39d2e1cdd8badf9cc3624d8cda7bca5eff5331c77e825b5880b47c"),

@@ -63,11 +63,14 @@ Every stream of a run is ``np.random.default_rng(derive_seed(masterSeed,
 tag, n, i))``, so results do not depend on scheduling or worker count, and
 achieved risks are gathered in replication order. ``_generators`` makes the
 replications' and Isomorphy's localization generators a range at a time: it
-runs numpy's fixed ``SeedSequence`` algorithm on uint32 arrays (``seeding``,
-tested against numpy). It alone imports ``seeding``, which loads
-numpy.random, so importing the CLI does not. Nonpositive per-n mean nonexact slacks cannot
-enter a log-log fit: they are excluded from the fit, counted, and reported
-in summaries as the tiny positive constant ``_FLOOR``.
+runs numpy's fixed ``SeedSequence`` algorithm on uint32 arrays. Isomorphy
+reads each draw's cells and uniforms from its generator's raw words, bit for
+bit numpy's ``integers`` and ``random`` (``_isomorphy_blocks``). Both
+reproductions live in ``seeding`` and are tested against numpy; only
+``_generators`` and ``_isomorphy_blocks`` import it, since it loads
+numpy.random, so importing the CLI does not. Nonpositive per-n mean
+nonexact slacks cannot enter a log-log fit: they are excluded from the fit,
+counted, and reported in summaries as the tiny positive constant ``_FLOOR``.
 """
 
 from __future__ import annotations
@@ -219,21 +222,23 @@ def _isomorphy_model(config):
 def _isomorphy_blocks(rngs, p_plus, n):
     """Fresh draws of n labelled cells, one per generator in order, as (draws, n) blocks of point indices.
 
-    Each generator draws its n cells, then n uniforms that label them, the calls of a draw alone, so every
-    stream is the same whatever the blocks, and a generator may come more than once. A block holds as many
-    draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell (its index and its uniform) and 16 per
-    distinct point (a draw's count of it, as an integer and as a float).
+    Each generator draws its n cells, then n uniforms that label them, bit for bit numpy's
+    ``integers(0, k, size=n)`` and ``random(n)``, read from its raw words (``seeding.integers_then_random``).
+    A draw reads its own stream, so every stream is the same whatever the blocks, and a generator may come
+    more than once. A block holds as many draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell and
+    16 per distinct point (a draw's count of it, as an integer and as a float). A drawn cell is an 8-byte
+    index, and 12 bytes of raw words (half a word for its cell, one for its uniform) in a buffer that the
+    call reuses from block to block.
     """
+    from .seeding import integers_then_random
+
     k = p_plus.size
     size = max(1, _STACK_BYTES // (16 * (n + 2 * k)))
-    rngs = iter(rngs)
-    while block := list(itertools.islice(rngs, size)):
-        cells = np.empty((len(block), n), dtype=np.int64)
-        uniforms = np.empty((len(block), n))
-        for row, rng in enumerate(block):
-            cells[row] = rng.integers(0, k, size=n)
-            rng.random(out=uniforms[row])
-        yield cells + k * (uniforms >= p_plus[cells])
+    # a uniform is u * 2^-53 for an integer u, so it is at least p exactly when u >= ceil(p 2^53)
+    at_least = np.ceil(p_plus * 2.0**53).astype(np.uint64)
+    for cells, units in integers_then_random(rngs, k, n, size):
+        cells += k * (units >= at_least[cells])
+        yield cells
 
 
 def _isomorphy_risks(rngs, losses, p_plus, n):
@@ -261,10 +266,15 @@ def _isomorphy_ctx(config, n):
 
     calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
     # the envelope and psi_1 draws need per-sample losses: 64 draws of the envelope, each point's largest loss,
-    # then one draw of each function's losses, all from the one calibration stream
+    # then one draw of each function's losses, all from the one calibration stream in one block draw, which
+    # ends before the envelope is scored
     envelope = losses.max(axis=0)
-    bn = envelope_psi1(np.vstack([envelope[block] for block in _isomorphy_blocks([calib_rng] * 64, p_plus, n)]))
-    pooled = np.vstack(list(_isomorphy_blocks([calib_rng] * config.d, p_plus, n)))
+    draws = itertools.chain.from_iterable(_isomorphy_blocks([calib_rng] * (64 + config.d), p_plus, n))
+    envelopes = np.empty((64, n))
+    for row, points in zip(envelopes, draws):
+        np.take(envelope, points, out=row)
+    pooled = np.array(list(draws))
+    bn = envelope_psi1(envelopes)
     diam = max(psi_alpha_norm(losses[j, points], alpha=1.0, tol=1e-6) for j, points in enumerate(pooled))
     big_bn = bernstein_from_psi1(diam, n)
     try:
@@ -684,7 +694,8 @@ _FIELDS = (
     _Field("lambdaReplications", "lambda_replications", _as_int, lambda v: v >= 1, "be an integer >= 1",
            ("Isomorphy",)),
     _Field("labelFlip", "label_flip", _as_real, lambda v: 0 <= v <= 0.5, "be a real in [0, 1/2]", ("Isomorphy",)),
-    _Field("cells", "cells", _as_int, lambda v: v >= 2, "be an integer >= 2", ("Isomorphy",)),
+    # the draw reproduces numpy's 32-bit bounded integers only (seeding.integers_then_random)
+    _Field("cells", "cells", _as_int, lambda v: 2 <= v <= 2**32, "be an integer in [2, 2**32]", ("Isomorphy",)),
 )
 
 

@@ -260,6 +260,9 @@ MALFORMED = [
     ("testSize=2.5", "testSize", "FiniteGap"),
     ("replications=3.9", "replications", "FiniteGap"),
     ("gamma=-1", "gamma", "FiniteGap"),
+    # past 2^32 cells numpy draws bounded integers another way, which the Isomorphy draw does not reproduce
+    ("cells=4294967297", "cells", "Isomorphy"),
+    ("cells=8589934592", "cells", "Isomorphy"),
 ]
 
 

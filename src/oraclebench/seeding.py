@@ -18,12 +18,13 @@ fixed algorithms too (``numpy/random/src/distributions``), reproduced on
 arrays, and each generator is left in the state that numpy's calls leave.
 
 The tests compare both with numpy's own calls, which guards a numpy upgrade;
-they are tested on numpy 2.4, and the package requires numpy 2.
+both are tested on numpy 2.4, and the package requires numpy 2.
 
 This module loads numpy.random, so it is imported only where replications
 are drawn (``harness._run_chunk``) and where Isomorphy draws
 (``harness._isomorphy_blocks``): importing the CLI does not need it.
 """
+
 from __future__ import annotations
 
 import itertools
@@ -175,22 +176,23 @@ def _block(bit_generators, k, n, words):
 
 
 def integers_then_random(rngs, k, n, rows):
-    """Yields, for each ``rows`` generators in turn, their ``rng.integers(0, k, size=n)`` and then ``rng.random(n)``.
+    """Yields, ``rows`` generators at a time, what each draws by ``integers(0, k, size=n)`` and then ``random(n)``.
 
-    Each block is two (generators, n) arrays: int64 cells and the uint64 integers ``u`` of the uniforms,
-    ``random() == u * 2**-53``, bit for bit; ``u`` is overwritten by the next block. Each generator is left in
-    the state that numpy's calls leave, block by block. It holds for ``PCG64`` generators, ``2 <= k <= 2**32``
-    and ``n >= 1``. Each row is one ``random_raw`` read: numpy's bounded integers below 2^32
-    (``random_bounded_uint64_fill``) use Lemire's method on the 32-bit halves of the 64-bit words, low half
-    first. A half h gives the cell ``(h k) >> 32`` unless ``(h k) mod 2^32 < 2^32 mod k``, when it is rejected
-    and the next half is read. A high half that the cells leave over stays buffered in the generator
-    (``has_uint32`` / ``uinteger``), where the next bounded draw reads it first and ``random`` never does;
-    ``random`` reads one word per uniform and keeps its top 53 bits. So a row reads the words of its cells,
-    ``ceil(n / 2)``, one fewer if a half was buffered and n is odd, then its n uniform words. A rejection,
-    never at a power-of-two k and with probability below k / 2^32 per half otherwise, shifts the row's words;
-    that row and the later rows of its generator in the block are replayed in numpy's order (``_replay``). A
-    generator may come more than once: its buffered half is carried from row to row, and its state is
-    written back only where a block changed the buffered half.
+    A block is two (generators, n) arrays: the int64 cells and the uint64 integers u of the uniforms, each
+    ``random()`` being ``u * 2**-53``; u is overwritten by the next block. Both are numpy's bit for bit, and each
+    generator is left, block by block, in the state that numpy's calls leave, for ``PCG64`` generators,
+    ``2 <= k <= 2**32`` and ``n >= 1``.
+
+    A row is one ``random_raw`` read. numpy's bounded integers below 2^32 (``random_bounded_uint64_fill``)
+    take the 32-bit halves of 64-bit words, low half first, by Lemire's method: a half h gives the cell
+    ``(h k) >> 32``, unless ``(h k) mod 2^32 < 2^32 mod k`` rejects it for the next half. A high half left over
+    stays buffered in the generator (``has_uint32`` / ``uinteger``) for the next bounded draw, and ``random``
+    does not read it: each uniform is the top 53 bits of one word. So a row's cells take ``ceil(n / 2)`` words,
+    one fewer after a buffered half when n is odd, and its uniforms the next n. A rejection, never at a
+    power-of-two k and with probability below k / 2^32 per half otherwise, shifts the words: that row and the
+    later rows of its generator in the block are replayed in numpy's order (``_replay``). A generator may come
+    more than once: its buffered half is carried from row to row, and written back to its state only where the
+    block changed it.
     """
     if not 2 <= k <= 1 << 32:
         raise ValueError(f"k must be in [2, 2**32], got {k}")

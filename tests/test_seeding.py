@@ -115,16 +115,20 @@ def test_one_generator_drawn_three_times_in_a_row(k):
 @pytest.mark.parametrize("k, share", [(3 * 2**30, 1 / 4), (2**31 + 1, 1 / 2)])
 @pytest.mark.parametrize("n", [255, 4097])
 def test_rejected_halves_are_replayed(k, share, n):
-    # numpy rejects a half h when (h k) mod 2^32 < 2^32 mod k; here that is a large share of all halves
-    halves = np.random.default_rng(11).bit_generator.random_raw(4096).astype("<u8").view("<u4").astype(np.uint64)
-    assert abs(np.mean(halves * k % 2**32 < 2**32 % k) - share) < 0.02
-    got, want, unrejected = (np.random.default_rng(seed) for seed in (11, 11, 11))
+    # numpy rejects a half h when (h k) mod 2^32 < 2^32 mod k, here a large share of all halves; two rows of one
+    # generator, so that the second starts where the first's rejections left the stream
+    got, want = (np.random.default_rng(11) for _ in range(2))
     for drawn, expected in zip(_seeding_draws([got, got], k, n, 2), _numpy_draws([want, want], k, n)):
         np.testing.assert_array_equal(drawn, expected)
+    taken = read_state(want)[0]
     assert_same_generator(got, want)
-    # the draws took more words than two rows without a rejection would
-    unrejected.bit_generator.advance(n + 2 * n)
-    assert read_state(want)[0] != unrejected.bit_generator.state["state"]
+    # numpy took 2n words for the uniforms and about n / (1 - share) for the cells, where rejection-free rows
+    # take n: count them by stepping a fresh generator until it reaches the state the draws left
+    probe, words = np.random.default_rng(11).bit_generator.advance(3 * n), 3 * n
+    while probe.state["state"] != taken and words < 5 * n:
+        probe.advance(1)
+        words += 1
+    assert abs(words - (2 * n + n / (1 - share))) < 0.1 * n
 
 
 @pytest.mark.parametrize("k", [1, 2**32 + 1])

@@ -117,10 +117,10 @@ def bernstein_from_psi1(psi1, n):
     A psi_1 diameter D yields B = D * log(e n), returned as a float; its
     additive residual is B^2/n.
     """
-    if not psi1 >= 0:
-        raise InvalidInputError("psi1 must be nonnegative")
-    if not n >= 1:
-        raise InvalidInputError("n must be >= 1")
+    if not (math.isfinite(psi1) and psi1 >= 0):
+        raise InvalidInputError("psi1 must be finite and nonnegative")
+    if not (math.isfinite(n) and n >= 1):
+        raise InvalidInputError("n must be finite and >= 1")
     return psi1 * math.log(math.e * n)
 
 
@@ -131,10 +131,10 @@ def bernstein_verify(samples, psi1, z):
     log(ez) * psi1 * mean(x) + (4 + 6 log^2(ez) psi1^2) / (ez),
     with psi1 an upper bound on the empirical psi_1 norm of the samples.
     """
-    if not z >= 1:
-        raise InvalidInputError("z must be >= 1")
-    if not psi1 >= 0:
-        raise InvalidInputError("psi1 must be nonnegative")
+    if not (math.isfinite(z) and z >= 1):
+        raise InvalidInputError("z must be finite and >= 1")
+    if not (math.isfinite(psi1) and psi1 >= 0):
+        raise InvalidInputError("psi1 must be finite and nonnegative")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < 1:
         raise InvalidInputError("samples must be a nonempty vector")

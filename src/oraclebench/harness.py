@@ -64,8 +64,8 @@ tag, n, i))``, so results do not depend on scheduling or worker count, and
 achieved risks are gathered in replication order. ``_generators`` makes the
 replications' and Isomorphy's localization generators a range at a time: it
 runs numpy's fixed ``SeedSequence`` algorithm on uint32 arrays. Isomorphy
-reads each draw's cells and uniforms from its generator's raw words, bit for
-bit numpy's ``integers`` and ``random`` (``_isomorphy_blocks``). Both
+reads each such generator's one draw from its raw words, bit for bit numpy's
+``integers`` and ``random`` (``_isomorphy_blocks``). Both
 reproductions live in ``seeding`` and are tested against numpy; only
 ``_generators`` and ``_isomorphy_blocks`` import it, since it loads
 numpy.random, so importing the CLI does not. Nonpositive per-n mean
@@ -224,9 +224,9 @@ def _isomorphy_blocks(rngs, p_plus, n):
 
     Each generator draws its n cells, then n uniforms that label them, bit for bit numpy's
     ``integers(0, k, size=n)`` and ``random(n)``, read from its raw words (``seeding.integers_then_random``).
-    A draw reads its own stream, so every stream is the same whatever the blocks, and a generator may come
-    more than once. A block holds as many draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell and
-    16 per distinct point (a draw's count of it, as an integer and as a float). A drawn cell is an 8-byte
+    Each generator is fresh and draws once, and a draw reads its own stream, so every stream is the same
+    whatever the blocks. A block holds as many draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell
+    and 16 per distinct point (a draw's count of it, as an integer and as a float). A drawn cell is an 8-byte
     index, and 12 bytes of raw words (half a word for its cell, one for its uniform) in a buffer that the
     call reuses from block to block.
     """
@@ -266,14 +266,15 @@ def _isomorphy_ctx(config, n):
 
     calib_rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
     # the envelope and psi_1 draws need per-sample losses: 64 draws of the envelope, each point's largest loss,
-    # then one draw of each function's losses, all from the one calibration stream in one block draw, which
-    # ends before the envelope is scored
-    envelope = losses.max(axis=0)
-    draws = itertools.chain.from_iterable(_isomorphy_blocks([calib_rng] * (64 + config.d), p_plus, n))
+    # then one draw of each function's losses, all labelled as _isomorphy_blocks labels them but drawn from the
+    # one calibration stream by numpy's own calls, integers and then random
+    k, envelope = p_plus.size, losses.max(axis=0)
+    cell_draws = (calib_rng.integers(0, k, size=n) for _ in range(64 + config.d))
+    draws = (cells + k * (calib_rng.random(n) >= p_plus[cells]) for cells in cell_draws)
     envelopes = np.empty((64, n))
     for row, points in zip(envelopes, draws):
         np.take(envelope, points, out=row)
-    pooled = np.array(list(draws))
+    pooled = list(draws)
     bn = envelope_psi1(envelopes)
     diam = max(psi_alpha_norm(losses[j, points], alpha=1.0, tol=1e-6) for j, points in enumerate(pooled))
     big_bn = bernstein_from_psi1(diam, n)

@@ -10,18 +10,17 @@ algorithm (``numpy/random/bit_generator.pyx``): its constants do not depend on
 the data.
 
 ``integers_then_random`` draws what ``rng.integers(0, k, size=n)`` and then
-``rng.random(n)`` draw, for a block of generators at a time, from one
+``rng.random(n)`` draw, for a block of fresh generators at a time, from one
 ``random_raw`` read of each generator's 64-bit words: numpy's bounded
-integers below 2^32 (Lemire's method on 32-bit halves, with a half left
-buffered in the generator) and its uniforms (the top 53 bits of a word) are
-fixed algorithms too (``numpy/random/src/distributions``), reproduced on
-arrays, and each generator is left in the state that numpy's calls leave.
+integers below 2^32 (Lemire's method on 32-bit halves) and its uniforms (the
+top 53 bits of a word) are fixed algorithms too
+(``numpy/random/src/distributions``), reproduced on arrays.
 
 The tests compare both with numpy's own calls, which guards a numpy upgrade;
 both are tested on numpy 2.4, and the package requires numpy 2.
 
-This module loads numpy.random, so it is imported only where replications
-are drawn (``harness._run_chunk``) and where Isomorphy draws
+This module loads numpy.random, so it is imported only where generators are
+made (``harness._generators``) and where Isomorphy draws
 (``harness._isomorphy_blocks``): importing the CLI does not need it.
 """
 
@@ -99,106 +98,45 @@ def generators(seeds):
     return (Generator(PCG64(_StateWords(words))) for words in seed_sequence_words(seeds))
 
 
-
 def _halves(words):
     """The 32-bit halves of uint64 words in the order numpy's ``next_uint32`` reads them, low half first."""
     return words.astype("<u8", copy=False).view("<u4")
-
-
-def _replay(bit_generator, half, stream, k, n, reject_below):
-    """One row of ``integers_then_random`` in numpy's order, rejections included, as (cells, label words).
-
-    ``half`` is the generator's buffered half (or None) and ``stream`` the words already read from it, in
-    order; more are read where the row needs them. Also returns the generator's buffered half after the row
-    and the words of ``stream`` that the row left unused.
-    """
-    lead = np.array([] if half is None else [half], np.uint64)
-    while True:
-        products = np.concatenate([lead, _halves(stream)]) * np.uint64(k)
-        kept = np.flatnonzero((products & _LOW) >= reject_below)
-        if kept.size >= n:
-            break
-        stream = np.concatenate([stream, bit_generator.random_raw((n - kept.size + 1) // 2)])
-    used = int(kept[n - 1]) + 1 - lead.size  # halves the cells took from the stream's words
-    taken = (used + 1) // 2
-    if stream.size < taken + n:
-        stream = np.concatenate([stream, bit_generator.random_raw(taken + n - stream.size)])
-    half = int(stream[taken - 1] >> 32) if used % 2 else None
-    return products[kept[:n]] >> 32, stream[taken:taken + n], half, stream[taken + n:]
-
-
-def _block(bit_generators, k, n, words):
-    """One block of ``integers_then_random``, read into the rows of ``words``, with each state written back."""
-    rows, cell_words = len(bit_generators), (n + 1) // 2
-    entry, carry, starts = {}, {}, np.empty(rows, np.int64)
-    for row, bit_generator in enumerate(bit_generators):
-        if bit_generator not in carry:
-            state = bit_generator.state
-            carry[bit_generator] = entry[bit_generator] = state["uinteger"] if state["has_uint32"] else None
-        half = carry[bit_generator]
-        fresh = n if half is None else n - 1  # halves the cells take from this row's words
-        own = (fresh + 1) // 2
-        first = 1 + cell_words - own
-        words[row, first:] = raw = bit_generator.random_raw(own + n)
-        if half is not None:
-            words[row, first - 1] = half << 32
-        starts[row] = 2 * first - (half is not None)
-        carry[bit_generator] = int(raw[own - 1] >> 32) if fresh % 2 else None
-    halves, units = _halves(words), words[:, 1 + cell_words:]
-    start = int(starts[0])
-    if (starts == start).all():
-        products = halves[:, start:start + n] * np.uint64(k)
-    else:
-        products = np.take_along_axis(halves, starts[:, None] + np.arange(n), axis=1) * np.uint64(k)
-    # numpy rejects a half whose product's low word is below 2^32 mod k
-    reject_below = (1 << 32) % k
-    rejected = np.flatnonzero(((products & _LOW) < reject_below).any(axis=1)) if reject_below else ()
-    products >>= 32
-    replayed = set()
-    for row in rejected:
-        bit_generator = bit_generators[row]
-        if bit_generator in replayed:
-            continue
-        replayed.add(bit_generator)
-        later = [r for r in range(row, rows) if bit_generators[r] is bit_generator]
-        half = int(halves[row, starts[row]]) if starts[row] % 2 else None
-        stream = np.concatenate([words[r, (starts[r] + 1) // 2:] for r in later])
-        for r in later:
-            products[r], units[r], half, stream = _replay(bit_generator, half, stream, k, n, reject_below)
-        carry[bit_generator] = half
-    for bit_generator, half in carry.items():
-        if half != entry[bit_generator]:
-            state = bit_generator.state
-            state["has_uint32"], state["uinteger"] = (0, state["uinteger"]) if half is None else (1, half)
-            bit_generator.state = state
-    units >>= 11
-    return products.view(np.int64), units
 
 
 def integers_then_random(rngs, k, n, rows):
     """Yields, ``rows`` generators at a time, what each draws by ``integers(0, k, size=n)`` and then ``random(n)``.
 
     A block is two (generators, n) arrays: the int64 cells and the uint64 integers u of the uniforms, each
-    ``random()`` being ``u * 2**-53``; u is overwritten by the next block. Both are numpy's bit for bit, and each
-    generator is left, block by block, in the state that numpy's calls leave, for ``PCG64`` generators,
-    ``2 <= k <= 2**32`` and ``n >= 1``.
+    ``random()`` being ``u * 2**-53``; u is overwritten by the next block. Both are numpy's bit for bit, for fresh
+    ``PCG64`` generators that are not drawn again (every caller's come from ``generators``), ``2 <= k <= 2**32``
+    and ``n >= 1``, and each generator consumes the words that numpy's calls consume.
 
-    A row is one ``random_raw`` read. numpy's bounded integers below 2^32 (``random_bounded_uint64_fill``)
-    take the 32-bit halves of 64-bit words, low half first, by Lemire's method: a half h gives the cell
-    ``(h k) >> 32``, unless ``(h k) mod 2^32 < 2^32 mod k`` rejects it for the next half. A high half left over
-    stays buffered in the generator (``has_uint32`` / ``uinteger``) for the next bounded draw, and ``random``
-    does not read it: each uniform is the top 53 bits of one word. So a row's cells take ``ceil(n / 2)`` words,
-    one fewer after a buffered half when n is odd, and its uniforms the next n. A rejection, never at a
-    power-of-two k and with probability below k / 2^32 per half otherwise, shifts the words: that row and the
-    later rows of its generator in the block are replayed in numpy's order (``_replay``). A generator may come
-    more than once: its buffered half is carried from row to row, and written back to its state only where the
-    block changed it.
+    A row is one ``random_raw`` read of ``ceil(n / 2) + n`` words. numpy's bounded integers below 2^32
+    (``random_bounded_uint64_fill``) take the 32-bit halves of 64-bit words, low half first, by Lemire's method:
+    a half h gives the cell ``(h k) >> 32``, unless ``(h k) mod 2^32 < 2^32 mod k`` rejects it for the next half.
+    So the cells take the row's first n halves (at odd n numpy keeps the last high half buffered for a later
+    bounded draw, which a fresh generator drawn once never makes), and the uniforms, each the top 53 bits of a
+    word, the next n words. A rejection, never at a power-of-two k and with probability below k / 2^32 per half
+    otherwise, shifts the words: that row's generator steps back over its read and draws by numpy's own calls.
     """
     if not 2 <= k <= 1 << 32:
         raise ValueError(f"k must be in [2, 2**32], got {k}")
-    # each row ends with its words: its cell words, then from column 1 + ceil(n / 2) its n uniform words; a
-    # buffered half sits in the high bits of the column before its cell words. One buffer serves every block.
-    words = np.empty((rows, 1 + (n + 1) // 2 + n), np.uint64)
+    cell_words = (n + 1) // 2
+    words = np.empty((rows, cell_words + n), np.uint64)  # one buffer serves every block
+    # numpy rejects a half whose product's low word is below 2^32 mod k
+    reject_below = (1 << 32) % k
     rngs = iter(rngs)
     while block := [rng.bit_generator for rng in itertools.islice(rngs, rows)]:
-        yield _block(block, k, n, words[:len(block)])
+        raw = words[:len(block)]
+        for row, bit_generator in zip(raw, block):
+            row[:] = bit_generator.random_raw(cell_words + n)
+        products = _halves(raw)[:, :n] * np.uint64(k)
+        rejected = np.flatnonzero(((products & _LOW) < reject_below).any(axis=1)) if reject_below else ()
+        products >>= 32
+        units = raw[:, cell_words:]
+        units >>= 11
+        for row in rejected:
+            block[row].advance(-(cell_words + n))
+            rng = Generator(block[row])
+            products[row], units[row] = rng.integers(0, k, size=n), rng.random(n) * 2.0**53
+        yield products.view(np.int64), units

@@ -138,6 +138,21 @@ class TestBernstein:
             psi1 = psi_alpha_norm(samples, 1.0, tol=1e-8)
             assert bernstein_verify(samples, psi1, z=float(len(samples)))
 
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            # each returned a value: inf, then False although 0 <= 0 holds, then False through a NaN
+            (lambda: bernstein_from_psi1(math.inf, 10), "psi1"),
+            (lambda: bernstein_from_psi1(1.0, math.inf), "n"),
+            (lambda: bernstein_verify([0.0, 0.0], math.inf, 1.0), "psi1"),
+            (lambda: bernstein_verify([1.0], 1.0, math.inf), "z"),
+        ],
+        ids=["psi1", "n", "verify-psi1", "verify-z"],
+    )
+    def test_infinite_argument_rejected_naming_it(self, call, name):
+        with pytest.raises(InvalidInputError, match=rf"\b{name}\b"):
+            call()
+
     def test_verify_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             bernstein_verify([-1.0, 2.0], 1.0, 1.0)

@@ -33,7 +33,6 @@ from oraclebench import (
 from oraclebench import harness
 from oraclebench.harness import rows_csv_text, summary_csv_text
 from oraclebench.solvers import Moments, _LqObjective, moments
-from test_seeding import assert_same_generator
 
 
 def stack_size(sample):
@@ -438,9 +437,9 @@ class TestIsomorphy:
             labels = np.where(old_rng.random(n) < p_plus[cells], 1.0, -1.0)
             expanded = ((patterns[:, cells] * labels) <= 0).mean(axis=1)
             assert np.array_equal(harness._isomorphy_risks([new_rng], losses, p_plus, n), [expanded])
-            # where no half is buffered numpy never reads uinteger, and the draw does not write it: the states
-            # agree in what the next draws read, and those draws agree
-            assert_same_generator(new_rng, old_rng)
+            # the draw consumed numpy's words; numpy's buffered half at odd n is never read by a fresh generator
+            # drawn once, and the draw drops it
+            assert new_rng.bit_generator.state["state"] == old_rng.bit_generator.state["state"]
 
     def test_draw_reads_only_the_bit_generators(self):
         # Generator.integers and Generator.random are not called: stand-ins with nothing but a bit generator
@@ -452,6 +451,23 @@ class TestIsomorphy:
         for n in (255, 256):
             np.testing.assert_array_equal(harness._isomorphy_risks(stand_ins, losses, p_plus, n),
                                           harness._isomorphy_risks(rngs, losses, p_plus, n))
+
+    def test_calibration_draws_by_numpy_calls(self, monkeypatch):
+        # the one calibration stream is drawn 64 + d times, each draw by numpy's integers and then random: 64
+        # envelope draws, then one draw of each function's losses; odd n, and a cell count that is not a power of 2
+        config, n = iso_config(cells=17, n_grid=[255]), 255
+        _, losses, p_plus = harness._isomorphy_model(config)
+        envelopes, samples = [], []
+        monkeypatch.setattr(harness, "envelope_psi1", lambda rows: envelopes.append(rows.copy()) or 1.0)
+        monkeypatch.setattr(harness, "psi_alpha_norm", lambda sample, **kw: samples.append(sample.copy()) or 1.0)
+        harness._isomorphy_ctx(config, n)
+        rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
+        draws = []
+        for _ in range(64 + config.d):
+            cells = rng.integers(0, p_plus.size, size=n)
+            draws.append(np.where(rng.random(n) < p_plus[cells], cells, cells + p_plus.size))
+        np.testing.assert_array_equal(envelopes, [losses.max(axis=0)[draws[:64]]])
+        np.testing.assert_array_equal(samples, [losses[j, points] for j, points in enumerate(draws[64:])])
 
     def test_report_shape(self):
         res = run_scenario(iso_config())

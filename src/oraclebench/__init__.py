@@ -4,8 +4,8 @@ The package has three layers:
 
 * primitives: exact ERM over finite dictionaries given by their loss tables
   and a Monte Carlo L_q risk (``model``), empirical Orlicz-norm and
-  concentration evaluators that return floats (``concentration``), star-hull
-  localization and its fixed point (``complexity``);
+  concentration evaluators that return floats (``concentration``), the mean
+  localized star-hull supremum of fixed draws and its fixed point (``complexity``);
 * solvers: l1-power penalized regression with certified optimality gaps and
   the closed-form penalty/residual builders, whose RERM residual is the ERM
   residual at the l1 ball's complexity profile (``solvers``);

@@ -80,12 +80,11 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
         return _empirical_exp_moment(absx, alpha, c) <= 2.0
 
     def lower(hi):
-        lo = hi / 2.0
-        while holds(lo):
+        # below the smallest normal float, 0 is the lower end: hi / 2 may round to 0, where the moment divides by 0
+        tiny, lo = np.finfo(float).tiny, hi / 2.0
+        while lo >= tiny and holds(lo):
             lo /= 2.0
-            if lo < np.finfo(float).tiny:
-                return 0.0, hi
-        return lo, hi
+        return (lo if lo >= tiny else 0.0), hi
 
     return float(bisect_threshold(holds, top, _GROWTH_LIMIT, lower, tol,
                                   lambda hi: InvalidInputError("failed to bracket the psi norm from above")))

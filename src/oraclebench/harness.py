@@ -748,10 +748,17 @@ class RateFit:
 
 
 def rate_fit(points):
-    """Fit a power law to (n, value) pairs; needs >= 3 positive values."""
-    usable = [(float(n), float(v)) for n, v in points if v > 0]
+    """Fit a power law to (n, value) pairs: n finite and > 0, no value infinite, 3+ positive values at 2+ distinct n."""
+    points = [(float(n), float(v)) for n, v in points]
+    if not all(0 < n < math.inf for n, _ in points):
+        raise InvalidInputError("rate_fit needs every n finite and positive")
+    if any(math.isinf(v) for _, v in points):
+        raise InvalidInputError("rate_fit needs values that are not infinite")
+    usable = [(n, v) for n, v in points if v > 0]
     if len(usable) < 3:
         raise InvalidInputError("rate_fit needs at least 3 points with positive values")
+    if len({n for n, _ in usable}) < 2:
+        raise InvalidInputError("rate_fit needs positive values at 2 or more distinct n")
     logn = np.log([n for n, _ in usable])
     logv = np.log([v for _, v in usable])
     xc = logn - logn.mean()

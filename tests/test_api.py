@@ -9,9 +9,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # exports kept although no module or demo reaches them yet, each with its reason
 UNREACHED_BY_DESIGN = {
-    "LocalizedSupInput": "input type of localized_star_hull_sup",
-    "localized_star_hull_sup": "the reference expected_localized_sup is tested against bit for bit",
-    "risk_estimate": "the Monte Carlo reference the exact L_q risks are tested against",
+    "risk_estimate": "the exact L_q risks' Monte Carlo reference; it goes once perfbench/probe.py stops patching "
+                     "harness.risk_estimate (ROADMAP item 1)",
 }
 
 

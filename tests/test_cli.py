@@ -534,8 +534,9 @@ class TestCompute:
         "table",
         ["0.1 nan\n0.5 0.2\n1.0 0.3\n", "0.1 -5\n", "0.1 inf\n0.5 0.2\n", "-0.1 0.01\n0.5 0.2\n",
          # phi(1) = 0.5 > (0.25 / 4) * 1, so the fixed point lies past the last level, where interpolation is flat
-         "0.1 0.1\n0.5 0.3\n1.0 0.5\n"],
-        ids=["nan-sup", "negative-sup", "inf-sup", "negative-level", "fixed-point-beyond-last-level"],
+         "0.1 0.1\n0.5 0.3\n1.0 0.5\n", "0.1 0.2 0.3\n0.5 0.4 0.6\n"],
+        ids=["nan-sup", "negative-sup", "inf-sup", "negative-level", "fixed-point-beyond-last-level",
+             "three-columns"],
     )
     def test_fixed_point_malformed_table_exits_2_naming_table(self, table, tmp_path, capsys):
         path = tmp_path / "table.txt"
@@ -544,6 +545,15 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--table" in captured.err
+
+    def test_fixed_point_bracket_that_never_holds_exits_2(self, tmp_path, capsys):
+        # doubling 1e-300 sixty times stays far below the levels where phi <= (epsilon/4) * lam
+        path = tmp_path / "table.txt"
+        path.write_text("0 0.1\n1 0.2\n")
+        assert run_cli(["compute", "fixed-point", "--table", path, "--epsilon", "0.25", "--bracket-hi", "1e-300"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--table: phi exceeds" in captured.err
 
     def test_rho_a_and_rho_b(self, capsys):
         assert run_cli(

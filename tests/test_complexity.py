@@ -6,14 +6,12 @@ import pytest
 from oraclebench import (
     BracketError,
     InvalidInputError,
-    LocalizedSupInput,
     bernstein_from_psi1,
     bernstein_verify,
     erm_residual,
     expected_localized_sup,
     fixed_point_lambda,
     l1_penalty_level,
-    localized_star_hull_sup,
     psi_alpha_norm,
     rerm_residual,
 )
@@ -30,29 +28,41 @@ def brute_force_localized_sup(means, deviations, level, grid=10**4):
     return best
 
 
+def exact_localized_sup(means, deviations, level):
+    """Plain-Python reference: the exact localized star-hull supremum of one draw.
+
+    Member g may be scaled by theta in [0, 1] with theta * mean_g <= level, and a zero mean leaves it
+    unconstrained; the scaled deviation is linear in theta, so the supremum is max_g min(1, level/mean_g) * dev_g.
+    """
+    return max((dev if mean == 0 else min(1.0, level / mean) * dev) for mean, dev in zip(means, deviations))
+
+
+def one_draw_sup(means, deviations, level):
+    """``expected_localized_sup`` at one draw: a one-row deviation matrix, whose mean is that draw's supremum."""
+    estimate = expected_localized_sup(means, np.asarray(deviations, dtype=float)[None])(level)
+    assert estimate.stderr == 0.0
+    return estimate.mean
+
+
 class TestLocalizedStarHullSup:
     def test_unclipped_equals_max_deviation(self):
         # at a level >= every mean, no member is scaled down
         means = np.array([0.5, 1.0, 0.2])
         devs = np.array([0.1, 0.4, 0.3])
-        inp = LocalizedSupInput(means=means, deviations=devs, level=2.0)
-        assert localized_star_hull_sup(inp) == pytest.approx(0.4)
+        assert one_draw_sup(means, devs, 2.0) == pytest.approx(0.4)
 
     def test_clipped_member(self):
-        inp = LocalizedSupInput(means=np.array([2.0]), deviations=np.array([0.6]), level=1.0)
-        value = localized_star_hull_sup(inp)
+        value = one_draw_sup(np.array([2.0]), np.array([0.6]), 1.0)
         assert value == pytest.approx(0.3)
         assert value == pytest.approx(
             brute_force_localized_sup([2.0], [0.6], 1.0), abs=1e-4
         )
 
     def test_zero_deviations(self):
-        inp = LocalizedSupInput(means=np.array([1.0, 2.0]), deviations=np.zeros(2), level=0.5)
-        assert localized_star_hull_sup(inp) == 0.0
+        assert one_draw_sup(np.array([1.0, 2.0]), np.zeros(2), 0.5) == 0.0
 
     def test_zero_mean_unconstrained(self):
-        inp = LocalizedSupInput(means=np.array([0.0]), deviations=np.array([0.7]), level=0.0)
-        assert localized_star_hull_sup(inp) == pytest.approx(0.7)
+        assert one_draw_sup(np.array([0.0]), np.array([0.7]), 0.0) == pytest.approx(0.7)
 
     def test_matches_grid_oracle(self):
         rng = np.random.default_rng(0)
@@ -61,9 +71,7 @@ class TestLocalizedStarHullSup:
             means = rng.uniform(0, 2, size=m)
             devs = rng.uniform(0, 1, size=m)
             level = rng.uniform(0, 2.5)
-            exact = localized_star_hull_sup(
-                LocalizedSupInput(means=means, deviations=devs, level=level)
-            )
+            exact = one_draw_sup(means, devs, level)
             approx = brute_force_localized_sup(means, devs, level)
             # the grid undershoots by at most one theta step per member
             assert exact >= approx - 1e-12
@@ -73,15 +81,8 @@ class TestLocalizedStarHullSup:
         rng = np.random.default_rng(1)
         means = rng.uniform(0, 2, size=10)
         devs = rng.uniform(0, 1, size=10)
-        values = [
-            localized_star_hull_sup(LocalizedSupInput(means=means, deviations=devs, level=lam))
-            for lam in np.linspace(0, 3, 25)
-        ]
+        values = [one_draw_sup(means, devs, lam) for lam in np.linspace(0, 3, 25)]
         assert all(b >= a - 1e-15 for a, b in zip(values, values[1:]))
-
-    def test_negative_mean_rejected(self):
-        with pytest.raises(InvalidInputError):
-            LocalizedSupInput(means=np.array([-0.1]), deviations=np.array([0.1]), level=1.0)
 
 
 class TestExpectedLocalizedSup:
@@ -95,8 +96,7 @@ class TestExpectedLocalizedSup:
     def test_single_replication_equals_one_draw(self):
         devs = self._deviations(1, 42)
         est = expected_localized_sup(self.MEANS, devs)(1.0)
-        direct = localized_star_hull_sup(LocalizedSupInput(means=self.MEANS, deviations=devs[0], level=1.0))
-        assert est.mean == direct
+        assert est.mean == exact_localized_sup(self.MEANS, devs[0], 1.0)
         assert est.stderr == 0.0
 
     def test_deterministic_data_zero(self):
@@ -111,8 +111,7 @@ class TestExpectedLocalizedSup:
         estimate = expected_localized_sup(means, devs)
         # level 0, between two means, above the max mean
         for level in (0.0, 0.35, 0.9):
-            values = [localized_star_hull_sup(LocalizedSupInput(means=means, deviations=row, level=level))
-                      for row in devs]
+            values = [exact_localized_sup(means, row, level) for row in devs]
             assert estimate(level).mean == float(np.mean(values))
             assert estimate(level).stderr == float(np.std(values, ddof=1) / math.sqrt(60))
 

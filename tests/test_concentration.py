@@ -56,6 +56,13 @@ class TestPsiAlphaNorm:
         with pytest.raises(InvalidInputError):
             psi_alpha_norm([1.0], 0.5)
 
+    @pytest.mark.parametrize("top, zeros", [(5e-324, 9), (1e-310, 30)], ids=["smallest-subnormal", "subnormal"])
+    def test_subnormal_sample(self, top, zeros):
+        # one nonzero value among k zeros: mean exp = (k + exp(top / c)) / (k + 1) <= 2 at c = top / ln(k + 2);
+        # at 5e-324, hi / 2 rounds to 0, where the moment would divide by zero
+        tol = 1e-9
+        assert abs(psi_alpha_norm([top] + [0.0] * zeros, 1.0, tol=tol) - top / math.log(zeros + 2)) <= tol
+
     @pytest.fixture
     def bounded_moments(self, monkeypatch):
         # a bisection that cannot end fails here instead of hanging the suite
@@ -98,6 +105,12 @@ class TestEnvelopePsi1:
     def test_ragged_rejected(self):
         with pytest.raises(InvalidInputError):
             envelope_psi1([[1.0, 2.0], [1.0]])
+
+    @pytest.mark.parametrize("values", [[1.0, 2.0], np.zeros((0, 3)), [[1.0, np.nan]], [[1.0], [np.inf]]],
+                             ids=["vector", "empty", "nan", "inf"])
+    def test_malformed_class_values_rejected(self, values):
+        with pytest.raises(InvalidInputError, match="class_values"):
+            envelope_psi1(values)
 
 
 class TestBernstein:
@@ -156,3 +169,9 @@ class TestBernstein:
     def test_verify_rejects_negative(self):
         with pytest.raises(InvalidInputError):
             bernstein_verify([-1.0, 2.0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("samples", [[], [[1.0, 2.0]], [1.0, np.nan], [np.inf]],
+                             ids=["empty", "matrix", "nan", "inf"])
+    def test_verify_rejects_malformed_samples(self, samples):
+        with pytest.raises(InvalidInputError, match="samples"):
+            bernstein_verify(samples, 1.0, 1.0)

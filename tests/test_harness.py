@@ -16,14 +16,12 @@ from hypothesis import strategies as st
 from oraclebench import (
     BetaStarSpec,
     InvalidInputError,
-    LocalizedSupInput,
     NoiseSpec,
     Sample,
     ScenarioConfig,
     config_from_mapping,
     derive_seed,
     fixed_point_lambda,
-    localized_star_hull_sup,
     rate_fit,
     rerm_residual,
     risk_estimate,
@@ -33,6 +31,7 @@ from oraclebench import (
 from oraclebench import harness
 from oraclebench.harness import rows_csv_text, summary_csv_text
 from oraclebench.solvers import Moments, _LqObjective, moments
+from test_complexity import exact_localized_sup
 
 
 def stack_size(sample):
@@ -195,6 +194,22 @@ class TestRateFit:
     def test_too_few_points(self):
         with pytest.raises(InvalidInputError):
             rate_fit([(10, 1.0), (20, 0.5), (40, -1.0)])
+
+    @pytest.mark.parametrize(
+        "points, cause",
+        [
+            # each returned a NaN fit, through a RuntimeWarning
+            ([(10, 1.0), (10, 2.0), (10, 3.0)], "distinct n"),
+            ([(0, 1.0), (10, 2.0), (20, 3.0)], "finite and positive"),
+            ([(-1, 1.0), (10, 2.0), (20, 3.0)], "finite and positive"),
+            ([(math.nan, 1.0), (10, 2.0), (20, 3.0)], "finite and positive"),
+            ([(10, math.inf), (20, 2.0), (40, 3.0)], "not infinite"),
+        ],
+        ids=["repeated-n", "zero-n", "negative-n", "nan-n", "infinite-value"],
+    )
+    def test_degenerate_points_rejected_naming_the_cause(self, points, cause):
+        with pytest.raises(InvalidInputError, match=cause):
+            rate_fit(points)
 
 
 class TestOracleReport:
@@ -417,7 +432,7 @@ class TestIsomorphy:
 
             def phi(lam):
                 # the mean exact localized sup over the draws, one draw at a time
-                sups = [localized_star_hull_sup(LocalizedSupInput(true_risks, dev, lam)) for dev in devs]
+                sups = [exact_localized_sup(true_risks, dev, lam) for dev in devs]
                 return float(np.mean(sups))
 
             lam_star = fixed_point_lambda(phi, config.epsilon, bracket_hi=1.0, tol=1e-4)
@@ -966,6 +981,15 @@ class TestConfigParsing:
     def test_bad_noise_named(self):
         with pytest.raises(InvalidInputError, match="noise"):
             config_from_mapping({"scenario": "SquareLasso", "nGrid": [4], "noise": {"kind": "Laplace", "sd": 1}})
+
+    @pytest.mark.parametrize("mapping, name", [
+        ([{"scenario": "FiniteGap", "nGrid": [4]}], "configuration root"),
+        ({"scenario": "SquareLasso", "nGrid": [4], "betaStar": {"support": 1, "sign": 1}}, "betaStar"),
+        ({"scenario": "FiniteGap", "nGrid": [4], "constants": 5}, "'constants'"),
+    ], ids=["root-list", "betaStar-extra-key", "constants-5"])
+    def test_malformed_mapping_rejected_naming_the_field(self, mapping, name):
+        with pytest.raises(InvalidInputError, match=re.escape(name)):
+            config_from_mapping(mapping)
 
     def test_grid_must_increase(self):
         with pytest.raises(InvalidInputError, match="nGrid"):

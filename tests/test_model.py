@@ -5,6 +5,7 @@ import pytest
 
 from oraclebench import (
     InvalidInputError,
+    RiskEstimate,
     Sample,
     erm_finite,
     histogram_risks,
@@ -306,6 +307,15 @@ class TestContainers:
             Sample(design=np.ones((2, 2)), response=np.ones(3))
         with pytest.raises(InvalidInputError):
             Sample(design=np.array([[np.nan]]), response=np.array([1.0]))
+
+    @pytest.mark.parametrize("build", [
+        lambda: Sample(design=np.ones(3), response=np.ones(3)),
+        lambda: Sample(design=np.ones((0, 2)), response=np.ones(0)),
+        lambda: RiskEstimate(mean=1.0, stderr=-0.1),
+    ], ids=["sample-1d-design", "sample-zero-rows", "risk-estimate-negative-stderr"])
+    def test_malformed_container_rejected(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
 
     def test_sample_immutable(self):
         s = Sample(design=np.ones((2, 2)), response=np.ones(2))

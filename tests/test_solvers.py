@@ -8,6 +8,7 @@ import pytest
 from oraclebench import (
     InvalidInputError,
     IterationLimitError,
+    RermSolution,
     Sample,
     erm_residual,
     l1_penalty_level,
@@ -89,10 +90,20 @@ class TestProjectL1Ball:
         with pytest.raises(InvalidInputError, match="vector"):
             project_l1_ball(v, 1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_is_rejected(self, value):
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            project_l1_ball(np.array([1.0, value]), 1.0)
+
     def test_negative_radius(self):
         for radius in (-0.5, float("nan")):
             with pytest.raises(InvalidInputError):
                 project_l1_ball(np.array([1.0]), radius)
+
+
+def test_negative_optimality_gap_rejected():
+    with pytest.raises(InvalidInputError, match="optimality_gap"):
+        RermSolution(beta=np.zeros(2), objective=0.0, optimality_gap=-1e-3)
 
 
 class TestSolveLqRerm:

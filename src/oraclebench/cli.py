@@ -81,7 +81,8 @@ def build_parser():
     psi = comp_sub.add_parser("psi-norm", help="empirical psi_alpha norm of a sample file")
     psi.add_argument("--file", required=True, help="file of samples, one number per line")
     _reals(psi, "--alpha", default=1.0)
-    _reals(psi, "--tol", default=1e-9)
+    _reals(psi, "--tol", default=1e-9, help="width of the final bisection bracket: absolute where the largest "
+                                             "|sample| is at least 1, relative to it below (default 1e-9)")
 
     pen = comp_sub.add_parser("penalty", help="l1^q penalty level")
     _reals(pen, "--n", "--d", "--x", required=True)

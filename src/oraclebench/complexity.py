@@ -23,7 +23,6 @@ import math
 
 import numpy as np
 
-from .concentration import bisect_threshold
 from .errors import BracketError, InvalidInputError
 from .model import RiskEstimate
 
@@ -82,9 +81,11 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
 
     ``phi`` evaluates the expected localized supremum at a level; since
     phi(lam)/lam is nonincreasing, the sign of phi(lam) - (epsilon/4)*lam
-    changes once and bisection applies. The upper bracket is doubled up to
-    60 times, and not past the largest float, before a BracketError is
-    raised; the lower bracket is tol. See :func:`concentration.bisect_threshold`.
+    changes once and bisection applies. The upper end doubles from
+    ``bracket_hi`` until it holds, up to 60 times and not past the largest
+    float, or a BracketError is raised; the lower end is tol, itself the answer
+    where it holds. Bisection stops once the bracket is at most ``tol`` wide or
+    its midpoint rounds to an end, and returns the upper end.
     """
     if not 0 < epsilon < 0.5:
         raise InvalidInputError("epsilon must lie in (0, 1/2)")
@@ -97,9 +98,17 @@ def fixed_point_lambda(phi, epsilon, bracket_hi, tol=1e-9):
     def holds(lam):
         return phi(lam) <= slope * lam
 
-    def lower(hi):
-        lo = min(tol, hi)
-        return (lo, lo) if holds(lo) else (lo, hi)
-
-    return float(bisect_threshold(holds, float(bracket_hi), 61, lower, tol,
-                                  lambda hi: BracketError(f"phi exceeds (epsilon/4)*lam up to lam={hi:g}")))
+    hi, doublings = float(bracket_hi), 0
+    while not holds(hi):
+        if doublings == 60 or hi * 2.0 == math.inf:
+            raise BracketError(f"phi exceeds (epsilon/4)*lam up to lam={hi:g}")
+        hi, doublings = 2.0 * hi, doublings + 1
+    lo = min(tol, hi)
+    if holds(lo):
+        return float(lo)
+    while hi - lo > tol and lo < (mid := 0.5 * (hi + lo)) < hi:
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -1,7 +1,9 @@
 """Empirical tail-norm estimation and closed-form concentration bounds.
 
 The psi_alpha (Orlicz) norm of a sample is the smallest scale c at which the
-empirical exponential moment mean(exp(|x_i|^alpha / c^alpha)) drops to 2.
+empirical exponential moment mean(exp(|x_i|^alpha / c^alpha)) drops to 2. It
+is homogeneous, so ``psi_alpha_norm`` bisects it for the sample scaled to a
+largest entry of 1, inside a bracket known in closed form.
 Everything downstream is plug-in: empirical moments replace expectations, and
 population-level claims are left to Monte Carlo replication in the harness.
 ``psi_alpha_norm`` and ``envelope_psi1`` return the scale as a float, and
@@ -23,44 +25,20 @@ __all__ = [
     "bernstein_verify",
 ]
 
-_GROWTH_LIMIT = 200
-
 
 def _empirical_exp_moment(absx, alpha, c):
-    with np.errstate(over="ignore"):
-        return float(np.mean(np.exp((absx / c) ** alpha)))
-
-
-def bisect_threshold(holds, hi, checks, lower, tol, fail):
-    """The upper end of a bracket, at most ``tol`` wide, of the point where ``holds`` turns from false to true.
-
-    The upper end starts at ``hi`` and doubles until ``holds`` there; after ``checks`` failed checks, or where
-    doubling would overflow to inf, it raises ``fail(hi)`` at the last end checked. ``lower(hi)`` then gives the
-    bracket to bisect: a lower end where ``holds`` is false and hi, or an answer x as (x, x). Bisection stops once
-    the bracket is at most ``tol`` wide or its midpoint rounds to one of its ends.
-    """
-    while not holds(hi):
-        checks -= 1
-        if checks == 0 or hi * 2.0 == math.inf:
-            raise fail(hi)
-        hi *= 2.0
-    lo, hi = lower(hi)
-    while hi - lo > tol and lo < (mid := 0.5 * (hi + lo)) < hi:
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return float(np.mean(np.exp((absx / c) ** alpha)))
 
 
 def psi_alpha_norm(samples, alpha, tol=1e-9):
-    """Empirical psi_alpha norm of a sample by bisection.
+    """Empirical psi_alpha norm of a sample by bisection in a closed-form bracket.
 
-    The map c -> mean(exp(|x_i|^alpha / c^alpha)) is strictly decreasing, so
-    the smallest c with moment <= 2 is found by growing an upper bracket
-    geometrically from max|x_i| and bisecting down to ``tol``
-    (:func:`bisect_threshold`); returns the upper end of the final bracket.
-    A sample of all zeros has norm 0.
+    The norm is max|x_i| times that of u = |x| / max|x|, whose largest entry is 1. For k entries the moment
+    c -> mean(exp((u_i / c)^alpha)) is strictly decreasing and lies between (exp(c^-alpha) + k - 1) / k and
+    exp(c^-alpha), so it drops to 2 in [ln(k + 1)^(-1/alpha), ln(2)^(-1/alpha)], where no exponential exceeds
+    k + 1. One bisection narrows that bracket until, scaled back, it is at most ``tol * min(1, max|x|)`` wide or
+    its midpoint rounds to an end, and returns its scaled upper end: ``tol`` is absolute at unit scale and above,
+    and relative to max|x| below. A sample of all zeros has norm 0; a norm past the floats is an error.
     """
     if not 1 <= alpha < math.inf:
         raise InvalidInputError("alpha must be finite and >= 1")
@@ -75,19 +53,16 @@ def psi_alpha_norm(samples, alpha, tol=1e-9):
     top = float(absx.max())
     if top == 0.0:
         return 0.0
-
-    def holds(c):
-        return _empirical_exp_moment(absx, alpha, c) <= 2.0
-
-    def lower(hi):
-        # below the smallest normal float, 0 is the lower end: hi / 2 may round to 0, where the moment divides by 0
-        tiny, lo = np.finfo(float).tiny, hi / 2.0
-        while lo >= tiny and holds(lo):
-            lo /= 2.0
-        return (lo if lo >= tiny else 0.0), hi
-
-    return float(bisect_threshold(holds, top, _GROWTH_LIMIT, lower, tol,
-                                  lambda hi: InvalidInputError("failed to bracket the psi norm from above")))
+    u = absx / top
+    lo, hi = math.log(u.size + 1) ** (-1.0 / alpha), math.log(2.0) ** (-1.0 / alpha)
+    while hi - lo > tol / max(1.0, top) and lo < (mid := 0.5 * (hi + lo)) < hi:
+        if _empirical_exp_moment(u, alpha, mid) <= 2.0:
+            hi = mid
+        else:
+            lo = mid
+    if top * hi == math.inf:
+        raise InvalidInputError(f"the psi norm of a sample whose largest magnitude is {top:g} overflows a float")
+    return top * hi
 
 
 def envelope_psi1(class_values):

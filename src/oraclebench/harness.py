@@ -169,17 +169,34 @@ def _require(holds, key, requirement, value):
         raise InvalidInputError(f"field {key!r} must {requirement}, got {value!r}")
 
 
-def _budget_overflow(n):
-    """The error of a FiniteGap or Isomorphy budget past the floats, naming the fields that scale it."""
-    return InvalidInputError(f"fields 'x', 'constants.c0' and 'epsilon' make the budget overflow a float at n={n}; "
-                             f"lower x or c0, or raise epsilon")
+def _within_floats(quantity, n, fields, build):
+    """``build()``, n's ``quantity``. The config has checked what it is built from, so an InvalidInputError or an
+    ArithmeticError from it, like a value past the floats, is reported by the config ``fields`` it grows with."""
+    try:
+        value = build()
+    except (InvalidInputError, ArithmeticError):
+        value = math.inf
+    if math.isfinite(value):
+        return value
+    names, lower = ", ".join(f"'{name}'" for name in fields), ", ".join(fields[:-1]) + f" or {fields[-1]}"
+    raise InvalidInputError(f"fields {names} and 'epsilon' make the {quantity} overflow a float at n={n}; "
+                            f"lower {lower}, or raise epsilon")
 
 
-def _finite_gap_budget(config, n):
-    budget = config.constant("c0") * (config.x + math.log(2.0)) / (config.epsilon * n)
-    if not math.isfinite(budget):
-        raise _budget_overflow(n)
-    return budget
+def _erm_budget(config, n, x, lam_star=0.0, bn=1.0, big_bn=0.0):
+    """The budget ``erm_residual`` gives at n: FiniteGap's c0 (x + log 2) / (epsilon n) at the defaults, with x + log 2
+    passed as ``x``, and Isomorphy's at its estimates."""
+    return _within_floats("budget", n, ("x", "constants.c0"), lambda: erm_residual(
+        lam_star, bn, big_bn, config.epsilon, x, n, config.constant("c0")))
+
+
+def _isomorphy_check(config):
+    # its target frequency 1 - 4 exp(-x) must be positive, or no run can miss it
+    _require(config.x > math.log(4.0), "x", "be > log 4 for Isomorphy", config.x)
+    # 0-1 losses bound bn by 1 / ln 2 and big_bn by log(e n) / ln 2, and the deviation term is largest at the smallest
+    # n, so a budget past the floats fails before any draw
+    n, bound = config.n_grid[0], 1.0 / math.log(2.0)
+    _erm_budget(config, n, config.x, 0.0, bound, bernstein_from_psi1(bound, n))
 
 
 def _finite_gap_ctx(config, n):
@@ -188,7 +205,7 @@ def _finite_gap_ctx(config, n):
     true_risks = np.array([1.0 - p_plus, p_plus])
     losses = np.array([[0.0, 1.0], [1.0, 0.0]])  # 0-1 losses of the constant predictors +1 and -1 at labels +1 and -1
     return {"true_risks": true_risks, "losses": losses, "p_plus": p_plus, "delta": delta,
-            "oracle": float(true_risks.min()), "budget": _finite_gap_budget(config, n)}
+            "oracle": float(true_risks.min()), "budget": _erm_budget(config, n, config.x + math.log(2.0))}
 
 
 def _finite_gap_rows(config, ctx, n, reps, rngs):
@@ -278,10 +295,7 @@ def _isomorphy_ctx(config, n):
     bn = envelope_psi1(envelopes)
     diam = max(psi_alpha_norm(losses[j, points], alpha=1.0, tol=1e-6) for j, points in enumerate(pooled))
     big_bn = bernstein_from_psi1(diam, n)
-    try:
-        rho = erm_residual(lam_star, bn, big_bn, config.epsilon, config.x, n, c0=config.constant("c0"))
-    except InvalidInputError as exc:  # its inputs are valid here, so the budget is past the floats
-        raise _budget_overflow(n) from exc
+    rho = _erm_budget(config, n, config.x, lam_star, bn, big_bn)
     # crude noise band on the fixed point: the defining slope is epsilon/4
     lam_band = 2.0 * phi_at.stderr * 4.0 / config.epsilon
     # the achieved risk is the worst margin and the oracle risk is 0, so both
@@ -307,13 +321,11 @@ def _isomorphy_rows(config, ctx, n, reps, rngs):
 
 def _rerm_ctx(config, n):
     q, kd = config.q, config.constant("Kd")
-    lam = l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0"))
-    penalty_coef = lam / (n * config.epsilon**2) if config.epsilon**2 > 0 else math.inf
-    if not math.isfinite(penalty_coef):
-        raise InvalidInputError(f"fields 'constants.c0' and 'epsilon' make the penalty coefficient overflow a float "
-                                f"at n={n}; lower c0 or raise epsilon")
-    budget = rerm_residual(n, config.d, q, kd, config.epsilon, config.beta_star.l1_norm(), config.x,
-                           c0=config.constant("c1"))
+    # epsilon^2 may round to 0, where the division raises ZeroDivisionError
+    penalty_coef = _within_floats("penalty coefficient", n, ("q", "x", "constants.Kd", "constants.c0"), lambda: (
+        l1_penalty_level(n, config.d, config.x, q, kd, c0=config.constant("c0")) / (n * config.epsilon**2)))
+    budget = _within_floats("budget", n, ("q", "x", "betaStar", "constants.Kd", "constants.c1"), lambda: (
+        rerm_residual(n, config.d, q, kd, config.epsilon, config.beta_star.l1_norm(), config.x, config.constant("c1"))))
     try:
         # the oracle is the risk at beta = beta_star, so beta_star scores it exactly
         oracle = float(_exact_risk(config, np.zeros((1, config.d)))[0])
@@ -462,10 +474,9 @@ _Scenario = namedtuple("_Scenario", "context rows check tag target extras")
 _REGISTRY = {
     # FiniteGap checks its largest budget, at the smallest n, so that an overflow fails before any output
     "FiniteGap": _Scenario(_finite_gap_ctx, _finite_gap_rows,
-                           lambda config: _finite_gap_budget(config, config.n_grid[0]), "finite-gap", None, ("delta",)),
-    # Isomorphy's target frequency 1 - 4 exp(-x) must be positive, or no run can miss it
-    "Isomorphy": _Scenario(_isomorphy_ctx, _isomorphy_rows,
-                           lambda config: _require(config.x > math.log(4.0), "x", "be > log 4 for Isomorphy", config.x),
+                           lambda config: _erm_budget(config, config.n_grid[0], config.x + math.log(2.0)), "finite-gap",
+                           None, ("delta",)),
+    "Isomorphy": _Scenario(_isomorphy_ctx, _isomorphy_rows, _isomorphy_check,
                            "isomorphy", lambda config: 1.0 - 4.0 * math.exp(-config.x),
                            ("lambda_star", "lambda_band", "bn", "big_bn")),
     "SquareLasso": _Scenario(_rerm_ctx, _rerm_rows, _square_lasso_check, "square-lasso", None, ("penalty_coef",)),

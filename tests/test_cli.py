@@ -320,19 +320,35 @@ def test_incompatible_config_exits_2_naming_field(overrides, field_name, tmp_pat
 
 
 def test_overflowing_budget_exits_2_before_any_output(tmp_path, capsys):
-    # (1 + r)^q with r = ||beta_star||_1 = 3 overflows a float above q = 512, and Kd^q with Kd = 2 above q = 1024
+    # (1 + r)^q with r = ||beta_star||_1 = 3 overflows a float above q = 512, and Kd^q with Kd = 2 above q = 1024:
+    # at q = 2000 the penalty coefficient leaves the floats first, at q = 600 only the budget does
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(SMALL_CONFIGS["LqRerm"], betaStar={"support": 3, "magnitude": 1.0})))
-    for q, kd in ((2000, 2), (600, 1)):
+    for q, kd, quantity in ((2000, 2, "penalty coefficient"), (600, 1, "budget")):
         overrides = ["--set", f"q={q}", "--set", f"constants.Kd={kd}"]
         assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", *overrides]) == 2
         err = capsys.readouterr().err
-        assert "overflows a float; lower q or Kd" in err and "runtime error" not in err
+        assert f"make the {quantity} overflow a float at n=64; lower q, x, " in err and "runtime error" not in err
+        assert "'q'" in err and "'constants.Kd'" in err
         assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("override", ["constants.c1=1e308", 'betaStar={"support": 2, "magnitude": 1e300}'],
+                         ids=["c1", "betaStar"])
+def test_regression_budget_past_the_floats_names_the_config_fields(override, tmp_path, capsys):
+    # the budget is rerm_residual's, whose own report names its arguments (r for betaStar, c0 for constants.c1)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(SMALL_CONFIGS["SquareLasso"]))
+    assert run_cli(["experiment", "--config", path, "--out", tmp_path / "o", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err == ("configuration error: fields 'q', 'x', 'betaStar', 'constants.Kd', 'constants.c1' and 'epsilon' "
+                   "make the budget overflow a float at n=64; lower q, x, betaStar, constants.Kd or constants.c1, "
+                   "or raise epsilon\n")
+    assert not (tmp_path / "o").exists()
+
+
 def test_isomorphy_budget_past_the_floats_exits_2_naming_x(tmp_path, capsys):
-    # the budget needs the estimated fixed point, so it is checked as the run starts, before any CSV is written
+    # 0-1 losses bound the budget by closed forms, so it is checked with the config, before any draw or output
     path = tmp_path / "config.json"
     path.write_text(json.dumps(dict(SMALL_CONFIGS["Isomorphy"], x=1e308)))
     out = tmp_path / "o"
@@ -340,7 +356,23 @@ def test_isomorphy_budget_past_the_floats_exits_2_naming_x(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: fields ")
     assert all(name in err for name in ("'x'", "'constants.c0'", "'epsilon'"))
-    assert not (out / "rows.csv").exists()
+    assert not out.exists()
+
+
+def test_isomorphy_budget_past_the_floats_by_c0_fails_before_any_draw(tmp_path, capsys, monkeypatch):
+    # the estimated budget overflows too, but only after every localization sample has been drawn
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "Isomorphy", "nGrid": [16, 32], "d": 4, "x": 2, "replications": 10,
+                                "lambdaReplications": 20, "constants": {"c0": 1e308}}))
+    from oraclebench import harness
+
+    monkeypatch.setattr(harness, "_isomorphy_risks", lambda *args: pytest.fail("a localization sample was drawn"))
+    out = tmp_path / "o"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: fields 'x', 'constants.c0' and 'epsilon' make the budget overflow a float at n=16; "
+        "lower x or constants.c0, or raise epsilon\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -676,9 +708,11 @@ class TestCompute:
     @pytest.mark.parametrize(
         "args, code, out",
         [(["psi-norm", "--file", "1e7\n1e7\n"], 0, "14426950.4089\n"),
-         (["psi-norm", "--file", "1e308\n"], 2, ""),
+         # 1e308 / ln 2 is a float, and 1.7e308 / ln 2 is past the largest one
+         (["psi-norm", "--file", "1e308\n"], 0, "1.44269504089e+308\n"),
+         (["psi-norm", "--file", "1.7e308\n"], 2, ""),
          (["fixed-point", "--epsilon", "0.25", "--bracket-hi", "1e308", "--table", "0 0\n1 1e308\n"], 2, "")],
-        ids=["psi-norm-float-spacing", "psi-norm-overflow", "fixed-point-overflow"],
+        ids=["psi-norm-float-spacing", "psi-norm-largest-finite", "psi-norm-overflow", "fixed-point-overflow"],
     )
     def test_bisection_ends(self, args, code, out, tmp_path):
         # each of these once bisected forever, so they run in a process of their own with a timeout

@@ -83,9 +83,28 @@ class TestPsiAlphaNorm:
         assert psi_alpha_norm([1e7, 1e7], 1.0) == pytest.approx(1e7 * LOG2_INV, rel=1e-15)
 
     def test_bracket_that_overflows_is_an_error(self, bounded_moments):
-        # exp(1) > 2 at c = 1e308, and doubling c overflows to inf
-        with pytest.raises(InvalidInputError, match="bracket"):
-            psi_alpha_norm([1e308], 1.0)
+        # the norm of one value t is t / ln 2, past the largest float (1.797e308) from t of about 1.246e308
+        with pytest.raises(InvalidInputError, match="psi norm .* overflows a float"):
+            psi_alpha_norm([1.7e308], 1.0)
+
+    def test_largest_norm_below_the_overflow_is_finite(self, bounded_moments):
+        assert psi_alpha_norm([1e308], 1.0) == pytest.approx(1e308 * LOG2_INV, rel=1e-15)
+
+    @pytest.mark.parametrize("top", [1e-12, 3e-10])
+    def test_tolerance_is_relative_below_unit_scale(self, top):
+        # one value among 30 zeros has norm top / ln 32; an absolute tol of 1e-9 once returned top itself, 3.47 times
+        # the norm. Below unit scale the bracket ends tol * max|x| wide
+        tol = 1e-9
+        assert abs(psi_alpha_norm([top] + [0.0] * 30, 1.0, tol=tol) - top / math.log(32)) <= tol * top
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0])
+    def test_homogeneous_from_1e_minus_200_to_1e200(self, alpha):
+        # psi(s x) = s psi(x): the bracket is scaled by max|x| and its width by min(1, max|x|), so at every scale the
+        # error relative to the norm is at most tol * ln(k + 1)^(1/alpha), under 4e-9 here
+        x = np.random.default_rng(5).exponential(1.0, size=40)
+        base = psi_alpha_norm(x, alpha)
+        for scale in 10.0 ** np.arange(-200, 201, 20):
+            assert psi_alpha_norm(scale * x, alpha) / scale == pytest.approx(base, rel=1e-8, abs=0.0)
 
 
 class TestEnvelopePsi1:

@@ -81,7 +81,9 @@ def envelope_psi1(class_values):
         raise InvalidInputError("class_values must be a rectangular replications x n matrix")
     if not np.all(np.isfinite(arr)):
         raise InvalidInputError("class_values contain non-finite values")
-    maxima = np.max(np.abs(arr), axis=1)
+    # each draw's largest magnitude without an |arr| copy of the matrix: np.abs(arr).max(axis=1) but for the sign of
+    # a zero, which psi_alpha_norm drops
+    maxima = np.maximum(arr.max(axis=1), -arr.min(axis=1))
     return psi_alpha_norm(maxima, alpha=1.0)
 
 

@@ -71,6 +71,9 @@ reproductions live in ``seeding`` and are tested against numpy; only
 numpy.random, so importing the CLI does not. Nonpositive per-n mean
 nonexact slacks cannot enter a log-log fit: they are excluded from the fit,
 counted, and reported in summaries as the tiny positive constant ``_FLOOR``.
+``write_rows_csv`` writes ``rows.csv`` one n at a time, as ``_rows_csv_blocks``
+formats it, so memory holds one n's lines rather than every row of the run;
+``rows_csv_text`` joins the same blocks.
 """
 
 from __future__ import annotations
@@ -935,9 +938,12 @@ def _fmt_opt(value):
     return "" if value is None else _fmt(value)
 
 
-def rows_csv_text(result):
-    """Per-replication CSV payload with a fixed column order; each n's oracle risk and budget repeat."""
-    lines = [ROWS_HEADER]
+def _rows_csv_blocks(result):
+    """The per-replication CSV payload a block at a time: the header line, then each n's lines as one string.
+
+    Every line ends in a newline, and the column order is fixed; each n's oracle risk and budget repeat.
+    """
+    yield ROWS_HEADER + "\n"
     scenario = result.config.scenario
     columns = (result.achieved, result.slack_exact, result.slack_nonexact, result.satisfied)
     for i, n in enumerate(result.config.n_grid):
@@ -947,10 +953,14 @@ def rows_csv_text(result):
         # from -0.0
         bits = np.stack([column[i] for column in columns[:3]], axis=-1).view(np.int64)
         _, first, which = np.unique(bits, axis=0, return_index=True, return_inverse=True)
-        texts = [f"{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},{'true' if ok else 'false'}"
+        texts = [f"{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},{'true' if ok else 'false'}\n"
                  for achieved, exact, nonexact, ok in zip(*(column[i][first].tolist() for column in columns))]
-        lines += [f"{scenario},{n},{rep},{texts[row]}" for rep, row in enumerate(which.tolist())]
-    return "\n".join(lines) + "\n"
+        yield "".join([f"{scenario},{n},{rep},{texts[row]}" for rep, row in enumerate(which.tolist())])
+
+
+def rows_csv_text(result):
+    """The whole ``rows.csv`` payload as one string."""
+    return "".join(_rows_csv_blocks(result))
 
 
 def summary_csv_text(result):
@@ -968,8 +978,9 @@ def summary_csv_text(result):
 
 
 def write_rows_csv(result, path):
+    """Write ``rows.csv`` one n at a time, so memory holds one n's lines rather than every row of the run."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(rows_csv_text(result))
+        handle.writelines(_rows_csv_blocks(result))
 
 
 def write_summary_csv(result, path):

@@ -551,7 +551,12 @@ def erm_residual(lambda_star, bn, big_bn, epsilon, x, n, c0=1.0):
         raise InvalidInputError("n must be >= 1")
     if not 0 <= c0 < math.inf:
         raise InvalidInputError("c0 must be finite and nonnegative")
-    return float(max(lambda_star, c0 * (bn + big_bn / epsilon) * x / (n * epsilon)))
+    budget = c0 * (bn + big_bn / epsilon) * x / (n * epsilon)
+    if budget == math.inf:
+        # c0 (bn + big_bn / epsilon) x can pass the floats where the budget does not; dividing first would move
+        # the bits of a finite budget, so only an infinite one is evaluated again that way
+        budget = c0 * ((bn + big_bn / epsilon) / (n * epsilon)) * x
+    return float(max(lambda_star, budget))
 
 
 @_finite("lower q or Kd, r, x or c0, or raise epsilon")

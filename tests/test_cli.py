@@ -375,6 +375,20 @@ def test_isomorphy_budget_past_the_floats_by_c0_fails_before_any_draw(tmp_path, 
     assert not out.exists()
 
 
+def test_isomorphy_budget_within_the_floats_at_a_large_c0_runs(tmp_path):
+    # the workload's n = 256, x = 2 and epsilon = 0.25: at c0 = 1.2e308 the product c0 (bn + big_bn / epsilon) x
+    # passes the floats, but the budget it is divided into, about 1e308, does not
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"scenario": "Isomorphy", "nGrid": [256], "d": 8, "epsilon": 0.25, "x": 2,
+                                "replications": 10, "lambdaReplications": 20, "cells": 256,
+                                "constants": {"c0": 1.2e308}}))
+    out = tmp_path / "o"
+    assert run_cli(["experiment", "--config", path, "--out", out]) == 0
+    with open(out / "summary.csv", newline="") as handle:
+        (row,) = csv.DictReader(handle)
+    assert 1e307 < float(row["meanBudget"]) < math.inf
+
+
 @pytest.mark.parametrize(
     "mapping, field_name",
     [

@@ -250,6 +250,29 @@ class TestL1ComplexityProfile:
                 rerm_residual(100, 50, 2.0, 1.0, eps, 1.0, 1.0)
 
 
+class TestErmResidual:
+    # the bounds that Isomorphy's config check puts on bn and big_bn at n = 256: 0-1 losses and their psi_1 norm
+    BN = 1.0 / math.log(2.0)
+    BIG_BN = bernstein_from_psi1(BN, 256)
+
+    def test_budget_within_the_floats_when_its_left_to_right_product_is_not(self):
+        # c0 (bn + big_bn / epsilon) x is past the floats at c0 = 1.2e308, x = 2 and epsilon = 0.25
+        assert 1.2e308 * (self.BN + self.BIG_BN / 0.25) * 2.0 == math.inf
+        budget = erm_residual(0.0, self.BN, self.BIG_BN, 0.25, 2.0, 256, c0=1.2e308)
+        assert budget == pytest.approx(1.2e308 * erm_residual(0.0, self.BN, self.BIG_BN, 0.25, 2.0, 256), rel=1e-15)
+        assert budget < math.inf
+
+    def test_finite_budget_keeps_its_left_to_right_bits(self):
+        for c0 in (0.5, 1.0, 3.0, 1e300):
+            expected = c0 * (self.BN + self.BIG_BN / 0.25) * 2.0 / (256 * 0.25)
+            assert erm_residual(0.0, self.BN, self.BIG_BN, 0.25, 2.0, 256, c0=c0) == expected
+
+    def test_budget_past_the_floats_in_either_order_is_an_error(self):
+        # at n = 16 the budget is about 11.6 c0
+        with pytest.raises(InvalidInputError, match="erm_residual overflows a float"):
+            erm_residual(0.0, self.BN, bernstein_from_psi1(self.BN, 16), 0.25, 2.0, 16, c0=1e308)
+
+
 @pytest.mark.parametrize(
     "call, name",
     [

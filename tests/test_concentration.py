@@ -121,6 +121,12 @@ class TestEnvelopePsi1:
         values = rng.uniform(0, bound, size=(50, 10))
         assert envelope_psi1(values) <= bound * LOG2_INV + 1e-8
 
+    def test_signed_values_count_by_magnitude(self):
+        # rows whose largest magnitude is negative, positive, or a zero of either sign
+        values = np.random.default_rng(5).normal(size=(40, 9))
+        values[:3] = [[-3.0] + [1.0] * 8, [2.0] + [-1.0] * 8, [0.0] * 4 + [-0.0] * 5]
+        assert envelope_psi1(values) == psi_alpha_norm(np.abs(values).max(axis=1), 1.0)
+
     def test_ragged_rejected(self):
         with pytest.raises(InvalidInputError):
             envelope_psi1([[1.0, 2.0], [1.0]])

@@ -5,6 +5,7 @@ import importlib
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -170,6 +171,40 @@ def _config_mappings():
     return st.builds(lambda base, bad: {**base, **bad}, valid, st.just({}) | broken)
 
 
+# sha256 of the CSVs pins every replication's stream, not only their agreement across
+# workers; one small config per scenario, with LqRerm at q = 4 so that it runs as itself, and
+# SquareLasso with each noise: Gaussian draws the QR factor, the other two the n raw rows
+GOLDEN = [
+    (finite_gap_config(),
+     "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee",
+     "1a24e40112f9f8ac896b5c4dfd17b26653f1c6813cf93e94d29cff98771e243a"),
+    # ON PURPOSE: moved when psi_alpha_norm began to bisect inside its closed-form bracket, which moves the
+    # last bits of bn and big_bn, so budget and meanBudget move (by at most 3.2e-7 relative); every
+    # achieved risk, slack, satisfied flag and lambda_star is unchanged
+    (iso_config(),
+     "c9960a90f8c984f61d88004d6ce5fd7a95ba2a5f354b963bf1f94e0489f68cdf",
+     "ef97af6d5ca01e29e4af184ac59f602c51a1ff2ac52d2fd9f4016137770bfc06"),
+    # odd n at a cell count that is not a power of two: each draw leaves half a word buffered
+    (iso_config(n_grid=[255, 1023], cells=17),
+     "be4f85db0c41fa521ad108be31312e68a6bcceb6c434e6490f651adaa47fcca2",
+     "4a1b3ba64d6d057c1dcd895f085460acdbf7d97201bb5bd0d3aca08e3a6e5c2d"),
+    (lasso_config(),
+     "d6be49b6f8ab110d0eba59a69ed0e53cca89172eb3d2298ee6313f8214ce9916",
+     "339a448c7a39d2e1cdd8badf9cc3624d8cda7bca5eff5331c77e825b5880b47c"),
+    (lasso_config(noise=NoiseSpec.exponential(2.0)),
+     "5ce909d96c710e0aac50d83e5d069f2b2e4134bccf95294b44a4f34cec476794",
+     "04131473442a5c7cf7b3ec1061f8d420b784cc60e0836ea0c21ba3ca42508532"),
+    (lasso_config(noise=NoiseSpec.bounded(0.5)),
+     "85ba66ad0862d0c03eead14fb62d0a4f4527cd63f2eecc10b87f260cd5954109",
+     "209c8c52eb9e59870bbb35df3b590c778f826d50cfc0feda8e81c1633ec6544d"),
+    # ON PURPOSE: moved when every penalized q > 2 solve began to start at its Newton point on the sign
+    # pattern of its least-squares fit, which changes its last bits (achieved risks within 1e-6)
+    (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
+     "05f743bd5a9ad29c2d5d0d4fbc8941b0a3a729cbfa65ac4fa6de617eaf6ea148",
+     "0b31eeb03fdc47342fd9041297986793d8a6b0c16c4a0a2d6599f8d302d33213"),
+]
+
+
 class TestRateFit:
     def test_exact_inverse_n(self):
         points = [(n, 5.0 / n) for n in (10, 20, 40, 80)]
@@ -277,39 +312,7 @@ class TestFiniteGap:
                 assert any(abs(risk - r) < 1e-12 for r in risks)
 
     def test_golden_streams(self):
-        # sha256 of the CSVs pins every replication's stream, not only their agreement across
-        # workers; one small config per scenario, with LqRerm at q = 4 so that it runs as itself, and
-        # SquareLasso with each noise: Gaussian draws the QR factor, the other two the n raw rows
-        golden = [
-            (finite_gap_config(),
-             "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee",
-             "1a24e40112f9f8ac896b5c4dfd17b26653f1c6813cf93e94d29cff98771e243a"),
-            # ON PURPOSE: moved when psi_alpha_norm began to bisect inside its closed-form bracket, which moves the
-            # last bits of bn and big_bn, so budget and meanBudget move (by at most 3.2e-7 relative); every
-            # achieved risk, slack, satisfied flag and lambda_star is unchanged
-            (iso_config(),
-             "c9960a90f8c984f61d88004d6ce5fd7a95ba2a5f354b963bf1f94e0489f68cdf",
-             "ef97af6d5ca01e29e4af184ac59f602c51a1ff2ac52d2fd9f4016137770bfc06"),
-            # odd n at a cell count that is not a power of two: each draw leaves half a word buffered
-            (iso_config(n_grid=[255, 1023], cells=17),
-             "be4f85db0c41fa521ad108be31312e68a6bcceb6c434e6490f651adaa47fcca2",
-             "4a1b3ba64d6d057c1dcd895f085460acdbf7d97201bb5bd0d3aca08e3a6e5c2d"),
-            (lasso_config(),
-             "d6be49b6f8ab110d0eba59a69ed0e53cca89172eb3d2298ee6313f8214ce9916",
-             "339a448c7a39d2e1cdd8badf9cc3624d8cda7bca5eff5331c77e825b5880b47c"),
-            (lasso_config(noise=NoiseSpec.exponential(2.0)),
-             "5ce909d96c710e0aac50d83e5d069f2b2e4134bccf95294b44a4f34cec476794",
-             "04131473442a5c7cf7b3ec1061f8d420b784cc60e0836ea0c21ba3ca42508532"),
-            (lasso_config(noise=NoiseSpec.bounded(0.5)),
-             "85ba66ad0862d0c03eead14fb62d0a4f4527cd63f2eecc10b87f260cd5954109",
-             "209c8c52eb9e59870bbb35df3b590c778f826d50cfc0feda8e81c1633ec6544d"),
-            # ON PURPOSE: moved when every penalized q > 2 solve began to start at its Newton point on the sign
-            # pattern of its least-squares fit, which changes its last bits (achieved risks within 1e-6)
-            (lasso_config(scenario="LqRerm", q=4.0, noise=NoiseSpec.bounded(0.5)),
-             "05f743bd5a9ad29c2d5d0d4fbc8941b0a3a729cbfa65ac4fa6de617eaf6ea148",
-             "0b31eeb03fdc47342fd9041297986793d8a6b0c16c4a0a2d6599f8d302d33213"),
-        ]
-        for config, rows_sha, summary_sha in golden:
+        for config, rows_sha, summary_sha in GOLDEN:
             result = run_scenario(config)
             assert result.config.scenario == config.scenario
             assert hashlib.sha256(rows_csv_text(result).encode()).hexdigest() == rows_sha, config.scenario
@@ -915,6 +918,32 @@ class TestRunScenarioAndCsv:
     def test_determinism_of_whole_run(self):
         cfg = finite_gap_config()
         assert rows_csv_text(run_scenario(cfg)) == rows_csv_text(run_scenario(cfg))
+
+    @pytest.mark.parametrize(
+        "config",
+        [config for config, _, _ in GOLDEN] + [finite_gap_config(replications=1)],
+        ids=["FiniteGap", "Isomorphy", "Isomorphy-odd", "SquareLasso", "SquareLasso-Exponential",
+             "SquareLasso-Bounded", "LqRerm", "FiniteGap-one-replication"],
+    )
+    def test_written_files_are_the_texts(self, config, tmp_path):
+        # the writers stream what the texts hold, so the pinned hashes pin the files too
+        result = run_scenario(config)
+        harness.write_rows_csv(result, tmp_path / "rows.csv")
+        harness.write_summary_csv(result, tmp_path / "summary.csv")
+        assert (tmp_path / "rows.csv").read_bytes() == rows_csv_text(result).encode()
+        assert (tmp_path / "summary.csv").read_bytes() == summary_csv_text(result).encode()
+
+    def test_rows_writer_holds_one_n_at_a_time(self, tmp_path):
+        # writing the whole text at once peaked at 3.6 times its length here; one n's lines are about an eighth of it
+        result = run_scenario(finite_gap_config(n_grid=[8, 16, 32, 64, 128, 256, 512, 1024], replications=2000))
+        length = len(rows_csv_text(result))
+        tracemalloc.start()
+        try:
+            harness.write_rows_csv(result, tmp_path / "rows.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < length
 
     def test_summary_contains_fits(self):
         res = run_scenario(finite_gap_config(n_grid=[64, 128, 256, 512], replications=60))

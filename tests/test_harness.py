@@ -178,16 +178,18 @@ GOLDEN = [
     (finite_gap_config(),
      "b78248786a89e62b5fbb956d434312ace133fd904ff48707e8c94affda53d5ee",
      "1a24e40112f9f8ac896b5c4dfd17b26653f1c6813cf93e94d29cff98771e243a"),
-    # ON PURPOSE: moved when psi_alpha_norm began to bisect inside its closed-form bracket, which moves the
-    # last bits of bn and big_bn, so budget and meanBudget move (by at most 3.2e-7 relative); every
-    # achieved risk, slack, satisfied flag and lambda_star is unchanged
+    # ON PURPOSE: moved when bn and big_bn became the exact psi_1 norms of the 0-1 losses instead of estimates
+    # from calibration draws, so only budget and meanBudget move; every achieved risk, slack, satisfied flag
+    # and lambda_star is unchanged
     (iso_config(),
-     "c9960a90f8c984f61d88004d6ce5fd7a95ba2a5f354b963bf1f94e0489f68cdf",
-     "ef97af6d5ca01e29e4af184ac59f602c51a1ff2ac52d2fd9f4016137770bfc06"),
+     "683ef1faabc3892b967a1383c3390efb7050dd16b3054041bed74042092f43c4",
+     "e19cf7cabefc360574beba0024683f6cf24d823a978c94047c762e5ac8af223d"),
     # odd n at a cell count that is not a power of two: each draw leaves half a word buffered
+    # ON PURPOSE: moved when bn and big_bn became exact, as above; only budget and meanBudget move, and every
+    # achieved risk, slack, satisfied flag and lambda_star is unchanged
     (iso_config(n_grid=[255, 1023], cells=17),
-     "be4f85db0c41fa521ad108be31312e68a6bcceb6c434e6490f651adaa47fcca2",
-     "4a1b3ba64d6d057c1dcd895f085460acdbf7d97201bb5bd0d3aca08e3a6e5c2d"),
+     "6cf21cd9ee7ef843a16a269aff73b3e000956053e5152f4c4c96e965d2a285cb",
+     "d6dc19dddc33539f6bfb8f38d73770676f4c1d7e03bf67506539bb759d9f58a8"),
     (lasso_config(),
      "d6be49b6f8ab110d0eba59a69ed0e53cca89172eb3d2298ee6313f8214ce9916",
      "339a448c7a39d2e1cdd8badf9cc3624d8cda7bca5eff5331c77e825b5880b47c"),
@@ -473,29 +475,61 @@ class TestIsomorphy:
             np.testing.assert_array_equal(harness._isomorphy_risks(stand_ins, losses, p_plus, n),
                                           harness._isomorphy_risks(rngs, losses, p_plus, n))
 
-    def test_calibration_draws_by_numpy_calls(self, monkeypatch):
-        # the one calibration stream is drawn 64 + d times, each draw by numpy's integers and then random: 64
-        # envelope draws, then one draw of each function's losses; odd n, and a cell count that is not a power of 2
-        config, n = iso_config(cells=17, n_grid=[255]), 255
-        _, losses, p_plus = harness._isomorphy_model(config)
-        envelopes, samples = [], []
-        monkeypatch.setattr(harness, "envelope_psi1", lambda rows: envelopes.append(rows.copy()) or 1.0)
-        monkeypatch.setattr(harness, "psi_alpha_norm", lambda sample, **kw: samples.append(sample.copy()) or 1.0)
-        harness._isomorphy_ctx(config, n)
-        rng = np.random.default_rng(derive_seed(config.master_seed, "isomorphy/calibrate", n, 0))
-        draws = []
-        for _ in range(64 + config.d):
-            cells = rng.integers(0, p_plus.size, size=n)
-            draws.append(np.where(rng.random(n) < p_plus[cells], cells, cells + p_plus.size))
-        np.testing.assert_array_equal(envelopes, [losses.max(axis=0)[draws[:64]]])
-        np.testing.assert_array_equal(samples, [losses[j, points] for j, points in enumerate(draws[64:])])
+    @pytest.mark.parametrize("m", [0.05, 0.3, 0.5, 1.0])
+    def test_indicator_psi1_is_the_psi_norm_of_a_binary_sample(self, m):
+        # a sample of 4096 zeros and ones has the psi_1 norm of a {0, 1} variable with the sample's mean; 0.05 and
+        # 0.3 of 4096 are not whole, so the sample has the nearest count of ones
+        ones = round(m * 4096)
+        sample = (np.arange(4096) < ones).astype(float)
+        norm = harness.psi_alpha_norm(sample, alpha=1.0, tol=1e-12)
+        assert harness._indicator_psi1(ones / 4096) == pytest.approx(norm, rel=0.0, abs=1e-9)
+
+    def test_indicator_psi1_is_zero_at_mean_zero(self):
+        assert harness._indicator_psi1(0.0) == 0.0
+
+    @pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN if config.scenario == "Isomorphy"])
+    def test_envelope_norm_is_that_of_the_constant_one(self, config):
+        # some function errs at one of the n points with probability 1 to the last bit
+        res = run_scenario(config)
+        assert [res.extras[n]["bn"] for n in config.n_grid] == [1.0 / math.log(2.0)] * len(config.n_grid)
+
+    def test_context_draws_only_the_model_and_localization_streams(self, monkeypatch):
+        # the psi_1 constants are closed forms, so the context has no stream of its own
+        tags = []
+        for name in ("derive_seed", "_generators"):
+            def recording(seed, tag, *args, draw=getattr(harness, name)):
+                tags.append(tag)
+                return draw(seed, tag, *args)
+
+            monkeypatch.setattr(harness, name, recording)
+        harness._isomorphy_ctx(iso_config(cells=17, n_grid=[255]), 255)
+        assert sorted(set(tags)) == ["isomorphy/lambda", "isomorphy/model"]
+
+    def test_dictionary_without_risk_has_no_deviation_term(self):
+        # at labelFlip 0.5 every label is fixed by its cell, and this seed draws one function that is right on
+        # every cell: both psi_1 constants are 0 and the budget is lambda_star at every n
+        config = iso_config(label_flip=0.5, cells=2, d=1, master_seed=8, n_grid=[16, 256, 1024], replications=20,
+                            lambda_replications=20)
+        assert np.all(harness._isomorphy_model(config)[0] == 0.0)
+        res = run_scenario(config)
+        for i, n in enumerate(config.n_grid):
+            extras = res.extras[n]
+            assert extras["bn"] == extras["big_bn"] == 0.0
+            assert res.budget[i] == extras["lambda_star"]
+        assert res.satisfaction_frequency == 1.0
 
     def test_report_shape(self):
-        res = run_scenario(iso_config())
+        res = run_scenario(iso_config(n_grid=[256, 512, 1024, 2048], replications=20))
         assert res.target_frequency == pytest.approx(1 - 4 * math.exp(-2))
         assert np.all(res.oracle == 0.0)
         # the budget is stored once, in res.budget
-        assert set(res.extras[256]) == {"lambda_star", "lambda_band", "bn", "big_bn"}
+        assert set(res.extras[256]) == {"lambda_star", "lambda_band", "lambda_at_floor", "bn", "big_bn"}
+        # from n = 1024 on, lambda_star is fixed_point_lambda's lower end, its tolerance 1e-4, not a fixed point
+        assert [res.extras[n]["lambda_at_floor"] for n in res.config.n_grid] == [False, False, True, True]
+        assert all(entry["lambda_at_floor"] == (entry["lambda_star"] == 1e-4) for entry in res.extras.values())
+        # the flag is reported in the extras only: neither CSV gains a column
+        rows, summary = rows_csv_text(res), summary_csv_text(res)
+        assert (rows.split("\n")[0], summary.split("\n")[0]) == (harness.ROWS_HEADER, harness.SUMMARY_HEADER)
 
 
 class TestSquareLasso:
@@ -955,21 +989,22 @@ class TestRunScenarioAndCsv:
         "config, keys",
         [(finite_gap_config(), ("delta",)),
          (iso_config(n_grid=[128, 256, 512], replications=20, lambda_replications=20),
-          ("lambda_star", "lambda_band", "bn", "big_bn")),
+          ("lambda_star", "lambda_band", "lambda_at_floor", "bn", "big_bn")),
          (lasso_config(n_grid=[64, 128, 256]), ("penalty_coef",)),
          (lasso_config(scenario="LqRerm", q=4.0, n_grid=[64, 128, 256], noise=NoiseSpec.bounded(0.5)),
           ("penalty_coef",))],
         ids=["FiniteGap", "Isomorphy", "SquareLasso", "LqRerm"],
     )
     def test_extras_hold_the_registry_keys_per_n(self, config, keys):
-        # one entry per n of the scenario's registry keys, each a finite float; a scenario fits rates
-        # exactly when it has no target frequency
+        # one entry per n of the scenario's registry keys, each a finite float or, for a flag, a bool; a scenario
+        # fits rates exactly when it has no target frequency
         res = run_scenario(config)
         assert keys == harness._REGISTRY[config.scenario].extras
         assert list(res.extras) == list(config.n_grid)
         for entry in res.extras.values():
             assert tuple(entry) == keys
-            assert all(isinstance(value, float) and math.isfinite(value) for value in entry.values())
+            assert all(type(value) is bool or isinstance(value, float) and math.isfinite(value)
+                       for value in entry.values())
         fits = res.target_frequency is None
         assert (res.fit_exact is not None) == fits and (res.fit_nonexact is not None) == fits
 

@@ -186,6 +186,8 @@ def _compute_value(args):
         samples = _load(args.file, "--file")
         if samples.shape[1] != 1:
             raise InvalidInputError("--file must hold one number per line")
+        if not np.all(np.isfinite(samples)):
+            raise InvalidInputError("--file must hold finite numbers")
         return psi_alpha_norm(samples[:, 0], args.alpha, args.tol)
     if args.quantity == "penalty":
         return l1_penalty_level(args.n, args.d, args.x, args.q, args.Kd, args.c0)
@@ -201,6 +203,9 @@ def _compute_value(args):
     grid, values = table[:, 0], table[:, 1]
     order = np.argsort(grid)
     grid, values = grid[order], values[order]
+    beyond = f"--table ends at level {grid[-1]:g}, below the fixed point; extend it"
+    if grid[-1] == 0:  # the fixed point is at least tol > 0
+        raise InvalidInputError(beyond)
     bracket_hi = args.bracket_hi if args.bracket_hi is not None else float(grid[-1])
 
     def phi(lam):
@@ -211,7 +216,7 @@ def _compute_value(args):
     except BracketError as exc:
         raise InvalidInputError(f"--table: {exc}") from exc
     if value > grid[-1]:
-        raise InvalidInputError(f"--table ends at level {grid[-1]:g}, below the fixed point; extend it")
+        raise InvalidInputError(beyond)
     return value
 
 

@@ -37,12 +37,14 @@ gets the same one. A rows function scores one chunk of replications at one
 n: it gets their indices and their generators, made one at a time, and
 returns their achieved risks in replication order. ``run_scenario`` is the one entry
 point and holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso,
-so both give identical output for identical configurations. It also holds
-the one slack definition: exact slack = achieved - oracle, nonexact slack =
-achieved - (1 + 3 eps) * oracle, and a replication is satisfied when its
-nonexact slack is at most the budget. The result holds the oracle risk and
-the budget once per n, and the achieved risk, both slacks and the satisfied
-flag per replication. FiniteGap and Isomorphy score their finite dictionary
+so both give identical output for identical configurations. It only draws,
+and returns the run's record: the config, the achieved risk per replication,
+the oracle risk and budget per n, and the extras. ``ScenarioResult`` is built
+from that record and derives the rest once, with the one slack definition:
+exact slack = achieved - oracle, nonexact slack = achieved - (1 + 3 eps) *
+oracle, and a replication is satisfied when its nonexact slack is at most the
+budget. ``rows.csv`` holds the record, so it and the config rebuild the
+result. FiniteGap and Isomorphy score their finite dictionary
 on the sample's histogram over its distinct labelled points: each context
 holds the loss table at those points, and a replication counts how often
 each point occurs. Isomorphy draws its replications and its localization
@@ -797,34 +799,6 @@ class SummaryRow:
     floored: bool
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
-    """Everything one scenario run produces: per-n values and per-replication arrays, summaries, fits, extras.
-
-    ``oracle`` risk and residual ``budget`` hold one value per n of
-    ``config.n_grid``. The four per-replication arrays have one row per n and
-    one column per replication: ``achieved`` risk; ``slack_exact`` = achieved
-    - oracle; ``slack_nonexact`` = achieved - (1 + 3 eps) * oracle; and
-    ``satisfied`` = slack_nonexact <= budget. ``rows.csv`` lists all six per
-    replication. ``config.scenario`` is the scenario that ran.
-    """
-
-    config: ScenarioConfig
-    achieved: np.ndarray
-    oracle: np.ndarray
-    budget: np.ndarray
-    slack_exact: np.ndarray
-    slack_nonexact: np.ndarray
-    satisfied: np.ndarray
-    summaries: tuple
-    fit_exact: RateFit | None
-    fit_nonexact: RateFit | None
-    satisfaction_frequency: float
-    target_frequency: float | None
-    floored_count: int
-    extras: dict = field(default_factory=dict)
-
-
 def _run_chunk(payload):
     config, ctx, n, reps = payload
     spec = _REGISTRY[config.scenario]
@@ -868,53 +842,72 @@ def _try_fit(points):
         return None
 
 
+@dataclass(frozen=True)
+class ScenarioResult:
+    """One run's record, and what it derives from the record once, when built.
+
+    The record: ``config``; the ``achieved`` risk, one row per n of ``config.n_grid`` and one column per replication;
+    the ``oracle`` risk and residual ``budget``, one value per n; and ``extras``. Derived: per replication
+    ``slack_exact`` = achieved - oracle, ``slack_nonexact`` = achieved - (1 + 3 eps) * oracle and ``satisfied`` =
+    slack_nonexact <= budget; the per-n ``summaries``, rate fits, frequencies and floored count. A record of the
+    wrong shape raises InvalidInputError naming the array. ``config.scenario`` is the scenario that ran.
+    """
+
+    config: ScenarioConfig
+    achieved: np.ndarray
+    oracle: np.ndarray
+    budget: np.ndarray
+    slack_exact: np.ndarray = field(init=False)
+    slack_nonexact: np.ndarray = field(init=False)
+    satisfied: np.ndarray = field(init=False)
+    summaries: tuple = field(init=False)
+    fit_exact: RateFit | None = field(init=False)
+    fit_nonexact: RateFit | None = field(init=False)
+    satisfaction_frequency: float = field(init=False)
+    target_frequency: float | None = field(init=False)
+    floored_count: int = field(init=False)
+    extras: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        config, achieved, oracle, budget = self.config, self.achieved, self.oracle, self.budget
+        grid = len(config.n_grid)
+        for name, shape in (("achieved", (grid, config.replications)), ("oracle", (grid,)), ("budget", (grid,))):
+            if np.shape(getattr(self, name)) != shape:
+                raise InvalidInputError(f"{name} must have shape {shape}, got {np.shape(getattr(self, name))}")
+        # the one definition of the two slacks and of a satisfied replication
+        slack_exact = achieved - oracle[:, None]
+        slack_nonexact = achieved - (1.0 + 3.0 * config.epsilon) * oracle[:, None]
+        satisfied = slack_nonexact <= budget[:, None]
+
+        mean_exact = slack_exact.mean(axis=1).tolist()
+        mean_nonexact = slack_nonexact.mean(axis=1).tolist()
+        floored = [mean <= 0.0 for mean in mean_nonexact]
+        summaries = tuple(
+            SummaryRow(n=n, mean_achieved=float(achieved[i].mean()), mean_slack_exact=mean_exact[i],
+                       stderr_slack_exact=float(stderr_exact),
+                       mean_slack_nonexact=_FLOOR if floored[i] else mean_nonexact[i],
+                       stderr_slack_nonexact=float(stderr_nonexact),
+                       satisfaction_frequency=float(satisfied[i].mean()), floored=floored[i])
+            for i, (n, stderr_exact, stderr_nonexact) in enumerate(
+                zip(config.n_grid, _stderr(slack_exact), _stderr(slack_nonexact))))
+        target = _REGISTRY[config.scenario].target
+        fits = [None if target else _try_fit(zip(config.n_grid, means)) for means in (mean_exact, mean_nonexact)]
+        for name, value in zip(("slack_exact", "slack_nonexact", "satisfied", "summaries", "fit_exact", "fit_nonexact",
+                                "satisfaction_frequency", "target_frequency", "floored_count"),
+                               (slack_exact, slack_nonexact, satisfied, summaries, *fits, float(satisfied.mean()),
+                                target(config) if target else None, sum(floored))):
+            object.__setattr__(self, name, value)
+
+
 def run_scenario(config, workers=1):
-    """Run a configuration as its scenario; LqRerm at q = 2 runs as SquareLasso."""
+    """Run a configuration as its scenario and return its record; LqRerm at q = 2 runs as SquareLasso."""
     if config.scenario == "LqRerm" and config.q == 2:
         config = replace(config, scenario="SquareLasso")
     spec = _REGISTRY[config.scenario]
     contexts = {n: spec.context(config, n) for n in config.n_grid}
-    achieved = _run_rows(config, contexts, workers)
     oracle, budget = (np.array([contexts[n][key] for n in config.n_grid], dtype=float) for key in ("oracle", "budget"))
-    # the one definition of the two slacks and of a satisfied replication
-    slack_exact = achieved - oracle[:, None]
-    slack_nonexact = achieved - (1.0 + 3.0 * config.epsilon) * oracle[:, None]
-    satisfied = slack_nonexact <= budget[:, None]
-
-    mean_exact = slack_exact.mean(axis=1).tolist()
-    mean_nonexact = slack_nonexact.mean(axis=1).tolist()
-    floored = [mean <= 0.0 for mean in mean_nonexact]
-    summaries = tuple(
-        SummaryRow(
-            n=n,
-            mean_achieved=float(achieved[i].mean()),
-            mean_slack_exact=mean_exact[i],
-            stderr_slack_exact=float(stderr_exact),
-            mean_slack_nonexact=_FLOOR if floored[i] else mean_nonexact[i],
-            stderr_slack_nonexact=float(stderr_nonexact),
-            satisfaction_frequency=float(satisfied[i].mean()),
-            floored=floored[i],
-        )
-        for i, (n, stderr_exact, stderr_nonexact) in enumerate(
-            zip(config.n_grid, _stderr(slack_exact), _stderr(slack_nonexact))
-        )
-    )
-    return ScenarioResult(
-        config=config,
-        achieved=achieved,
-        oracle=oracle,
-        budget=budget,
-        slack_exact=slack_exact,
-        slack_nonexact=slack_nonexact,
-        satisfied=satisfied,
-        summaries=summaries,
-        fit_exact=None if spec.target else _try_fit(zip(config.n_grid, mean_exact)),
-        fit_nonexact=None if spec.target else _try_fit(zip(config.n_grid, mean_nonexact)),
-        satisfaction_frequency=float(satisfied.mean()),
-        target_frequency=spec.target(config) if spec.target else None,
-        floored_count=sum(floored),
-        extras={n: {key: contexts[n][key] for key in spec.extras} for n in config.n_grid},
-    )
+    extras = {n: {key: contexts[n][key] for key in spec.extras} for n in config.n_grid}
+    return ScenarioResult(config, _run_rows(config, contexts, workers), oracle, budget, extras)
 
 
 # ---------------------------------------------------------------------------

@@ -580,9 +580,11 @@ class TestCompute:
         "table",
         ["0.1 nan\n0.5 0.2\n1.0 0.3\n", "0.1 -5\n", "0.1 inf\n0.5 0.2\n", "-0.1 0.01\n0.5 0.2\n",
          # phi(1) = 0.5 > (0.25 / 4) * 1, so the fixed point lies past the last level, where interpolation is flat
-         "0.1 0.1\n0.5 0.3\n1.0 0.5\n", "0.1 0.2 0.3\n0.5 0.4 0.6\n"],
+         "0.1 0.1\n0.5 0.3\n1.0 0.5\n", "0.1 0.2 0.3\n0.5 0.4 0.6\n",
+         # the fixed point is at least tol > 0, so a table whose largest level is 0 ends below it
+         "0 0\n0 0\n"],
         ids=["nan-sup", "negative-sup", "inf-sup", "negative-level", "fixed-point-beyond-last-level",
-             "three-columns"],
+             "three-columns", "largest-level-0"],
     )
     def test_fixed_point_malformed_table_exits_2_naming_table(self, table, tmp_path, capsys):
         path = tmp_path / "table.txt"
@@ -704,6 +706,15 @@ class TestCompute:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "compute error: --file must hold one number per line\n"
+
+    @pytest.mark.parametrize("text", ["1\nnan\n2\n", "inf\n"], ids=["nan", "inf"])
+    def test_psi_norm_file_with_a_non_finite_number_exits_2_naming_file(self, text, tmp_path, capsys):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        assert run_cli(["compute", "psi-norm", "--file", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "compute error: --file must hold finite numbers\n"
 
     @pytest.mark.parametrize("text", ["", "# levels and suprema\n"], ids=["empty", "comment-only"])
     @pytest.mark.parametrize("args, flag",

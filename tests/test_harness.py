@@ -1,7 +1,9 @@
 import ast
+import csv
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import re
@@ -20,6 +22,7 @@ from oraclebench import (
     NoiseSpec,
     Sample,
     ScenarioConfig,
+    ScenarioResult,
     config_from_mapping,
     derive_seed,
     fixed_point_lambda,
@@ -1007,6 +1010,70 @@ class TestRunScenarioAndCsv:
                        for value in entry.values())
         fits = res.target_frequency is None
         assert (res.fit_exact is not None) == fits and (res.fit_nonexact is not None) == fits
+
+
+    @staticmethod
+    def _record_of(text, config):
+        """The record that a rows.csv text holds: the achieved risks by n and replication, and the oracle risk and
+        budget of each n, read from its first row."""
+        rows = list(csv.DictReader(io.StringIO(text)))
+        shape = len(config.n_grid), config.replications
+        achieved = np.array([float(row["achievedRisk"]) for row in rows]).reshape(shape)
+        firsts = rows[::config.replications]
+        return achieved, *(np.array([float(row[key]) for row in firsts]) for key in ("oracleRisk", "budget"))
+
+    @pytest.mark.parametrize("config", [config for config, _, _ in GOLDEN],
+                             ids=["FiniteGap", "Isomorphy", "Isomorphy-odd", "SquareLasso", "SquareLasso-Exponential",
+                                  "SquareLasso-Bounded", "LqRerm"])
+    def test_rows_csv_and_the_config_rebuild_the_result(self, config):
+        # rows.csv is a complete record: the result built from it writes the run's two files byte for byte
+        result = run_scenario(config)
+        rows = rows_csv_text(result)
+        rebuilt = ScenarioResult(result.config, *self._record_of(rows, result.config))
+        assert rows_csv_text(rebuilt) == rows
+        assert summary_csv_text(rebuilt) == summary_csv_text(result)
+
+    def test_record_of_the_wrong_shape_names_the_array(self):
+        config = finite_gap_config(n_grid=[64, 128], replications=3)
+        res = run_scenario(config)
+        with pytest.raises(InvalidInputError, match=r"^achieved must have shape \(2, 3\), got \(2, 2\)$"):
+            ScenarioResult(config, res.achieved[:, :-1], res.oracle, res.budget)
+        # a single oracle risk would otherwise broadcast over every n
+        with pytest.raises(InvalidInputError, match=r"^oracle must have shape \(2,\), got \(1,\)$"):
+            ScenarioResult(config, res.achieved, res.oracle[:1], res.budget)
+
+    @staticmethod
+    def _floored_record(means):
+        """A FiniteGap result at nGrid [64, 128, 256, 512], 2 replications, epsilon 0.1, oracle 0.4 and budget 1,
+        whose per-n mean nonexact slacks are ``means``, and its summary.csv rows."""
+        config = finite_gap_config(n_grid=[64, 128, 256, 512], replications=2, epsilon=0.1)
+        oracle = np.full(4, 0.4)
+        achieved = (1.0 + 3.0 * config.epsilon) * 0.4 + np.array(means)[:, None] + [[-0.001, 0.001]]
+        result = ScenarioResult(config, achieved, oracle, np.ones(4))
+        return result, list(csv.DictReader(io.StringIO(summary_csv_text(result))))
+
+    def test_nonpositive_mean_nonexact_slack_is_floored_and_left_out_of_the_fit(self):
+        result, rows = self._floored_record([0.04, -0.2, 0.01, 0.005])
+        floored = rows[1]
+        assert (floored["n"], floored["meanSlackNonexact"], floored["flooredNonexact"]) == (
+            "128", "9.9999999999999998e-13", "true")
+        assert [row["flooredNonexact"] for row in rows] == ["false", "true", "false", "false"]
+        assert [row["flooredCount"] for row in rows] == ["1"] * 4
+        means = result.slack_nonexact.mean(axis=1)
+        assert means[1] < 0
+        positive = [(n, mean) for n, mean in zip(result.config.n_grid, means) if mean > 0]
+        assert len(positive) == 3
+        assert result.fit_nonexact == rate_fit(positive)
+        assert result.fit_nonexact.slope == pytest.approx(-1.0, abs=1e-9)
+        assert rows[0]["slopeNonexact"] == f"{result.fit_nonexact.slope:.17g}"
+
+    def test_two_positive_mean_nonexact_slacks_fit_nothing(self):
+        result, rows = self._floored_record([0.04, -0.2, 0.01, -0.1])
+        assert result.fit_nonexact is None
+        assert result.floored_count == 2
+        for row in rows:
+            assert row["flooredCount"] == "2"
+            assert (row["slopeNonexact"], row["interceptNonexact"], row["r2Nonexact"]) == ("", "", "")
 
 
 class TestConfigParsing:

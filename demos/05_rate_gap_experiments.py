@@ -60,7 +60,7 @@ lasso = ScenarioConfig(
     epsilon=0.002,
     replications=40,
     master_seed=777,
-    noise=NoiseSpec.gaussian(0.5),
+    noise=NoiseSpec("Gaussian", 0.5),
     beta_star=BetaStarSpec(3, 1.0),
     constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
 )

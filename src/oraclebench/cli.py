@@ -103,7 +103,6 @@ def build_parser():
     fixed.add_argument("--table", required=True, help="two-column file of (level, expected sup)")
     _reals(fixed, "--epsilon", required=True)
     _reals(fixed, "--tol", default=1e-9)
-    _reals(fixed, "--bracket-hi", default=None)
 
     return parser
 
@@ -181,6 +180,18 @@ def _load(path, flag):
     return data
 
 
+# the flag of each library parameter that a compute error may name
+_FLAGS = {"n": "--n", "d": "--d", "x": "--x", "q": "--q", "kd": "--Kd", "c0": "--c0", "lambda_star": "--lambda-star",
+          "bn": "--bn", "big_bn": "--Bn", "epsilon": "--epsilon", "r": "--r", "alpha": "--alpha", "tol": "--tol"}
+
+
+def _flagged(message):
+    """A library message ``<parameters> must ...``, as ``n and d must be >= 2``, naming each parameter by its flag."""
+    subject, must, rest = message.partition(" must ")
+    names = subject.split(" and ")
+    return " and ".join(_FLAGS[name] for name in names) + must + rest if must and set(names) <= set(_FLAGS) else message
+
+
 def _compute_value(args):
     if args.quantity == "psi-norm":
         samples = _load(args.file, "--file")
@@ -206,13 +217,12 @@ def _compute_value(args):
     beyond = f"--table ends at level {grid[-1]:g}, below the fixed point; extend it"
     if grid[-1] == 0:  # the fixed point is at least tol > 0
         raise InvalidInputError(beyond)
-    bracket_hi = args.bracket_hi if args.bracket_hi is not None else float(grid[-1])
 
     def phi(lam):
         return float(np.interp(lam, grid, values))
 
     try:
-        value = fixed_point_lambda(phi, args.epsilon, bracket_hi, args.tol)
+        value = fixed_point_lambda(phi, args.epsilon, float(grid[-1]), args.tol)
     except BracketError as exc:
         raise InvalidInputError(f"--table: {exc}") from exc
     if value > grid[-1]:
@@ -233,7 +243,8 @@ def main(argv=None):
         print(f"{_compute_value(args):.12g}")
         return EXIT_OK
     except InvalidInputError as exc:
-        print(f"{'configuration' if args.command == 'experiment' else 'compute'} error: {exc}", file=sys.stderr)
+        message = str(exc) if args.command == "experiment" else _flagged(str(exc))
+        print(f"{'configuration' if args.command == 'experiment' else 'compute'} error: {message}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # noqa: BLE001 - the CLI must not panic to the shell
         print(f"runtime error: {exc}", file=sys.stderr)

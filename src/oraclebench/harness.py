@@ -67,9 +67,9 @@ achieved risks are gathered in replication order. ``_generators`` makes the
 replications' and Isomorphy's localization generators a range at a time: it
 runs numpy's fixed ``SeedSequence`` algorithm on uint32 arrays. Isomorphy
 reads each such generator's one draw from its raw words, bit for bit numpy's
-``integers`` and ``random`` (``_isomorphy_blocks``). Both
+``integers`` and ``random`` (``_isomorphy_risks``). Both
 reproductions live in ``seeding`` and are tested against numpy; only
-``_generators`` and ``_isomorphy_blocks`` import it, since it loads
+``_generators`` and ``_isomorphy_risks`` import it, since it loads
 numpy.random, so importing the CLI does not. Nonpositive per-n mean
 nonexact slacks cannot enter a log-log fit: they are excluded from the fit,
 counted, and reported in summaries as the tiny positive constant ``_FLOOR``.
@@ -242,36 +242,26 @@ def _isomorphy_model(config):
     return err_prob.mean(axis=1), losses, p_plus
 
 
-def _isomorphy_blocks(rngs, p_plus, n):
-    """Fresh draws of n labelled cells, one per generator in order, as (draws, n) blocks of point indices.
-
-    Each generator draws its n cells, then n uniforms that label them, bit for bit numpy's
-    ``integers(0, k, size=n)`` and ``random(n)``, read from its raw words (``seeding.integers_then_random``).
-    Each generator is fresh and draws once, and a draw reads its own stream, so every stream is the same
-    whatever the blocks. A block holds as many draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell
-    and 16 per distinct point (a draw's count of it, as an integer and as a float). A drawn cell is an 8-byte
-    index, and 12 bytes of raw words (half a word for its cell, one for its uniform) in a buffer that the
-    call reuses from block to block.
-    """
-    from .seeding import integers_then_random
-
-    k = p_plus.size
-    size = max(1, _STACK_BYTES // (16 * (n + 2 * k)))
-    # a uniform is u * 2^-53 for an integer u, so it is at least p exactly when u >= ceil(p 2^53)
-    at_least = np.ceil(p_plus * 2.0**53).astype(np.uint64)
-    for cells, units in integers_then_random(rngs, k, n, size):
-        cells += k * (units >= at_least[cells])
-        yield cells
-
-
 def _isomorphy_risks(rngs, losses, p_plus, n):
     """Empirical risks of every function on one fresh draw per generator, a (draws, functions) array.
 
-    A block of draws is scored at once: one ``bincount`` of its points, each row's points offset into a
-    histogram of its own, and one ``histogram_risks`` product over the block's histograms.
+    Each generator draws n cells, then n uniforms that label them, bit for bit numpy's ``integers(0, k, size=n)``
+    and ``random(n)``, read from its raw words (``seeding.integers_then_random``). Each generator is fresh and draws
+    once, and a draw reads its own stream, so every stream is the same whatever the blocks. A block holds as many
+    draws as fit in ``_STACK_BYTES`` at 16 bytes per drawn cell and 16 per distinct point (a draw's count of it, as
+    an integer and as a float). A drawn cell is an 8-byte index, and 12 bytes of raw words (half a word for its cell,
+    one for its uniform) in a buffer that the call reuses from block to block. A block is scored at once: one
+    ``bincount`` of its points, each row's points offset into a histogram of its own, and one ``histogram_risks``
+    product over the block's histograms.
     """
-    points, risks = losses.shape[1], []
-    for block in _isomorphy_blocks(rngs, p_plus, n):
+    from .seeding import integers_then_random
+
+    k, points, risks = p_plus.size, losses.shape[1], []
+    size = max(1, _STACK_BYTES // (16 * (n + 2 * k)))
+    # a uniform is u * 2^-53 for an integer u, so it is at least p exactly when u >= ceil(p 2^53)
+    at_least = np.ceil(p_plus * 2.0**53).astype(np.uint64)
+    for block, units in integers_then_random(rngs, k, n, size):
+        block += k * (units >= at_least[block])
         draws = len(block)
         block += points * np.arange(draws)[:, None]
         counts = np.bincount(block.ravel(), minlength=draws * points).reshape(draws, points)
@@ -577,15 +567,13 @@ _LAWS = {
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Additive noise family: Gaussian(sd), Bounded(range), or Exponential(rate), each one row of ``_LAWS``.
+    """Additive noise ``NoiseSpec(kind, param)``: Gaussian(sd), Bounded(range) or Exponential(rate), a ``_LAWS`` row.
 
-    Bounded noise is uniform on [-range, range]; exponential noise is
-    centered to mean zero, and its subexponential tail is the paper's
-    unbounded setting. Every kind has mean zero, so each serves the q = 2
-    scenarios, whose risk is exact. Above q = 2, ``abs_moment`` has a closed
-    form for Gaussian and Bounded noise. ``_exact_risk`` reads E noise^2, and
-    E noise^4 at q = 4 with Bounded noise, from the unchecked ``_moment``,
-    whose overflow ``_rerm_ctx`` reports by the config fields at fault.
+    Bounded noise is uniform on [-range, range]; exponential noise is centered to mean zero, and its subexponential
+    tail is the paper's unbounded setting. Every kind has mean zero, so each serves the q = 2 scenarios, whose risk is
+    exact. ``_moment`` is E |noise|^q, unchecked: a closed form for Gaussian and Bounded noise at every q, and for
+    Exponential noise at q = 2. ``_exact_risk`` reads E noise^2, and E noise^4 at q = 4 with Bounded noise, from it,
+    and ``_rerm_ctx`` reports its overflow by the config fields at fault.
     """
 
     kind: str
@@ -602,32 +590,8 @@ class NoiseSpec:
             raise InvalidInputError(f"field 'noise.kind' must be one of {'/'.join(_LAWS)}, got {kind!r}")
         return _LAWS[kind].key
 
-    @classmethod
-    def gaussian(cls, sd):
-        return cls("Gaussian", sd)
-
-    @classmethod
-    def bounded(cls, half_range):
-        return cls("Bounded", half_range)
-
-    @classmethod
-    def exponential(cls, rate):
-        return cls("Exponential", rate)
-
     def draw(self, rng, size):
         return _LAWS[self.kind].draw(rng, size, self.param)
-
-    def abs_moment(self, q):
-        """E |noise|^q in closed form: Gaussian and Bounded noise at every finite q >= 0, Exponential noise at q = 2.
-        Any other q, or a moment past the floats, raises InvalidInputError naming ``q`` and the noise parameter."""
-        try:
-            moment = self._moment(float(q)) if 0.0 <= q < math.inf else math.nan
-        except ArithmeticError:  # a float power or gamma past the floats, or 1 / rate^2 at a rate^2 of 0
-            moment = math.inf
-        if not math.isfinite(moment):
-            key = f"noise.{self.param_key(self.kind)}"
-            raise InvalidInputError(f"E |noise|^q is not a finite float at q = {q}, {key} = {self.param}")
-        return moment
 
     def _moment(self, q):
         return _LAWS[self.kind].moment(q, self.param)
@@ -675,7 +639,7 @@ class ScenarioConfig:
     x: float = 1.0
     replications: int = 100
     master_seed: int = 20120601
-    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec.gaussian(1.0))
+    noise: NoiseSpec = field(default_factory=lambda: NoiseSpec("Gaussian", 1.0))
     beta_star: BetaStarSpec = field(default_factory=BetaStarSpec)
     constants: dict = field(default_factory=dict)
     gamma: float = 1.0
@@ -941,11 +905,9 @@ def _rows_csv_blocks(result):
     columns = (result.achieved, result.slack_exact, result.slack_nonexact, result.satisfied)
     for i, n in enumerate(result.config.n_grid):
         oracle, budget = _fmt(result.oracle[i]), _fmt(result.budget[i])
-        # each distinct row is formatted once (FiniteGap has two per n). Within an n, satisfied follows from the
-        # nonexact slack, so the bit patterns of the three floats key a row; unlike their values they tell 0.0
-        # from -0.0
-        bits = np.stack([column[i] for column in columns[:3]], axis=-1).view(np.int64)
-        _, first, which = np.unique(bits, axis=0, return_index=True, return_inverse=True)
+        # each distinct row is formatted once (FiniteGap has two per n). Within an n, both slacks and satisfied are
+        # IEEE functions of the achieved risk, so its bit pattern keys a row; unlike its value it tells 0.0 from -0.0
+        _, first, which = np.unique(result.achieved[i].view(np.int64), return_index=True, return_inverse=True)
         texts = [f"{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},{'true' if ok else 'false'}\n"
                  for achieved, exact, nonexact, ok in zip(*(column[i][first].tolist() for column in columns))]
         yield "".join([f"{scenario},{n},{rep},{texts[row]}" for rep, row in enumerate(which.tolist())])

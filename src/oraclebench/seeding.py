@@ -21,7 +21,7 @@ both are tested on numpy 2.4, and the package requires numpy 2.
 
 This module loads numpy.random, so it is imported only where generators are
 made (``harness._generators``) and where Isomorphy draws
-(``harness._isomorphy_blocks``): importing the CLI does not need it.
+(``harness._isomorphy_risks``): importing the CLI does not need it.
 """
 
 from __future__ import annotations

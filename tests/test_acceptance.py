@@ -221,7 +221,7 @@ def test_criterion_7_square_lasso_fast_rate():
         x=1.0,
         replications=200,
         master_seed=777,
-        noise=NoiseSpec.gaussian(0.5),
+        noise=NoiseSpec("Gaussian", 0.5),
         beta_star=BetaStarSpec(3, 1.0),
         constants={"c0": 1e-11, "c1": 1.0, "Kd": 1.0},
     )

@@ -253,6 +253,7 @@ MALFORMED = [
     ('noise={"kind": "Gaussian", "sd": "abc"}', "noise.sd", "SquareLasso"),
     ("x=NaN", "'x'", "FiniteGap"),
     ("x=Infinity", "'x'", "FiniteGap"),
+    ("q=NaN", "'q'", "LqRerm"),
     ("floor=NaN", "floor", "FiniteGap"),
     ("d=2.7", "'d'", "SquareLasso"),
     ("d=true", "'d'", "SquareLasso"),
@@ -289,6 +290,8 @@ def test_malformed_config_exits_2_naming_field(override, field_name, scenario, t
         # E noise^2 past the floats: sd^2, or 1 / rate^2 where rate^2 rounds to 0
         (["scenario=SquareLasso", 'noise={"kind": "Gaussian", "sd": 1e200}'], "'noise'"),
         (["scenario=SquareLasso", 'noise={"kind": "Exponential", "rate": 1e-200}'], "'noise'"),
+        # E noise^4 = range^4 / 5 past the floats
+        (["scenario=LqRerm", "q=4", 'noise={"kind": "Bounded", "range": 1e200}'], "'noise'"),
         (["scenario=SquareLasso", "d=2"], "'betaStar.support'"),
         (["scenario=SquareLasso", "constants.Kd=-1"], "'constants.Kd'"),
         (["scenario=SquareLasso", "constants.c1=-1"], "'constants.c1'"),
@@ -301,9 +304,10 @@ def test_malformed_config_exits_2_naming_field(override, field_name, scenario, t
         (["epsilon=1e-310"], "'epsilon'"),
     ],
     ids=["SquareLasso-q3", "LqRerm-q4-Exponential", "LqRerm-q3-Bounded", "LqRerm-q400-Gaussian-overflow",
-         "SquareLasso-Gaussian-sd-overflow", "SquareLasso-Exponential-rate-underflow", "SquareLasso-support-above-d",
-         "SquareLasso-Kd-negative", "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1",
-         "LqRerm-q4-d1", "Isomorphy-x1", "FiniteGap-budget-overflow", "FiniteGap-epsilon-budget-overflow"],
+         "SquareLasso-Gaussian-sd-overflow", "SquareLasso-Exponential-rate-underflow",
+         "LqRerm-q4-Bounded-range-overflow", "SquareLasso-support-above-d", "SquareLasso-Kd-negative",
+         "SquareLasso-c1-negative", "SquareLasso-n1", "SquareLasso-d1", "LqRerm-q4-d1", "Isomorphy-x1",
+         "FiniteGap-budget-overflow", "FiniteGap-epsilon-budget-overflow"],
 )
 def test_incompatible_config_exits_2_naming_field(overrides, field_name, tmp_path, capsys):
     # a FiniteGap base that sets only keys every scenario reads, so a case that switches the scenario is rejected
@@ -595,13 +599,14 @@ class TestCompute:
         assert "--table" in captured.err
 
     def test_fixed_point_bracket_that_never_holds_exits_2(self, tmp_path, capsys):
-        # doubling 1e-300 sixty times stays far below the levels where phi <= (epsilon/4) * lam
+        # the bracket starts at the largest level, 1e-300, and doubling it sixty times stays far below the levels
+        # where phi <= (epsilon/4) * lam
         path = tmp_path / "table.txt"
-        path.write_text("0 0.1\n1 0.2\n")
-        assert run_cli(["compute", "fixed-point", "--table", path, "--epsilon", "0.25", "--bracket-hi", "1e-300"]) == 2
+        path.write_text("0 0.1\n1e-300 1\n")
+        assert run_cli(["compute", "fixed-point", "--table", path, "--epsilon", "0.25"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "--table: phi exceeds" in captured.err
+        assert captured.err == "compute error: --table: phi exceeds (epsilon/4)*lam up to lam=1.15292e-282\n"
 
     def test_rho_a_and_rho_b(self, capsys):
         assert run_cli(
@@ -736,7 +741,8 @@ class TestCompute:
          # 1e308 / ln 2 is a float, and 1.7e308 / ln 2 is past the largest one
          (["psi-norm", "--file", "1e308\n"], 0, "1.44269504089e+308\n"),
          (["psi-norm", "--file", "1.7e308\n"], 2, ""),
-         (["fixed-point", "--epsilon", "0.25", "--bracket-hi", "1e308", "--table", "0 0\n1 1e308\n"], 2, "")],
+         # the bracket starts at 1e308, whose double is past the largest float
+         (["fixed-point", "--epsilon", "0.25", "--table", "0 0\n1e308 1e308\n"], 2, "")],
         ids=["psi-norm-float-spacing", "psi-norm-largest-finite", "psi-norm-overflow", "fixed-point-overflow"],
     )
     def test_bisection_ends(self, args, code, out, tmp_path):
@@ -748,6 +754,33 @@ class TestCompute:
         proc = subprocess.run([sys.executable, "-m", "oraclebench.cli", "compute", *args[:-1], str(path)], env=env,
                               capture_output=True, text=True, timeout=60)
         assert (proc.returncode, proc.stdout) == (code, out), proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [(["fixed-point", "--epsilon", "0.25", "--tol", "0", "--table", "0 0\n0.1 0.05\n1 0.06\n"],
+          "--tol must be finite and positive"),
+         (["psi-norm", "--tol", "0", "--file", "1\n2\n"], "--tol must be finite and positive"),
+         (["psi-norm", "--alpha", "0", "--file", "1\n2\n"], "--alpha must be finite and >= 1"),
+         (["rho-a", "--lambda-star", "0", "--bn", "0", "--Bn", "-1", "--epsilon", "0.25", "--x", "1", "--n", "100"],
+          "--Bn must be nonnegative"),
+         (["rho-a", "--lambda-star", "-1", "--bn", "0", "--Bn", "0", "--epsilon", "0.25", "--x", "1", "--n", "100"],
+          "--lambda-star must be nonnegative"),
+         (["penalty", "--n", "100", "--d", "10", "--x", "1", "--Kd", "-1"], "--Kd must be positive"),
+         (["rho-b", "--n", "256", "--d", "20", "--q", "2", "--Kd", "1", "--epsilon", "0.25", "--r", "-1", "--x", "1"],
+          "--r must be nonnegative")],
+        ids=["fixed-point-tol", "psi-norm-tol", "psi-norm-alpha", "rho-a-Bn", "rho-a-lambda-star", "penalty-Kd",
+             "rho-b-r"],
+    )
+    def test_argument_out_of_range_exits_2_naming_flag(self, args, message, tmp_path, capsys):
+        # the library names its parameter (tol, big_bn, lambda_star, kd, ...), the report the flag as typed
+        if args[-2] in ("--file", "--table"):
+            path = tmp_path / "data.txt"
+            path.write_text(args[-1])
+            args = [*args[:-1], path]
+        assert run_cli(["compute", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"compute error: {message}\n"
 
     def test_bad_args_exit_2(self, tmp_path):
         assert run_cli(["compute", "penalty", "--n", "1", "--d", "2", "--x", "1", "--Kd", "1"]) == 2

@@ -25,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from datetime import datetime, timezone
@@ -137,6 +138,8 @@ def _cmd_experiment(args):
             mapping["masterSeed"] = int(env_seed)
         except ValueError:
             raise InvalidInputError("ORACLEBENCH_SEED must be an integer") from None
+        if not 0 <= mapping["masterSeed"] < 2**64:
+            raise InvalidInputError("ORACLEBENCH_SEED must be an integer in [0, 2^64)")
     for override in args.overrides:
         if "=" not in override:
             raise InvalidInputError(f"--set expects KEY=VALUE, got {override!r}")
@@ -186,10 +189,16 @@ _FLAGS = {"n": "--n", "d": "--d", "x": "--x", "q": "--q", "kd": "--Kd", "c0": "-
 
 
 def _flagged(message):
-    """A library message ``<parameters> must ...``, as ``n and d must be >= 2``, naming each parameter by its flag."""
+    """A library message naming each parameter by its flag: ``<parameters> must ...``, as ``n and d must be >= 2``,
+    or ``<builder> overflows a float; <remedy>``, whose remedy names parameters such as ``big_bn`` and ``Kd``."""
     subject, must, rest = message.partition(" must ")
     names = subject.split(" and ")
-    return " and ".join(_FLAGS[name] for name in names) + must + rest if must and set(names) <= set(_FLAGS) else message
+    if must and set(names) <= set(_FLAGS):
+        return " and ".join(_FLAGS[name] for name in names) + must + rest
+    builder, overflows, remedy = message.partition(" overflows a float; ")
+    if overflows:
+        return builder + overflows + re.sub(r"\w+", lambda word: _FLAGS.get(word[0].lower(), word[0]), remedy)
+    return message
 
 
 def _compute_value(args):

@@ -73,9 +73,10 @@ reproductions live in ``seeding`` and are tested against numpy; only
 numpy.random, so importing the CLI does not. Nonpositive per-n mean
 nonexact slacks cannot enter a log-log fit: they are excluded from the fit,
 counted, and reported in summaries as the tiny positive constant ``_FLOOR``.
-``write_rows_csv`` writes ``rows.csv`` one n at a time, as ``_rows_csv_blocks``
-formats it, so memory holds one n's lines rather than every row of the run;
-``rows_csv_text`` joins the same blocks.
+``write_rows_csv`` writes ``rows.csv`` a fixed-size piece at a time, as
+``_rows_csv_blocks`` formats it, so memory holds one piece's lines rather than
+an n's or the run's; ``rows_csv_text`` joins the same pieces. ``_run_rows``
+writes each chunk's achieved risks into the run's array as the chunk arrives.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ _FLOOR = 1e-12
 # the most bytes of Gram matrices and, above q = 2, designs that one stack of regression samples holds, and of draws and
 # counts that one block of Isomorphy draws holds
 _STACK_BYTES = 448 * 1024
+# the most lines of ``rows.csv`` that its writer formats and holds at once
+_CSV_LINES = 512
 
 
 def _splitmix64(z):
@@ -773,23 +776,29 @@ def _run_chunk(payload):
 def _run_rows(config, contexts, workers):
     """The achieved risk of every replication, optionally computed across processes.
 
-    Returns a (len(nGrid), replications) array in replication order.
+    Returns a (len(nGrid), replications) array in replication order. Each chunk's risks go to their slice of the
+    array as the chunk arrives, so the parent holds the array and a chunk, not every chunk and a copy of them all.
     """
     reps = config.replications
     size = max(1, math.ceil(reps / (workers * 4))) if workers > 1 else reps
-    payloads = [
-        (config, contexts[n], n, range(start, min(start + size, reps)))
-        for n in config.n_grid
-        for start in range(0, reps, size)
-    ]
+    spans = [range(start, min(start + size, reps)) for start in range(0, reps, size)]
+    payloads = [(config, contexts[n], n, span) for n in config.n_grid for span in spans]
+    achieved = np.empty((len(config.n_grid), reps))
+    slots = [row[span.start:span.stop] for row in achieved for span in spans]
+
+    def gather(chunks):
+        for slot, chunk in zip(slots, chunks):
+            # a chunk of the wrong length raises here; assigning it unshaped would broadcast a single value
+            slot[:] = chunk.reshape(len(slot))
+
     if workers > 1:
         # the pool starts all its processes at the first submit, so it gets no more than there are chunks
         # or CPUs; the chunks still follow workers, so the output does not depend on the CPU count
         with ProcessPoolExecutor(max_workers=min(workers, len(payloads), os.cpu_count() or 1)) as pool:
-            chunks = list(pool.map(_run_chunk, payloads))
+            gather(pool.map(_run_chunk, payloads))
     else:
-        chunks = [_run_chunk(p) for p in payloads]
-    return np.concatenate(chunks).reshape(len(config.n_grid), reps)
+        gather(map(_run_chunk, payloads))
+    return achieved
 
 
 def _stderr(values):
@@ -896,7 +905,7 @@ def _fmt_opt(value):
 
 
 def _rows_csv_blocks(result):
-    """The per-replication CSV payload a block at a time: the header line, then each n's lines as one string.
+    """The per-replication CSV payload a piece at a time: the header line, then pieces of at most ``_CSV_LINES`` lines.
 
     Every line ends in a newline, and the column order is fixed; each n's oracle risk and budget repeat.
     """
@@ -905,12 +914,15 @@ def _rows_csv_blocks(result):
     columns = (result.achieved, result.slack_exact, result.slack_nonexact, result.satisfied)
     for i, n in enumerate(result.config.n_grid):
         oracle, budget = _fmt(result.oracle[i]), _fmt(result.budget[i])
-        # each distinct row is formatted once (FiniteGap has two per n). Within an n, both slacks and satisfied are
-        # IEEE functions of the achieved risk, so its bit pattern keys a row; unlike its value it tells 0.0 from -0.0
-        _, first, which = np.unique(result.achieved[i].view(np.int64), return_index=True, return_inverse=True)
-        texts = [f"{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},{'true' if ok else 'false'}\n"
-                 for achieved, exact, nonexact, ok in zip(*(column[i][first].tolist() for column in columns))]
-        yield "".join([f"{scenario},{n},{rep},{texts[row]}" for rep, row in enumerate(which.tolist())])
+        for start in range(0, result.config.replications, _CSV_LINES):
+            cells = [column[i, start:start + _CSV_LINES] for column in columns]
+            # each distinct row of a piece is formatted once (FiniteGap has two per n). Within an n, both slacks and
+            # satisfied are IEEE functions of the achieved risk, so its bit pattern keys a row; unlike its value it
+            # tells 0.0 from -0.0
+            _, first, which = np.unique(cells[0].view(np.int64), return_index=True, return_inverse=True)
+            texts = [f"{_fmt(achieved)},{oracle},{_fmt(exact)},{_fmt(nonexact)},{budget},{'true' if ok else 'false'}\n"
+                     for achieved, exact, nonexact, ok in zip(*(cell[first].tolist() for cell in cells))]
+            yield "".join([f"{scenario},{n},{rep},{texts[row]}" for rep, row in enumerate(which.tolist(), start)])
 
 
 def rows_csv_text(result):
@@ -933,7 +945,8 @@ def summary_csv_text(result):
 
 
 def write_rows_csv(result, path):
-    """Write ``rows.csv`` one n at a time, so memory holds one n's lines rather than every row of the run."""
+    """Write ``rows.csv`` a piece of at most ``_CSV_LINES`` lines at a time, so memory holds one piece's lines rather
+    than an n's or the run's."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.writelines(_rows_csv_blocks(result))
 

@@ -163,11 +163,13 @@ class TestExperiment:
             (lambda path: path.write_bytes(b"\xff{}"), None, [], "--config: "),
             (lambda path: path.unlink(), None, [], "--config: "),
             (None, "abc", [], "ORACLEBENCH_SEED"),
+            (None, "-1", [], "ORACLEBENCH_SEED"),
+            (None, "18446744073709551616", [], "ORACLEBENCH_SEED"),
             (None, None, ["--set", "foo"], "--set"),
             (None, None, ["--workers", 0], "--workers"),
         ],
         ids=["config-list", "config-not-json", "config-not-utf8", "config-missing", "env-seed-not-integer",
-             "set-without-equals", "workers-0"],
+             "env-seed-negative", "env-seed-2-to-the-64", "set-without-equals", "workers-0"],
     )
     def test_usage_error_exits_2_naming_flag(self, spoil, env_seed, extra, named, finite_gap_config, tmp_path,
                                              monkeypatch, capsys):
@@ -655,16 +657,16 @@ class TestCompute:
         # Kd^q = 2^2000 overflows a float: an input out of range, not a runtime fault
         args = ["compute", quantity, "--n", "100", "--d", "10", "--x", "1", "--Kd", "2", "--q", "2000", *extra]
         assert run_cli(args) == 2
-        assert "overflows a float; lower q or Kd" in capsys.readouterr().err
+        assert "overflows a float; lower --q or --Kd" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "args, lower",
         [
             (["rho-a", "--lambda-star", "0", "--bn", "1e308", "--Bn", "1e308", "--epsilon", "0.25", "--x", "1e308",
-              "--n", "1"], "lambda_star, bn, big_bn, x or c0"),
-            (["penalty", "--n", "2", "--d", "2", "--x", "1", "--Kd", "1", "--q", "1e308"], "q or Kd"),
+              "--n", "1"], "--lambda-star, --bn, --Bn, --x or --c0"),
+            (["penalty", "--n", "2", "--d", "2", "--x", "1", "--Kd", "1", "--q", "1e308"], "--q or --Kd"),
             (["rho-b", "--n", "2", "--d", "2", "--q", "1e308", "--Kd", "0.5", "--epsilon", "0.25", "--r", "0",
-              "--x", "1"], "q or Kd"),
+              "--x", "1"], "--q or --Kd"),
         ],
         ids=["rho-a", "penalty-q1e308", "rho-b-q1e308"],
     )
@@ -685,8 +687,8 @@ class TestCompute:
         args[flag] = value
         assert run_cli(["compute", "rho-b", *(item for pair in args.items() for item in pair)]) == 2
         err = capsys.readouterr().err
-        assert "rerm_residual overflows a float; lower q or Kd, r, x or c0, or raise epsilon" in err
-        assert "lambda_star" not in err and "runtime error" not in err
+        assert "rerm_residual overflows a float; lower --q or --Kd, --r, --x or --c0, or raise --epsilon" in err
+        assert "lambda" not in err and "runtime error" not in err
 
     @pytest.mark.parametrize(
         "args, flag, text",
@@ -767,12 +769,21 @@ class TestCompute:
           "--lambda-star must be nonnegative"),
          (["penalty", "--n", "100", "--d", "10", "--x", "1", "--Kd", "-1"], "--Kd must be positive"),
          (["rho-b", "--n", "256", "--d", "20", "--q", "2", "--Kd", "1", "--epsilon", "0.25", "--r", "-1", "--x", "1"],
-          "--r must be nonnegative")],
+          "--r must be nonnegative"),
+         (["rho-a", "--lambda-star", "1e308", "--bn", "1e308", "--Bn", "1e308", "--epsilon", "0.25", "--x", "1e308",
+           "--n", "100"],
+          "erm_residual overflows a float; lower --lambda-star, --bn, --Bn, --x or --c0, or raise --epsilon"),
+         (["penalty", "--n", "1e300", "--d", "1e300", "--x", "1e300", "--q", "2000", "--Kd", "1e10"],
+          "l1_penalty_level overflows a float; lower --q or --Kd, --x or --c0"),
+         (["rho-b", "--n", "100", "--d", "10", "--q", "2", "--Kd", "1e200", "--epsilon", "0.25", "--r", "1",
+           "--x", "1"],
+          "rerm_residual overflows a float; lower --q or --Kd, --r, --x or --c0, or raise --epsilon")],
         ids=["fixed-point-tol", "psi-norm-tol", "psi-norm-alpha", "rho-a-Bn", "rho-a-lambda-star", "penalty-Kd",
-             "rho-b-r"],
+             "rho-b-r", "rho-a-overflow", "penalty-overflow", "rho-b-overflow"],
     )
     def test_argument_out_of_range_exits_2_naming_flag(self, args, message, tmp_path, capsys):
-        # the library names its parameter (tol, big_bn, lambda_star, kd, ...), the report the flag as typed
+        # the library names its parameter (tol, big_bn, lambda_star, kd, ...), also in an overflow's remedy; the report
+        # names the flag as typed
         if args[-2] in ("--file", "--table"):
             path = tmp_path / "data.txt"
             path.write_text(args[-1])

@@ -984,6 +984,29 @@ class TestRunScenarioAndCsv:
             tracemalloc.stop()
         assert peak < length
 
+    def test_rows_writer_memory_does_not_grow_with_replications(self, tmp_path):
+        # the writer holds a piece of at most _CSV_LINES lines: about 164 kB here, where one n's lines are 1.7 MB and
+        # holding them whole peaked at 5.8 MB
+        result = run_scenario(finite_gap_config(n_grid=[64, 128], replications=20000))
+        one_n = min(sum(len(line) for line in rows_csv_text(result).splitlines(keepends=True)[1:]
+                        if line.split(",")[1] == str(n)) for n in (64, 128))
+        tracemalloc.start()
+        try:
+            harness.write_rows_csv(result, tmp_path / "rows.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < one_n / 8
+
+    @pytest.mark.parametrize("rows", [lambda risks: risks[:-1], lambda risks: risks[:1]], ids=["short", "single"])
+    def test_chunk_of_the_wrong_length_raises(self, rows, monkeypatch):
+        # a chunk must fill its replications exactly; a single value must not broadcast over them
+        spec = harness._REGISTRY["FiniteGap"]
+        monkeypatch.setitem(harness._REGISTRY, "FiniteGap",
+                            spec._replace(rows=lambda *args: rows(spec.rows(*args))))
+        with pytest.raises(ValueError):
+            run_scenario(finite_gap_config(n_grid=[64, 128], replications=3), workers=1)
+
     def test_summary_contains_fits(self):
         res = run_scenario(finite_gap_config(n_grid=[64, 128, 256, 512], replications=60))
         text = summary_csv_text(res)

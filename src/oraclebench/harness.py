@@ -39,11 +39,13 @@ returns their achieved risks in replication order. ``run_scenario`` is the one e
 point and holds the one dispatch rule: LqRerm at q = 2 runs as SquareLasso,
 so both give identical output for identical configurations. It only draws,
 and returns the run's record: the config, the achieved risk per replication,
-the oracle risk and budget per n, and the extras. ``ScenarioResult`` is built
-from that record and derives the rest once, with the one slack definition:
-exact slack = achieved - oracle, nonexact slack = achieved - (1 + 3 eps) *
-oracle, and a replication is satisfied when its nonexact slack is at most the
-budget. ``rows.csv`` holds the record, so it and the config rebuild the
+the oracle risk and budget per n, and the extras. ``ScenarioResult`` keeps
+that record alone and derives an n's slacks from it on demand, one n at a time,
+with the one slack definition (``ScenarioResult._slacks``): exact slack =
+achieved - oracle, nonexact slack = achieved - (1 + 3 eps) * oracle, and a
+replication is satisfied when its nonexact slack is at most the budget. The
+summaries are derived so when the result is built, and ``rows.csv`` a piece
+at a time as it is written. ``rows.csv`` holds the record, so it and the config rebuild the
 result. FiniteGap and Isomorphy score their finite dictionary
 on the sample's histogram over its distinct labelled points: each context
 holds the loss table at those points, and a replication counts how often
@@ -74,8 +76,9 @@ numpy.random, so importing the CLI does not. Nonpositive per-n mean
 nonexact slacks cannot enter a log-log fit: they are excluded from the fit,
 counted, and reported in summaries as the tiny positive constant ``_FLOOR``.
 ``write_rows_csv`` writes ``rows.csv`` a fixed-size piece at a time, as
-``_rows_csv_blocks`` formats it, so memory holds one piece's lines rather than
-an n's or the run's; ``rows_csv_text`` joins the same pieces. ``_run_rows``
+``_rows_csv_blocks`` formats it, so memory holds the record and one piece's
+lines and slacks rather than an n's or the run's; ``rows_csv_text`` joins the
+same pieces. ``_run_rows``
 writes each chunk's achieved risks into the run's array as the chunk arrives.
 """
 
@@ -801,13 +804,6 @@ def _run_rows(config, contexts, workers):
     return achieved
 
 
-def _stderr(values):
-    """Per-n standard error of the mean of a (len(nGrid), replications) array."""
-    if values.shape[1] < 2:
-        return np.zeros(values.shape[0])
-    return values.std(axis=1, ddof=1) / math.sqrt(values.shape[1])
-
-
 def _try_fit(points):
     try:
         return rate_fit(points)
@@ -817,22 +813,20 @@ def _try_fit(points):
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """One run's record, and what it derives from the record once, when built.
+    """One run's record, and what it derives from the record, one n at a time, when built.
 
     The record: ``config``; the ``achieved`` risk, one row per n of ``config.n_grid`` and one column per replication;
-    the ``oracle`` risk and residual ``budget``, one value per n; and ``extras``. Derived: per replication
-    ``slack_exact`` = achieved - oracle, ``slack_nonexact`` = achieved - (1 + 3 eps) * oracle and ``satisfied`` =
-    slack_nonexact <= budget; the per-n ``summaries``, rate fits, frequencies and floored count. A record of the
-    wrong shape raises InvalidInputError naming the array. ``config.scenario`` is the scenario that ran.
+    the ``oracle`` risk and residual ``budget``, one value per n; and ``extras``. Each record array is taken as float64;
+    one that cannot be, or that has the wrong shape, raises InvalidInputError naming the array. Derived when built:
+    the per-n ``summaries``, rate fits, frequencies and floored count. Derived on access, so that the result holds no
+    array beyond the record: per replication ``slack_exact`` = achieved - oracle, ``slack_nonexact`` = achieved -
+    (1 + 3 eps) * oracle and ``satisfied`` = slack_nonexact <= budget. ``config.scenario`` is the scenario that ran.
     """
 
     config: ScenarioConfig
     achieved: np.ndarray
     oracle: np.ndarray
     budget: np.ndarray
-    slack_exact: np.ndarray = field(init=False)
-    slack_nonexact: np.ndarray = field(init=False)
-    satisfied: np.ndarray = field(init=False)
     summaries: tuple = field(init=False)
     fit_exact: RateFit | None = field(init=False)
     fit_nonexact: RateFit | None = field(init=False)
@@ -842,34 +836,63 @@ class ScenarioResult:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        config, achieved, oracle, budget = self.config, self.achieved, self.oracle, self.budget
+        config, reps = self.config, self.config.replications
         grid = len(config.n_grid)
-        for name, shape in (("achieved", (grid, config.replications)), ("oracle", (grid,)), ("budget", (grid,))):
-            if np.shape(getattr(self, name)) != shape:
-                raise InvalidInputError(f"{name} must have shape {shape}, got {np.shape(getattr(self, name))}")
-        # the one definition of the two slacks and of a satisfied replication
-        slack_exact = achieved - oracle[:, None]
-        slack_nonexact = achieved - (1.0 + 3.0 * config.epsilon) * oracle[:, None]
-        satisfied = slack_nonexact <= budget[:, None]
-
-        mean_exact = slack_exact.mean(axis=1).tolist()
-        mean_nonexact = slack_nonexact.mean(axis=1).tolist()
-        floored = [mean <= 0.0 for mean in mean_nonexact]
-        summaries = tuple(
-            SummaryRow(n=n, mean_achieved=float(achieved[i].mean()), mean_slack_exact=mean_exact[i],
-                       stderr_slack_exact=float(stderr_exact),
-                       mean_slack_nonexact=_FLOOR if floored[i] else mean_nonexact[i],
-                       stderr_slack_nonexact=float(stderr_nonexact),
-                       satisfaction_frequency=float(satisfied[i].mean()), floored=floored[i])
-            for i, (n, stderr_exact, stderr_nonexact) in enumerate(
-                zip(config.n_grid, _stderr(slack_exact), _stderr(slack_nonexact))))
-        target = _REGISTRY[config.scenario].target
-        fits = [None if target else _try_fit(zip(config.n_grid, means)) for means in (mean_exact, mean_nonexact)]
-        for name, value in zip(("slack_exact", "slack_nonexact", "satisfied", "summaries", "fit_exact", "fit_nonexact",
-                                "satisfaction_frequency", "target_frequency", "floored_count"),
-                               (slack_exact, slack_nonexact, satisfied, summaries, *fits, float(satisfied.mean()),
-                                target(config) if target else None, sum(floored))):
+        for name, shape in (("achieved", (grid, reps)), ("oracle", (grid,)), ("budget", (grid,))):
+            try:
+                value = np.asarray(getattr(self, name), dtype=float)
+            except (TypeError, ValueError):
+                raise InvalidInputError(f"{name} must be an array of numbers") from None
+            if value.shape != shape:
+                raise InvalidInputError(f"{name} must have shape {shape}, got {value.shape}")
             object.__setattr__(self, name, value)
+        summaries, means, satisfied_count = [], [], 0
+        for i, n in enumerate(config.n_grid):
+            # a row's mean and std(ddof=1) are bit for bit the axis=1 reductions of the whole array
+            exact, nonexact, ok = self._slacks(i)
+            mean_exact, mean_nonexact = float(exact.mean()), float(nonexact.mean())
+            stderr_exact, stderr_nonexact = (float(slack.std(ddof=1)) / math.sqrt(reps) if reps > 1 else 0.0
+                                             for slack in (exact, nonexact))
+            count = int(np.count_nonzero(ok))
+            means.append((mean_exact, mean_nonexact))
+            satisfied_count += count
+            summaries.append(SummaryRow(n=n, mean_achieved=float(self.achieved[i].mean()), mean_slack_exact=mean_exact,
+                                        stderr_slack_exact=stderr_exact,
+                                        mean_slack_nonexact=_FLOOR if mean_nonexact <= 0.0 else mean_nonexact,
+                                        stderr_slack_nonexact=stderr_nonexact, satisfaction_frequency=count / reps,
+                                        floored=mean_nonexact <= 0.0))
+        target = _REGISTRY[config.scenario].target
+        fits = [None if target else _try_fit(zip(config.n_grid, column)) for column in zip(*means)]
+        for name, value in zip(("summaries", "fit_exact", "fit_nonexact", "satisfaction_frequency", "target_frequency",
+                                "floored_count"),
+                               (tuple(summaries), *fits, satisfied_count / (grid * reps),
+                                target(config) if target else None, sum(s.floored for s in summaries))):
+            object.__setattr__(self, name, value)
+
+    def _slacks(self, i, start=0, stop=None):
+        """The exact slack, nonexact slack and satisfied flag of the i-th n's replications ``start:stop``: the one
+        definition of the two slacks and of a satisfied replication."""
+        achieved, oracle = self.achieved[i, start:stop], self.oracle[i]
+        nonexact = achieved - (1.0 + 3.0 * self.config.epsilon) * oracle
+        return achieved - oracle, nonexact, nonexact <= self.budget[i]
+
+    def _stacked(self, column):
+        return np.stack([self._slacks(i)[column] for i in range(len(self.config.n_grid))])
+
+    @property
+    def slack_exact(self):
+        """The (len(nGrid), replications) exact slacks, built on access."""
+        return self._stacked(0)
+
+    @property
+    def slack_nonexact(self):
+        """The (len(nGrid), replications) nonexact slacks, built on access."""
+        return self._stacked(1)
+
+    @property
+    def satisfied(self):
+        """The (len(nGrid), replications) satisfied flags, built on access."""
+        return self._stacked(2)
 
 
 def run_scenario(config, workers=1):
@@ -911,11 +934,11 @@ def _rows_csv_blocks(result):
     """
     yield ROWS_HEADER + "\n"
     scenario = result.config.scenario
-    columns = (result.achieved, result.slack_exact, result.slack_nonexact, result.satisfied)
     for i, n in enumerate(result.config.n_grid):
         oracle, budget = _fmt(result.oracle[i]), _fmt(result.budget[i])
         for start in range(0, result.config.replications, _CSV_LINES):
-            cells = [column[i, start:start + _CSV_LINES] for column in columns]
+            stop = start + _CSV_LINES
+            cells = [result.achieved[i, start:stop], *result._slacks(i, start, stop)]
             # each distinct row of a piece is formatted once (FiniteGap has two per n). Within an n, both slacks and
             # satisfied are IEEE functions of the achieved risk, so its bit pattern keys a row; unlike its value it
             # tells 0.0 from -0.0
